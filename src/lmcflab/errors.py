@@ -76,6 +76,10 @@ class NoTransverseRadius(LabError):
     """No transverse slicing radius found after the allowed retries."""
 
 
+class OpenSliceLoop(LabError):
+    """Sphere-slice segments do not chain into closed loops of >= 3 points."""
+
+
 class CurvesTooClose(LabError):
     """Slice curves are too close for a reliable linking integral."""
 

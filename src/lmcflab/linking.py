@@ -4,7 +4,20 @@ extraction, sphere slicing, Gauss linking numbers of curves in the
 
 Linking is computed by stereographic projection from a pole far from both
 curves followed by the exact polygonal Gauss integral (solid angles of
-spherical quadrilaterals); the result must round to an integer within 0.1.
+spherical quadrilaterals; Banchoff 1976, Klenin & Langowski 2000); the
+result must round to an integer within 0.1.
+
+The hot kernels are vectorized without changing a bit of their output:
+
+- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows, so its memory
+  is O(GAUSS_BLOCK * M) instead of several dense (N, M, 3) arrays, while
+  every summand is the one the dense formula computes and the summands are
+  added by one np.sum in the same order;
+- sphere slicing interpolates all crossing triangles at once and orients
+  the segments with one stacked 2x2 solve, emitting them in triangle order,
+  so chaining builds the same loops from the same start points;
+- the surface intersection scan takes its candidate triangle pairs from one
+  k-d tree query over quad bounding balls and solves them as one stack.
 """
 
 from __future__ import annotations
@@ -15,12 +28,14 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
+from scipy.spatial import cKDTree
 
 from .errors import (ComponentAmbiguity, CurvesTooClose, NoTransverseRadius,
-                     RoundingAmbiguity)
+                     OpenSliceLoop, RoundingAmbiguity)
 from .geometry import PlanePairConfig, ProductLagrangian, as_components
 
 SMALL_COMPONENT_FRACTION = 0.01  # discard below this share of the B_2 mass
+GAUSS_BLOCK = 16  # Gauss-sum rows per block; its temporaries stay in L2 cache
 
 
 def mesh_of(obj):
@@ -129,8 +144,9 @@ def extract_components(state, radii=(2.0, 3.0), pair: Optional[PlanePairConfig] 
                                           / max(np.sum(ang_w), 1e-300)))
             else:
                 mean_ang = float("nan")
-            pieces.append(ComponentSlice(0, verts[vid],
-                                         _requad(quads[qsel], remap_full(vid, verts)),
+            local = -np.ones(verts.shape[0], dtype=int)
+            local[vid] = np.arange(vid.size)
+            pieces.append(ComponentSlice(0, verts[vid], _requad(quads[qsel], local),
                                          mass, mean_ang, vid))
     pieces.sort(key=lambda p: -p.mass_b2)
     total_mass = sum(p.mass_b2 for p in pieces)
@@ -167,12 +183,6 @@ def extract_components(state, radii=(2.0, 3.0), pair: Optional[PlanePairConfig] 
         main[0].label = 1
         main[1].label = 2
     return ExtractionResult(main, leftovers, margin)
-
-
-def remap_full(vid, verts):
-    remap = -np.ones(verts.shape[0], dtype=int)
-    remap[vid] = np.arange(vid.size)
-    return remap
 
 
 def _requad(quads, remap):
@@ -220,7 +230,8 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
     Marching triangles on the quad mesh; if any mesh vertex is tangent to
     the sphere within tolerance the radius is nudged by +0.003 (up to 10
     times). Segment orientations follow the surface orientation, with the
-    outward radial direction first.
+    outward radial direction first. Raises OpenSliceLoop when the segments
+    do not chain into closed loops.
     """
     if isinstance(component, ComponentSlice):
         verts, quads = component.vertices, component.quads
@@ -228,92 +239,101 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
     else:
         verts, quads = mesh_of(component)
         label = 0
-    tris = np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+    tris = _triangles(quads)
     radii_v = np.linalg.norm(verts, axis=1)
     R_try = float(R)
     for _ in range(max_retries + 1):
         f = radii_v - R_try
         if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
-            segs = _march_triangles(verts, tris, f)
-            if segs is not None:
-                loops = _chain_segments(segs)
-                loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
-                         for lp in loops]
-                return SphereSliceCurve(loops, R_try, label)
+            loops = _chain_segments(*_march_triangles(verts, tris, f))
+            loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
+                     for lp in loops]
+            return SphereSliceCurve(loops, R_try, label)
         R_try += 0.003
     raise NoTransverseRadius(f"no transverse radius near {R} after retries")
 
 
 def _march_triangles(verts, tris, f):
-    """Oriented crossing segments of the level set f = 0 per triangle."""
-    fv = f[tris]
-    sign = fv > 0
+    """Oriented crossing segments (starts, ends) of the level set f = 0, one
+    per crossing triangle, in triangle order."""
+    sign = f[tris] > 0
     crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
-    segs = []
-    for tri in tris[crossing]:
-        p = verts[tri]
-        fv3 = f[tri]
-        pts = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            if (fv3[a] > 0) != (fv3[b] > 0):
-                lam = fv3[a] / (fv3[a] - fv3[b])
-                pts.append(p[a] + lam * (p[b] - p[a]))
-        if len(pts) != 2:
-            return None  # degenerate crossing; caller retries with new R
-        seg = _orient_segment(p, pts[0], pts[1])
-        segs.append(seg)
-    return segs
+    tri = tris[crossing]
+    p = verts[tri]
+    fv = f[tri]
+    sign = sign[crossing]
+    # a crossing triangle cuts exactly two of its edges (0,1), (1,2), (2,0);
+    # the first cut edge in that order gives the first point
+    cut01 = sign[:, 0] != sign[:, 1]
+    cut12 = sign[:, 1] != sign[:, 2]
+    rows = np.arange(tri.shape[0])
+
+    def edge_point(a):
+        b = (a + 1) % 3
+        fa, fb = fv[rows, a], fv[rows, b]
+        lam = fa / (fa - fb)
+        pa, pb = p[rows, a], p[rows, b]
+        return pa + lam[:, None] * (pb - pa)
+
+    q0 = edge_point(np.where(cut01, 0, 1))
+    q1 = edge_point(np.where(cut01 & cut12, 1, 2))
+    flip = _orientation_flips(p, q0, q1)[:, None]
+    return np.where(flip, q1, q0), np.where(flip, q0, q1)
 
 
-def _orient_segment(tri_pts, q0, q1):
-    """Orient q0 -> q1 so (radial direction, segment) is positively oriented
-    in the triangle's oriented tangent basis."""
-    e1 = tri_pts[1] - tri_pts[0]
-    e2 = tri_pts[2] - tri_pts[0]
-    gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-    centre = tri_pts.mean(axis=0)
-
-    def coords(v):
-        return np.linalg.solve(gram, np.array([e1 @ v, e2 @ v]))
-
-    g = coords(centre)          # radial direction projected into the plane
-    d = coords(q1 - q0)
-    if g[0] * d[1] - g[1] * d[0] < 0:
-        return (q1, q0)
-    return (q0, q1)
+def _orientation_flips(tri_pts, q0, q1):
+    """True where q0 -> q1 must be reversed so that (radial direction,
+    segment) is positively oriented in the triangle's oriented tangent
+    basis. tri_pts is (K, 3, d); one stacked 2x2 solve gives the in-plane
+    coordinates of the centre (radial direction) and of q1 - q0."""
+    e = tri_pts[:, 1:] - tri_pts[:, :1]               # (K, 2, d): e1, e2
+    gram = e @ e.transpose(0, 2, 1)
+    targets = np.stack([tri_pts.mean(axis=1), q1 - q0], axis=2)
+    coords = np.linalg.solve(gram, e @ targets)       # columns g, d
+    g, d = coords[:, :, 0], coords[:, :, 1]
+    return g[:, 0] * d[:, 1] - g[:, 1] * d[:, 0] < 0
 
 
-def _chain_segments(segs, tol=1e-9):
-    """Chain oriented segments into closed loops by endpoint matching."""
-    if not segs:
+def _chain_segments(starts, ends, tol=1e-9):
+    """Chain oriented segments into closed loops by endpoint matching.
+
+    Loops start at the lowest unused segment and follow the first unused
+    segment whose start matches the current end. Raises OpenSliceLoop when
+    a chain does not close on its first point or has fewer than 3 points.
+    """
+    if len(starts) == 0:
         return []
-    starts = np.array([s[0] for s in segs])
-    ends = np.array([s[1] for s in segs])
     scale = max(np.max(np.abs(starts)), 1.0)
-    key = lambda p: tuple(np.round(p / (tol * scale)).astype(np.int64))
+
+    def keys(pts):
+        grid = np.round(pts / (tol * scale)).astype(np.int64)
+        return [tuple(k) for k in grid.tolist()]
+
+    start_keys, end_keys = keys(starts), keys(ends)
     by_start = {}
-    for i, s in enumerate(segs):
-        by_start.setdefault(key(s[0]), []).append(i)
-    used = np.zeros(len(segs), dtype=bool)
+    for i, k in enumerate(start_keys):
+        by_start.setdefault(k, []).append(i)
+    used = np.zeros(len(starts), dtype=bool)
     loops = []
-    for i0 in range(len(segs)):
+    for i0 in range(len(starts)):
         if used[i0]:
             continue
-        loop = [segs[i0][0]]
-        cur = i0
+        chain = [i0]
         used[i0] = True
-        guard = 0
-        while guard < 4 * len(segs):
-            guard += 1
-            end = segs[cur][1]
-            nxts = [j for j in by_start.get(key(end), []) if not used[j]]
+        while True:
+            nxts = [j for j in by_start.get(end_keys[chain[-1]], []) if not used[j]]
             if not nxts:
                 break
-            cur = nxts[0]
-            used[cur] = True
-            loop.append(segs[cur][0])
-        if len(loop) >= 3:
-            loops.append(np.asarray(loop))
+            used[nxts[0]] = True
+            chain.append(nxts[0])
+        if end_keys[chain[-1]] != start_keys[i0]:
+            raise OpenSliceLoop(
+                f"slice chain from segment {i0} ends after {len(chain)} "
+                f"segment(s) without closing")
+        if len(chain) < 3:
+            raise OpenSliceLoop(
+                f"slice loop from segment {i0} has only {len(chain)} point(s)")
+        loops.append(starts[chain])
     return loops
 
 
@@ -368,27 +388,59 @@ def _stereographic(points, pole, R):
 
 
 def _gauss_linking_r3(loop_a, loop_b):
-    """Exact polygonal Gauss linking number in R^3 via solid angles."""
+    """Exact polygonal Gauss linking number in R^3 via solid angles.
+
+    Edge pair (i, j) contributes the signed solid angle of the spherical
+    quadrilateral spanned by the unit vectors n1..n4 from a_i, a_{i+1} to
+    b_j, b_{j+1}, split into the triangles (n1, n2, n3) and (n1, n3, n4)
+    with Oosterom-Strackee's formula 2 atan2(triple, 1 + sum of dots).
+
+    The N x M sum is evaluated GAUSS_BLOCK rows at a time on x, y, z
+    arrays of shape (rows + 1, M + 1), with the wrapped row and column
+    appended, so memory stays O(GAUSS_BLOCK * M). Each dot product is
+    formed once and shared: n1.n2 and n3.n4 are row neighbours, n2.n3 and
+    n4.n1 column neighbours, n1.n3 serves both triangles. Every summand is
+    computed with the same operations in the same order as the dense
+    (N, M, 3) roll/cross/einsum formula, and the summands go through one
+    np.sum over the (N, M) array, so the value is bit-identical to it.
+    """
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
-    diff = b[None, :, :] - a[:, None, :]
-    nrm = np.linalg.norm(diff, axis=2)
-    U = diff / nrm[:, :, None]
-    n1 = U
-    n2 = np.roll(U, -1, axis=1)
-    n3 = np.roll(np.roll(U, -1, axis=1), -1, axis=0)
-    n4 = np.roll(U, -1, axis=0)
-    total = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
+    n, m = a.shape[0], b.shape[0]
+    bw = np.concatenate([b, b[:1]]).T.copy()          # (3, M + 1)
+    total = np.empty((n, m))
+    for i0 in range(0, n, GAUSS_BLOCK):
+        i1 = min(i0 + GAUSS_BLOCK, n)
+        aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
+        diff = bw[:, None, :] - aw                     # (3, rows + 1, M + 1)
+        x, y, z = diff
+        U = diff / np.sqrt((x * x + y * y) + z * z)
+        n1, n2, n3, n4 = (U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:],
+                          U[:, 1:, :-1])
+        row = _dot(U[:, :, :-1], U[:, :, 1:])          # U[i, j] . U[i, j+1]
+        col = _dot(U[:, :-1], U[:, 1:])                # U[i, j] . U[i+1, j]
+        diag = _dot(n1, n3)
+        den1 = ((1.0 + row[:-1]) + col[:, 1:]) + diag
+        den2 = ((1.0 + diag) + row[1:]) + col[:, :-1]
+        total[i0:i1] = (2.0 * np.arctan2(_dot(n1, _cross(n2, n3)), den1)
+                        + 2.0 * np.arctan2(_dot(n1, _cross(n3, n4)), den2))
     return float(np.sum(total)) / (4.0 * np.pi)
 
 
-def _solid_angle(a, b, c):
-    """Signed solid angle of the spherical triangle (a, b, c)."""
-    triple = np.einsum("...i,...i->...", a, np.cross(b, c))
-    denom = (1.0 + np.einsum("...i,...i->...", a, b)
-             + np.einsum("...i,...i->...", b, c)
-             + np.einsum("...i,...i->...", c, a))
-    return 2.0 * np.arctan2(triple, denom)
+def _dot(u, v):
+    """Component-wise dot product of stacked 3-vectors (leading axis 3).
+
+    Summed as (x + z) + y: the order in which numpy.einsum's two-lane SIMD
+    accumulation adds a length-3 contraction, which the dense formula used.
+    """
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def _cross(u, v):
+    """Cross product of stacked 3-vectors, term for term as numpy.cross."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
@@ -445,12 +497,8 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     return LinkingReport(raw, val, margin, poles[0], per_pole)
 
 
-def _min_distance(pts1, pts2, chunk=2048):
-    best = np.inf
-    for i in range(0, pts1.shape[0], chunk):
-        d = np.linalg.norm(pts1[i:i + chunk, None, :] - pts2[None, :, :], axis=2)
-        best = min(best, float(d.min()))
-    return best
+def _min_distance(pts1, pts2):
+    return float(cKDTree(pts2).query(pts1)[0].min())
 
 
 # ---------------------------------------------------------------------------
@@ -501,35 +549,51 @@ def surfaces_intersect(mesh_a, mesh_b, tol: float = 1e-9):
     """First intersection point of two quad meshes in R^4, or None.
 
     Two 2-surfaces in R^4 meet generically in points: each triangle pair
-    yields a 4x4 linear system for the barycentric parameters.
+    yields a 4x4 linear system for the barycentric parameters. Candidate
+    pairs come from one broad-phase query over the quads' bounding balls;
+    singular systems (parallel or coplanar triangles) are skipped. The hit
+    returned is the first in (triangle of a, triangle of b) index order,
+    where triangle k of a mesh with Q quads is corners (0, 1, 2) of quad k
+    and triangle Q + k is corners (0, 2, 3) of quad k.
     """
     va, qa = mesh_of(mesh_a)
     vb, qb = mesh_of(mesh_b)
-    tris_a = np.concatenate([qa[:, [0, 1, 2]], qa[:, [0, 2, 3]]])
-    tris_b = np.concatenate([qb[:, [0, 1, 2]], qb[:, [0, 2, 3]]])
-    ca = va[tris_a].mean(axis=1)
-    cb = vb[tris_b].mean(axis=1)
-    ra = np.max(np.linalg.norm(va[tris_a] - ca[:, None, :], axis=2), axis=1)
-    rb = np.max(np.linalg.norm(vb[tris_b] - cb[:, None, :], axis=2), axis=1)
-    from scipy.spatial import cKDTree
-    tree = cKDTree(cb)
-    r_query = float(np.max(ra) + np.max(rb))
-    for ia, centre in enumerate(ca):
-        for ib in tree.query_ball_point(centre, r_query):
-            if np.linalg.norm(centre - cb[ib]) > ra[ia] + rb[ib]:
-                continue
-            pa = va[tris_a[ia]]
-            pb = vb[tris_b[ib]]
-            A = np.stack([pa[1] - pa[0], pa[2] - pa[0],
-                          -(pb[1] - pb[0]), -(pb[2] - pb[0])], axis=1)
-            rhs = pb[0] - pa[0]
-            try:
-                sol = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            u, v, s, t = sol
-            eps = tol
-            if (u >= -eps and v >= -eps and u + v <= 1 + eps
-                    and s >= -eps and t >= -eps and s + t <= 1 + eps):
-                return pa[0] + u * (pa[1] - pa[0]) + v * (pa[2] - pa[0])
-    return None
+    ca, ra = _bounding_balls(va[qa])
+    cb, rb = _bounding_balls(vb[qb])
+    # sliding-midpoint trees: several times faster to build and to query on
+    # grid meshes than the default median-split, data-shrunk nodes
+    tree_a, tree_b = (cKDTree(c, balanced_tree=False, compact_nodes=False)
+                      for c in (ca, cb))
+    near = tree_a.sparse_distance_matrix(tree_b, float(ra.max() + rb.max()),
+                                         output_type="ndarray")
+    near = near[near["v"] <= ra[near["i"]] + rb[near["j"]]]
+    ia = (near["i"][:, None] + np.array([0, 0, 1, 1]) * len(qa)).ravel()
+    ib = (near["j"][:, None] + np.array([0, 1, 0, 1]) * len(qb)).ravel()
+    order = np.lexsort((ib, ia))
+    pa = va[_triangles(qa)[ia[order]]]
+    pb = vb[_triangles(qb)[ib[order]]]
+    A = np.stack([pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0],
+                  -(pb[:, 1] - pb[:, 0]), -(pb[:, 2] - pb[:, 0])], axis=2)
+    rhs = pb[:, 0] - pa[:, 0]
+    regular = np.linalg.slogdet(A)[0] != 0
+    sol = np.full(rhs.shape, np.nan)
+    sol[regular] = np.linalg.solve(A[regular], rhs[regular, :, None])[:, :, 0]
+    u, v, s, t = sol.T
+    hits = np.flatnonzero((u >= -tol) & (v >= -tol) & (u + v <= 1 + tol)
+                          & (s >= -tol) & (t >= -tol) & (s + t <= 1 + tol))
+    if hits.size == 0:
+        return None
+    k = hits[0]
+    return pa[k, 0] + u[k] * (pa[k, 1] - pa[k, 0]) + v[k] * (pa[k, 2] - pa[k, 0])
+
+
+def _triangles(quads):
+    """Two triangles per quad: (0, 1, 2) of every quad, then (0, 2, 3)."""
+    return np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+
+
+def _bounding_balls(pts):
+    """Centroids and radii of the point groups pts (K, m, d)."""
+    centre = pts.mean(axis=1)
+    r2 = np.sum((pts - centre[:, None, :]) ** 2, axis=2)
+    return centre, np.sqrt(np.max(r2, axis=1))

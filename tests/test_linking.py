@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab import linking as lk
 from lmcflab.errors import (ComponentAmbiguity, CurvesTooClose,
-                            NoTransverseRadius, RoundingAmbiguity)
+                            NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
 
 
 def crossing_count_oracle(loop_a, loop_b, seed=5):
@@ -204,3 +206,239 @@ def test_no_transverse_radius():
                             for k, p in enumerate(parts)])
     with pytest.raises(NoTransverseRadius):
         lk.sphere_slice((verts, quads), 1.0, tangency_tol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations of the vectorized kernels
+
+
+def dense_gauss_linking_oracle(loop_a, loop_b):
+    """The dense (N, M, 3) roll/cross/einsum Gauss sum the blocked kernel
+    must reproduce bit for bit."""
+    a = np.asarray(loop_a, dtype=float)
+    b = np.asarray(loop_b, dtype=float)
+    diff = b[None, :, :] - a[:, None, :]
+    nrm = np.linalg.norm(diff, axis=2)
+    U = diff / nrm[:, :, None]
+    n1 = U
+    n2 = np.roll(U, -1, axis=1)
+    n3 = np.roll(np.roll(U, -1, axis=1), -1, axis=0)
+    n4 = np.roll(U, -1, axis=0)
+
+    def solid_angle(p, q, r):
+        triple = np.einsum("...i,...i->...", p, np.cross(q, r))
+        denom = (1.0 + np.einsum("...i,...i->...", p, q)
+                 + np.einsum("...i,...i->...", q, r)
+                 + np.einsum("...i,...i->...", r, p))
+        return 2.0 * np.arctan2(triple, denom)
+
+    total = solid_angle(n1, n2, n3) + solid_angle(n1, n3, n4)
+    return float(np.sum(total)) / (4.0 * np.pi)
+
+
+def loop_march_oracle(verts, tris, f):
+    """Per-triangle marching loop the vectorized march must reproduce."""
+    fv = f[tris]
+    sign = fv > 0
+    crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
+    segs = []
+    for tri in tris[crossing]:
+        p = verts[tri]
+        fv3 = f[tri]
+        pts = []
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            if (fv3[a] > 0) != (fv3[b] > 0):
+                lam = fv3[a] / (fv3[a] - fv3[b])
+                pts.append(p[a] + lam * (p[b] - p[a]))
+        e1 = p[1] - p[0]
+        e2 = p[2] - p[0]
+        gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+        g = np.linalg.solve(gram, np.array([e1 @ p.mean(axis=0),
+                                            e2 @ p.mean(axis=0)]))
+        d = np.linalg.solve(gram, np.array([e1 @ (pts[1] - pts[0]),
+                                            e2 @ (pts[1] - pts[0])]))
+        if g[0] * d[1] - g[1] * d[0] < 0:
+            pts = pts[::-1]
+        segs.append(pts)
+    return segs
+
+
+def first_hit_oracle(mesh_a, mesh_b, tol=1e-9):
+    """Brute force over all triangle pairs in index order."""
+    (va, qa), (vb, qb) = mesh_a, mesh_b
+    for ta in lk._triangles(qa):
+        for tb in lk._triangles(qb):
+            pa, pb = va[ta], vb[tb]
+            A = np.stack([pa[1] - pa[0], pa[2] - pa[0],
+                          -(pb[1] - pb[0]), -(pb[2] - pb[0])], axis=1)
+            try:
+                u, v, s, t = np.linalg.solve(A, pb[0] - pa[0])
+            except np.linalg.LinAlgError:
+                continue
+            if (u >= -tol and v >= -tol and u + v <= 1 + tol
+                    and s >= -tol and t >= -tol and s + t <= 1 + tol):
+                return pa[0] + u * (pa[1] - pa[0]) + v * (pa[2] - pa[0])
+    return None
+
+
+def grid_mesh(origin, e1, e2, extent, n):
+    """n x n grid quad mesh of origin + [-extent, extent]^2 in span(e1, e2)."""
+    s = np.linspace(-extent, extent, n)
+    u, v = (w.reshape(-1, 1) for w in np.meshgrid(s, s, indexing="ij"))
+    verts = np.asarray(origin, float) + u * e1 + v * e2
+    idx = np.arange(n * n).reshape(n, n)
+    quads = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]],
+                     axis=-1).reshape(-1, 4)
+    return verts, quads
+
+
+E = np.eye(4)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the blocked Gauss sum and the vectorized march
+
+
+def test_blocked_gauss_equals_dense_on_scenario_slices(monkeypatch):
+    meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
+                                              extent=2.0, samples=400)
+    s1 = lk.sphere_slice(meshes[0], 1.0)
+    s2 = lk.sphere_slice(meshes[1], 1.0)
+    blocked = lk.linking_number(s1, s2, seed=0, n_poles=2).per_pole
+    monkeypatch.setattr(lk, "_gauss_linking_r3", dense_gauss_linking_oracle)
+    assert lk.linking_number(s1, s2, seed=0, n_poles=2).per_pole == blocked
+
+
+def test_blocked_gauss_equals_dense_on_hopf_fibers():
+    f1, f2 = fx.make_hopf_fibers(n=128)
+    pole = lk.linking_number(f1, f2, R=1.0).pole
+    pa = lk._stereographic(f1, pole, 1.0)
+    pb = lk._stereographic(f2, pole, 1.0)
+    assert lk._gauss_linking_r3(pa, pb) == dense_gauss_linking_oracle(pa, pb)
+
+
+@pytest.mark.parametrize("rows", [1, lk.GAUSS_BLOCK - 1, lk.GAUSS_BLOCK + 1,
+                                  2 * lk.GAUSS_BLOCK])
+def test_blocked_gauss_equals_dense_at_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, 3))
+    b = rng.normal(size=(37, 3)) + [0.5, 0.0, 0.0]
+    assert lk._gauss_linking_r3(a, b) == dense_gauss_linking_oracle(a, b)
+    assert lk._gauss_linking_r3(b, a) == dense_gauss_linking_oracle(b, a)
+
+
+def test_vectorized_march_equals_loop():
+    meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
+                                              extent=2.0, samples=120)
+    verts, quads = meshes[0]
+    tris = lk._triangles(quads)
+    f = np.linalg.norm(verts, axis=1) - 1.0
+    starts, ends = lk._march_triangles(verts, tris, f)
+    segs = loop_march_oracle(verts, tris, f)
+    assert len(segs) > 100
+    assert starts.tobytes() == np.array([s[0] for s in segs]).tobytes()
+    assert ends.tobytes() == np.array([s[1] for s in segs]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# segment chaining
+
+
+def test_chain_segments_keeps_order_and_start():
+    square = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
+                      dtype=float)
+    order = [2, 0, 3, 1]
+    loops = lk._chain_segments(square[order], np.roll(square, -1, axis=0)[order])
+    assert len(loops) == 1
+    assert np.array_equal(loops[0], square[[2, 3, 0, 1]])
+
+
+def test_chain_segments_open_chain_raises():
+    pts = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
+                   dtype=float)
+    with pytest.raises(OpenSliceLoop, match="without closing"):
+        lk._chain_segments(pts[:-1], pts[1:])
+
+
+def test_chain_segments_short_fragment_raises():
+    pts = np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=float)
+    with pytest.raises(OpenSliceLoop, match="only 2 point"):
+        lk._chain_segments(pts, pts[::-1])
+
+
+# ---------------------------------------------------------------------------
+# surface intersection scan
+
+
+def test_surfaces_intersect_without_candidates():
+    mesh = grid_mesh(np.zeros(4), E[0], E[1], 1.0, 5)
+    far = grid_mesh(10.0 * E[2], E[0], E[1], 1.0, 5)
+    assert lk.surfaces_intersect(mesh, far) is None
+
+
+def test_surfaces_intersect_skips_singular_systems():
+    mesh = grid_mesh(np.zeros(4), E[0], E[1], 1.0, 5)
+    assert lk.surfaces_intersect(mesh, mesh) is None
+    shifted = grid_mesh(0.13 * E[0], E[0], E[1], 1.0, 5)
+    assert lk.surfaces_intersect(mesh, shifted) is None
+
+
+def test_surfaces_intersect_returns_first_hit_in_index_order():
+    mesh_a = grid_mesh(np.zeros(4), E[0], E[1], 2.0, 9)
+    late = grid_mesh([0.37, 0.52, 0, 0], E[2], E[3], 0.3, 3)
+    early = grid_mesh([-0.61, -1.23, 0, 0], E[2], E[3], 0.3, 3)
+    coplanar = grid_mesh(np.zeros(4), E[0], E[1], 2.0, 4)
+    verts = np.concatenate([late[0], early[0], coplanar[0]])
+    quads = np.concatenate([late[1], early[1] + 9, coplanar[1] + 18])
+    hit = lk.surfaces_intersect(mesh_a, (verts, quads))
+    assert np.allclose(hit, [-0.61, -1.23, 0, 0], atol=1e-12)
+    assert np.array_equal(hit, first_hit_oracle(mesh_a, (verts, quads)))
+
+
+# ---------------------------------------------------------------------------
+# orientation properties of linking on generated Hopf fiber pairs
+
+
+@st.composite
+def hopf_pairs(draw):
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    q1, q2 = (np.array(draw(st.lists(unit, min_size=4, max_size=4)))
+              for _ in range(2))
+    assume(min(np.linalg.norm(q1), np.linalg.norm(q2)) > 0.1)
+    q1, q2 = q1 / np.linalg.norm(q1), q2 / np.linalg.norm(q2)
+    n1, n2 = draw(st.integers(96, 160)), draw(st.integers(96, 160))
+    # fiber distance on the unit sphere: 2 - 2 |<q1, q2>_C|
+    h = abs(complex(q1[0], q1[1]).conjugate() * complex(q2[0], q2[1])
+            + complex(q1[2], q1[3]).conjugate() * complex(q2[2], q2[3]))
+    edge = 2.0 * np.sin(np.pi / min(n1, n2))
+    assume(np.sqrt(max(2.0 - 2.0 * h, 0.0)) > 12.0 * edge)
+    return (fx.make_hopf_fibers(q1, q2, n=n1)[0],
+            fx.make_hopf_fibers(q1, q2, n=n2)[1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(hopf_pairs())
+def test_linking_reverses_with_either_loop(pair):
+    f1, f2 = pair
+    rep = lk.linking_number(f1, f2, R=1.0)
+    assert abs(rep.value) == 1
+    assert lk.linking_number(f1[::-1].copy(), f2, R=1.0).value == -rep.value
+    assert lk.linking_number(f1, f2[::-1].copy(), R=1.0).value == -rep.value
+
+
+@settings(max_examples=15, deadline=None)
+@given(hopf_pairs())
+def test_linking_symmetric_in_arguments(pair):
+    f1, f2 = pair
+    assert (lk.linking_number(f2, f1, R=1.0).value
+            == lk.linking_number(f1, f2, R=1.0).value)
+
+
+@settings(max_examples=15, deadline=None)
+@given(hopf_pairs())
+def test_linking_agrees_across_poles(pair):
+    f1, f2 = pair
+    rep = lk.linking_number(f1, f2, R=1.0, n_poles=3)
+    assert len(rep.per_pole) == 3
+    assert {int(np.round(v)) for v in rep.per_pole} == {rep.value}
+    assert rep.value == lk.linking_number(f1, f2, R=1.0).value
