@@ -102,3 +102,7 @@ class UnknownFixture(LabError):
 
 class SolverFailure(LabError):
     """Linear solve in a flow/heat step failed."""
+
+
+class VertexCountChanged(LabError):
+    """A component's vertex count differs between recorded states."""

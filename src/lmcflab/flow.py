@@ -4,7 +4,7 @@ parabolic rescaling, and the shrinker-scale rescaled flow.
 The semi-implicit scheme (I - dt*Laplacian) x_new = x_old is the default
 (unconditionally stable; long backward horizons need large steps); the
 explicit scheme is kept for cross-validation. Open-curve endpoints are
-clamped to their asymptotic lines (Dirichlet); the induced boundary lag
+pinned where they are (Dirichlet); the induced boundary lag
 decays like erfc(ds / sqrt(4t)) into the interior, so fixtures pad their
 arms and diagnostics exclude a boundary collar.
 """
@@ -18,8 +18,9 @@ from scipy.linalg import solve_banded
 
 from .errors import (RangeError, SingularCollapse, SolverFailure,
                      StabilityViolation, TimeGridMismatch)
-from .geometry import (AffineLine, DiscreteCurve, ProductLagrangian,
-                       as_components, mean_curvature)
+from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
+                       ProductLagrangian, as_components, mean_curvature,
+                       stencil_weights)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
@@ -94,12 +95,8 @@ def _blend_states(sa, sb, lam):
 
 
 def _product_with_factor1(prod, f1):
-    new = ProductLagrangian.__new__(ProductLagrangian)
-    new.factor1 = f1
-    new.factor2 = prod.factor2
-    new.factor2_line = prod.factor2_line
-    new.component_id = prod.component_id
-    return new
+    return ProductLagrangian(f1, prod.factor2_line, component_id=prod.component_id,
+                             line_sample=prod.factor2)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def step_flow_explicit(curve: DiscreteCurve, dt: float, min_edge=None) -> Discre
     H = mean_curvature(curve)
     v = curve.vertices + dt * H
     if not curve.closed:
-        # Dirichlet: endpoints pinned to their asymptotic lines
+        # Dirichlet: endpoints pinned
         v[0] = curve.vertices[0]
         v[-1] = curve.vertices[-1]
     out = curve.with_vertices(v)
@@ -134,15 +131,12 @@ def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> D
 
     The Laplacian uses the arclength weights of the current state; closed
     curves solve a cyclic tridiagonal system, open curves a Dirichlet one
-    with endpoints slid along their asymptotic lines first.
+    with both endpoints pinned at their current positions.
     """
     n = curve.n_vertices
-    h = curve.edge_lengths()
     v = curve.vertices
+    a, b = stencil_weights(curve.edge_lengths(), curve.closed)  # to i-1, i+1
     if curve.closed:
-        h_prev = np.roll(h, 1)
-        a = 2.0 / ((h + h_prev) * h_prev)   # coupling to i-1
-        b = 2.0 / ((h + h_prev) * h)        # coupling to i+1
         diag = 1.0 + dt * (a + b)
         idx = np.arange(n)
         A = sp.csc_matrix((np.concatenate([diag, -dt * a, -dt * b]),
@@ -154,21 +148,16 @@ def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> D
         except RuntimeError as exc:  # pragma: no cover
             raise SolverFailure(str(exc))
     else:
-        # Dirichlet ends: endpoints pinned to their asymptotic lines
-        v0_new, v1_new = v[0], v[-1]
-        hm, hp = h[:-1], h[1:]
-        a = 2.0 / ((hm + hp) * hm)
-        b = 2.0 / ((hm + hp) * hp)
         m = n - 2
         band = np.zeros((3, m))
         band[1] = 1.0 + dt * (a + b)
         band[0, 1:] = -dt * b[:-1]
         band[2, :-1] = -dt * a[1:]
         rhs = v[1:-1].copy()
-        rhs[0] += dt * a[0] * v0_new
-        rhs[-1] += dt * b[-1] * v1_new
+        rhs[0] += dt * a[0] * v[0]
+        rhs[-1] += dt * b[-1] * v[-1]
         interior = solve_banded((1, 1), band, rhs)
-        v_new = np.vstack([v0_new, interior, v1_new])
+        v_new = np.vstack([v[0], interior, v[-1]])
     out = curve.with_vertices(v_new)
     _check_collapse(out, min_edge)
     return out
@@ -231,16 +220,13 @@ def evolve(state, dt, n_steps, scheme="semi_implicit", t0=0.0,
 def _scale_component(comp, lam):
     if isinstance(comp, ProductLagrangian):
         f1 = _scale_curve(comp.factor1, lam)
+        f2 = _scale_curve(comp.factor2, lam)
         if comp.factor2_line is not None:
-            prod = ProductLagrangian.__new__(ProductLagrangian)
-            prod.factor1 = f1
-            prod.factor2 = _scale_curve(comp.factor2, lam)
-            prod.factor2_line = AffineLine(lam * comp.factor2_line.point,
-                                           comp.factor2_line.direction)
-            prod.component_id = comp.component_id
-            return prod
-        return ProductLagrangian(f1, _scale_curve(comp.factor2, lam),
-                                 component_id=comp.component_id)
+            line = AffineLine(lam * comp.factor2_line.point,
+                              comp.factor2_line.direction)
+            return ProductLagrangian(f1, line, component_id=comp.component_id,
+                                     line_sample=f2)
+        return ProductLagrangian(f1, f2, component_id=comp.component_id)
     return _scale_curve(comp, lam)
 
 
@@ -332,7 +318,9 @@ def product_evolve(traj1: FlowTrajectory, traj2_or_line) -> FlowTrajectory:
     """
     if isinstance(traj2_or_line, AffineLine):
         line = traj2_or_line
-        states = [[ProductLagrangian(c, line, component_id=c.component_id)
+        sample = line.sample(LINE_EXTENT, LINE_SAMPLES)
+        states = [[ProductLagrangian(c, line, component_id=c.component_id,
+                                     line_sample=sample)
                    for c in as_components(s)] for s in traj1.states]
         return FlowTrajectory(traj1.times, states, mode=traj1.mode,
                               metadata=traj1.metadata)

@@ -8,6 +8,25 @@ step. Vertex correspondences that move tangentially (pinned ends,
 redistribution) are handled by an advection term built from the measured
 tangential vertex velocity; material trajectories have it near zero.
 
+The heat solve and its centred residual audit walk the trajectory in
+blocks of ``AUDIT_BLOCK`` times. A block stacks each component's states as
+(2, b, N) coordinate planes, and one array pass per block gives the edge
+lengths, tangents, dual weights, measured tangential velocities and step
+coefficients of all b states. The stencils are the vertex-axis kernels
+that :func:`~lmcflab.geometry.laplacian` and
+:func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
+blocked results equal a per-state loop bit for bit. The linear solves stay
+one per step (banded for open curves, sparse LU for closed ones). A
+component whose vertex count changes between recorded states raises
+VertexCountChanged.
+
+The approximate caloric height (``approx_height_solution``, ``select_s1``)
+reads the caloric primitive only on the first state, where its time gauge
+is zero. It takes the angle and the Liouville primitive of that state and
+runs the holonomy check (NotExact) on the closed components of every
+state; ``caloric_primitive`` builds the gauged field over the whole
+trajectory for callers that need it.
+
 Products curve x static-line reduce exactly to 1-D solves on the curve
 factor: initial data used here is either constant along the line factor
 (B, B*z with z along the curve factor) or linear in it (B*z with z along
@@ -17,18 +36,26 @@ flow. The general 2-D product solve is not needed by any fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from .errors import ComponentAmbiguity, GrowthUnbounded, SolverFailure
+from .diagnostics import check_polynomial_growth
+from .errors import ComponentAmbiguity, SolverFailure, VertexCountChanged
 from .flow import FlowTrajectory
 from .geometry import (CoordinateFrame, ProductLagrangian, angle_laplacian,
-                       angle_slope, arc_gradient, as_components,
-                       exactness_primitive, lagrangian_angle, laplacian,
-                       mean_curvature)
+                       angle_slope, arc_gradient, as_components, edge_increments,
+                       edge_lengths, exactness_primitive, lagrangian_angle,
+                       laplacian, mean_curvature, second_difference,
+                       stencil_weights, unit_tangents, vertex_differences,
+                       vertex_sums)
+
+# Recorded times per block of the heat solve and the residual audit: 8 was
+# fastest on the blow-down ladder's open curves (1.5k-3.5k vertices); 16 and
+# more were slower.
+AUDIT_BLOCK = 8
 
 
 def _curve_components(state):
@@ -45,51 +72,73 @@ def _curve_components(state):
     return out
 
 
-def _tangential_speed(c_from, c_to, dt):
-    """Measured tangential vertex velocity between two recorded states."""
-    t = c_to.tangents()
-    vel = (c_to.vertices - c_from.vertices) / dt
-    return np.einsum("ij,ij->i", vel, t)
+def _stacked_components(traj, lo, hi):
+    """Per component of the states lo..hi-1: (its curve at lo, its vertices
+    stacked as coordinate planes of shape (2, hi - lo, N))."""
+    per_state = [_curve_components(s) for s in traj.states[lo:hi]]
+    out = []
+    for ci, first in enumerate(per_state[0]):
+        curves = [comps[ci] for comps in per_state]
+        planes = np.empty((2, len(curves), first.n_vertices))
+        for k, c in enumerate(curves):
+            if c.n_vertices != first.n_vertices:
+                raise VertexCountChanged(
+                    f"component {ci} has {first.n_vertices} vertices at time "
+                    f"index {lo} and {c.n_vertices} at {lo + k}")
+            planes[:, k] = c.vertices.T
+        out.append((first, planes))
+    return out
 
 
-def _heat_step(curve, f_old, dt, v_tan):
-    """Backward-Euler step of d_t f = Delta f + v_tan * d_s f on one curve.
+def _march_block(closed, p, dt, f):
+    """Backward-Euler steps of d_t f = Delta f + v_tan * d_s f from the field
+    f on the state p[:, 0] into the states p[:, 1:]; returns the new fields
+    as the rows of a (b, N) array.
 
-    Hybrid advection: central differences, switching to upwind where the
-    cell Peclet number |v| h / 2 exceeds one (keeps the matrix an M-matrix).
+    dt has shape (b, 1). Hybrid advection: central differences, switching
+    to upwind where the cell Peclet number |v| h / 2 exceeds one (keeps the
+    matrix an M-matrix).
     """
-    n = curve.n_vertices
-    h = curve.edge_lengths()
-    if curve.closed:
-        h_prev = np.roll(h, 1)
-        lo = 2.0 / ((h + h_prev) * h_prev)
-        hi = 2.0 / ((h + h_prev) * h)
-        c_lo, c_di, c_hi = _advection_coeffs(v_tan, h_prev, h)
+    post = p[:, 1:]
+    h = edge_lengths(post, closed)
+    vel = (post - p[:, :-1]) / dt
+    vel *= unit_tangents(post, closed)
+    v_tan = vel[0] + vel[1]
+    lo, hi = stencil_weights(h, closed)
+    if closed:
+        c_lo, c_di, c_hi = _advection_coeffs(v_tan, np.roll(h, 1, axis=-1), h)
+    else:
+        c_lo, c_di, c_hi = _advection_coeffs(v_tan[:, 1:-1], h[:, :-1], h[:, 1:])
+    diag = 1.0 + dt * (lo + hi) - dt * c_di
+    left = dt * (lo + c_lo)     # coupling to vertex i-1
+    right = dt * (hi + c_hi)    # coupling to vertex i+1
+    n = f.shape[0]
+    out = np.empty((len(dt), n))
+    if closed:
         idx = np.arange(n)
-        diag = 1.0 + dt * (lo + hi) - dt * c_di
-        A = sp.csc_matrix((np.concatenate([diag, -dt * (lo + c_lo),
-                                           -dt * (hi + c_hi)]),
-                           (np.concatenate([idx, idx, idx]),
-                            np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
-                          shape=(n, n))
-        try:
-            return spla.splu(A).solve(f_old)
-        except RuntimeError as exc:  # pragma: no cover
-            raise SolverFailure(str(exc))
-    hm, hp = h[:-1], h[1:]
-    lo = 2.0 / ((hm + hp) * hm)
-    hi = 2.0 / ((hm + hp) * hp)
-    c_lo, c_di, c_hi = _advection_coeffs(v_tan[1:-1], hm, hp)
-    m = n - 2
-    band = np.zeros((3, m))
-    band[1] = 1.0 + dt * (lo + hi) - dt * c_di
-    band[0, 1:] = -dt * (hi + c_hi)[:-1]
-    band[2, :-1] = -dt * (lo + c_lo)[1:]
-    rhs = f_old[1:-1].copy()
-    rhs[0] += dt * (lo + c_lo)[0] * f_old[0]
-    rhs[-1] += dt * (hi + c_hi)[-1] * f_old[-1]
-    interior = solve_banded((1, 1), band, rhs)
-    return np.concatenate([[f_old[0]], interior, [f_old[-1]]])
+        rows = np.concatenate([idx, idx, idx])
+        cols = np.concatenate([idx, (idx - 1) % n, (idx + 1) % n])
+        for j in range(len(dt)):
+            A = sp.csc_matrix((np.concatenate([diag[j], -left[j], -right[j]]),
+                               (rows, cols)), shape=(n, n))
+            try:
+                out[j] = spla.splu(A).solve(f)
+            except RuntimeError as exc:  # pragma: no cover
+                raise SolverFailure(str(exc))
+            f = out[j]
+        return out
+    bands = np.zeros((len(dt), 3, n - 2))
+    bands[:, 1] = diag
+    bands[:, 0, 1:] = -right[:, :-1]
+    bands[:, 2, :-1] = -left[:, 1:]
+    for j in range(len(dt)):
+        rhs = f[1:-1].copy()
+        rhs[0] += left[j, 0] * f[0]
+        rhs[-1] += right[j, -1] * f[-1]
+        out[j, 1:-1] = solve_banded((1, 1), bands[j], rhs)
+        out[j, 0], out[j, -1] = f[0], f[-1]
+        f = out[j]
+    return out
 
 
 def _advection_coeffs(v, h_prev, h_next):
@@ -100,12 +149,12 @@ def _advection_coeffs(v, h_prev, h_next):
     (keeping I - dt(Delta + Adv) an M-matrix).
     """
     v = np.asarray(v, dtype=float)
-    pe = np.abs(v) * 0.5 * (h_prev + h_next) / 2.0
-    central = pe <= 1.0
-    c_lo = np.where(central, -v / (h_prev + h_next),
-                    np.where(v > 0, 0.0, -v / h_prev))
-    c_hi = np.where(central, v / (h_prev + h_next),
-                    np.where(v > 0, v / h_next, 0.0))
+    span = h_prev + h_next
+    central = np.abs(v) * 0.5 * span / 2.0 <= 1.0    # cell Peclet number
+    ahead = v > 0
+    v_span = v / span
+    c_lo = np.where(central, -v_span, np.where(ahead, 0.0, -v / h_prev))
+    c_hi = np.where(central, v_span, np.where(ahead, v / h_next, 0.0))
     c_di = -(c_lo + c_hi)
     return c_lo, c_di, c_hi
 
@@ -143,27 +192,24 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
     f0 = [np.asarray(f, dtype=float).copy() for f in f0]
     if len(f0) != len(comps0):
         raise ValueError("one initial array per component required")
-    values = [f0]
-    cur = f0
-    for k in range(1, len(traj.times)):
-        dt = traj.times[k] - traj.times[k - 1]
-        prev_comps = _curve_components(traj.states[k - 1])
-        comps = _curve_components(traj.states[k])
-        nxt = []
-        for c_prev, c, f in zip(prev_comps, comps, cur):
-            v_tan = _tangential_speed(c_prev, c, dt)
-            nxt.append(_heat_step(c, f, dt, v_tan))
-        values.append(nxt)
-        cur = nxt
-    sup, l2 = heat_residual(traj, values)
     growth = 0.0
-    for state, vals in zip(traj.states, values):
-        for c, f in zip(_curve_components(state), vals):
-            r = np.linalg.norm(c.vertices, axis=1)
-            growth = max(growth, float(np.max(np.abs(f) / (1.0 + r ** growth_degree))))
-    if growth_bound is not None and growth > growth_bound * (1.0 + 1e-12):
-        raise GrowthUnbounded(
-            f"measured growth constant {growth:.3g} exceeds declared {growth_bound:.3g}")
+    for c, f in zip(comps0, f0):
+        growth = max(growth, check_polynomial_growth(f, c.vertices, growth_degree,
+                                                     growth_bound))
+    values = [f0]
+    times = traj.times
+    for k0 in range(1, len(times), AUDIT_BLOCK):
+        k1 = min(k0 + AUDIT_BLOCK, len(times))
+        dt = (times[k0:k1] - times[k0 - 1:k1 - 1])[:, None]
+        block = [[] for _ in range(k0, k1)]
+        for ci, (c, p) in enumerate(_stacked_components(traj, k0 - 1, k1)):
+            fields = _march_block(c.closed, p, dt, values[-1][ci])
+            growth = max(growth, check_polynomial_growth(
+                fields, p[:, 1:].transpose(1, 2, 0), growth_degree, growth_bound))
+            for vals, f in zip(block, fields):
+                vals.append(f)
+        values.extend(block)
+    sup, l2 = heat_residual(traj, values)
     return HeatSolution(traj.times, values, traj.times[1:-1],
                         np.asarray(sup), np.asarray(l2), growth)
 
@@ -174,34 +220,38 @@ def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
     Returns per-time (sup, l2) over the collar-trimmed interiors of all
     components; the operator matches the solver's spatial discretization.
     """
-    sup_list, l2_list = [], []
-    for k in range(1, len(traj.times) - 1):
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        comps_prev = _curve_components(traj.states[k - 1])
-        comps = _curve_components(traj.states[k])
-        comps_next = _curve_components(traj.states[k + 1])
-        worst = 0.0
-        sq_sum = 0.0
-        w_sum = 0.0
-        for ci, c in enumerate(comps):
-            f_prev = values[k - 1][ci]
-            f_next = values[k + 1][ci]
-            f_mid = values[k][ci]
-            dfdt = (f_next - f_prev) / dt2
-            t = c.tangents()
-            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
-            v_tan = np.einsum("ij,ij->i", vel, t)
-            res = dfdt - laplacian(c, f_mid) - v_tan * arc_gradient(c, f_mid)
-            mask = c.interior_mask(collar)
-            if not mask.any():
+    times = traj.times
+    n_int = max(len(times) - 2, 0)
+    sup, sq_sum, w_sum = np.zeros(n_int), np.zeros(n_int), np.zeros(n_int)
+    for k0 in range(1, len(times) - 1, AUDIT_BLOCK):
+        k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
+        rows = slice(k0 - 1, k1 - 1)
+        dt2 = (times[k0 + 1:k1 + 1] - times[k0 - 1:k1 - 1])[:, None]
+        for ci, (c, p) in enumerate(_stacked_components(traj, k0 - 1, k1 + 1)):
+            interior = np.flatnonzero(c.interior_mask(collar))  # one index run
+            if not interior.size:
                 continue
-            worst = max(worst, float(np.max(np.abs(res[mask]))))
-            w = c.dual_lengths()[mask]
-            sq_sum += float(np.sum(w * res[mask] ** 2))
-            w_sum += float(np.sum(w))
-        sup_list.append(worst)
-        l2_list.append(np.sqrt(sq_sum / max(w_sum, 1e-300)))
-    return sup_list, l2_list
+            cols = slice(interior[0], interior[-1] + 1)
+            closed = c.closed
+            f = np.array([values[k][ci] for k in range(k0 - 1, k1 + 1)])
+            mid, fm = p[:, 1:-1], f[1:-1]
+            h = edge_lengths(mid, closed)
+            h_sums = vertex_sums(h, closed)
+            vel = (p[:, 2:] - p[:, :-2]) / dt2
+            vel *= unit_tangents(mid, closed)
+            v_tan = vel[0] + vel[1]
+            res = (f[2:] - f[:-2]) / dt2
+            res -= second_difference(edge_increments(fm, closed), h, closed)
+            res -= v_tan * (vertex_differences(fm, closed) / h_sums)
+            res = res[:, cols]
+            worst = np.max(np.abs(res), axis=1)
+            sup[rows] = np.where(worst > sup[rows], worst, sup[rows])
+            w = 0.5 * h_sums[:, cols]   # dual weights
+            # one 1-D sum per row: the pairwise order of a per-state sum
+            sq_sum[rows] += [np.sum(row) for row in w * res ** 2]
+            w_sum[rows] += [np.sum(row) for row in w]
+    l2 = np.sqrt(sq_sum / np.maximum(w_sum, 1e-300))
+    return sup.tolist(), list(l2)
 
 
 def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
@@ -316,12 +366,6 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
                             np.asarray(sup), np.asarray(l2), times[1:-1])
 
 
-def beta_caloric_check(traj: FlowTrajectory, collar: int = 2):
-    """Sup/l2 residual of (d_t - Delta)(beta + 2 t theta) after the gauge."""
-    cp = caloric_primitive(traj, collar=collar)
-    return cp
-
-
 # ---------------------------------------------------------------------------
 # B-field of the linking argument
 
@@ -422,8 +466,24 @@ def _z_mode(frame: CoordinateFrame) -> str:
     raise NotImplementedError("frame e_z must align with one product factor")
 
 
-def _measure_limit_constants(cp: CaloricPrimitive, comps0, pieces,
-                             r_lo=0.3, r_hi=2.0):
+def _initial_caloric_data(traj: FlowTrajectory):
+    """Per-component angle theta and Liouville primitive beta on the first
+    state: ``caloric_primitive(traj).theta[0]`` and ``.beta[0]`` (the gauge
+    vanishes at the first time) without the rest of the trajectory's gauged
+    field. NotExact propagates from closed components with holonomy on any
+    recorded state, as from caloric_primitive.
+    """
+    comps0 = _curve_components(traj.states[0])
+    theta0 = [lagrangian_angle(c).values for c in comps0]
+    beta0 = [exactness_primitive(c).values for c in comps0]
+    for state in traj.states[1:]:
+        for c in _curve_components(state):
+            if c.closed:
+                exactness_primitive(c)
+    return theta0, beta0
+
+
+def _measure_limit_constants(theta0, beta0, comps0, pieces, r_lo=0.3, r_hi=2.0):
     """Mean angle/primitive per labeled piece, measured at the initial time.
 
     The pieces are index masks found at the comparison time; the matching
@@ -453,8 +513,8 @@ def _measure_limit_constants(cp: CaloricPrimitive, comps0, pieces,
         if not mask.any():
             mask = c.interior_mask()
         w = c.dual_lengths()[mask]
-        theta_bar.append(float(np.sum(w * cp.theta[0][ci][mask]) / np.sum(w)))
-        beta_bar.append(float(np.sum(w * cp.beta[0][ci][mask]) / np.sum(w)))
+        theta_bar.append(float(np.sum(w * theta0[ci][mask]) / np.sum(w)))
+        beta_bar.append(float(np.sum(w * beta0[ci][mask]) / np.sum(w)))
     return theta_bar, beta_bar
 
 
@@ -497,9 +557,9 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     if abs(traj.times[0] + 1.0) > 1e-9:
         raise ValueError("trajectory must start at t = -1")
     mode = _z_mode(frame)
-    cp = caloric_primitive(traj, collar=collar)
+    theta0, beta0 = _initial_caloric_data(traj)
     comps0 = _curve_components(traj.states[0])
-    B0 = [np.cos(cp.beta[0][ci] + 2.0 * (traj.times[0] - s1) * cp.theta[0][ci])
+    B0 = [np.cos(beta0[ci] + 2.0 * (traj.times[0] - s1) * theta0[ci])
           for ci in range(len(comps0))]
     if mode == "factor1":
         ez2 = frame.e_z[0:2]
@@ -512,7 +572,7 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
     if len(pieces) < 2:
         raise ComponentAmbiguity("fewer than two components inside the disk")
-    theta_bar, beta_bar = _measure_limit_constants(cp, comps0, pieces)
+    theta_bar, beta_bar = _measure_limit_constants(theta0, beta0, comps0, pieces)
     b_bar = [float(np.cos(bb - 2.0 * (1.0 + s1) * tb))
              for bb, tb in zip(beta_bar, theta_bar)]
     sups = []
@@ -542,7 +602,7 @@ def select_s1(traj: FlowTrajectory, frame: CoordinateFrame,
     """
     if candidates is None:
         candidates = np.linspace(-0.45, -0.05, 9)
-    cp = caloric_primitive(traj)
+    theta0, beta0 = _initial_caloric_data(traj)
     comps0 = _curve_components(traj.states[0])
     best, best_margin = None, -1.0
     for s1 in candidates:
@@ -551,7 +611,8 @@ def select_s1(traj: FlowTrajectory, frame: CoordinateFrame,
         pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
         if len(pieces) < 2:
             continue
-        theta_bar, beta_bar = _measure_limit_constants(cp, comps0, pieces)
+        theta_bar, beta_bar = _measure_limit_constants(theta0, beta0, comps0,
+                                                       pieces)
         b = [np.cos(bb - 2.0 * (1.0 + s1) * tb)
              for bb, tb in zip(beta_bar, theta_bar)]
         margin = abs(b[0] - b[1])

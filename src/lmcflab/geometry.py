@@ -47,8 +47,10 @@ class DiscreteCurve:
     """Oriented polyline immersion in R^2, open or closed.
 
     Closed curves store each vertex once; the wrap-around edge is implicit.
-    ``end_lines`` optionally pins the two endpoints of an open curve to
-    asymptotic lines (point, unit direction), used by the flow engine.
+    ``end_lines`` optionally records the asymptotic lines (point, unit
+    direction) at the two ends of an open curve. It is carried through
+    copies and rescaling, but no flow step reads it: the steps in
+    :mod:`lmcflab.flow` keep the endpoints of an open curve fixed.
     """
 
     def __init__(self, vertices, closed=False, component_id=0, end_lines=None):
@@ -86,45 +88,20 @@ class DiscreteCurve:
                              component_id=self.component_id,
                              end_lines=self.end_lines)
 
-    def edges(self) -> np.ndarray:
-        """Edge vectors; closed curves include the wrap-around edge."""
-        v = self.vertices
-        if self.closed:
-            return np.roll(v, -1, axis=0) - v
-        return v[1:] - v[:-1]
-
     def edge_lengths(self) -> np.ndarray:
-        e = self.edges()
-        return np.hypot(e[:, 0], e[:, 1])
+        """Edge lengths; closed curves include the wrap-around edge."""
+        return edge_lengths(self.vertices.T, self.closed)
 
     def length(self) -> float:
         return float(self.edge_lengths().sum())
 
     def dual_lengths(self) -> np.ndarray:
         """Mass-lumped vertex weights (half the two adjacent edge lengths)."""
-        h = self.edge_lengths()
-        if self.closed:
-            return 0.5 * (h + np.roll(h, 1))
-        m = np.empty(self.n_vertices)
-        m[0] = 0.5 * h[0]
-        m[-1] = 0.5 * h[-1]
-        m[1:-1] = 0.5 * (h[:-1] + h[1:])
-        return m
+        return 0.5 * vertex_sums(self.edge_lengths(), self.closed)
 
     def tangents(self) -> np.ndarray:
         """Unit vertex tangents: central differences, one-sided at open ends."""
-        v = self.vertices
-        if self.closed:
-            d = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-        else:
-            d = np.empty_like(v)
-            d[1:-1] = v[2:] - v[:-2]
-            d[0] = v[1] - v[0]
-            d[-1] = v[-1] - v[-2]
-        norms = np.hypot(d[:, 0], d[:, 1])
-        if np.any(norms <= 0.0):
-            raise DegenerateEdge("degenerate tangent (coincident neighbours)")
-        return d / norms[:, None]
+        return np.ascontiguousarray(unit_tangents(self.vertices.T, self.closed).T)
 
     def interior_mask(self, collar: int = 2) -> np.ndarray:
         """True away from open ends; diagnostics exclude a 2-vertex collar."""
@@ -155,10 +132,85 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
 
 
-def growth_certificate(values: np.ndarray, positions: np.ndarray, degree: int) -> float:
-    """Smallest C with |f| <= C (1 + R^degree) over the samples."""
-    r = np.linalg.norm(np.atleast_2d(positions), axis=-1)
-    return float(np.max(np.abs(values) / (1.0 + r ** degree)))
+# ---------------------------------------------------------------------------
+# vertex-axis kernels
+#
+# Fields, edge lengths and edge increments carry the vertex (or edge) axis
+# last; point sets come as coordinate planes p = (x, y) of shape (2, ..., N).
+# A single curve passes ``vertices.T``; the time-blocked heat solve and
+# audit in flowheat pass (2, b, N) stacks of b states, so both run the same
+# arithmetic and agree bit for bit.
+
+
+def edge_increments(f: np.ndarray, closed: bool) -> np.ndarray:
+    """f[i+1] - f[i] per edge; closed curves include the wrap-around edge."""
+    if closed:
+        return np.roll(f, -1, axis=-1) - f
+    return f[..., 1:] - f[..., :-1]
+
+
+def vertex_differences(f: np.ndarray, closed: bool) -> np.ndarray:
+    """f[i+1] - f[i-1] per vertex, one-sided at open ends."""
+    if closed:
+        return np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)
+    d = np.empty_like(f)
+    d[..., 1:-1] = f[..., 2:] - f[..., :-2]
+    d[..., 0] = f[..., 1] - f[..., 0]
+    d[..., -1] = f[..., -1] - f[..., -2]
+    return d
+
+
+def vertex_sums(e: np.ndarray, closed: bool) -> np.ndarray:
+    """e[i] + e[i-1] per vertex from per-edge values; the single adjacent
+    edge's value at open ends."""
+    if closed:
+        return e + np.roll(e, 1, axis=-1)
+    out = np.empty(e.shape[:-1] + (e.shape[-1] + 1,))
+    out[..., 1:-1] = e[..., 1:] + e[..., :-1]
+    out[..., 0] = e[..., 0]
+    out[..., -1] = e[..., -1]
+    return out
+
+
+def second_difference(d: np.ndarray, h: np.ndarray, closed: bool) -> np.ndarray:
+    """Arclength second difference 2 (d_i/h_i - d_{i-1}/h_{i-1}) / (h_i + h_{i-1})
+    per vertex from edge increments d; zero at open ends."""
+    if closed:
+        h_prev = np.roll(h, 1, axis=-1)
+        flux = d / h - np.roll(d, 1, axis=-1) / h_prev
+        return 2.0 * flux / (h + h_prev)
+    out = np.zeros(d.shape[:-1] + (d.shape[-1] + 1,))
+    flux = d[..., 1:] / h[..., 1:] - d[..., :-1] / h[..., :-1]
+    out[..., 1:-1] = 2.0 * flux / (h[..., 1:] + h[..., :-1])
+    return out
+
+
+def stencil_weights(h: np.ndarray, closed: bool):
+    """Couplings (lo, hi) of the arclength second difference to vertices
+    i-1 and i+1: 2 / ((h_{i-1} + h_i) h_{i-1}) and 2 / ((h_{i-1} + h_i) h_i),
+    at every vertex of a closed curve and the interior ones of an open one.
+    The implicit flow and heat steps assemble their matrices from these."""
+    if closed:
+        h_prev, h_next = np.roll(h, 1, axis=-1), h
+    else:
+        h_prev, h_next = h[..., :-1], h[..., 1:]
+    span = h_next + h_prev
+    return 2.0 / (span * h_prev), 2.0 / (span * h_next)
+
+
+def edge_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
+    """Edge lengths of the polylines with coordinate planes p."""
+    e = edge_increments(p, closed)
+    return np.hypot(e[0], e[1])
+
+
+def unit_tangents(p: np.ndarray, closed: bool) -> np.ndarray:
+    """Unit vertex tangents (coordinate planes) of the polylines p."""
+    d = vertex_differences(p, closed)
+    norms = np.hypot(d[0], d[1])
+    if np.any(norms <= 0.0):
+        raise DegenerateEdge("degenerate tangent (coincident neighbours)")
+    return d / norms
 
 
 # ---------------------------------------------------------------------------
@@ -196,39 +248,20 @@ def laplacian(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
     """Arclength-weighted second difference of a vertex field.
 
     Interior rows only for open curves (endpoint entries are zero; the
-    boundary collar is excluded from diagnostics anyway).
+    boundary collar is excluded from diagnostics anyway). ``values`` is (N,)
+    or (N, k).
     """
-    values = np.asarray(values, dtype=float)
-    h = curve.edge_lengths()
-    out = np.zeros_like(values)
-    if curve.closed:
-        h_prev = np.roll(h, 1)
-        f_next = np.roll(values, -1, axis=0)
-        f_prev = np.roll(values, 1, axis=0)
-        flux = (f_next - values) / _col(h, values) - (values - f_prev) / _col(h_prev, values)
-        out = 2.0 * flux / _col(h + h_prev, values)
-    else:
-        flux = (values[2:] - values[1:-1]) / _col(h[1:], values[1:-1]) \
-            - (values[1:-1] - values[:-2]) / _col(h[:-1], values[1:-1])
-        out[1:-1] = 2.0 * flux / _col(h[1:] + h[:-1], values[1:-1])
-    return out
-
-
-def _col(h, ref):
-    return h[:, None] if np.ndim(ref) == 2 else h
+    f = np.asarray(values, dtype=float).T
+    out = second_difference(edge_increments(f, curve.closed),
+                            curve.edge_lengths(), curve.closed)
+    return np.ascontiguousarray(out.T)
 
 
 def arc_gradient(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
     """Arclength derivative of a vertex field (central, one-sided at ends)."""
     values = np.asarray(values, dtype=float)
-    h = curve.edge_lengths()
-    if curve.closed:
-        return (np.roll(values, -1) - np.roll(values, 1)) / (h + np.roll(h, 1))
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (h[1:] + h[:-1])
-    out[0] = (values[1] - values[0]) / h[0]
-    out[-1] = (values[-1] - values[-2]) / h[-1]
-    return out
+    return (vertex_differences(values, curve.closed)
+            / vertex_sums(curve.edge_lengths(), curve.closed))
 
 
 def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
@@ -242,15 +275,8 @@ def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
 
 def angle_slope(curve: DiscreteCurve) -> np.ndarray:
     """d(theta)/ds per vertex from turning increments (seam-free)."""
-    dtheta = angle_increments(curve)
-    h = curve.edge_lengths()
-    if curve.closed:
-        return (dtheta + np.roll(dtheta, 1)) / (h + np.roll(h, 1))
-    slope = np.empty(curve.n_vertices)
-    slope[1:-1] = (dtheta[1:] + dtheta[:-1]) / (h[1:] + h[:-1])
-    slope[0] = dtheta[0] / h[0]
-    slope[-1] = dtheta[-1] / h[-1]
-    return slope
+    return (vertex_sums(angle_increments(curve), curve.closed)
+            / vertex_sums(curve.edge_lengths(), curve.closed))
 
 
 def angle_laplacian(curve: DiscreteCurve) -> np.ndarray:
@@ -259,16 +285,8 @@ def angle_laplacian(curve: DiscreteCurve) -> np.ndarray:
     Matches :func:`laplacian` applied to the unwrapped angle away from the
     branch seam, but stays valid on closed curves with winding.
     """
-    dtheta = angle_increments(curve)
-    h = curve.edge_lengths()
-    out = np.zeros(curve.n_vertices)
-    if curve.closed:
-        h_prev = np.roll(h, 1)
-        flux = dtheta / h - np.roll(dtheta, 1) / h_prev
-        return 2.0 * flux / (h + h_prev)
-    flux = dtheta[1:] / h[1:] - dtheta[:-1] / h[:-1]
-    out[1:-1] = 2.0 * flux / (h[1:] + h[:-1])
-    return out
+    return second_difference(angle_increments(curve), curve.edge_lengths(),
+                             curve.closed)
 
 
 def angle_gradient_vector(curve: DiscreteCurve) -> np.ndarray:
@@ -348,20 +366,30 @@ class AffineLine:
         return DiscreteCurve(self.point + s[:, None] * self.direction)
 
 
+# default sampling of a static-line product factor: extent and vertex count
+LINE_EXTENT = 12.0
+LINE_SAMPLES = 97
+
+
 class ProductLagrangian:
     """Product gamma1 x gamma2 in C x C = C^2.
 
-    ``factor2`` may be a DiscreteCurve or an AffineLine (sampled on demand).
+    ``factor2`` may be a DiscreteCurve or an AffineLine. A line is sampled
+    on [-line_extent, line_extent] with ``line_samples`` vertices, unless
+    ``line_sample`` hands in a sampling made before (the states of one
+    trajectory share one; rescaling scales it with the curve factor).
     The Lagrangian angle of the product is the sum of factor tangent angles.
     """
 
     def __init__(self, factor1: DiscreteCurve, factor2, component_id=0,
-                 line_extent: float = 12.0, line_samples: int = 97):
+                 line_extent: float = LINE_EXTENT,
+                 line_samples: int = LINE_SAMPLES, line_sample=None):
         self.factor1 = factor1
         self.component_id = int(component_id)
         if isinstance(factor2, AffineLine):
             self.factor2_line = factor2
-            self.factor2 = factor2.sample(line_extent, line_samples)
+            self.factor2 = (factor2.sample(line_extent, line_samples)
+                            if line_sample is None else line_sample)
         else:
             self.factor2_line = None
             self.factor2 = factor2
@@ -510,7 +538,8 @@ class LagrangianPlane:
     def point_at(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords) @ self.basis
 
-    def as_product(self, extent: float = 12.0, samples: int = 97) -> ProductLagrangian:
+    def as_product(self, extent: float = LINE_EXTENT,
+                   samples: int = LINE_SAMPLES) -> ProductLagrangian:
         """Sample the plane as a product of two lines (n = 2 only)."""
         if self.n != 2:
             raise ValueError("product sampling only for n = 2 planes")

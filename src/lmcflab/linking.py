@@ -245,7 +245,8 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
     for _ in range(max_retries + 1):
         f = radii_v - R_try
         if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
-            loops = _chain_segments(*_march_triangles(verts, tris, f))
+            starts, _, start_edges, end_edges = _march_triangles(verts, tris, f)
+            loops = _chain_segments(starts, start_edges, end_edges)
             loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
                      for lp in loops]
             return SphereSliceCurve(loops, R_try, label)
@@ -254,8 +255,12 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
 
 
 def _march_triangles(verts, tris, f):
-    """Oriented crossing segments (starts, ends) of the level set f = 0, one
-    per crossing triangle, in triangle order."""
+    """Oriented crossing segments of the level set f = 0, one per crossing
+    triangle, in triangle order: (starts, ends, start_edges, end_edges).
+
+    The edge arrays name the mesh edge each point lies on by its sorted
+    vertex pair (lo * len(verts) + hi), the same in both triangles that
+    share the edge."""
     sign = f[tris] > 0
     crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
     tri = tris[crossing]
@@ -273,12 +278,15 @@ def _march_triangles(verts, tris, f):
         fa, fb = fv[rows, a], fv[rows, b]
         lam = fa / (fa - fb)
         pa, pb = p[rows, a], p[rows, b]
-        return pa + lam[:, None] * (pb - pa)
+        va, vb = tri[rows, a].astype(np.int64), tri[rows, b].astype(np.int64)
+        edge = np.minimum(va, vb) * len(verts) + np.maximum(va, vb)
+        return pa + lam[:, None] * (pb - pa), edge
 
-    q0 = edge_point(np.where(cut01, 0, 1))
-    q1 = edge_point(np.where(cut01 & cut12, 1, 2))
-    flip = _orientation_flips(p, q0, q1)[:, None]
-    return np.where(flip, q1, q0), np.where(flip, q0, q1)
+    q0, e0 = edge_point(np.where(cut01, 0, 1))
+    q1, e1 = edge_point(np.where(cut01 & cut12, 1, 2))
+    flip = _orientation_flips(p, q0, q1)
+    return (np.where(flip[:, None], q1, q0), np.where(flip[:, None], q0, q1),
+            np.where(flip, e1, e0), np.where(flip, e0, e1))
 
 
 def _orientation_flips(tri_pts, q0, q1):
@@ -294,25 +302,22 @@ def _orientation_flips(tri_pts, q0, q1):
     return g[:, 0] * d[:, 1] - g[:, 1] * d[:, 0] < 0
 
 
-def _chain_segments(starts, ends, tol=1e-9):
-    """Chain oriented segments into closed loops by endpoint matching.
+def _chain_segments(starts, start_edges, end_edges):
+    """Chain oriented segments into closed loops by shared mesh edges.
 
-    Loops start at the lowest unused segment and follow the first unused
-    segment whose start matches the current end. Raises OpenSliceLoop when
-    a chain does not close on its first point or has fewer than 3 points.
+    Segment i runs from the point starts[i] on mesh edge start_edges[i] to
+    a point on end_edges[i]; two triangles sharing an edge compute its
+    crossing from opposite ends, so the copies can differ in the last bits
+    and are matched by edge, not by coordinates. Loops start at the lowest
+    unused segment and follow the first unused segment that starts on the
+    current end edge. Raises OpenSliceLoop when a chain does not close on
+    its first edge or has fewer than 3 points.
     """
-    if len(starts) == 0:
-        return []
-    scale = max(np.max(np.abs(starts)), 1.0)
-
-    def keys(pts):
-        grid = np.round(pts / (tol * scale)).astype(np.int64)
-        return [tuple(k) for k in grid.tolist()]
-
-    start_keys, end_keys = keys(starts), keys(ends)
+    start_edges = np.asarray(start_edges).tolist()
+    end_edges = np.asarray(end_edges).tolist()
     by_start = {}
-    for i, k in enumerate(start_keys):
-        by_start.setdefault(k, []).append(i)
+    for i, e in enumerate(start_edges):
+        by_start.setdefault(e, []).append(i)
     used = np.zeros(len(starts), dtype=bool)
     loops = []
     for i0 in range(len(starts)):
@@ -321,12 +326,12 @@ def _chain_segments(starts, ends, tol=1e-9):
         chain = [i0]
         used[i0] = True
         while True:
-            nxts = [j for j in by_start.get(end_keys[chain[-1]], []) if not used[j]]
+            nxts = [j for j in by_start.get(end_edges[chain[-1]], []) if not used[j]]
             if not nxts:
                 break
             used[nxts[0]] = True
             chain.append(nxts[0])
-        if end_keys[chain[-1]] != start_keys[i0]:
+        if end_edges[chain[-1]] != start_edges[i0]:
             raise OpenSliceLoop(
                 f"slice chain from segment {i0} ends after {len(chain)} "
                 f"segment(s) without closing")

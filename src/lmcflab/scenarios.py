@@ -299,12 +299,12 @@ def scenario_caloric_identities(params, seed, outputs):
         dt = 0.5 * h * h
         traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                   t1=60 * dt, dt=dt)
-        rep = fh.beta_caloric_check(traj, collar=4)
+        rep = fh.caloric_primitive(traj, collar=4)
         sups_b.append(float(np.max(rep.residual_sup)))
         hs.append(h)
         if n == 201:
             prod = flow.product_evolve(traj, AffineLine((0.0, 0.0), (1.0, 0.0)))
-            rep_p = fh.beta_caloric_check(prod, collar=4)
+            rep_p = fh.caloric_primitive(prod, collar=4)
             metrics["beta_product_delta"] = float(np.max(np.abs(
                 rep.residual_sup - rep_p.residual_sup)))
             checks["beta_product_additivity"] = metrics["beta_product_delta"] < 1e-12

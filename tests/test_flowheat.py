@@ -3,13 +3,17 @@ and the approximate height near plane pairs."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from lmcflab import diagnostics as dg
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
-from lmcflab.errors import ComponentAmbiguity
+from lmcflab.errors import (ComponentAmbiguity, GrowthUnbounded, NotExact,
+                            VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
@@ -71,7 +75,7 @@ def test_angle_field_residual_on_simulated_flows():
 def test_beta_caloric_static_line():
     line = fx.make_line(angle=0.5, extent=5.0, n=101)
     traj = flow.FlowTrajectory(np.linspace(0.0, 0.1, 11), [line] * 11)
-    rep = fh.beta_caloric_check(traj)
+    rep = fh.caloric_primitive(traj)
     assert np.max(rep.residual_sup) < 1e-10
 
 
@@ -84,7 +88,7 @@ def test_beta_caloric_grim_reaper_richardson():
         dt = 0.5 * h * h
         traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                   t1=60 * dt, dt=dt)
-        rep = fh.beta_caloric_check(traj, collar=4)
+        rep = fh.caloric_primitive(traj, collar=4)
         sups.append(np.max(rep.residual_sup))
         hs.append(h)
     slope = np.log(sups[0] / sups[2]) / np.log(hs[0] / hs[2])
@@ -98,8 +102,8 @@ def test_beta_caloric_product_matches_factor():
     traj1 = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                t1=30 * dt, dt=dt)
     prod = flow.product_evolve(traj1, geo.AffineLine((0, 0), (1.0, 0.0)))
-    rep1 = fh.beta_caloric_check(traj1, collar=4)
-    rep2 = fh.beta_caloric_check(prod, collar=4)
+    rep1 = fh.caloric_primitive(traj1, collar=4)
+    rep2 = fh.caloric_primitive(prod, collar=4)
     assert np.allclose(rep1.residual_sup, rep2.residual_sup, atol=1e-14)
 
 
@@ -246,7 +250,7 @@ def test_evolve_B_near_pair_plateaus():
 def test_growth_bound_enforced():
     traj = fx.shrinking_circle_trajectory(1.0, 64, t1=0.05, dt=5e-3)
     f0 = [flow.as_components(traj.states[0])[0].vertices[:, 0] * 10.0]
-    with pytest.raises(fh.GrowthUnbounded):
+    with pytest.raises(GrowthUnbounded):
         fh.solve_heat_on_flow(traj, f0, growth_degree=1, growth_bound=1.0)
     sol = fh.solve_heat_on_flow(traj, f0, growth_degree=1, growth_bound=20.0)
     assert sol.growth_constant <= 10.0 + 1e-9
@@ -254,7 +258,188 @@ def test_growth_bound_enforced():
 
 def test_evolve_B_propagates_not_exact():
     # a closed circle has Liouville holonomy: the primitive must refuse
-    from lmcflab.errors import NotExact
     traj = fx.shrinking_circle_trajectory(1.0, 64, t1=0.05, dt=5e-3)
     with pytest.raises(NotExact):
         fh.evolve_B(traj, s1=-0.25)
+
+
+# ---------------------------------------------------------------------------
+# reference per-state loops for the time-blocked heat solve and audit
+
+
+def loop_heat_residual(traj, values, collar):
+    """The per-state centred residual loop the blocked audit must reproduce."""
+    sup_list, l2_list = [], []
+    for k in range(1, len(traj.times) - 1):
+        dt2 = traj.times[k + 1] - traj.times[k - 1]
+        comps_prev = fh._curve_components(traj.states[k - 1])
+        comps = fh._curve_components(traj.states[k])
+        comps_next = fh._curve_components(traj.states[k + 1])
+        worst = sq_sum = w_sum = 0.0
+        for ci, c in enumerate(comps):
+            dfdt = (values[k + 1][ci] - values[k - 1][ci]) / dt2
+            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
+            v_tan = np.einsum("ij,ij->i", vel, c.tangents())
+            res = (dfdt - geo.laplacian(c, values[k][ci])
+                   - v_tan * geo.arc_gradient(c, values[k][ci]))
+            mask = c.interior_mask(collar)
+            if not mask.any():
+                continue
+            worst = max(worst, float(np.max(np.abs(res[mask]))))
+            w = c.dual_lengths()[mask]
+            sq_sum += float(np.sum(w * res[mask] ** 2))
+            w_sum += float(np.sum(w))
+        sup_list.append(worst)
+        l2_list.append(np.sqrt(sq_sum / max(w_sum, 1e-300)))
+    return sup_list, l2_list
+
+
+def advection_oracle(v, h_prev, h_next):
+    """Hybrid central/upwind coefficients of v d_s f on (f_{i-1}, f_i, f_{i+1})."""
+    pe = np.abs(v) * 0.5 * (h_prev + h_next) / 2.0
+    central = pe <= 1.0
+    c_lo = np.where(central, -v / (h_prev + h_next),
+                    np.where(v > 0, 0.0, -v / h_prev))
+    c_hi = np.where(central, v / (h_prev + h_next),
+                    np.where(v > 0, v / h_next, 0.0))
+    return c_lo, -(c_lo + c_hi), c_hi
+
+
+def heat_step_oracle(curve, f_old, dt, v_tan):
+    """One backward-Euler heat step assembled per state."""
+    n = curve.n_vertices
+    h = curve.edge_lengths()
+    if curve.closed:
+        h_prev = np.roll(h, 1)
+        lo = 2.0 / ((h + h_prev) * h_prev)
+        hi = 2.0 / ((h + h_prev) * h)
+        c_lo, c_di, c_hi = advection_oracle(v_tan, h_prev, h)
+        idx = np.arange(n)
+        A = sp.csc_matrix((np.concatenate([1.0 + dt * (lo + hi) - dt * c_di,
+                                           -dt * (lo + c_lo), -dt * (hi + c_hi)]),
+                           (np.concatenate([idx, idx, idx]),
+                            np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
+                          shape=(n, n))
+        return spla.splu(A).solve(f_old)
+    hm, hp = h[:-1], h[1:]
+    lo = 2.0 / ((hm + hp) * hm)
+    hi = 2.0 / ((hm + hp) * hp)
+    c_lo, c_di, c_hi = advection_oracle(v_tan[1:-1], hm, hp)
+    band = np.zeros((3, n - 2))
+    band[1] = 1.0 + dt * (lo + hi) - dt * c_di
+    band[0, 1:] = -dt * (hi + c_hi)[:-1]
+    band[2, :-1] = -dt * (lo + c_lo)[1:]
+    rhs = f_old[1:-1].copy()
+    rhs[0] += dt * (lo + c_lo)[0] * f_old[0]
+    rhs[-1] += dt * (hi + c_hi)[-1] * f_old[-1]
+    interior = solve_banded((1, 1), band, rhs)
+    return np.concatenate([[f_old[0]], interior, [f_old[-1]]])
+
+
+def loop_heat_solve(traj, f0):
+    """The per-step heat march the blocked solve must reproduce."""
+    values = [[np.asarray(f, dtype=float) for f in f0]]
+    for k in range(1, len(traj.times)):
+        dt = traj.times[k] - traj.times[k - 1]
+        nxt = []
+        for c_prev, c, f in zip(fh._curve_components(traj.states[k - 1]),
+                                fh._curve_components(traj.states[k]), values[-1]):
+            vel = (c.vertices - c_prev.vertices) / dt
+            nxt.append(heat_step_oracle(c, f, dt,
+                                        np.einsum("ij,ij->i", vel, c.tangents())))
+        values.append(nxt)
+    return values
+
+
+def _audit_trajectory(kind, n_interior):
+    """A trajectory with n_interior interior times: open curves sliding
+    tangentially, a closed circle, a curve x line product, or two curves."""
+    n_times = n_interior + 2
+    if kind == "open":
+        s = np.linspace(-3.0, 3.0, 61)
+        traj = fx.grim_reaper_sliding_trajectory(2.0, s, t0=-1.0,
+                                                 t1=-1.0 + 0.01 * n_times, dt=0.01)
+    elif kind == "closed":
+        traj = fx.shrinking_circle_trajectory(1.0, 48, t1=0.01 * n_times, dt=0.01)
+    elif kind == "product":
+        traj = flow.product_evolve(
+            fx.grim_reaper_material_trajectory(1.0, extent=3.0, n=41,
+                                               t1=2e-3 * n_times, dt=2e-3),
+            geo.AffineLine((0.0, 0.0), (1.0, 0.0)))
+    else:
+        prods, _, _ = fx.make_smoothed_pair(sigma=0.2, extent=4.0, n=41)
+        traj = flow.evolve([p.factor1 for p in prods], 2e-3, n_times, t0=-1.0)
+    return flow.FlowTrajectory(traj.times[:n_times], traj.states[:n_times])
+
+
+KINDS = ["open", "closed", "product", "two"]
+INTERIOR_COUNTS = [1, fh.AUDIT_BLOCK - 1, fh.AUDIT_BLOCK, fh.AUDIT_BLOCK + 1]
+
+
+@pytest.mark.parametrize("collar", [2, 4])
+@pytest.mark.parametrize("n_interior", INTERIOR_COUNTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
+    traj = _audit_trajectory(kind, n_interior)
+    rng = np.random.default_rng(n_interior)
+    values = [[rng.normal(size=c.n_vertices) for c in fh._curve_components(s)]
+              for s in traj.states]
+    sup, l2 = fh.heat_residual(traj, values, collar=collar)
+    ref_sup, ref_l2 = loop_heat_residual(traj, values, collar)
+    assert len(sup) == n_interior
+    assert sup == ref_sup
+    assert l2 == ref_l2
+
+
+@pytest.mark.parametrize("n_interior", INTERIOR_COUNTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
+    traj = _audit_trajectory(kind, n_interior)
+    f0 = [c.vertices[:, 1] for c in fh._curve_components(traj.states[0])]
+    sol = fh.solve_heat_on_flow(traj, f0)
+    ref = loop_heat_solve(traj, f0)
+    assert len(sol.values) == len(ref)
+    for got, want in zip(sol.values, ref):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    ref_sup, ref_l2 = loop_heat_residual(traj, ref, 2)
+    assert sol.residual_sup.tolist() == ref_sup
+    assert sol.residual_l2.tolist() == ref_l2
+
+
+@pytest.mark.parametrize("kind", ["open", "product", "two"])
+def test_initial_caloric_data_equals_caloric_primitive(kind):
+    traj = _audit_trajectory(kind, 3)
+    theta0, beta0 = fh._initial_caloric_data(traj)
+    cp = fh.caloric_primitive(traj)
+    assert len(theta0) == len(cp.theta[0]) == len(beta0)
+    for got, want in zip(theta0, cp.theta[0]):
+        assert np.array_equal(got, want)
+    for got, want in zip(beta0, cp.beta[0]):
+        assert np.array_equal(got, want)
+
+
+def test_approx_height_checks_exactness_of_later_states():
+    # a figure-eight is exact (its two lobes cancel); the circle is not
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    eight = geo.DiscreteCurve(np.stack([np.sin(phi), np.sin(phi) * np.cos(phi)],
+                                       axis=1), closed=True)
+    geo.exactness_primitive(eight)
+    traj = flow.FlowTrajectory([-1.0, -0.9, -0.8],
+                               [[eight], [eight], [fx.make_circle(1.0, 64)]])
+    frame = geo.standard_frame(4, z_axis=0)
+    with pytest.raises(NotExact):
+        fh.caloric_primitive(traj)
+    with pytest.raises(NotExact):
+        fh.approx_height_solution(traj, s1=-0.9, frame=frame)
+    with pytest.raises(NotExact):
+        fh.select_s1(traj, frame)
+
+
+def test_vertex_count_change_is_refused():
+    a, b = fx.make_circle(1.0, 64), fx.make_circle(0.9, 65)
+    traj = flow.FlowTrajectory([0.0, 0.01, 0.02], [a, a, b])
+    with pytest.raises(VertexCountChanged):
+        fh.solve_heat_on_flow(traj, [np.ones(64)])
+    with pytest.raises(VertexCountChanged):
+        fh.heat_residual(traj, [[np.ones(64)], [np.ones(64)], [np.ones(65)]])

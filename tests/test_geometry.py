@@ -223,3 +223,50 @@ def test_plane_pair_roundtrip(tmp_path):
     for pa, pb in zip(pair.planes, back.planes):
         assert np.array_equal(pa.basis, pb.basis)
     assert np.array_equal(back.frame.e_z, pair.frame.e_z)
+
+
+# ---------------------------------------------------------------------------
+# the vertex-axis kernels against per-curve formulas
+
+
+def per_curve_stencils(curve, f):
+    """Tangents, dual weights, Laplacian and arc gradient written per curve
+    with (N, 2) vertices; the shared kernels must reproduce them bit for bit."""
+    v, h = curve.vertices, curve.edge_lengths()
+    if curve.closed:
+        d = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
+        h_prev = np.roll(h, 1)
+        dual = 0.5 * (h + h_prev)
+        lap = 2.0 * ((np.roll(f, -1) - f) / h - (f - np.roll(f, 1)) / h_prev) / (h + h_prev)
+        grad = (np.roll(f, -1) - np.roll(f, 1)) / (h + h_prev)
+    else:
+        d = np.empty_like(v)
+        d[1:-1], d[0], d[-1] = v[2:] - v[:-2], v[1] - v[0], v[-1] - v[-2]
+        dual = np.concatenate([[0.5 * h[0]], 0.5 * (h[:-1] + h[1:]), [0.5 * h[-1]]])
+        lap = np.zeros_like(f)
+        lap[1:-1] = 2.0 * ((f[2:] - f[1:-1]) / h[1:]
+                           - (f[1:-1] - f[:-2]) / h[:-1]) / (h[1:] + h[:-1])
+        grad = np.concatenate([[(f[1] - f[0]) / h[0]],
+                               (f[2:] - f[:-2]) / (h[1:] + h[:-1]),
+                               [(f[-1] - f[-2]) / h[-1]]])
+    tangents = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return tangents, dual, lap, grad
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_vertex_kernels_equal_per_curve_formulas(closed):
+    rng = np.random.default_rng(3)
+    phi = np.linspace(0.0, 1.8 * np.pi, 37)
+    radius = 1.0 + 0.1 * rng.normal(size=phi.size)
+    curve = geo.DiscreteCurve(np.stack([radius * np.cos(phi), radius * np.sin(phi)],
+                                       axis=1), closed=closed)
+    f = rng.normal(size=phi.size)
+    tangents, dual, lap, grad = per_curve_stencils(curve, f)
+    assert np.array_equal(curve.tangents(), tangents)
+    assert np.array_equal(curve.dual_lengths(), dual)
+    assert np.array_equal(geo.laplacian(curve, f), lap)
+    assert np.array_equal(geo.arc_gradient(curve, f), grad)
+    H = geo.mean_curvature(curve)
+    assert H.flags["C_CONTIGUOUS"]
+    for k in range(2):
+        assert np.array_equal(H[:, k], per_curve_stencils(curve, curve.vertices[:, k])[2])

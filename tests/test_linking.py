@@ -333,11 +333,21 @@ def test_vectorized_march_equals_loop():
     verts, quads = meshes[0]
     tris = lk._triangles(quads)
     f = np.linalg.norm(verts, axis=1) - 1.0
-    starts, ends = lk._march_triangles(verts, tris, f)
+    starts, ends, start_edges, end_edges = lk._march_triangles(verts, tris, f)
     segs = loop_march_oracle(verts, tris, f)
     assert len(segs) > 100
     assert starts.tobytes() == np.array([s[0] for s in segs]).tobytes()
     assert ends.tobytes() == np.array([s[1] for s in segs]).tobytes()
+    # each point lies on the mesh edge its id names, and every end edge is
+    # the start edge of exactly one other segment
+    n = len(verts)
+    for pts, edges in ((starts, start_edges), (ends, end_edges)):
+        a, b = verts[edges // n], verts[edges % n]
+        lam = np.einsum("ij,ij->i", pts - a, b - a) / np.einsum("ij,ij->i", b - a, b - a)
+        assert np.allclose(a + lam[:, None] * (b - a), pts, atol=1e-12)
+        assert np.all((lam > 0.0) & (lam < 1.0))
+    assert sorted(start_edges.tolist()) == sorted(end_edges.tolist())
+    assert len(set(start_edges.tolist())) == len(start_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +358,39 @@ def test_chain_segments_keeps_order_and_start():
     square = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
                       dtype=float)
     order = [2, 0, 3, 1]
-    loops = lk._chain_segments(square[order], np.roll(square, -1, axis=0)[order])
+    edges = np.arange(4)
+    loops = lk._chain_segments(square[order], edges[order],
+                               np.roll(edges, -1)[order])
     assert len(loops) == 1
     assert np.array_equal(loops[0], square[[2, 3, 0, 1]])
+
+
+def test_chain_segments_joins_copies_across_a_rounding_cell():
+    # The two triangles sharing a mesh edge interpolate its crossing from
+    # opposite ends, so the two copies can differ in the last bit. Here the
+    # copy that starts segment 0 and the copy that ends segment 2 sit on
+    # either side of a cell boundary of the 1e-9 grid that coordinate keys
+    # rounded to, which split the loop; edge ids join it.
+    start_copy, end_copy = np.nextafter(0.5e-9, 0.0), np.nextafter(0.5e-9, 1.0)
+    assert np.round(start_copy / 1e-9) != np.round(end_copy / 1e-9)
+    starts = np.array([[start_copy, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                       [0.0, 1.0, 0.0, 0.0]])
+    loops = lk._chain_segments(starts, np.array([0, 1, 2]), np.array([1, 2, 0]))
+    assert len(loops) == 1
+    assert np.array_equal(loops[0], starts)
 
 
 def test_chain_segments_open_chain_raises():
     pts = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
                    dtype=float)
     with pytest.raises(OpenSliceLoop, match="without closing"):
-        lk._chain_segments(pts[:-1], pts[1:])
+        lk._chain_segments(pts[:-1], np.arange(3), np.arange(1, 4))
 
 
 def test_chain_segments_short_fragment_raises():
     pts = np.array([[0, 0, 0, 0], [1, 0, 0, 0]], dtype=float)
     with pytest.raises(OpenSliceLoop, match="only 2 point"):
-        lk._chain_segments(pts, pts[::-1])
+        lk._chain_segments(pts, np.array([0, 1]), np.array([1, 0]))
 
 
 # ---------------------------------------------------------------------------
