@@ -52,10 +52,6 @@ class GrowthUnbounded(LabError):
     """A field violates its declared polynomial-growth certificate."""
 
 
-class DegenerateFit(LabError):
-    """Least-squares fit is degenerate (constant angle with varying height)."""
-
-
 class BoundaryTooTight(LabError):
     """Numeric stencil would exit the sampled grid."""
 
@@ -106,3 +102,7 @@ class SolverFailure(LabError):
 
 class VertexCountChanged(LabError):
     """A component's vertex count differs between recorded states."""
+
+
+class GaussSumTooLarge(LabError):
+    """A Gauss linking sum has more edge pairs than its memory bound allows."""

@@ -78,20 +78,15 @@ def make_circle(radius=1.0, n=256, center=(0.0, 0.0)):
 
 def make_grim_reaper(speed=1.0, extent=6.0, n=512, graded=False,
                      h_fine=None, h_coarse=None, fine_radius=None):
-    """Grim reaper sampled by arclength, endpoints pinned to the asymptotes.
-
-    ``extent`` is the arclength half-width. The open ends carry asymptotic
-    vertical lines so the flow engine can clamp them.
-    """
+    """Grim reaper sampled by arclength; ``extent`` is the arclength
+    half-width. The flow engine keeps the two open ends fixed."""
     if graded:
         s = graded_arclength_grid(extent, h_fine or 0.02, h_coarse or 0.5,
                                   fine_radius or 4.0)
     else:
         s = np.linspace(-extent, extent, n)
     v = grim_reaper_point(s, speed)
-    dir_up = np.array([0.0, 1.0])
-    end_lines = ((v[0], dir_up), (v[-1], dir_up))
-    curve = DiscreteCurve(v, end_lines=end_lines)
+    curve = DiscreteCurve(v)
     theta_ref = speed * v[:, 0]
     return curve, theta_ref
 
@@ -155,8 +150,7 @@ def make_smoothed_pair(angle=np.pi / 4, sigma=0.05, extent=8.0, n=401,
         d = np.array([np.cos(th), np.sin(th)])
         nrm = np.array([-np.sin(th), np.cos(th)])
         v = s[:, None] * d + (sigma * np.exp(-0.5 * s ** 2))[:, None] * nrm
-        curve = DiscreteCurve(v, component_id=cid,
-                              end_lines=((v[0], d), (v[-1], d)))
+        curve = DiscreteCurve(v, component_id=cid)
         line = AffineLine((0.0, 0.0), (1.0, 0.0))
         products.append(ProductLagrangian(curve, line, component_id=cid,
                                           line_extent=line_extent,
@@ -236,9 +230,7 @@ def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,
     def gen(t):
         x = np.arctan(tan0 * np.exp(-c * c * (t - t0))) / c
         y = -np.log(np.cos(c * x)) / c + c * t
-        v = np.stack([x, y], axis=-1)
-        return DiscreteCurve(v, end_lines=((v[0], (0.0, 1.0)),
-                                           (v[-1], (0.0, 1.0))))
+        return DiscreteCurve(np.stack([x, y], axis=-1))
 
     times = np.arange(t0, t1 + 0.5 * dt, dt)
     return AnalyticTrajectory(times, gen)
@@ -256,9 +248,7 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
     base = grim_reaper_point(np.asarray(s_grid, dtype=float), speed)
 
     def gen(t):
-        v = base + np.array([0.0, speed * t])
-        return DiscreteCurve(v, end_lines=((v[0], (0.0, 1.0)),
-                                           (v[-1], (0.0, 1.0))))
+        return DiscreteCurve(base + np.array([0.0, speed * t]))
 
     times = np.arange(t0, t1 + 0.5 * dt, dt)
     return AnalyticTrajectory(times, gen)

@@ -231,11 +231,8 @@ def _scale_component(comp, lam):
 
 
 def _scale_curve(curve, lam):
-    end_lines = curve.end_lines
-    if end_lines is not None:
-        end_lines = tuple((lam * np.asarray(p), np.asarray(d)) for p, d in end_lines)
     return DiscreteCurve(lam * curve.vertices, closed=curve.closed,
-                         component_id=curve.component_id, end_lines=end_lines)
+                         component_id=curve.component_id)
 
 
 def scale_state(state, lam):

@@ -47,13 +47,11 @@ class DiscreteCurve:
     """Oriented polyline immersion in R^2, open or closed.
 
     Closed curves store each vertex once; the wrap-around edge is implicit.
-    ``end_lines`` optionally records the asymptotic lines (point, unit
-    direction) at the two ends of an open curve. It is carried through
-    copies and rescaling, but no flow step reads it: the steps in
-    :mod:`lmcflab.flow` keep the endpoints of an open curve fixed.
+    The steps in :mod:`lmcflab.flow` keep the endpoints of an open curve
+    fixed.
     """
 
-    def __init__(self, vertices, closed=False, component_id=0, end_lines=None):
+    def __init__(self, vertices, closed=False, component_id=0):
         v = np.ascontiguousarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (N, 2)")
@@ -67,16 +65,15 @@ class DiscreteCurve:
             v = v[:-1]
             if v.shape[0] < n_min:
                 raise ValueError("closed curve needs >= 8 distinct vertices")
-        d = np.diff(v, axis=0)
-        lens = np.hypot(d[:, 0], d[:, 1])
-        if closed:
-            lens = np.append(lens, np.hypot(*(v[0] - v[-1])))
-        if np.any(lens <= 0.0):
+        # an edge has hypot(dx, dy) <= 0 exactly when dx == dy == 0
+        # (subnormal, signed-zero, NaN and inf increments included)
+        zero = np.diff(v, axis=0) == 0.0
+        if (np.any(zero[:, 0] & zero[:, 1])
+                or (closed and np.all(v[0] - v[-1] == 0.0))):
             raise DegenerateEdge("consecutive vertices coincide")
         self.vertices = v
         self.closed = bool(closed)
         self.component_id = int(component_id)
-        self.end_lines = end_lines
         self.vertices.setflags(write=False)
 
     @property
@@ -85,8 +82,7 @@ class DiscreteCurve:
 
     def with_vertices(self, vertices) -> "DiscreteCurve":
         return DiscreteCurve(vertices, closed=self.closed,
-                             component_id=self.component_id,
-                             end_lines=self.end_lines)
+                             component_id=self.component_id)
 
     def edge_lengths(self) -> np.ndarray:
         """Edge lengths; closed curves include the wrap-around edge."""

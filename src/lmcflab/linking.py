@@ -9,20 +9,34 @@ result must round to an integer within 0.1.
 
 The hot kernels are vectorized without changing a bit of their output:
 
-- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows, so its memory
-  is O(GAUSS_BLOCK * M) instead of several dense (N, M, 3) arrays, while
-  every summand is the one the dense formula computes and the summands are
-  added by one np.sum in the same order;
+- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows, so its
+  temporaries are O(GAUSS_BLOCK * M) instead of several dense (N, M, 3)
+  arrays, while every summand is the one the dense formula computes and the
+  summands are added by one np.sum in the same order; sums above
+  GAUSS_MAX_PAIRS edge pairs are refused with GaussSumTooLarge;
+- the row blocks run on one module-level thread pool with a worker per
+  usable CPU, created on the first Gauss sum so that importing the
+  package starts no thread. Each block writes its own rows of
+  the caller's summand array and the caller alone adds them up, so the
+  value does not depend on which thread ran a block. Only the caller of
+  _gauss_linking_r3 submits to the pool: a row block calls only numpy and
+  the _dot/_cross helpers and never submits work, so several callers can
+  share the pool without deadlock;
 - sphere slicing interpolates all crossing triangles at once and orients
   the segments with one stacked 2x2 solve, emitting them in triangle order,
   so chaining builds the same loops from the same start points;
 - the surface intersection scan takes its candidate triangle pairs from one
-  k-d tree query over quad bounding balls and solves them as one stack.
+  k-d tree query over quad bounding balls, built corner by corner without
+  a (Q, 4, 4) gather, and solves them as one stack.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,12 +44,18 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.spatial import cKDTree
 
-from .errors import (ComponentAmbiguity, CurvesTooClose, NoTransverseRadius,
-                     OpenSliceLoop, RoundingAmbiguity)
+from .errors import (ComponentAmbiguity, CurvesTooClose, GaussSumTooLarge,
+                     NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
 from .geometry import PlanePairConfig, ProductLagrangian, as_components
 
 SMALL_COMPONENT_FRACTION = 0.01  # discard below this share of the B_2 mass
 GAUSS_BLOCK = 16  # Gauss-sum rows per block; its temporaries stay in L2 cache
+# Largest Gauss sum accepted: 2**26 edge pairs, a 512 MiB (N, M) summand
+# array; the scenario slices need at most 1358**2 (about 1.8M) pairs.
+GAUSS_MAX_PAIRS = 2 ** 26
+
+_POOL = None  # ThreadPoolExecutor for Gauss rows, made by _gauss_pool()
+_POOL_LOCK = threading.Lock()
 
 
 def mesh_of(obj):
@@ -400,36 +420,78 @@ def _gauss_linking_r3(loop_a, loop_b):
     b_j, b_{j+1}, split into the triangles (n1, n2, n3) and (n1, n3, n4)
     with Oosterom-Strackee's formula 2 atan2(triple, 1 + sum of dots).
 
-    The N x M sum is evaluated GAUSS_BLOCK rows at a time on x, y, z
-    arrays of shape (rows + 1, M + 1), with the wrapped row and column
-    appended, so memory stays O(GAUSS_BLOCK * M). Each dot product is
-    formed once and shared: n1.n2 and n3.n4 are row neighbours, n2.n3 and
-    n4.n1 column neighbours, n1.n3 serves both triangles. Every summand is
-    computed with the same operations in the same order as the dense
-    (N, M, 3) roll/cross/einsum formula, and the summands go through one
-    np.sum over the (N, M) array, so the value is bit-identical to it.
+    The summands fill one (N, M) array, GAUSS_BLOCK rows per task on the
+    module's thread pool (see _gauss_rows), and go through one np.sum on
+    the calling thread, so the value is bit-identical to the dense
+    (N, M, 3) roll/cross/einsum formula whatever thread computed a row.
+    Raises GaussSumTooLarge, before allocating, when N * M exceeds
+    GAUSS_MAX_PAIRS.
     """
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
     n, m = a.shape[0], b.shape[0]
+    if n * m > GAUSS_MAX_PAIRS:
+        raise GaussSumTooLarge(
+            f"{n} x {m} Gauss pairs exceed the limit of {GAUSS_MAX_PAIRS} "
+            f"({8 * n * m / 2**20:.0f} MiB of summands)")
     bw = np.concatenate([b, b[:1]]).T.copy()          # (3, M + 1)
     total = np.empty((n, m))
-    for i0 in range(0, n, GAUSS_BLOCK):
-        i1 = min(i0 + GAUSS_BLOCK, n)
-        aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
-        diff = bw[:, None, :] - aw                     # (3, rows + 1, M + 1)
-        x, y, z = diff
-        U = diff / np.sqrt((x * x + y * y) + z * z)
-        n1, n2, n3, n4 = (U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:],
-                          U[:, 1:, :-1])
-        row = _dot(U[:, :, :-1], U[:, :, 1:])          # U[i, j] . U[i, j+1]
-        col = _dot(U[:, :-1], U[:, 1:])                # U[i, j] . U[i+1, j]
-        diag = _dot(n1, n3)
-        den1 = ((1.0 + row[:-1]) + col[:, 1:]) + diag
-        den2 = ((1.0 + diag) + row[1:]) + col[:, :-1]
-        total[i0:i1] = (2.0 * np.arctan2(_dot(n1, _cross(n2, n3)), den1)
-                        + 2.0 * np.arctan2(_dot(n1, _cross(n3, n4)), den2))
+    rows = partial(_gauss_rows, a, bw, total)
+    list(_gauss_pool().map(rows, range(0, n, GAUSS_BLOCK)))
     return float(np.sum(total)) / (4.0 * np.pi)
+
+
+def _gauss_rows(a, bw, total, i0):
+    """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss summands of those rows.
+
+    Works on x, y, z arrays of shape (rows + 1, M + 1), with the wrapped
+    row and column appended. Each dot product is formed once and shared:
+    n1.n2 and n3.n4 are row neighbours, n2.n3 and n4.n1 column neighbours,
+    n1.n3 serves both triangles. Every summand is computed with the same
+    operations in the same order as the dense formula. Runs on pool
+    threads: it calls only numpy, _dot and _cross, and submits nothing.
+    """
+    n = a.shape[0]
+    i1 = min(i0 + GAUSS_BLOCK, n)
+    aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
+    diff = bw[:, None, :] - aw                         # (3, rows + 1, M + 1)
+    x, y, z = diff
+    U = diff / np.sqrt((x * x + y * y) + z * z)
+    n1, n2, n3, n4 = (U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:],
+                      U[:, 1:, :-1])
+    row = _dot(U[:, :, :-1], U[:, :, 1:])              # U[i, j] . U[i, j+1]
+    col = _dot(U[:, :-1], U[:, 1:])                    # U[i, j] . U[i+1, j]
+    diag = _dot(n1, n3)
+    den1 = ((1.0 + row[:-1]) + col[:, 1:]) + diag
+    den2 = ((1.0 + diag) + row[1:]) + col[:, :-1]
+    total[i0:i1] = (2.0 * np.arctan2(_dot(n1, _cross(n2, n3)), den1)
+                    + 2.0 * np.arctan2(_dot(n1, _cross(n3, n4)), den2))
+
+
+def _gauss_pool():
+    """The module's Gauss-row thread pool, one worker per usable CPU (the
+    process's affinity mask where the platform has one), created on first
+    use so that importing lmcflab starts no thread."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="lmcflab-gauss")
+        return _POOL
+
+
+def _forget_pool():
+    """A forked child has none of the parent's pool threads: start afresh."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _dot(u, v):
@@ -563,8 +625,8 @@ def surfaces_intersect(mesh_a, mesh_b, tol: float = 1e-9):
     """
     va, qa = mesh_of(mesh_a)
     vb, qb = mesh_of(mesh_b)
-    ca, ra = _bounding_balls(va[qa])
-    cb, rb = _bounding_balls(vb[qb])
+    ca, ra = _bounding_balls(va, qa)
+    cb, rb = _bounding_balls(vb, qb)
     # sliding-midpoint trees: several times faster to build and to query on
     # grid meshes than the default median-split, data-shrunk nodes
     tree_a, tree_b = (cKDTree(c, balanced_tree=False, compact_nodes=False)
@@ -597,8 +659,19 @@ def _triangles(quads):
     return np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
 
 
-def _bounding_balls(pts):
-    """Centroids and radii of the point groups pts (K, m, d)."""
-    centre = pts.mean(axis=1)
-    r2 = np.sum((pts - centre[:, None, :]) ** 2, axis=2)
-    return centre, np.sqrt(np.max(r2, axis=1))
+def _bounding_balls(verts, quads):
+    """Centroids and radii of the quads' corner sets.
+
+    Gathers each corner once instead of a (Q, 4, d) copy, and adds in the
+    order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a gathered
+    (Q, 4, 4) array, so both outputs are bit-identical to theirs.
+    """
+    corners = [verts[quads[:, k]] for k in range(4)]
+    centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
+    r2 = []
+    for p in corners:
+        d = p - centre
+        d *= d
+        r2.append(((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
+    return centre, np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
+                                      np.maximum(r2[2], r2[3])))

@@ -46,6 +46,41 @@ def test_degenerate_edge_rejected():
         geo.DiscreteCurve(pts)
 
 
+def hypot_degenerate_oracle(v, closed):
+    """The former constructor test: some edge has hypot(dx, dy) <= 0."""
+    d = np.diff(v, axis=0)
+    lens = np.hypot(d[:, 0], d[:, 1])
+    if closed:
+        lens = np.append(lens, np.hypot(*(v[0] - v[-1])))
+    return bool(np.any(lens <= 0.0))
+
+
+@pytest.mark.parametrize("x, y", [
+    (5e-324, 0.0), (0.0, 5e-324), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+    (np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (-np.inf, np.inf),
+    (0.0, 0.0)])
+@pytest.mark.parametrize("closed", [False, True])
+def test_degenerate_edge_check_matches_hypot(x, y, closed):
+    # the edge from (x, y) to the origin sits mid-curve and, on closed
+    # curves, also at the wrap-around edge left after the constructor drops
+    # a duplicated endpoint; its increments include subnormals, signed
+    # zeros, NaN and inf
+    base = np.stack([np.cos(np.arange(10) * 0.6), np.sin(np.arange(10) * 0.6)], 1)
+    mid = base.copy()
+    mid[5] = [x, y]
+    mid[6] = [0.0, 0.0]
+    wrap = base.copy()
+    wrap[0] = wrap[-1] = [0.0, 0.0]
+    wrap[-2] = [x, y]
+    for v in (mid, wrap):
+        kept = v[:-1] if closed and np.allclose(v[0], v[-1]) else v
+        if hypot_degenerate_oracle(kept, closed):
+            with pytest.raises(DegenerateEdge):
+                geo.DiscreteCurve(v, closed=closed)
+        else:
+            geo.DiscreteCurve(v, closed=closed)
+
+
 def test_mean_curvature_line_zero():
     curve = fx.make_line(angle=0.2, extent=3.0, n=31)
     H = geo.mean_curvature(curve)

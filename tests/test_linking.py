@@ -1,5 +1,12 @@
 """Component extraction, sphere slices, Gauss linking, half-space audit."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +15,7 @@ from hypothesis import strategies as st
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab import linking as lk
-from lmcflab.errors import (ComponentAmbiguity, CurvesTooClose,
+from lmcflab.errors import (ComponentAmbiguity, CurvesTooClose, GaussSumTooLarge,
                             NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
 
 
@@ -351,6 +358,112 @@ def test_vectorized_march_equals_loop():
 
 
 # ---------------------------------------------------------------------------
+# the Gauss-row thread pool and the size bound
+
+
+def test_concurrent_callers_get_serial_values():
+    meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
+                                              extent=2.0, samples=400)
+    slices = (lk.sphere_slice(meshes[0], 1.0), lk.sphere_slice(meshes[1], 1.0))
+    # two Hopf pairs of one size, so that summand arrays shared between
+    # calls would collide
+    hopf = fx.make_hopf_fibers(n=300)
+    generic = fx.make_hopf_fibers(q1=(1, 0, 0, 0),
+                                  q2=(1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0), n=300)
+    jobs = [(slices, {"n_poles": 2}), (hopf, {"R": 1.0, "n_poles": 3}),
+            (generic, {"R": 1.0, "n_poles": 3})]
+    serial = [lk.linking_number(*pair_, **kw).per_pole for pair_, kw in jobs]
+    barrier = threading.Barrier(len(jobs), timeout=60)
+    results = [[] for _ in jobs]
+
+    def call(k):
+        pair_, kw = jobs[k]
+        try:
+            for _ in range(2):
+                barrier.wait()
+                results[k].append(lk.linking_number(*pair_, **kw).per_pole)
+        except Exception as exc:  # reported by the assertion below
+            results[k].append(exc)
+            barrier.abort()
+
+    # three callers on the shared pool, more than this test expects cores,
+    # with frequent interpreter switches
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(len(jobs)):
+        assert results[k] == [serial[k]] * 2
+
+
+def run_python(code, timeout):
+    """Run code in a fresh interpreter that imports this lmcflab."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=timeout).stdout
+
+
+def test_import_starts_no_thread():
+    out = run_python("""
+        import threading
+        before = threading.active_count()
+        import lmcflab.linking as lk
+        print(before, threading.active_count(), lk._POOL is None)
+        """, timeout=60).split()
+    assert out[0] == out[1]
+    assert out[2] == "True"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_a_fresh_pool():
+    # the child of a fork has none of the parent's pool threads; work it
+    # submitted to the inherited pool would wait forever
+    run_python("""
+        import os, signal, sys, time
+        import lmcflab.fixtures as fx, lmcflab.linking as lk
+        f1, f2 = fx.make_hopf_fibers(n=64)
+        value = lk._gauss_linking_r3(f1[:, :3], f2[:, :3])
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if lk._gauss_linking_r3(f1[:, :3], f2[:, :3]) == value
+                     else 1)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                sys.exit(os.waitstatus_to_exitcode(status))
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("forked child hung")
+        """, timeout=90)
+
+
+def test_gauss_sum_refuses_oversized_loops_before_allocating():
+    f1, f2 = fx.make_hopf_fibers(n=8193)
+    assert 8193 * 8193 > lk.GAUSS_MAX_PAIRS
+    tracemalloc.start()
+    try:
+        with pytest.raises(GaussSumTooLarge, match="8193 x 8193"):
+            lk.linking_number(f1, f2, R=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refused summand array alone would take 8 * 8193**2 bytes (512 MiB)
+    assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # segment chaining
 
 
@@ -408,6 +521,23 @@ def test_surfaces_intersect_skips_singular_systems():
     assert lk.surfaces_intersect(mesh, mesh) is None
     shifted = grid_mesh(0.13 * E[0], E[0], E[1], 1.0, 5)
     assert lk.surfaces_intersect(mesh, shifted) is None
+
+
+def gathered_bounding_balls_oracle(pts):
+    """Bounding balls from the gathered (Q, 4, d) corner array."""
+    centre = pts.mean(axis=1)
+    r2 = np.sum((pts - centre[:, None, :]) ** 2, axis=2)
+    return centre, np.sqrt(np.max(r2, axis=1))
+
+
+def test_bounding_balls_equal_gathered_formula():
+    meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
+                                              extent=2.0, samples=200)
+    for verts, quads in meshes:
+        centre, radius = lk._bounding_balls(verts, quads)
+        want_centre, want_radius = gathered_bounding_balls_oracle(verts[quads])
+        assert centre.tobytes() == want_centre.tobytes()
+        assert radius.tobytes() == want_radius.tobytes()
 
 
 def test_surfaces_intersect_returns_first_hit_in_index_order():
