@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erf
 
-from .errors import GrowthUnbounded, WindowInPast
+from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
 from .flow import FlowTrajectory, segments_intersect
 from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
                        ProductLagrangian, ScalarField, as_components,
@@ -27,6 +27,10 @@ from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
 TRUNCATION_SIGMAS = 2.0 * np.sqrt(-np.log(1e-16))  # ~ 12.14
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# Largest crossing scan between two curves accepted: 2**21 segment pairs,
+# about 170 MB of pair temporaries (some 80 bytes a pair).
+CROSSING_MAX_PAIRS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,6 @@ def weighted_gaussian_integral(curve: DiscreteCurve, g_vertex, x0, delta: float)
     return float(np.einsum("ij,ij,j,i->", gv, dens, 0.5 * _GL_WEIGHTS, ell))
 
 
-def _factor_mass(curve, x0_2d, delta):
-    return edge_gaussian_mass(curve, x0_2d, delta)
-
-
 def gaussian_density_ratio(state, window: GaussianWindow, t: float) -> float:
     """Integral of the backwards heat kernel over the state at time t.
 
@@ -129,11 +129,11 @@ def gaussian_density_ratio(state, window: GaussianWindow, t: float) -> float:
         return total
     for comp in as_components(state):
         if isinstance(comp, ProductLagrangian):
-            m1 = _factor_mass(comp.factor1, window.x0[0:2], delta)
-            m2 = _factor_mass(comp.factor2, window.x0[2:4], delta)
+            m1 = edge_gaussian_mass(comp.factor1, window.x0[0:2], delta)
+            m2 = edge_gaussian_mass(comp.factor2, window.x0[2:4], delta)
             total += m1 * m2
         else:
-            total += _factor_mass(comp, window.x0[0:2], delta)
+            total += edge_gaussian_mass(comp, window.x0[0:2], delta)
     return total
 
 
@@ -142,14 +142,23 @@ def gaussian_density_ratio(state, window: GaussianWindow, t: float) -> float:
 
 
 def _crossing_points(curves):
+    """Up to 8 segment crossings per pair of curves (a curve with itself
+    included), the entropy search's extra centre seeds. Raises ScanTooLarge,
+    before allocating, when a curve pair has more than CROSSING_MAX_PAIRS
+    segment pairs."""
     pts = []
     for i, a in enumerate(curves):
         for b in curves[i:]:
+            na = a.n_vertices - (not a.closed)
+            nb = b.n_vertices - (not b.closed)
+            if na * nb > CROSSING_MAX_PAIRS:
+                raise ScanTooLarge(
+                    f"{na} x {nb} segment pairs exceed the crossing-scan limit "
+                    f"of {CROSSING_MAX_PAIRS}")
             va = a.vertices
             pa, qa = (va, np.roll(va, -1, axis=0)) if a.closed else (va[:-1], va[1:])
             vb = b.vertices
             pb, qb = (vb, np.roll(vb, -1, axis=0)) if b.closed else (vb[:-1], vb[1:])
-            na, nb = pa.shape[0], qb.shape[0]
             ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
             ii, jj = ii.ravel(), jj.ravel()
             if a is b:
@@ -196,7 +205,7 @@ def entropy(state, seed: int = 0, n_center_seeds: int = 12) -> EntropyReport:
 
     def value(x0, log_r):
         r = np.exp(log_r)
-        return sum(_factor_mass(c, x0, r) for c in comps)
+        return sum(edge_gaussian_mass(c, x0, r) for c in comps)
 
     def golden_r(x0):
         grid = np.linspace(log_r_lo, log_r_hi, 25)
@@ -296,10 +305,12 @@ def _dissipation_vertex_field(comp, x0, t, t0):
     return np.einsum("ij,ij->i", w, w)
 
 
-def check_polynomial_growth(values, positions, degree: int, bound: Optional[float]):
+def check_polynomial_growth(values, planes, degree: int, bound: Optional[float]):
     """Appendix-style growth audit |f| <= C (1 + R^d); raises when a
-    declared bound is exceeded."""
-    r = np.linalg.norm(np.atleast_2d(positions), axis=-1)
+    declared bound is exceeded. ``planes`` holds the positions as coordinate
+    planes (x, y) of shape (2, ...) matching ``values``."""
+    x, y = planes
+    r = np.sqrt(x * x + y * y)
     c_measured = float(np.max(np.abs(values) / (1.0 + r ** degree)))
     if bound is not None and c_measured > bound * (1.0 + 1e-12):
         raise GrowthUnbounded(
@@ -333,8 +344,8 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
             if isinstance(comp, ProductLagrangian):
                 if fk is not None:
                     raise NotImplementedError("weighted f audits run on curve states")
-                m1 = _factor_mass(comp.factor1, window.x0[0:2], delta)
-                m2 = _factor_mass(comp.factor2, window.x0[2:4], delta)
+                m1 = edge_gaussian_mass(comp.factor1, window.x0[0:2], delta)
+                m2 = edge_gaussian_mass(comp.factor2, window.x0[2:4], delta)
                 V[k] += m1 * m2
                 d1 = weighted_gaussian_integral(comp.factor1, diss[0],
                                                 window.x0[0:2], delta)
@@ -344,9 +355,9 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
             else:
                 fv = np.ones(comp.n_vertices) if fk is None else np.asarray(fk[ci])
                 if growth is not None:
-                    check_polynomial_growth(fv, comp.vertices, growth[1], growth[0])
+                    check_polynomial_growth(fv, comp.vertices.T, growth[1], growth[0])
                 if fk is None:
-                    V[k] += _factor_mass(comp, window.x0[0:2], delta)
+                    V[k] += edge_gaussian_mass(comp, window.x0[0:2], delta)
                 else:
                     V[k] += weighted_gaussian_integral(comp, fv, window.x0[0:2], delta)
                 D[k] += weighted_gaussian_integral(comp, fv * diss,

@@ -106,3 +106,7 @@ class VertexCountChanged(LabError):
 
 class GaussSumTooLarge(LabError):
     """A Gauss linking sum has more edge pairs than its memory bound allows."""
+
+
+class ScanTooLarge(LabError):
+    """A quadratic segment-pair scan has more pairs than its memory bound allows."""

@@ -12,18 +12,20 @@ arms and diagnostics exclude a boundary collar.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
-from .errors import (RangeError, SingularCollapse, SolverFailure,
+from .errors import (RangeError, ScanTooLarge, SingularCollapse, SolverFailure,
                      StabilityViolation, TimeGridMismatch)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
-                       ProductLagrangian, as_components, mean_curvature,
-                       stencil_weights)
+                       ProductLagrangian, as_components, cyclic_tridiagonal,
+                       mean_curvature, require_finite, stencil_weights)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
+# Largest self-intersection scan accepted: 2**21 segment pairs, about 360 MB
+# of pair temporaries (some 170 bytes a pair), or 2048 segments in a state.
+SELF_INTERSECTION_MAX_PAIRS = 2 ** 21
 
 
 class FlowTrajectory:
@@ -133,30 +135,27 @@ def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> D
     curves solve a cyclic tridiagonal system, open curves a Dirichlet one
     with both endpoints pinned at their current positions.
     """
-    n = curve.n_vertices
     v = curve.vertices
     a, b = stencil_weights(curve.edge_lengths(), curve.closed)  # to i-1, i+1
+    diag, left, right = 1.0 + dt * (a + b), dt * a, dt * b
+    require_finite(diag, left, right, v)
     if curve.closed:
-        diag = 1.0 + dt * (a + b)
-        idx = np.arange(n)
-        A = sp.csc_matrix((np.concatenate([diag, -dt * a, -dt * b]),
-                           (np.concatenate([idx, idx, idx]),
-                            np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
-                          shape=(n, n))
         try:
-            v_new = spla.splu(A).solve(v)
-        except RuntimeError as exc:  # pragma: no cover
-            raise SolverFailure(str(exc))
+            v_new = spla.splu(cyclic_tridiagonal(diag, left, right)).solve(v)
+        except RuntimeError as exc:  # SuperLU: exactly singular factor
+            raise SolverFailure(str(exc)) from exc
     else:
-        m = n - 2
-        band = np.zeros((3, m))
-        band[1] = 1.0 + dt * (a + b)
-        band[0, 1:] = -dt * b[:-1]
-        band[2, :-1] = -dt * a[1:]
+        band = np.zeros((3, curve.n_vertices - 2))
+        band[1] = diag
+        band[0, 1:] = -right[:-1]
+        band[2, :-1] = -left[1:]
         rhs = v[1:-1].copy()
-        rhs[0] += dt * a[0] * v[0]
-        rhs[-1] += dt * b[-1] * v[-1]
-        interior = solve_banded((1, 1), band, rhs)
+        rhs[0] += left[0] * v[0]
+        rhs[-1] += right[-1] * v[-1]
+        try:
+            interior = solve_banded((1, 1), band, rhs)
+        except LinAlgError as exc:
+            raise SolverFailure(str(exc)) from exc
         v_new = np.vstack([v[0], interior, v[-1]])
     out = curve.with_vertices(v_new)
     _check_collapse(out, min_edge)
@@ -353,8 +352,17 @@ def segments_intersect(p1, p2, q1, q2):
 
 
 def state_self_intersects(state) -> bool:
-    """Segment-segment scan over all curve components of a state."""
+    """Segment-segment scan over all curve components of a state.
+
+    Raises ScanTooLarge, before allocating, when the state has more than
+    SELF_INTERSECTION_MAX_PAIRS segment pairs.
+    """
     comps = as_components(state)
+    n_seg = sum(c.n_vertices - (not c.closed) for c in comps)
+    if n_seg * (n_seg - 1) // 2 > SELF_INTERSECTION_MAX_PAIRS:
+        raise ScanTooLarge(
+            f"{n_seg} segments make {n_seg * (n_seg - 1) // 2} pairs, over the "
+            f"self-intersection limit of {SELF_INTERSECTION_MAX_PAIRS}")
     P1s, P2s, cids, sids, closed_len = [], [], [], [], {}
     for k, c in enumerate(comps):
         v = c.vertices

@@ -8,17 +8,24 @@ step. Vertex correspondences that move tangentially (pinned ends,
 redistribution) are handled by an advection term built from the measured
 tangential vertex velocity; material trajectories have it near zero.
 
-The heat solve and its centred residual audit walk the trajectory in
-blocks of ``AUDIT_BLOCK`` times. A block stacks each component's states as
-(2, b, N) coordinate planes, and one array pass per block gives the edge
-lengths, tangents, dual weights, measured tangential velocities and step
-coefficients of all b states. The stencils are the vertex-axis kernels
-that :func:`~lmcflab.geometry.laplacian` and
+The heat solve is one pass over the trajectory in blocks of
+``AUDIT_BLOCK`` times: march, then audit on the same geometry. A block
+stacks each component's states as (2, b, N) coordinate planes; one array
+pass gives the post-step edge lengths, tangents, measured tangential
+velocities and step coefficients of all b states, and the field is marched
+through them, one linear solve per step (LAPACK gtsv on the three
+diagonals for open curves, sparse LU on
+:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). The centred
+residual audit then runs on the block's planes, edge lengths and tangents.
+Time k needs the field at k + 1, so the audit trails the march by one
+time: a block stacks one state before the march's starting state, and takes
+the geometry of that starting state (a post-step state of the block
+before) once more, one row in b + 1. :func:`heat_residual` audits given
+fields with the same residual rows. The stencils are the vertex-axis
+kernels that :func:`~lmcflab.geometry.laplacian` and
 :func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
-blocked results equal a per-state loop bit for bit. The linear solves stay
-one per step (banded for open curves, sparse LU for closed ones). A
-component whose vertex count changes between recorded states raises
-VertexCountChanged.
+blocked results equal a per-state loop bit for bit. A component whose
+vertex count changes between recorded states raises VertexCountChanged.
 
 The approximate caloric height (``approx_height_solution``, ``select_s1``)
 reads the caloric primitive only on the first state, where its time gauge
@@ -38,17 +45,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
 from .errors import ComponentAmbiguity, SolverFailure, VertexCountChanged
 from .flow import FlowTrajectory
 from .geometry import (CoordinateFrame, ProductLagrangian, angle_laplacian,
-                       angle_slope, arc_gradient, as_components, edge_increments,
-                       edge_lengths, exactness_primitive, lagrangian_angle,
-                       laplacian, mean_curvature, second_difference,
+                       angle_slope, arc_gradient, as_components,
+                       cyclic_tridiagonal, edge_increments, edge_lengths,
+                       exactness_primitive, lagrangian_angle, laplacian,
+                       mean_curvature, require_finite, second_difference,
                        stencil_weights, unit_tangents, vertex_differences,
                        vertex_sums)
 
@@ -90,19 +98,18 @@ def _stacked_components(traj, lo, hi):
     return out
 
 
-def _march_block(closed, p, dt, f):
+def _march_block(closed, p, h, u, dt, f, out):
     """Backward-Euler steps of d_t f = Delta f + v_tan * d_s f from the field
-    f on the state p[:, 0] into the states p[:, 1:]; returns the new fields
-    as the rows of a (b, N) array.
+    f on the state p[:, 0] into the states p[:, 1:], whose edge lengths h and
+    unit tangents u (coordinate planes) are given; writes the new fields to
+    the rows of the (b, N) array out.
 
     dt has shape (b, 1). Hybrid advection: central differences, switching
     to upwind where the cell Peclet number |v| h / 2 exceeds one (keeps the
     matrix an M-matrix).
     """
-    post = p[:, 1:]
-    h = edge_lengths(post, closed)
-    vel = (post - p[:, :-1]) / dt
-    vel *= unit_tangents(post, closed)
+    vel = (p[:, 1:] - p[:, :-1]) / dt
+    vel *= u
     v_tan = vel[0] + vel[1]
     lo, hi = stencil_weights(h, closed)
     if closed:
@@ -112,33 +119,47 @@ def _march_block(closed, p, dt, f):
     diag = 1.0 + dt * (lo + hi) - dt * c_di
     left = dt * (lo + c_lo)     # coupling to vertex i-1
     right = dt * (hi + c_hi)    # coupling to vertex i+1
+    _implicit_steps(closed, diag, left, right, f, out)
+
+
+def _implicit_steps(closed, diag, left, right, f, out):
+    """Fields u_1..u_b of b implicit steps from u_0 = f, written to the rows
+    of the (b, N) array out: step j solves
+    diag[j, i] u_i - left[j, i] u_{i-1} - right[j, i] u_{i+1} = u_{j-1, i}.
+
+    Closed curves couple every vertex cyclically (sparse LU); open curves
+    solve for the interior vertices with LAPACK gtsv on the three diagonals
+    and keep the end values of f, the coefficients then holding the
+    interior rows. Raises SolverFailure when a coefficient, f or a result is
+    not finite, or when a system is singular.
+    """
+    require_finite(diag, left, right, f)
     n = f.shape[0]
-    out = np.empty((len(dt), n))
     if closed:
-        idx = np.arange(n)
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx - 1) % n, (idx + 1) % n])
-        for j in range(len(dt)):
-            A = sp.csc_matrix((np.concatenate([diag[j], -left[j], -right[j]]),
-                               (rows, cols)), shape=(n, n))
+        for j in range(len(diag)):
             try:
-                out[j] = spla.splu(A).solve(f)
-            except RuntimeError as exc:  # pragma: no cover
-                raise SolverFailure(str(exc))
+                out[j] = spla.splu(cyclic_tridiagonal(diag[j], left[j],
+                                                      right[j])).solve(f)
+            except RuntimeError as exc:  # SuperLU: exactly singular factor
+                raise SolverFailure(str(exc)) from exc
             f = out[j]
-        return out
-    bands = np.zeros((len(dt), 3, n - 2))
-    bands[:, 1] = diag
-    bands[:, 0, 1:] = -right[:, :-1]
-    bands[:, 2, :-1] = -left[:, 1:]
-    for j in range(len(dt)):
-        rhs = f[1:-1].copy()
-        rhs[0] += left[j, 0] * f[0]
-        rhs[-1] += right[j, -1] * f[-1]
-        out[j, 1:-1] = solve_banded((1, 1), bands[j], rhs)
-        out[j, 0], out[j, -1] = f[0], f[-1]
-        f = out[j]
-    return out
+    else:
+        lower, upper = -left[:, 1:], -right[:, :-1]
+        for j in range(len(diag)):
+            rhs = f[1:-1].copy()
+            rhs[0] += left[j, 0] * f[0]
+            rhs[-1] += right[j, -1] * f[-1]
+            if n == 3:  # one unknown: scipy's gtsv wrapper takes n >= 2
+                out[j, 1:-1] = solve_banded((1, 1), [[0.0], diag[j], [0.0]], rhs)
+            else:
+                *_, x, info = dgtsv(lower[j], diag[j], upper[j], rhs,
+                                    overwrite_b=True)
+                if info != 0:
+                    raise SolverFailure(f"singular implicit step (gtsv info {info})")
+                out[j, 1:-1] = x
+            out[j, 0], out[j, -1] = f[0], f[-1]
+            f = out[j]
+    require_finite(out)
 
 
 def _advection_coeffs(v, h_prev, h_next):
@@ -184,9 +205,10 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
 
     f0: list of per-component vertex arrays on the first state. Returns the
     field at every recorded time with the centred-difference residual audit
-    and the measured polynomial-growth constant. With ``growth_bound`` the
-    declared certificate C (1 + R^growth_degree) is enforced on every state
-    (GrowthUnbounded otherwise).
+    (collar 2, as :func:`heat_residual`) and the measured polynomial-growth
+    constant. With ``growth_bound`` the declared certificate
+    C (1 + R^growth_degree) is enforced on every state (GrowthUnbounded
+    otherwise).
     """
     comps0 = _curve_components(traj.states[0])
     f0 = [np.asarray(f, dtype=float).copy() for f in f0]
@@ -194,24 +216,84 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
         raise ValueError("one initial array per component required")
     growth = 0.0
     for c, f in zip(comps0, f0):
-        growth = max(growth, check_polynomial_growth(f, c.vertices, growth_degree,
+        growth = max(growth, check_polynomial_growth(f, c.vertices.T, growth_degree,
                                                      growth_bound))
-    values = [f0]
     times = traj.times
-    for k0 in range(1, len(times), AUDIT_BLOCK):
-        k1 = min(k0 + AUDIT_BLOCK, len(times))
+    starts = range(1, len(times), AUDIT_BLOCK)
+    # every block's output rows are allocated before the march: kept arrays
+    # allocated among a block's temporaries fragment the heap (peak RSS)
+    outputs = [[np.empty((min(k0 + AUDIT_BLOCK, len(times)) - k0, len(f)))
+                for f in f0] for k0 in starts]
+    values = [f0] + [list(rows) for block in outputs for rows in zip(*block)]
+    sums = _residual_sums(len(times))
+    for k0, block in zip(starts, outputs):
+        k1 = k0 + len(block[0])
+        lo = max(k0 - 2, 0)   # the audit of time k0 - 1 reads the state at k0 - 2
         dt = (times[k0:k1] - times[k0 - 1:k1 - 1])[:, None]
-        block = [[] for _ in range(k0, k1)]
-        for ci, (c, p) in enumerate(_stacked_components(traj, k0 - 1, k1)):
-            fields = _march_block(c.closed, p, dt, values[-1][ci])
-            growth = max(growth, check_polynomial_growth(
-                fields, p[:, 1:].transpose(1, 2, 0), growth_degree, growth_bound))
-            for vals, f in zip(block, fields):
-                vals.append(f)
-        values.extend(block)
-    sup, l2 = heat_residual(traj, values)
-    return HeatSolution(traj.times, values, traj.times[1:-1],
-                        np.asarray(sup), np.asarray(l2), growth)
+        for ci, (c, p) in enumerate(_stacked_components(traj, lo, k1)):
+            # geometry of the states lo + 1 .. k1 - 1: the march reads its
+            # post-step states (the last k1 - k0), the audit all but the last
+            h = edge_lengths(p[:, 1:], c.closed)
+            u = unit_tangents(p[:, 1:], c.closed)
+            fields = block[ci]
+            _march_block(c.closed, p[:, k0 - 1 - lo:], h[k0 - k1:],
+                         u[:, k0 - k1:], dt, values[k0 - 1][ci], fields)
+            growth = max(growth, check_polynomial_growth(fields, p[:, k0 - k1:],
+                                                         growth_degree, growth_bound))
+            cols = _interior_columns(c, 2)
+            if len(h) > 1 and cols is not None:
+                _residual_rows(sums, times, lo + 1, c.closed, cols, p, h[:-1],
+                               u[:, :-1],
+                               np.array([values[k][ci] for k in range(lo, k1)]))
+    sup, l2 = _residual_summary(sums)
+    return HeatSolution(traj.times, values, traj.times[1:-1], sup, l2, growth)
+
+
+def _residual_sums(n_times):
+    """Per interior time: running sup, weighted square sum and weight sum."""
+    return np.zeros((3, max(n_times - 2, 0)))
+
+
+def _residual_summary(sums):
+    """(sup, l2) arrays per interior time from the running sums."""
+    return sums[0].copy(), np.sqrt(sums[1] / np.maximum(sums[2], 1e-300))
+
+
+def _interior_columns(curve, collar):
+    """The collar-trimmed vertex columns of a curve as one slice, or None."""
+    interior = np.flatnonzero(curve.interior_mask(collar))  # one index run
+    if not interior.size:
+        return None
+    return slice(interior[0], interior[-1] + 1)
+
+
+def _residual_rows(sums, times, k, closed, cols, P, H, U, F):
+    """Centred residual (d_t - Delta - v_tan d_s) f of one component at the
+    times k..k+r-1, folded into the running sums (a sup and the dual-weighted
+    square and weight sums over the columns cols).
+
+    P (2, r + 2, N) and F (r + 2, N) hold the coordinate planes and fields
+    at the times k-1..k+r; H (r, edges) and U (2, r, N) the edge lengths and
+    unit tangents of the r middle states.
+    """
+    rows = slice(k - 1, k - 1 + len(H))
+    dt2 = (times[k + 1:k + 1 + len(H)] - times[k - 1:k - 1 + len(H)])[:, None]
+    fm = F[1:-1]
+    h_sums = vertex_sums(H, closed)
+    vel = (P[:, 2:] - P[:, :-2]) / dt2
+    vel *= U
+    v_tan = vel[0] + vel[1]
+    res = (F[2:] - F[:-2]) / dt2
+    res -= second_difference(edge_increments(fm, closed), H, closed)
+    res -= v_tan * (vertex_differences(fm, closed) / h_sums)
+    res = res[:, cols]
+    sup, sq_sum, w_sum = sums[:, rows]
+    worst = np.max(np.abs(res), axis=1)
+    sup[:] = np.where(worst > sup, worst, sup)
+    w = 0.5 * h_sums[:, cols]   # dual weights
+    # one 1-D sum per row: the pairwise order of a per-state sum
+    sq_sum += [np.sum(row) for row in w * res ** 2]
+    w_sum += [np.sum(row) for row in w]
 
 
 def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
@@ -221,36 +303,18 @@ def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
     components; the operator matches the solver's spatial discretization.
     """
     times = traj.times
-    n_int = max(len(times) - 2, 0)
-    sup, sq_sum, w_sum = np.zeros(n_int), np.zeros(n_int), np.zeros(n_int)
+    sums = _residual_sums(len(times))
     for k0 in range(1, len(times) - 1, AUDIT_BLOCK):
         k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
-        rows = slice(k0 - 1, k1 - 1)
-        dt2 = (times[k0 + 1:k1 + 1] - times[k0 - 1:k1 - 1])[:, None]
         for ci, (c, p) in enumerate(_stacked_components(traj, k0 - 1, k1 + 1)):
-            interior = np.flatnonzero(c.interior_mask(collar))  # one index run
-            if not interior.size:
+            cols = _interior_columns(c, collar)
+            if cols is None:
                 continue
-            cols = slice(interior[0], interior[-1] + 1)
-            closed = c.closed
-            f = np.array([values[k][ci] for k in range(k0 - 1, k1 + 1)])
-            mid, fm = p[:, 1:-1], f[1:-1]
-            h = edge_lengths(mid, closed)
-            h_sums = vertex_sums(h, closed)
-            vel = (p[:, 2:] - p[:, :-2]) / dt2
-            vel *= unit_tangents(mid, closed)
-            v_tan = vel[0] + vel[1]
-            res = (f[2:] - f[:-2]) / dt2
-            res -= second_difference(edge_increments(fm, closed), h, closed)
-            res -= v_tan * (vertex_differences(fm, closed) / h_sums)
-            res = res[:, cols]
-            worst = np.max(np.abs(res), axis=1)
-            sup[rows] = np.where(worst > sup[rows], worst, sup[rows])
-            w = 0.5 * h_sums[:, cols]   # dual weights
-            # one 1-D sum per row: the pairwise order of a per-state sum
-            sq_sum[rows] += [np.sum(row) for row in w * res ** 2]
-            w_sum[rows] += [np.sum(row) for row in w]
-    l2 = np.sqrt(sq_sum / np.maximum(w_sum, 1e-300))
+            mid = p[:, 1:-1]
+            F = np.array([values[k][ci] for k in range(k0 - 1, k1 + 1)])
+            _residual_rows(sums, times, k0, c.closed, cols, p,
+                           edge_lengths(mid, c.closed), unit_tangents(mid, c.closed), F)
+    sup, l2 = _residual_summary(sums)
     return sup.tolist(), list(l2)
 
 

@@ -7,8 +7,8 @@ Conventions fixed here and used everywhere else:
 * the complex structure J acts per complex factor as J(a, b) = (-b, a);
 * the Liouville form is lambda = sum_i (x_i dy_i - y_i dx_i), so that
   lambda/2 is a primitive of the Kaehler form sum_i dx_i ^ dy_i;
-* angles are unwrapped continuously along each component, with the branch
-  offset of the first vertex recorded.
+* angles are unwrapped continuously along each component from the
+  principal branch at the first vertex.
 
 All operations are pure functions of immutable inputs.
 """
@@ -16,11 +16,13 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import BadFrame, DegenerateEdge, NotExact
+from .errors import BadFrame, DegenerateEdge, NotExact, SolverFailure
 
 # Closed components keep holonomy below this fraction of total length to
 # count as exact; separates quadrature noise from genuine holonomy.
@@ -117,12 +119,10 @@ def as_components(state) -> list:
 
 @dataclass
 class ScalarField:
-    """Per-vertex scalar data on one state, with growth metadata."""
+    """Per-vertex scalar data on one state."""
 
     values: np.ndarray
     name: str = ""
-    growth_degree: int = 0
-    branch_offset: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -185,13 +185,53 @@ def stencil_weights(h: np.ndarray, closed: bool):
     """Couplings (lo, hi) of the arclength second difference to vertices
     i-1 and i+1: 2 / ((h_{i-1} + h_i) h_{i-1}) and 2 / ((h_{i-1} + h_i) h_i),
     at every vertex of a closed curve and the interior ones of an open one.
-    The implicit flow and heat steps assemble their matrices from these."""
+    The implicit flow and heat steps assemble their matrices from these;
+    closed curves build theirs with :func:`cyclic_tridiagonal`."""
     if closed:
         h_prev, h_next = np.roll(h, 1, axis=-1), h
     else:
         h_prev, h_next = h[..., :-1], h[..., 1:]
     span = h_next + h_prev
     return 2.0 / (span * h_prev), 2.0 / (span * h_next)
+
+
+@lru_cache(maxsize=16)
+def _cyclic_csc_pattern(n: int):
+    """(indices, indptr, order) of the CSC form of the n x n cyclic
+    tridiagonal matrix with COO entries concatenate([diag, sub, super]) at
+    rows (i, i, i) and columns (i, i - 1, i + 1) mod n: ``order`` takes those
+    entries to the CSC data, as scipy's COO-to-CSC conversion places them."""
+    idx = np.arange(n)
+    coo = sp.csc_matrix((np.arange(3.0 * n), (np.concatenate([idx, idx, idx]),
+                                               np.concatenate([idx, (idx - 1) % n,
+                                                               (idx + 1) % n]))),
+                        shape=(n, n))
+    order = coo.data.astype(np.intp)
+    for a in (coo.indices, coo.indptr, order):
+        a.setflags(write=False)
+    return coo.indices, coo.indptr, order
+
+
+def cyclic_tridiagonal(diag, left, right):
+    """Sparse (CSC) matrix of the closed-curve implicit step, row i reading
+    diag_i u_i - left_i u_{i-1} - right_i u_{i+1} (indices mod n).
+
+    Its index arrays come from a pattern cached per n, and its data is
+    ordered as scipy's COO-to-CSC conversion would order it, so sparse LU
+    receives the arrays that conversion produces.
+    """
+    n = len(diag)
+    indices, indptr, order = _cyclic_csc_pattern(n)
+    return sp.csc_matrix((np.concatenate([diag, -left, -right])[order], indices,
+                          indptr), shape=(n, n))
+
+
+def require_finite(*arrays):
+    """Raise SolverFailure unless every entry of the arrays is finite (the
+    check a linear solve of the implicit steps needs on its inputs)."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise SolverFailure("non-finite coefficient or field in an implicit step")
 
 
 def edge_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
@@ -218,13 +258,12 @@ def lagrangian_angle(curve: DiscreteCurve) -> ScalarField:
 
     For the n=1 Lagrangian the angle is the argument of the unit tangent;
     the returned field is free of 2*pi jumps between adjacent vertices and
-    records the branch offset of the first vertex.
+    starts on the principal branch at the first vertex.
     """
     t = curve.tangents()
     raw = np.arctan2(t[:, 1], t[:, 0])
     theta = np.unwrap(raw)
-    return ScalarField(theta, name="theta", growth_degree=0,
-                       branch_offset=float(theta[0] - raw[0]))
+    return ScalarField(theta, name="theta")
 
 
 def angle_increments(curve: DiscreteCurve) -> np.ndarray:
@@ -330,7 +369,7 @@ def exactness_primitive(curve: DiscreteCurve, anchor_value: float = 0.0) -> Scal
         beta = anchor_value + np.concatenate([[0.0], np.cumsum(inc[:-1])])
     else:
         beta = anchor_value + np.concatenate([[0.0], np.cumsum(inc)])
-    return ScalarField(beta, name="beta", growth_degree=2)
+    return ScalarField(beta, name="beta")
 
 
 def product_angle(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:

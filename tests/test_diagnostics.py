@@ -1,5 +1,7 @@
 """Gaussian diagnostics against closed forms and quadrature oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,7 @@ from lmcflab import diagnostics as dg
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import geometry as geo
-from lmcflab.errors import WindowInPast
+from lmcflab.errors import ScanTooLarge, WindowInPast
 
 CIRCLE_ENTROPY = np.sqrt(2.0 * np.pi / np.e)  # ~ 1.5203
 
@@ -121,6 +123,33 @@ def test_entropy_scale_equivariance():
     assert abs(r1.value - r2.value) < 1e-8
 
 
+def test_entropy_refuses_large_crossing_scan():
+    # 10k segments with themselves are 1e8 pairs: refused before allocating
+    circ = fx.make_circle(1.0, 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanTooLarge):
+            dg.entropy(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_crossing_limit_counts_segment_pairs(monkeypatch):
+    closed, line = fx.make_circle(1.0, 64), fx.make_line(angle=0.3, extent=2.0, n=33)
+    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 64 * 64)
+    dg._crossing_points([closed, line])
+    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 64 * 64 - 1)
+    with pytest.raises(ScanTooLarge):
+        dg._crossing_points([closed, line])
+    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 32 * 32)
+    dg._crossing_points([line])
+    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 32 * 32 - 1)
+    with pytest.raises(ScanTooLarge):
+        dg._crossing_points([line])
+
+
 def test_density_between_one_and_entropy():
     circ = fx.make_circle(1.0, 256)
     ent = dg.entropy(circ).value
@@ -211,8 +240,8 @@ def test_growth_certificate_guard():
     line = fx.make_line(angle=0.0, extent=10.0, n=101)
     vals = line.vertices[:, 0] ** 2
     with pytest.raises(dg.GrowthUnbounded):
-        dg.check_polynomial_growth(vals, line.vertices, degree=1, bound=0.5)
-    c = dg.check_polynomial_growth(vals, line.vertices, degree=2, bound=None)
+        dg.check_polynomial_growth(vals, line.vertices.T, degree=1, bound=0.5)
+    c = dg.check_polynomial_growth(vals, line.vertices.T, degree=2, bound=None)
     assert c <= 1.0 + 1e-12
 
 

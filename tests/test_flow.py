@@ -1,12 +1,18 @@
 """Flow engine against exact solutions: circles, grim reapers, rescalings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from lmcflab import flow
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
-from lmcflab.errors import RangeError, StabilityViolation, TimeGridMismatch
+from lmcflab.errors import (RangeError, ScanTooLarge, SolverFailure,
+                            StabilityViolation, TimeGridMismatch)
 from lmcflab.flow import SingularCollapse
 
 
@@ -204,6 +210,89 @@ def test_self_intersection_scan():
     # even vertex count keeps the crossing off the sample points
     crossing = fx.make_line_pair(0.4, -0.4, extent=2.0, n=32)
     assert flow.state_self_intersects(crossing)
+
+
+def test_self_intersection_scan_refuses_large_states():
+    # 10k segments are 5e7 pairs: refused before the pair arrays exist
+    circ = fx.make_circle(1.0, 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScanTooLarge):
+            flow.state_self_intersects(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_self_intersection_limit_counts_segment_pairs(monkeypatch, closed):
+    curve = fx.make_circle(1.0, 64)
+    if not closed:
+        curve = geo.DiscreteCurve(curve.vertices)
+    n_seg = 64 if closed else 63
+    pairs = n_seg * (n_seg - 1) // 2
+    monkeypatch.setattr(flow, "SELF_INTERSECTION_MAX_PAIRS", pairs)
+    assert not flow.state_self_intersects(curve)
+    monkeypatch.setattr(flow, "SELF_INTERSECTION_MAX_PAIRS", pairs - 1)
+    with pytest.raises(ScanTooLarge):
+        flow.state_self_intersects(curve)
+
+
+def semi_implicit_step_oracle(curve, dt):
+    """The step as assembled per curve before the shared solve path: a
+    (3, m) band through solve_banded for open curves, a COO-built sparse
+    matrix through splu for closed ones."""
+    n, v = curve.n_vertices, curve.vertices
+    a, b = geo.stencil_weights(curve.edge_lengths(), curve.closed)
+    if curve.closed:
+        idx = np.arange(n)
+        A = sp.csc_matrix((np.concatenate([1.0 + dt * (a + b), -dt * a, -dt * b]),
+                           (np.concatenate([idx, idx, idx]),
+                            np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
+                          shape=(n, n))
+        return spla.splu(A).solve(v)
+    band = np.zeros((3, n - 2))
+    band[1] = 1.0 + dt * (a + b)
+    band[0, 1:] = -dt * b[:-1]
+    band[2, :-1] = -dt * a[1:]
+    rhs = v[1:-1].copy()
+    rhs[0] += dt * a[0] * v[0]
+    rhs[-1] += dt * b[-1] * v[-1]
+    return np.vstack([v[0], solve_banded((1, 1), band, rhs), v[-1]])
+
+
+@pytest.mark.parametrize("closed,n", [(False, 3), (False, 4), (False, 101),
+                                      (True, 8), (True, 101)])
+def test_semi_implicit_step_equals_band_and_coo_paths(closed, n):
+    rng = np.random.default_rng(n)
+    phi = np.linspace(0.0, 1.5 * np.pi, n)
+    radius = 1.0 + 0.05 * rng.normal(size=n)
+    curve = geo.DiscreteCurve(np.stack([radius * np.cos(phi), radius * np.sin(phi)],
+                                       axis=1), closed=closed)
+    for dt in (1e-4, 1e-2):
+        got = flow.step_flow_semi_implicit(curve, dt).vertices
+        assert np.array_equal(got, semi_implicit_step_oracle(curve, dt))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_semi_implicit_step_refuses_nan_vertex(closed):
+    v = fx.make_circle(1.0, 32).vertices.copy()
+    v[5, 0] = np.nan
+    with pytest.raises(SolverFailure):
+        flow.step_flow_semi_implicit(geo.DiscreteCurve(v, closed=closed), 1e-3)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_semi_implicit_step_refuses_singular_system(monkeypatch, closed):
+    # couplings -1/(2 dt) zero the diagonal: rows alternate (1/2, 0, 1/2)
+    n = 16 if closed else 5
+    curve = geo.DiscreteCurve(fx.make_circle(1.0, 16).vertices[:n], closed=closed)
+    dt = 1e-2
+    monkeypatch.setattr(flow, "stencil_weights", lambda h, closed: (
+        np.full(n if closed else n - 2, -0.5 / dt),) * 2)
+    with pytest.raises(SolverFailure):
+        flow.step_flow_semi_implicit(curve, dt)
 
 
 def test_redistribute_uniformizes():

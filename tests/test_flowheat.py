@@ -13,7 +13,7 @@ from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
 from lmcflab.errors import (ComponentAmbiguity, GrowthUnbounded, NotExact,
-                            VertexCountChanged)
+                            SolverFailure, VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
@@ -336,6 +336,16 @@ def heat_step_oracle(curve, f_old, dt, v_tan):
     return np.concatenate([[f_old[0]], interior, [f_old[-1]]])
 
 
+def loop_growth_constant(traj, values, degree=2):
+    """The growth constant per state, radii from the (N, 2) vertex norms."""
+    worst = 0.0
+    for state, vals in zip(traj.states, values):
+        for c, f in zip(fh._curve_components(state), vals):
+            r = np.linalg.norm(c.vertices, axis=-1)
+            worst = max(worst, float(np.max(np.abs(f) / (1.0 + r ** degree))))
+    return worst
+
+
 def loop_heat_solve(traj, f0):
     """The per-step heat march the blocked solve must reproduce."""
     values = [[np.asarray(f, dtype=float) for f in f0]]
@@ -373,7 +383,8 @@ def _audit_trajectory(kind, n_interior):
 
 
 KINDS = ["open", "closed", "product", "two"]
-INTERIOR_COUNTS = [1, fh.AUDIT_BLOCK - 1, fh.AUDIT_BLOCK, fh.AUDIT_BLOCK + 1]
+INTERIOR_COUNTS = [1, fh.AUDIT_BLOCK - 1, fh.AUDIT_BLOCK, fh.AUDIT_BLOCK + 1,
+                   2 * fh.AUDIT_BLOCK + 1]
 
 
 @pytest.mark.parametrize("collar", [2, 4])
@@ -402,9 +413,63 @@ def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
     for got, want in zip(sol.values, ref):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    ref_sup, ref_l2 = loop_heat_residual(traj, ref, 2)
+    # the two-pass oracle: the per-step march, then the standalone audit
+    ref_sup, ref_l2 = fh.heat_residual(traj, ref)
     assert sol.residual_sup.tolist() == ref_sup
     assert sol.residual_l2.tolist() == ref_l2
+    assert (ref_sup, ref_l2) == loop_heat_residual(traj, ref, 2)
+    assert sol.growth_constant == loop_growth_constant(traj, ref)
+
+
+def test_three_vertex_open_heat_solve_equals_per_step_loop():
+    # one unknown per step: the path the gtsv wrapper cannot take
+    times = np.linspace(0.0, 0.05, 6)
+    states = [geo.DiscreteCurve([[-1.0, 0.0], [0.1 * t, 0.5 - t], [1.0, 0.2]])
+              for t in times]
+    traj = flow.FlowTrajectory(times, states)
+    f0 = [np.array([0.3, -1.2, 2.0])]
+    sol = fh.solve_heat_on_flow(traj, f0)
+    for got, want in zip(sol.values, loop_heat_solve(traj, f0)):
+        assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("kind", ["open", "closed"])
+def test_non_finite_heat_input_raises_solver_failure(kind):
+    traj = _audit_trajectory(kind, 3)
+    curve = fh._curve_components(traj.states[0])[0]
+    f0 = curve.vertices[:, 1].copy()
+    f0[curve.n_vertices // 2] = np.nan
+    with pytest.raises(SolverFailure):
+        fh.solve_heat_on_flow(traj, [f0])
+    later = fh._curve_components(traj.states[2])[0]
+    v = later.vertices.copy()
+    v[later.n_vertices // 2] = np.nan
+    states = list(traj.states)
+    states[2] = later.with_vertices(v)
+    with pytest.raises(SolverFailure):
+        fh.solve_heat_on_flow(flow.FlowTrajectory(traj.times, states),
+                              [curve.vertices[:, 1]])
+
+
+@pytest.mark.parametrize("closed,n", [(False, 3), (False, 6), (True, 8)])
+def test_implicit_steps_refuse_singular_systems(closed, n):
+    zero = np.zeros((1, n if closed else n - 2))
+    with pytest.raises(SolverFailure), np.errstate(divide="ignore"):
+        fh._implicit_steps(closed, zero, zero, zero, np.ones(n), np.empty((1, n)))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_implicit_steps_refuse_non_finite_input(closed):
+    n = 10
+    rows = n if closed else n - 2
+    args = {"diag": np.full((2, rows), 3.0), "left": np.ones((2, rows)),
+            "right": np.ones((2, rows)), "f": np.ones(n)}
+    fh._implicit_steps(closed, **args, out=np.empty((2, n)))
+    for bad in args:
+        broken = {k: v.copy() for k, v in args.items()}
+        broken[bad].flat[3] = np.inf if bad == "right" else np.nan
+        with pytest.raises(SolverFailure):
+            fh._implicit_steps(closed, **broken, out=np.empty((2, n)))
 
 
 @pytest.mark.parametrize("kind", ["open", "product", "two"])

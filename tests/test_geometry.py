@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lmcflab import geometry as geo
 from lmcflab.errors import BadFrame, DegenerateEdge, NotExact
@@ -305,3 +306,26 @@ def test_vertex_kernels_equal_per_curve_formulas(closed):
     assert H.flags["C_CONTIGUOUS"]
     for k in range(2):
         assert np.array_equal(H[:, k], per_curve_stencils(curve, curve.vertices[:, k])[2])
+
+
+# ---------------------------------------------------------------------------
+# the closed-curve implicit-step matrix
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_cyclic_csc_pattern_equals_coo_conversion(n):
+    rng = np.random.default_rng(n)
+    coo_data = np.concatenate([rng.uniform(2.0, 3.0, n), -rng.uniform(size=n),
+                               -rng.uniform(size=n)])
+    idx = np.arange(n)
+    A = sp.csc_matrix((coo_data, (np.concatenate([idx, idx, idx]),
+                                  np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
+                      shape=(n, n))
+    indices, indptr, order = geo._cyclic_csc_pattern(n)
+    assert indices.dtype == A.indices.dtype and indptr.dtype == A.indptr.dtype
+    assert np.array_equal(indices, A.indices)
+    assert np.array_equal(indptr, A.indptr)
+    assert np.array_equal(coo_data[order], A.data)
+    B = geo.cyclic_tridiagonal(coo_data[:n], -coo_data[n:2 * n], -coo_data[2 * n:])
+    assert np.shares_memory(B.indices, indices) and np.shares_memory(B.indptr, indptr)
+    assert np.array_equal(B.data, A.data)
