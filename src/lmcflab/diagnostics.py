@@ -20,7 +20,7 @@ from scipy.special import erf
 from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
 from .flow import FlowTrajectory, segments_intersect
 from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
-                       ProductLagrangian, ScalarField, as_components,
+                       ProductLagrangian, as_components, edge_ends,
                        lagrangian_angle, mean_curvature)
 
 # rho < 1e-16 * peak outside this many sqrt(t0-t): integrate only inside
@@ -49,9 +49,6 @@ class GaussianWindow:
             raise WindowInPast(f"evaluation time t={t} is not before t0={self.t0}")
         return delta
 
-    def truncation_radius(self, t: float) -> float:
-        return TRUNCATION_SIGMAS * np.sqrt(self.scale(t))
-
 
 def edge_gaussian_mass(curve: DiscreteCurve, x0, delta: float) -> float:
     """Exact integral of the normalized 1-factor kernel over the polyline.
@@ -61,11 +58,7 @@ def edge_gaussian_mass(curve: DiscreteCurve, x0, delta: float) -> float:
     only truncation is the kernel cutoff at TRUNCATION_SIGMAS.
     """
     x0 = np.asarray(x0, dtype=float)
-    v = curve.vertices
-    if curve.closed:
-        p, q = v, np.roll(v, -1, axis=0)
-    else:
-        p, q = v[:-1], v[1:]
+    p, q = edge_ends(curve.vertices, curve.closed)
     e = q - p
     ell = np.hypot(e[:, 0], e[:, 1])
     T = e / ell[:, None]
@@ -91,13 +84,8 @@ def weighted_gaussian_integral(curve: DiscreteCurve, g_vertex, x0, delta: float)
     """
     x0 = np.asarray(x0, dtype=float)
     g = np.asarray(g_vertex, dtype=float)
-    v = curve.vertices
-    if curve.closed:
-        p, q = v, np.roll(v, -1, axis=0)
-        g0, g1 = g, np.roll(g, -1)
-    else:
-        p, q = v[:-1], v[1:]
-        g0, g1 = g[:-1], g[1:]
+    p, q = edge_ends(curve.vertices, curve.closed)
+    g0, g1 = edge_ends(g, curve.closed)
     mid = 0.5 * (p + q)
     ell = np.linalg.norm(q - p, axis=1)
     radius = TRUNCATION_SIGMAS * np.sqrt(delta)
@@ -155,10 +143,8 @@ def _crossing_points(curves):
                 raise ScanTooLarge(
                     f"{na} x {nb} segment pairs exceed the crossing-scan limit "
                     f"of {CROSSING_MAX_PAIRS}")
-            va = a.vertices
-            pa, qa = (va, np.roll(va, -1, axis=0)) if a.closed else (va[:-1], va[1:])
-            vb = b.vertices
-            pb, qb = (vb, np.roll(vb, -1, axis=0)) if b.closed else (vb[:-1], vb[1:])
+            pa, qa = edge_ends(a.vertices, a.closed)
+            pb, qb = edge_ends(b.vertices, b.closed)
             ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
             ii, jj = ii.ravel(), jj.ravel()
             if a is b:

@@ -9,6 +9,10 @@ class DegenerateEdge(LabError):
     """A polyline edge has (numerically) zero length."""
 
 
+class NonFiniteVertex(LabError):
+    """A polyline vertex has a NaN or infinite coordinate."""
+
+
 class NotExact(LabError):
     """A closed component has nonzero Liouville holonomy.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import UnknownFixture
 from .geometry import (AffineLine, CoordinateFrame, DiscreteCurve,
-                       LagrangianPlane, ProductLagrangian, apply_J,
+                       ProductLagrangian, apply_J, grid_quad_mesh,
                        make_plane_pair, standard_frame)
 
 FIXTURE_MANIFEST = {
@@ -181,14 +181,7 @@ def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0), phi_coeff=0.0,
         pts = (Z[..., None] * plane.basis[0] + U[..., None] * plane.basis[1])
         phi_val = phi_coeff * U  # phi ranges over the transverse coordinates
         w_val = phi_val + lam * b[j] * Z
-        pts = pts + w_val[..., None] * frame.e_w
-        n1, n2 = pts.shape[0], pts.shape[1]
-        verts = pts.reshape(-1, 4)
-        ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
-                          (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
-        meshes.append((verts, quads))
+        meshes.append(grid_quad_mesh(pts + w_val[..., None] * frame.e_w))
     return meshes, frame, pair
 
 
@@ -250,8 +243,13 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
     def gen(t):
         return DiscreteCurve(base + np.array([0.0, speed * t]))
 
+    def block(t):
+        # the vertices base + (0, speed t) of every time in one broadcast
+        p = base.T[:, None, :] + np.stack([np.zeros_like(t), speed * t])[:, :, None]
+        return [(DiscreteCurve(p[:, 0].T), p)]
+
     times = np.arange(t0, t1 + 0.5 * dt, dt)
-    return AnalyticTrajectory(times, gen)
+    return AnalyticTrajectory(times, gen, block=block)
 
 
 def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
@@ -267,8 +265,13 @@ def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
         r = np.sqrt(r0 * r0 - 2.0 * (t - t0))
         return DiscreteCurve(r * unit + center, closed=True)
 
+    def block(t):
+        r = np.sqrt(r0 * r0 - 2.0 * (t - t0))
+        p = r[:, None] * unit.T[:, None, :] + center[:, None, None]
+        return [(DiscreteCurve(p[:, 0].T, closed=True), p)]
+
     times = np.arange(t0, t1 + 0.5 * dt, dt)
-    return AnalyticTrajectory(times, gen)
+    return AnalyticTrajectory(times, gen, block=block)
 
 
 def make_hopf_fibers(q1=(1.0, 0.0, 0.0, 0.0), q2=(0.0, 0.0, 1.0, 0.0), n=256):
@@ -293,14 +296,7 @@ def make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0), n=12):
     T, P = np.meshgrid(th, ph, indexing="ij")
     pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
                     np.cos(T), np.zeros_like(T)], axis=-1)
-    pts = radius * pts + np.asarray(center)
-    n1, n2 = pts.shape[0], pts.shape[1]
-    verts = pts.reshape(-1, 4)
-    ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
-                      (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
-    return verts, quads
+    return grid_quad_mesh(radius * pts + np.asarray(center))
 
 
 _GENERATORS = {

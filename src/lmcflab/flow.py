@@ -11,15 +11,19 @@ arms and diagnostics exclude a boundary collar.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Sequence
+
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import (RangeError, ScanTooLarge, SingularCollapse, SolverFailure,
-                     StabilityViolation, TimeGridMismatch)
+                     StabilityViolation, TimeGridMismatch, VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
-                       ProductLagrangian, as_components, cyclic_tridiagonal,
-                       mean_curvature, require_finite, stencil_weights)
+                       ProductLagrangian, as_components, check_vertices,
+                       cyclic_tridiagonal, edge_ends, mean_curvature,
+                       require_finite, stencil_weights)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
@@ -28,24 +32,64 @@ COLLAPSE_FRACTION = 1e-3
 SELF_INTERSECTION_MAX_PAIRS = 2 ** 21
 
 
-class FlowTrajectory:
-    """Time-indexed geometry states with persistent vertex identity."""
+class LazyStates(Sequence):
+    """States that ``build(index)`` makes on every read and nothing keeps;
+    a slice is a lazy view of the same builder."""
 
-    def __init__(self, times, states, mode="unrescaled", metadata=None):
+    def __init__(self, build, indices):
+        self._build = build
+        self._indices = indices
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LazyStates(self._build, self._indices[k])
+        return self._build(self._indices[k])
+
+
+class FlowTrajectory:
+    """Time-indexed geometry states with persistent vertex identity.
+
+    ``states`` is a list, or a :class:`LazyStates` for generated and product
+    trajectories; :meth:`planes` streams the geometry one block at a time.
+    """
+
+    def __init__(self, times, states, mode="unrescaled", metadata=None,
+                 planes=None):
         self.times = np.asarray(times, dtype=float)
-        self.states = list(states)
+        self.states = states if isinstance(states, LazyStates) else list(states)
         if len(self.states) != self.times.shape[0]:
             raise ValueError("one state per time required")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         self.mode = mode
         self.metadata = dict(metadata or {})
+        self._planes = planes
 
     def __len__(self):
         return len(self.states)
 
-    def component_counts(self):
-        return [len(as_components(s)) for s in self.states]
+    def planes(self, lo, hi):
+        """Per curve component of the states lo..hi-1: (its curve at lo, its
+        vertices as coordinate planes of shape (2, hi - lo, N)). A curve x
+        static-line product gives its curve factor. Raises
+        VertexCountChanged when a component's vertex count changes."""
+        if self._planes is not None:
+            return self._planes(lo, hi)
+        per_state = [_curve_components(s) for s in self.states[lo:hi]]
+        out = []
+        for ci, first in enumerate(per_state[0]):
+            planes = np.empty((2, len(per_state), first.n_vertices))
+            for k, comps in enumerate(per_state):
+                if comps[ci].n_vertices != first.n_vertices:
+                    raise VertexCountChanged(
+                        f"component {ci} has {first.n_vertices} vertices at time "
+                        f"index {lo} and {comps[ci].n_vertices} at {lo + k}")
+                planes[:, k] = comps[ci].vertices.T
+            out.append((first, planes))
+        return out
 
     def state_at(self, t):
         """State at time t by vertex-wise linear interpolation."""
@@ -57,25 +101,50 @@ class FlowTrajectory:
         lam = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
         return _blend_states(self.states[k], self.states[k + 1], lam)
 
-    def restricted(self, t_min, t_max):
-        keep = (self.times >= t_min - 1e-12) & (self.times <= t_max + 1e-12)
-        return FlowTrajectory(self.times[keep],
-                              [s for s, k in zip(self.states, keep) if k],
-                              mode=self.mode, metadata=self.metadata)
-
 
 class AnalyticTrajectory(FlowTrajectory):
-    """Trajectory backed by an exact state generator; state_at is exact."""
+    """Trajectory backed by an exact state generator; state_at is exact.
 
-    def __init__(self, times, generator, mode="unrescaled", metadata=None):
+    ``generator(t)`` builds each state when it is read. ``block``, if given,
+    maps b times to what :meth:`planes` returns for them, in one array pass
+    and equal to the stacked states; each block gets
+    :func:`~lmcflab.geometry.check_vertices`, as each state does.
+    """
+
+    def __init__(self, times, generator, mode="unrescaled", metadata=None,
+                 block=None):
+        times = np.asarray(times, dtype=float)
         self.generator = generator
-        states = [generator(t) for t in np.asarray(times, dtype=float)]
-        super().__init__(times, states, mode=mode, metadata=metadata)
+        self.block = block
+        super().__init__(times, LazyStates(lambda k: generator(times[k]),
+                                           range(len(times))),
+                         mode=mode, metadata=metadata,
+                         planes=None if block is None else self._block_planes)
+
+    def _block_planes(self, lo, hi):
+        out = self.block(self.times[lo:hi])
+        for curve, planes in out:
+            check_vertices(planes, curve.closed)
+        return out
 
     def state_at(self, t):
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise RangeError(f"t={t} outside trajectory range")
         return self.generator(float(t))
+
+
+def _curve_components(state):
+    """Factor-1 curves of a state (products reduce to their curve factor)."""
+    out = []
+    for comp in as_components(state):
+        if isinstance(comp, ProductLagrangian):
+            if comp.factor2_line is None:
+                raise NotImplementedError(
+                    "heat solves support curve x static-line products")
+            out.append(comp.factor1)
+        else:
+            out.append(comp)
+    return out
 
 
 def _blend_states(sa, sb, lam):
@@ -86,7 +155,8 @@ def _blend_states(sa, sb, lam):
             f1 = a.factor1.with_vertices((1 - lam) * a.factor1.vertices
                                          + lam * b.factor1.vertices)
             if a.factor2_line is not None:
-                out.append(_product_with_factor1(a, f1))
+                out.append(ProductLagrangian(f1, a.factor2_line, component_id=a.component_id,
+                                             line_sample=a.factor2))
             else:
                 f2 = a.factor2.with_vertices((1 - lam) * a.factor2.vertices
                                              + lam * b.factor2.vertices)
@@ -94,11 +164,6 @@ def _blend_states(sa, sb, lam):
         else:
             out.append(a.with_vertices((1 - lam) * a.vertices + lam * b.vertices))
     return out if isinstance(sa, (list, tuple)) else out[0]
-
-
-def _product_with_factor1(prod, f1):
-    return ProductLagrangian(f1, prod.factor2_line, component_id=prod.component_id,
-                             line_sample=prod.factor2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +241,11 @@ def redistribute(curve: DiscreteCurve) -> DiscreteCurve:
     Changes material identity; callers record the cadence in metadata.
     """
     v = curve.vertices
-    if curve.closed:
-        pts = np.vstack([v, v[0]])
-    else:
-        pts = v
+    pts = np.vstack([v, v[0]]) if curve.closed else v
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     n = curve.n_vertices
-    s_new = np.linspace(0.0, s[-1], n, endpoint=not curve.closed) if not curve.closed \
-        else np.linspace(0.0, s[-1], n, endpoint=False)
+    s_new = np.linspace(0.0, s[-1], n, endpoint=not curve.closed)
     v_new = np.stack([np.interp(s_new, s, pts[:, k]) for k in range(2)], axis=1)
     return curve.with_vertices(v_new)
 
@@ -218,20 +279,15 @@ def evolve(state, dt, n_steps, scheme="semi_implicit", t0=0.0,
 
 def _scale_component(comp, lam):
     if isinstance(comp, ProductLagrangian):
-        f1 = _scale_curve(comp.factor1, lam)
-        f2 = _scale_curve(comp.factor2, lam)
+        f1 = comp.factor1.with_vertices(lam * comp.factor1.vertices)
+        f2 = comp.factor2.with_vertices(lam * comp.factor2.vertices)
         if comp.factor2_line is not None:
             line = AffineLine(lam * comp.factor2_line.point,
                               comp.factor2_line.direction)
             return ProductLagrangian(f1, line, component_id=comp.component_id,
                                      line_sample=f2)
         return ProductLagrangian(f1, f2, component_id=comp.component_id)
-    return _scale_curve(comp, lam)
-
-
-def _scale_curve(curve, lam):
-    return DiscreteCurve(lam * curve.vertices, closed=curve.closed,
-                         component_id=curve.component_id)
+    return comp.with_vertices(lam * comp.vertices)
 
 
 def scale_state(state, lam):
@@ -244,10 +300,14 @@ def parabolic_rescale(traj: FlowTrajectory, lam: float) -> FlowTrajectory:
     if lam <= 0:
         raise ValueError("lam must be positive")
     if isinstance(traj, AnalyticTrajectory):
-        gen = traj.generator
+        gen, block = traj.generator, traj.block
+        scaled_block = None if block is None else (
+            lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
+                       for c, p in block(t / (lam * lam))])
         return AnalyticTrajectory(lam * lam * traj.times,
                                   lambda t: scale_state(gen(t / (lam * lam)), lam),
-                                  mode=traj.mode, metadata=traj.metadata)
+                                  mode=traj.mode, metadata=traj.metadata,
+                                  block=scaled_block)
     states = [scale_state(s, lam) for s in traj.states]
     return FlowTrajectory(lam * lam * traj.times, states, mode=traj.mode,
                           metadata=dict(traj.metadata, rescaled_by=lam))
@@ -287,11 +347,10 @@ def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> 
 def _rescaled_velocity_residual(traj):
     """Max residual of the rescaled normal speed against H + x^perp/2."""
     worst = 0.0
+    states = [as_components(s) for s in traj.states]
     for k in range(1, len(traj) - 1):
         dtau = traj.times[k + 1] - traj.times[k - 1]
-        for c_prev, c, c_next in zip(as_components(traj.states[k - 1]),
-                                     as_components(traj.states[k]),
-                                     as_components(traj.states[k + 1])):
+        for c_prev, c, c_next in zip(states[k - 1], states[k], states[k + 1]):
             if isinstance(c, ProductLagrangian):
                 c_prev, c, c_next = c_prev.factor1, c.factor1, c_next.factor1
             vel = (c_next.vertices - c_prev.vertices) / dtau
@@ -310,27 +369,32 @@ def product_evolve(traj1: FlowTrajectory, traj2_or_line) -> FlowTrajectory:
     """Product trajectory from a curve trajectory and a curve trajectory/line.
 
     A curve x static-line product evolves each time slice identically; with
-    two trajectories the time grids must agree.
+    two trajectories the time grids must agree. The product states are
+    built when read; a curve x line product streams the planes of traj1.
     """
     if isinstance(traj2_or_line, AffineLine):
         line = traj2_or_line
         sample = line.sample(LINE_EXTENT, LINE_SAMPLES)
-        states = [[ProductLagrangian(c, line, component_id=c.component_id,
-                                     line_sample=sample)
-                   for c in as_components(s)] for s in traj1.states]
-        return FlowTrajectory(traj1.times, states, mode=traj1.mode,
-                              metadata=traj1.metadata)
+
+        def build(k):
+            return [ProductLagrangian(c, line, component_id=c.component_id,
+                                      line_sample=sample)
+                    for c in as_components(traj1.states[k])]
+
+        return FlowTrajectory(traj1.times, LazyStates(build, range(len(traj1))),
+                              mode=traj1.mode, metadata=traj1.metadata,
+                              planes=traj1.planes)
     traj2 = traj2_or_line
     if len(traj1.times) != len(traj2.times) or \
             np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
         raise TimeGridMismatch("factor trajectories live on different time grids")
-    states = []
-    for s1, s2 in zip(traj1.states, traj2.states):
-        c1 = as_components(s1)[0]
-        c2 = as_components(s2)[0]
-        states.append([ProductLagrangian(c1, c2)])
-    return FlowTrajectory(traj1.times, states, mode=traj1.mode,
-                          metadata=traj1.metadata)
+
+    def build_pair(k):
+        return [ProductLagrangian(as_components(traj1.states[k])[0],
+                                  as_components(traj2.states[k])[0])]
+
+    return FlowTrajectory(traj1.times, LazyStates(build_pair, range(len(traj1))),
+                          mode=traj1.mode, metadata=traj1.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +429,7 @@ def state_self_intersects(state) -> bool:
             f"self-intersection limit of {SELF_INTERSECTION_MAX_PAIRS}")
     P1s, P2s, cids, sids, closed_len = [], [], [], [], {}
     for k, c in enumerate(comps):
-        v = c.vertices
-        if c.closed:
-            p1, p2 = v, np.roll(v, -1, axis=0)
-        else:
-            p1, p2 = v[:-1], v[1:]
+        p1, p2 = edge_ends(c.vertices, c.closed)
         m = p1.shape[0]
         P1s.append(p1)
         P2s.append(p2)
@@ -407,12 +467,10 @@ def first_crossing_time(traj: FlowTrajectory):
 def save_trajectory(path, traj: FlowTrajectory) -> None:
     """Write a curve trajectory: JSON metadata header, then per-time blocks
     ``time <t>`` followed by one ``component_id x y`` record per vertex."""
-    import json as _json
-
     with open(path, "w") as fh:
         fh.write("# lmcflab trajectory v1\n")
         meta = dict(traj.metadata, mode=traj.mode)
-        fh.write("# meta " + _json.dumps(meta, sort_keys=True) + "\n")
+        fh.write("# meta " + json.dumps(meta, sort_keys=True) + "\n")
         for t, state in zip(traj.times, traj.states):
             comps = as_components(state)
             if any(isinstance(c, ProductLagrangian) for c in comps):
@@ -426,8 +484,6 @@ def save_trajectory(path, traj: FlowTrajectory) -> None:
 
 def load_trajectory(path) -> FlowTrajectory:
     """Read a trajectory written by :func:`save_trajectory`."""
-    import json as _json
-
     meta = {}
     times = []
     states = []
@@ -451,7 +507,7 @@ def load_trajectory(path) -> FlowTrajectory:
             if not line:
                 continue
             if line.startswith("# meta"):
-                meta = _json.loads(line[len("# meta"):])
+                meta = json.loads(line[len("# meta"):])
                 continue
             if line.startswith("#"):
                 continue

@@ -9,21 +9,24 @@ redistribution) are handled by an advection term built from the measured
 tangential vertex velocity; material trajectories have it near zero.
 
 The heat solve is one pass over the trajectory in blocks of
-``AUDIT_BLOCK`` times: march, then audit on the same geometry. A block
-stacks each component's states as (2, b, N) coordinate planes; one array
-pass gives the post-step edge lengths, tangents, measured tangential
-velocities and step coefficients of all b states, and the field is marched
-through them, one linear solve per step (LAPACK gtsv on the three
-diagonals for open curves, sparse LU on
+``AUDIT_BLOCK`` times: march, then audit on the same geometry. Each block
+reads the trajectory's geometry as (2, b, N) coordinate planes per
+component (:meth:`~lmcflab.flow.FlowTrajectory.planes`): a generated
+trajectory computes them in one array pass and builds no state, a stored
+one stacks its states. One array pass gives the post-step edge lengths,
+tangents, measured tangential velocities and step coefficients of all b
+states, and the field is marched through them, one linear solve per step
+(LAPACK gtsv on the three diagonals for open curves, sparse LU on
 :func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). The centred
 residual audit then runs on the block's planes, edge lengths and tangents.
 Time k needs the field at k + 1, so the audit trails the march by one
-time: a block stacks one state before the march's starting state, and takes
+time: a block reads one state before the march's starting state, and takes
 the geometry of that starting state (a post-step state of the block
-before) once more, one row in b + 1. :func:`heat_residual` audits given
-fields with the same residual rows. The stencils are the vertex-axis
-kernels that :func:`~lmcflab.geometry.laplacian` and
-:func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
+before) once more, one row in b + 1. The march keeps only these rolling
+rows and the fields at the times the caller asks for (``keep``).
+:func:`heat_residual` audits given fields with the same residual rows. The
+stencils are the vertex-axis kernels that :func:`~lmcflab.geometry.laplacian`
+and :func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
 blocked results equal a per-state loop bit for bit. A component whose
 vertex count changes between recorded states raises VertexCountChanged.
 
@@ -32,7 +35,8 @@ reads the caloric primitive only on the first state, where its time gauge
 is zero. It takes the angle and the Liouville primitive of that state and
 runs the holonomy check (NotExact) on the closed components of every
 state; ``caloric_primitive`` builds the gauged field over the whole
-trajectory for callers that need it.
+trajectory for callers that need it. The height keeps the heat field only
+at s1 and builds, besides the first state, only the state at s1.
 
 Products curve x static-line reduce exactly to 1-D solves on the curve
 factor: initial data used here is either constant along the line factor
@@ -50,8 +54,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
-from .errors import ComponentAmbiguity, SolverFailure, VertexCountChanged
-from .flow import FlowTrajectory
+from .errors import ComponentAmbiguity, SolverFailure
+from .flow import FlowTrajectory, _curve_components
 from .geometry import (CoordinateFrame, ProductLagrangian, angle_laplacian,
                        angle_slope, arc_gradient, as_components,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
@@ -64,38 +68,6 @@ from .geometry import (CoordinateFrame, ProductLagrangian, angle_laplacian,
 # fastest on the blow-down ladder's open curves (1.5k-3.5k vertices); 16 and
 # more were slower.
 AUDIT_BLOCK = 8
-
-
-def _curve_components(state):
-    """Factor-1 curves of a state (products reduce to their curve factor)."""
-    out = []
-    for comp in as_components(state):
-        if isinstance(comp, ProductLagrangian):
-            if comp.factor2_line is None:
-                raise NotImplementedError(
-                    "heat solves support curve x static-line products")
-            out.append(comp.factor1)
-        else:
-            out.append(comp)
-    return out
-
-
-def _stacked_components(traj, lo, hi):
-    """Per component of the states lo..hi-1: (its curve at lo, its vertices
-    stacked as coordinate planes of shape (2, hi - lo, N))."""
-    per_state = [_curve_components(s) for s in traj.states[lo:hi]]
-    out = []
-    for ci, first in enumerate(per_state[0]):
-        curves = [comps[ci] for comps in per_state]
-        planes = np.empty((2, len(curves), first.n_vertices))
-        for k, c in enumerate(curves):
-            if c.n_vertices != first.n_vertices:
-                raise VertexCountChanged(
-                    f"component {ci} has {first.n_vertices} vertices at time "
-                    f"index {lo} and {c.n_vertices} at {lo + k}")
-            planes[:, k] = c.vertices.T
-        out.append((first, planes))
-    return out
 
 
 def _march_block(closed, p, h, u, dt, f, out):
@@ -185,7 +157,7 @@ class HeatSolution:
     """Field values along a trajectory plus the centred residual audit."""
 
     times: np.ndarray
-    values: list  # per time: list of per-component arrays
+    values: list  # per time: per-component arrays, or None where not kept
     residual_times: np.ndarray
     residual_sup: np.ndarray
     residual_l2: np.ndarray
@@ -200,51 +172,63 @@ class HeatSolution:
 
 
 def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
-                       growth_bound=None) -> HeatSolution:
+                       growth_bound=None, keep=None) -> HeatSolution:
     """March the heat equation along the trajectory from initial data f0.
 
     f0: list of per-component vertex arrays on the first state. Returns the
-    field at every recorded time with the centred-difference residual audit
-    (collar 2, as :func:`heat_residual`) and the measured polynomial-growth
-    constant. With ``growth_bound`` the declared certificate
-    C (1 + R^growth_degree) is enforced on every state (GrowthUnbounded
-    otherwise).
+    field at the time indices ``keep`` (default: every recorded time; the
+    others hold None), the centred-difference residual audit at every
+    interior time (collar 2, as :func:`heat_residual`) and the measured
+    polynomial-growth constant over every time. With ``growth_bound`` the
+    declared certificate C (1 + R^growth_degree) is enforced on every state
+    (GrowthUnbounded otherwise).
     """
-    comps0 = _curve_components(traj.states[0])
+    times = traj.times
+    first = traj.planes(0, 1)
     f0 = [np.asarray(f, dtype=float).copy() for f in f0]
-    if len(f0) != len(comps0):
+    if len(f0) != len(first):
         raise ValueError("one initial array per component required")
     growth = 0.0
-    for c, f in zip(comps0, f0):
-        growth = max(growth, check_polynomial_growth(f, c.vertices.T, growth_degree,
+    for (c, p), f in zip(first, f0):
+        growth = max(growth, check_polynomial_growth(f, p[:, 0], growth_degree,
                                                      growth_bound))
-    times = traj.times
-    starts = range(1, len(times), AUDIT_BLOCK)
-    # every block's output rows are allocated before the march: kept arrays
+    kept_times = (range(len(times)) if keep is None
+                  else sorted({range(len(times))[k] for k in keep}))
+    # the kept rows and each component's rolling rows (the fields at the
+    # times a block's audit reads) are allocated before the march: arrays
     # allocated among a block's temporaries fragment the heap (peak RSS)
-    outputs = [[np.empty((min(k0 + AUDIT_BLOCK, len(times)) - k0, len(f)))
-                for f in f0] for k0 in starts]
-    values = [f0] + [list(rows) for block in outputs for rows in zip(*block)]
+    kept = [np.empty((len(kept_times), len(f))) for f in f0]
+    rolling = [np.empty((AUDIT_BLOCK + 2, len(f))) for f in f0]
+    values = [None] * len(times)
+    for j, k in enumerate(kept_times):
+        values[k] = [rows[j] for rows in kept]
+    for ci, f in enumerate(f0):
+        rolling[ci][0] = f
+        if values[0] is not None:
+            values[0][ci][:] = f
     sums = _residual_sums(len(times))
-    for k0, block in zip(starts, outputs):
-        k1 = k0 + len(block[0])
+    for k0 in range(1, len(times), AUDIT_BLOCK):
+        k1 = min(k0 + AUDIT_BLOCK, len(times))
         lo = max(k0 - 2, 0)   # the audit of time k0 - 1 reads the state at k0 - 2
         dt = (times[k0:k1] - times[k0 - 1:k1 - 1])[:, None]
-        for ci, (c, p) in enumerate(_stacked_components(traj, lo, k1)):
+        for ci, (c, p) in enumerate(traj.planes(lo, k1)):
+            F = rolling[ci][:k1 - lo]   # the fields at the times lo..k1-1
             # geometry of the states lo + 1 .. k1 - 1: the march reads its
             # post-step states (the last k1 - k0), the audit all but the last
             h = edge_lengths(p[:, 1:], c.closed)
             u = unit_tangents(p[:, 1:], c.closed)
-            fields = block[ci]
             _march_block(c.closed, p[:, k0 - 1 - lo:], h[k0 - k1:],
-                         u[:, k0 - k1:], dt, values[k0 - 1][ci], fields)
-            growth = max(growth, check_polynomial_growth(fields, p[:, k0 - k1:],
+                         u[:, k0 - k1:], dt, F[k0 - 1 - lo], F[k0 - lo:])
+            growth = max(growth, check_polynomial_growth(F[k0 - lo:], p[:, k0 - k1:],
                                                          growth_degree, growth_bound))
             cols = _interior_columns(c, 2)
             if len(h) > 1 and cols is not None:
                 _residual_rows(sums, times, lo + 1, c.closed, cols, p, h[:-1],
-                               u[:, :-1],
-                               np.array([values[k][ci] for k in range(lo, k1)]))
+                               u[:, :-1], F)
+            for k in range(k0, k1):
+                if values[k] is not None:
+                    values[k][ci][:] = F[k - lo]
+            F[:2] = F[-2:]   # the next block's march and audit start here
     sup, l2 = _residual_summary(sums)
     return HeatSolution(traj.times, values, traj.times[1:-1], sup, l2, growth)
 
@@ -306,7 +290,7 @@ def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
     sums = _residual_sums(len(times))
     for k0 in range(1, len(times) - 1, AUDIT_BLOCK):
         k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
-        for ci, (c, p) in enumerate(_stacked_components(traj, k0 - 1, k1 + 1)):
+        for ci, (c, p) in enumerate(traj.planes(k0 - 1, k1 + 1)):
             cols = _interior_columns(c, collar)
             if cols is None:
                 continue
@@ -324,13 +308,12 @@ def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
     Uses seam-free turning-increment operators so closed curves with
     winding (the circle) are handled; returns per-interior-time sup values.
     """
-    thetas = _aligned_angle_fields(traj)
+    comps_per_state = [_curve_components(s) for s in traj.states]
+    thetas = _aligned_angle_fields(comps_per_state)
     sup_list = []
     for k in range(1, len(traj.times) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
-        comps_prev = _curve_components(traj.states[k - 1])
-        comps = _curve_components(traj.states[k])
-        comps_next = _curve_components(traj.states[k + 1])
+        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
         worst = 0.0
         for ci, c in enumerate(comps):
             dfdt = (thetas[k + 1][ci] - thetas[k - 1][ci]) / dt2
@@ -359,12 +342,11 @@ class CaloricPrimitive:
     residual_times: np.ndarray
 
 
-def _aligned_angle_fields(traj):
+def _aligned_angle_fields(comps_per_state):
     """Per-time unwrapped angles with time-continuous branch at the anchor."""
     out = []
     prev = None
-    for state in traj.states:
-        comps = _curve_components(state)
+    for comps in comps_per_state:
         fields = []
         for ci, c in enumerate(comps):
             th = lagrangian_angle(c).values
@@ -387,22 +369,20 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     components with holonomy.
     """
     times = traj.times
-    thetas = _aligned_angle_fields(traj)
-    comps_per_state = [_curve_components(s) for s in traj.states]
+    # each state is built once: a generated trajectory builds it on each read
+    curves = FlowTrajectory(times, [_curve_components(s) for s in traj.states])
+    comps_per_state = curves.states
+    thetas = _aligned_angle_fields(comps_per_state)
     n_comp = len(comps_per_state[0])
-    betas_raw = []
-    for comps in comps_per_state:
-        betas_raw.append([exactness_primitive(c).values for c in comps])
-    g_fields = []
-    for k, t in enumerate(times):
-        g_fields.append([betas_raw[k][ci] + 2.0 * t * thetas[k][ci]
-                         for ci in range(n_comp)])
+    betas_raw = [[exactness_primitive(c).values for c in comps]
+                 for comps in comps_per_state]
+    g_fields = [[betas_raw[k][ci] + 2.0 * t * thetas[k][ci] for ci in range(n_comp)]
+                for k, t in enumerate(times)]
     # raw residual means -> gauge rates
     rates = np.zeros((len(times), n_comp))
     for k in range(1, len(times) - 1):
         dt2 = times[k + 1] - times[k - 1]
-        comps = comps_per_state[k]
-        for ci, c in enumerate(comps):
+        for ci, c in enumerate(comps_per_state[k]):
             dfdt = (g_fields[k + 1][ci] - g_fields[k - 1][ci]) / dt2
             tvec = c.tangents()
             vel = (comps_per_state[k + 1][ci].vertices
@@ -420,12 +400,11 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
         gauge[k] = gauge[k - 1] - 0.5 * dt * (rates[k] + rates[k - 1])
-    beta = []
-    for k in range(len(times)):
-        beta.append([betas_raw[k][ci] + gauge[k, ci] for ci in range(n_comp)])
+    beta = [[betas_raw[k][ci] + gauge[k, ci] for ci in range(n_comp)]
+            for k in range(len(times))]
     g_gauged = [[beta[k][ci] + 2.0 * times[k] * thetas[k][ci]
                  for ci in range(n_comp)] for k in range(len(times))]
-    sup, l2 = heat_residual(traj, g_gauged, collar=collar)
+    sup, l2 = heat_residual(curves, g_gauged, collar=collar)
     return CaloricPrimitive(times, thetas, beta, gauge,
                             np.asarray(sup), np.asarray(l2), times[1:-1])
 
@@ -441,12 +420,6 @@ class BFieldReport:
     residual_times: np.ndarray
     residual_sup: np.ndarray
     identity_scale: float
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,sup_residual\n")
-            for t, s in zip(self.residual_times, self.residual_sup):
-                fh.write(f"{t:.12g},{s:.12g}\n")
 
 
 def _line_offset_sq(comp):
@@ -464,8 +437,10 @@ def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     with the centred operators; at t = s1 the field reduces to cos(beta).
     Exactness of the trajectory is required (NotExact propagates).
     """
-    cp = caloric_primitive(traj, collar=collar)
     times = traj.times
+    states = list(traj.states)   # built once: see caloric_primitive
+    cp = caloric_primitive(FlowTrajectory(times, states), collar=collar)
+    comps_per_state = [_curve_components(s) for s in states]
     B_fields = []
     for k, t in enumerate(times):
         B_fields.append([np.cos(cp.beta[k][ci] + 2.0 * (t - s1) * cp.theta[k][ci])
@@ -475,10 +450,8 @@ def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     for k in range(1, len(times) - 1):
         t = times[k]
         dt2 = times[k + 1] - times[k - 1]
-        comps_prev = _curve_components(traj.states[k - 1])
-        comps = _curve_components(traj.states[k])
-        comps_next = _curve_components(traj.states[k + 1])
-        raw_comps = as_components(traj.states[k])
+        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
+        raw_comps = as_components(states[k])
         worst = 0.0
         for ci, c in enumerate(comps):
             Bp, Bm, Bc = B_fields[k + 1][ci], B_fields[k - 1][ci], B_fields[k][ci]
@@ -512,13 +485,6 @@ class HeightReport:
     beta_bar: list
     z_mode: str
 
-    def to_dict(self):
-        return {"s1": self.s1, "b_bar": list(map(float, self.b_bar)),
-                "sup_difference": list(map(float, self.sup_difference)),
-                "theta_bar": list(map(float, self.theta_bar)),
-                "beta_bar": list(map(float, self.beta_bar)),
-                "z_mode": self.z_mode}
-
 
 def _z_mode(frame: CoordinateFrame) -> str:
     """Where the frame's e_z lives: the curve factor or the line factor."""
@@ -531,20 +497,22 @@ def _z_mode(frame: CoordinateFrame) -> str:
 
 
 def _initial_caloric_data(traj: FlowTrajectory):
-    """Per-component angle theta and Liouville primitive beta on the first
-    state: ``caloric_primitive(traj).theta[0]`` and ``.beta[0]`` (the gauge
-    vanishes at the first time) without the rest of the trajectory's gauged
-    field. NotExact propagates from closed components with holonomy on any
-    recorded state, as from caloric_primitive.
+    """The curves of the first state with their angle theta and Liouville
+    primitive beta: ``caloric_primitive(traj).theta[0]`` and ``.beta[0]``
+    (the gauge vanishes at the first time) without the rest of the
+    trajectory's gauged field. NotExact propagates from closed components
+    with holonomy on any recorded state, as from caloric_primitive; the
+    later states are built only when a component is closed.
     """
     comps0 = _curve_components(traj.states[0])
     theta0 = [lagrangian_angle(c).values for c in comps0]
     beta0 = [exactness_primitive(c).values for c in comps0]
-    for state in traj.states[1:]:
-        for c in _curve_components(state):
-            if c.closed:
-                exactness_primitive(c)
-    return theta0, beta0
+    if any(c.closed for c in comps0):
+        for state in traj.states[1:]:
+            for c in _curve_components(state):
+                if c.closed:
+                    exactness_primitive(c)
+    return comps0, theta0, beta0
 
 
 def _measure_limit_constants(theta0, beta0, comps0, pieces, r_lo=0.3, r_hi=2.0):
@@ -621,8 +589,7 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     if abs(traj.times[0] + 1.0) > 1e-9:
         raise ValueError("trajectory must start at t = -1")
     mode = _z_mode(frame)
-    theta0, beta0 = _initial_caloric_data(traj)
-    comps0 = _curve_components(traj.states[0])
+    comps0, theta0, beta0 = _initial_caloric_data(traj)
     B0 = [np.cos(beta0[ci] + 2.0 * (traj.times[0] - s1) * theta0[ci])
           for ci in range(len(comps0))]
     if mode == "factor1":
@@ -630,8 +597,8 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
         f0 = [B0[ci] * (comps0[ci].vertices @ ez2) for ci in range(len(comps0))]
     else:
         f0 = B0  # separated ansatz h = g(p, t) * z(q)
-    sol = solve_heat_on_flow(traj, f0)
     k1 = int(np.argmin(np.abs(traj.times - s1)))
+    sol = solve_heat_on_flow(traj, f0, keep=[k1])
     comps = _curve_components(traj.states[k1])
     pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
     if len(pieces) < 2:
@@ -666,8 +633,7 @@ def select_s1(traj: FlowTrajectory, frame: CoordinateFrame,
     """
     if candidates is None:
         candidates = np.linspace(-0.45, -0.05, 9)
-    theta0, beta0 = _initial_caloric_data(traj)
-    comps0 = _curve_components(traj.states[0])
+    comps0, theta0, beta0 = _initial_caloric_data(traj)
     best, best_margin = None, -1.0
     for s1 in candidates:
         k1 = int(np.argmin(np.abs(traj.times - s1)))

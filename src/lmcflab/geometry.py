@@ -15,14 +15,16 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadFrame, DegenerateEdge, NotExact, SolverFailure
+from .errors import (BadFrame, DegenerateEdge, NonFiniteVertex, NotExact,
+                     SolverFailure)
 
 # Closed components keep holonomy below this fraction of total length to
 # count as exact; separates quadrature noise from genuine holonomy.
@@ -67,12 +69,7 @@ class DiscreteCurve:
             v = v[:-1]
             if v.shape[0] < n_min:
                 raise ValueError("closed curve needs >= 8 distinct vertices")
-        # an edge has hypot(dx, dy) <= 0 exactly when dx == dy == 0
-        # (subnormal, signed-zero, NaN and inf increments included)
-        zero = np.diff(v, axis=0) == 0.0
-        if (np.any(zero[:, 0] & zero[:, 1])
-                or (closed and np.all(v[0] - v[-1] == 0.0))):
-            raise DegenerateEdge("consecutive vertices coincide")
+        check_vertices(v.T, closed)
         self.vertices = v
         self.closed = bool(closed)
         self.component_id = int(component_id)
@@ -136,6 +133,14 @@ class ScalarField:
 # A single curve passes ``vertices.T``; the time-blocked heat solve and
 # audit in flowheat pass (2, b, N) stacks of b states, so both run the same
 # arithmetic and agree bit for bit.
+
+
+def edge_ends(a: np.ndarray, closed: bool):
+    """(start, end) rows of every edge from per-vertex rows a (vertex axis
+    first); closed curves include the wrap-around edge."""
+    if closed:
+        return a, np.roll(a, -1, axis=0)
+    return a[:-1], a[1:]
 
 
 def edge_increments(f: np.ndarray, closed: bool) -> np.ndarray:
@@ -234,6 +239,20 @@ def require_finite(*arrays):
             raise SolverFailure("non-finite coefficient or field in an implicit step")
 
 
+def check_vertices(p: np.ndarray, closed: bool) -> None:
+    """Refuse the polylines with coordinate planes p (2, ..., N):
+    NonFiniteVertex for a NaN or inf coordinate, DegenerateEdge for two
+    coinciding consecutive vertices (closed curves: the wrap-around edge
+    too), the edges with hypot(dx, dy) <= 0. Finite coordinates have a zero
+    increment exactly where they are equal, signed zeros included."""
+    if not np.isfinite(p).all():
+        raise NonFiniteVertex("vertex with a NaN or infinite coordinate")
+    same = p[..., 1:] == p[..., :-1]
+    wrap = closed and np.all(p[..., -1] == p[..., 0], axis=0).any()
+    if wrap or np.any(same[0] & same[1]):
+        raise DegenerateEdge("consecutive vertices coincide")
+
+
 def edge_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
     """Edge lengths of the polylines with coordinate planes p."""
     e = edge_increments(p, closed)
@@ -268,12 +287,7 @@ def lagrangian_angle(curve: DiscreteCurve) -> ScalarField:
 
 def angle_increments(curve: DiscreteCurve) -> np.ndarray:
     """Turning angle per edge (principal branch), seam-free on closed curves."""
-    t = curve.tangents()
-    if curve.closed:
-        t_next = np.roll(t, -1, axis=0)
-    else:
-        t_next = t[1:]
-        t = t[:-1]
+    t, t_next = edge_ends(curve.tangents(), curve.closed)
     cross = t[:, 0] * t_next[:, 1] - t[:, 1] * t_next[:, 0]
     dot = np.einsum("ij,ij->i", t, t_next)
     return np.arctan2(cross, dot)
@@ -345,12 +359,7 @@ def liouville_edge_integrals(curve: DiscreteCurve) -> np.ndarray:
     The trapezoid rule is exact for this linear form on straight segments
     and reduces to the cross product of the endpoints.
     """
-    v = curve.vertices
-    if curve.closed:
-        q = np.roll(v, -1, axis=0)
-    else:
-        q = v[1:]
-        v = v[:-1]
+    v, q = edge_ends(curve.vertices, curve.closed)
     return v[:, 0] * q[:, 1] - v[:, 1] * q[:, 0]
 
 
@@ -473,24 +482,20 @@ class ProductLagrangian:
         out[:, :, 2:4] = H2[None, :, :]
         return out
 
-    def normal_position_grid(self) -> np.ndarray:
-        """x^perp of the product position per grid point."""
-        X = self.position_grid()
-        T1, T2 = self.tangent_grids()
-        for T in (T1, T2):
-            X = X - np.einsum("ijk,ijk->ij", X, T)[:, :, None] * T
-        return X
-
     def quad_mesh(self):
         """Vertices (N1*N2, 4) and quad index array for the mesh in R^4."""
-        X = self.position_grid()
-        n1, n2 = X.shape[0], X.shape[1]
-        verts = X.reshape(-1, 4)
-        ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
-                          (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
-        return verts, quads
+        return grid_quad_mesh(self.position_grid())
+
+
+def grid_quad_mesh(X: np.ndarray):
+    """Vertices (n1*n2, 4) and the (i, j) -> (i+1, j) -> (i+1, j+1) ->
+    (i, j+1) quads of a point grid X of shape (n1, n2, 4)."""
+    n1, n2 = X.shape[0], X.shape[1]
+    ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
+                      (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
+    return X.reshape(-1, 4), quads
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +523,6 @@ class CoordinateFrame:
     @property
     def dim(self) -> int:
         return self.e_z.shape[0]
-
-    def z_of(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.e_z
 
     def w_of(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.e_w
@@ -601,10 +603,6 @@ class PlanePairConfig:
     intersection_dim: int
     frame: CoordinateFrame
 
-    @property
-    def angle_gap(self) -> float:
-        return float(self.angles[0] - self.angles[1])
-
 
 def make_plane_pair(angles, intersection_dim: int, frame: Optional[CoordinateFrame] = None,
                     n: int = 2) -> PlanePairConfig:
@@ -672,8 +670,6 @@ def save_curves(path, curves) -> None:
 
 def save_plane_pair(path, pair: PlanePairConfig) -> None:
     """Serialize a plane pair as frame matrices plus angles (JSON)."""
-    import json as _json
-
     payload = {
         "n": pair.n,
         "intersection_dim": pair.intersection_dim,
@@ -686,15 +682,13 @@ def save_plane_pair(path, pair: PlanePairConfig) -> None:
                                  for row in pair.frame.transverse]},
     }
     with open(path, "w") as fh:
-        _json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def load_plane_pair(path) -> PlanePairConfig:
     """Read a plane pair written by :func:`save_plane_pair`."""
-    import json as _json
-
     with open(path) as fh:
-        payload = _json.load(fh)
+        payload = json.load(fh)
     frame = CoordinateFrame(np.asarray(payload["frame"]["e_z"]),
                             np.asarray(payload["frame"]["e_w"]),
                             np.asarray(payload["frame"]["transverse"]))

@@ -577,10 +577,6 @@ class SeparationReport:
     holds: bool
     margins: dict
 
-    def to_dict(self):
-        return {"holds": bool(self.holds),
-                "margins": {k: float(v) for k, v in self.margins.items()}}
-
 
 def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
                          b0: float, z_cut: float = 0.5) -> SeparationReport:

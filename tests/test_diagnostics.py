@@ -10,7 +10,7 @@ from lmcflab import diagnostics as dg
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import geometry as geo
-from lmcflab.errors import ScanTooLarge, WindowInPast
+from lmcflab.errors import NonFiniteVertex, ScanTooLarge, WindowInPast
 
 CIRCLE_ENTROPY = np.sqrt(2.0 * np.pi / np.e)  # ~ 1.5203
 
@@ -267,3 +267,13 @@ def test_angle_oscillation_reported_not_enforced():
     rep_c = dg.angle_oscillation(fx.make_circle(1.0, 64))
     assert not rep_c["almost_calibrated"]
     assert abs(rep_c["oscillation"] - 2 * np.pi * (1 - 1 / 64)) < 1e-9
+
+
+def test_nan_vertex_never_reaches_the_gaussian_mass():
+    # such a curve used to build, and its Gaussian mass at the origin read 0.0
+    with pytest.raises(NonFiniteVertex):
+        geo.DiscreteCurve([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]])
+    with pytest.raises(NonFiniteVertex):
+        geo.DiscreteCurve([[0.0, 0.0], [np.inf, 1.0], [1.0, 0.0]])
+    curve = geo.DiscreteCurve([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]])
+    assert dg.edge_gaussian_mass(curve, np.zeros(2), 0.25) > 0.0

@@ -11,8 +11,8 @@ from scipy.linalg import solve_banded
 from lmcflab import flow
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
-from lmcflab.errors import (RangeError, ScanTooLarge, SolverFailure,
-                            StabilityViolation, TimeGridMismatch)
+from lmcflab.errors import (NonFiniteVertex, RangeError, ScanTooLarge,
+                            SolverFailure, StabilityViolation, TimeGridMismatch)
 from lmcflab.flow import SingularCollapse
 
 
@@ -279,8 +279,12 @@ def test_semi_implicit_step_equals_band_and_coo_paths(closed, n):
 def test_semi_implicit_step_refuses_nan_vertex(closed):
     v = fx.make_circle(1.0, 32).vertices.copy()
     v[5, 0] = np.nan
-    with pytest.raises(SolverFailure):
+    with pytest.raises(NonFiniteVertex):   # no such curve reaches a step
         flow.step_flow_semi_implicit(geo.DiscreteCurve(v, closed=closed), 1e-3)
+    # finite vertices 1e-170 apart give infinite couplings 2 / h^2
+    tiny = geo.DiscreteCurve(1e-170 * fx.make_circle(1.0, 32).vertices, closed=closed)
+    with pytest.raises(SolverFailure), np.errstate(divide="ignore", over="ignore"):
+        flow.step_flow_semi_implicit(tiny, 1e-3)
 
 
 @pytest.mark.parametrize("closed", [False, True])

@@ -12,8 +12,9 @@ from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
-from lmcflab.errors import (ComponentAmbiguity, GrowthUnbounded, NotExact,
-                            SolverFailure, VertexCountChanged)
+from lmcflab.errors import (ComponentAmbiguity, GrowthUnbounded,
+                            NonFiniteVertex, NotExact, SolverFailure,
+                            VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
@@ -444,9 +445,12 @@ def test_non_finite_heat_input_raises_solver_failure(kind):
     later = fh._curve_components(traj.states[2])[0]
     v = later.vertices.copy()
     v[later.n_vertices // 2] = np.nan
+    with pytest.raises(NonFiniteVertex):   # no such state reaches a solve
+        later.with_vertices(v)
+    # a later state 1e307 across has finite vertices and an infinite speed
     states = list(traj.states)
-    states[2] = later.with_vertices(v)
-    with pytest.raises(SolverFailure):
+    states[2] = later.with_vertices(1e307 * later.vertices)
+    with pytest.raises(SolverFailure), np.errstate(over="ignore", invalid="ignore"):
         fh.solve_heat_on_flow(flow.FlowTrajectory(traj.times, states),
                               [curve.vertices[:, 1]])
 
@@ -475,8 +479,10 @@ def test_implicit_steps_refuse_non_finite_input(closed):
 @pytest.mark.parametrize("kind", ["open", "product", "two"])
 def test_initial_caloric_data_equals_caloric_primitive(kind):
     traj = _audit_trajectory(kind, 3)
-    theta0, beta0 = fh._initial_caloric_data(traj)
+    comps0, theta0, beta0 = fh._initial_caloric_data(traj)
     cp = fh.caloric_primitive(traj)
+    for got, want in zip(comps0, fh._curve_components(traj.states[0])):
+        assert np.array_equal(got.vertices, want.vertices)
     assert len(theta0) == len(cp.theta[0]) == len(beta0)
     for got, want in zip(theta0, cp.theta[0]):
         assert np.array_equal(got, want)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from lmcflab import geometry as geo
-from lmcflab.errors import BadFrame, DegenerateEdge, NotExact
+from lmcflab.errors import BadFrame, DegenerateEdge, NonFiniteVertex, NotExact
 from lmcflab import fixtures as fx
 
 
@@ -65,7 +65,7 @@ def test_degenerate_edge_check_matches_hypot(x, y, closed):
     # the edge from (x, y) to the origin sits mid-curve and, on closed
     # curves, also at the wrap-around edge left after the constructor drops
     # a duplicated endpoint; its increments include subnormals, signed
-    # zeros, NaN and inf
+    # zeros, NaN and inf, and a NaN or inf vertex is refused before them
     base = np.stack([np.cos(np.arange(10) * 0.6), np.sin(np.arange(10) * 0.6)], 1)
     mid = base.copy()
     mid[5] = [x, y]
@@ -75,11 +75,27 @@ def test_degenerate_edge_check_matches_hypot(x, y, closed):
     wrap[-2] = [x, y]
     for v in (mid, wrap):
         kept = v[:-1] if closed and np.allclose(v[0], v[-1]) else v
-        if hypot_degenerate_oracle(kept, closed):
+        if not np.isfinite(kept).all():
+            with pytest.raises(NonFiniteVertex):
+                geo.DiscreteCurve(v, closed=closed)
+        elif hypot_degenerate_oracle(kept, closed):
             with pytest.raises(DegenerateEdge):
                 geo.DiscreteCurve(v, closed=closed)
         else:
             geo.DiscreteCurve(v, closed=closed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("closed", [False, True])
+def test_non_finite_vertices_are_refused(bad, closed):
+    v = fx.make_circle(1.0, 16).vertices.copy()
+    v[3, 1] = bad
+    with pytest.raises(NonFiniteVertex):
+        geo.DiscreteCurve(v, closed=closed)
+    block = np.stack([fx.make_circle(1.0, 16).vertices.T, v.T], axis=1)
+    geo.check_vertices(block[:, :1], closed)
+    with pytest.raises(NonFiniteVertex):   # the same check on a block of states
+        geo.check_vertices(block, closed)
 
 
 def test_mean_curvature_line_zero():
