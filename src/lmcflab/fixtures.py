@@ -240,16 +240,13 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
 
     base = grim_reaper_point(np.asarray(s_grid, dtype=float), speed)
 
-    def gen(t):
-        return DiscreteCurve(base + np.array([0.0, speed * t]))
-
     def block(t):
         # the vertices base + (0, speed t) of every time in one broadcast
         p = base.T[:, None, :] + np.stack([np.zeros_like(t), speed * t])[:, :, None]
         return [(DiscreteCurve(p[:, 0].T), p)]
 
     times = np.arange(t0, t1 + 0.5 * dt, dt)
-    return AnalyticTrajectory(times, gen, block=block)
+    return AnalyticTrajectory(times, block=block)
 
 
 def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
@@ -261,17 +258,13 @@ def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     center = np.asarray(center, dtype=float)
 
-    def gen(t):
-        r = np.sqrt(r0 * r0 - 2.0 * (t - t0))
-        return DiscreteCurve(r * unit + center, closed=True)
-
     def block(t):
         r = np.sqrt(r0 * r0 - 2.0 * (t - t0))
         p = r[:, None] * unit.T[:, None, :] + center[:, None, None]
         return [(DiscreteCurve(p[:, 0].T, closed=True), p)]
 
     times = np.arange(t0, t1 + 0.5 * dt, dt)
-    return AnalyticTrajectory(times, gen, block=block)
+    return AnalyticTrajectory(times, block=block)
 
 
 def make_hopf_fibers(q1=(1.0, 0.0, 0.0, 0.0), q2=(0.0, 0.0, 1.0, 0.0), n=256):

@@ -79,17 +79,14 @@ class FlowTrajectory:
         if self._planes is not None:
             return self._planes(lo, hi)
         per_state = [_curve_components(s) for s in self.states[lo:hi]]
-        out = []
         for ci, first in enumerate(per_state[0]):
-            planes = np.empty((2, len(per_state), first.n_vertices))
             for k, comps in enumerate(per_state):
                 if comps[ci].n_vertices != first.n_vertices:
                     raise VertexCountChanged(
                         f"component {ci} has {first.n_vertices} vertices at time "
                         f"index {lo} and {comps[ci].n_vertices} at {lo + k}")
-                planes[:, k] = comps[ci].vertices.T
-            out.append((first, planes))
-        return out
+        return [(first, np.stack([comps[ci].vertices.T for comps in per_state], axis=1))
+                for ci, first in enumerate(per_state[0])]
 
     def state_at(self, t):
         """State at time t by vertex-wise linear interpolation."""
@@ -106,17 +103,19 @@ class AnalyticTrajectory(FlowTrajectory):
     """Trajectory backed by an exact state generator; state_at is exact.
 
     ``generator(t)`` builds each state when it is read. ``block``, if given,
-    maps b times to what :meth:`planes` returns for them, in one array pass
-    and equal to the stacked states; each block gets
-    :func:`~lmcflab.geometry.check_vertices`, as each state does.
+    maps b times to what :meth:`planes` returns for them, in one array pass;
+    each block gets :func:`~lmcflab.geometry.check_vertices`, as each state
+    does. Without a generator a state is the block's curves at its one time.
     """
 
-    def __init__(self, times, generator, mode="unrescaled", metadata=None,
+    def __init__(self, times, generator=None, mode="unrescaled", metadata=None,
                  block=None):
         times = np.asarray(times, dtype=float)
-        self.generator = generator
+        if generator is None and block is None:
+            raise ValueError("a generator or a block form is required")
+        self.generator = generator or (lambda t: _block_state(block, t))
         self.block = block
-        super().__init__(times, LazyStates(lambda k: generator(times[k]),
+        super().__init__(times, LazyStates(lambda k: self.generator(times[k]),
                                            range(len(times))),
                          mode=mode, metadata=metadata,
                          planes=None if block is None else self._block_planes)
@@ -131,6 +130,12 @@ class AnalyticTrajectory(FlowTrajectory):
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise RangeError(f"t={t} outside trajectory range")
         return self.generator(float(t))
+
+
+def _block_state(block, t):
+    """The state at time t of a trajectory given by its block form."""
+    curves = [c for c, _ in block(np.array([t]))]
+    return curves if len(curves) > 1 else curves[0]
 
 
 def _curve_components(state):
@@ -301,13 +306,13 @@ def parabolic_rescale(traj: FlowTrajectory, lam: float) -> FlowTrajectory:
         raise ValueError("lam must be positive")
     if isinstance(traj, AnalyticTrajectory):
         gen, block = traj.generator, traj.block
-        scaled_block = None if block is None else (
-            lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
-                       for c, p in block(t / (lam * lam))])
-        return AnalyticTrajectory(lam * lam * traj.times,
-                                  lambda t: scale_state(gen(t / (lam * lam)), lam),
-                                  mode=traj.mode, metadata=traj.metadata,
-                                  block=scaled_block)
+        if block is None:
+            return AnalyticTrajectory(lam * lam * traj.times,
+                                      lambda t: scale_state(gen(t / (lam * lam)), lam),
+                                      mode=traj.mode, metadata=traj.metadata)
+        return AnalyticTrajectory(lam * lam * traj.times, mode=traj.mode, metadata=traj.metadata,
+                                  block=lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
+                                                   for c, p in block(t / (lam * lam))])
     states = [scale_state(s, lam) for s in traj.states]
     return FlowTrajectory(lam * lam * traj.times, states, mode=traj.mode,
                           metadata=dict(traj.metadata, rescaled_by=lam))

@@ -285,6 +285,7 @@ def scenario_caloric_identities(params, seed, outputs):
         dt = 0.5 * h * h
         traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                   t1=60 * dt, dt=dt)
+        traj = flow.FlowTrajectory(traj.times, list(traj.states))  # built once
         vals = [[flow.as_components(s)[0].vertices[:, 1]] for s in traj.states]
         sup, _ = fh.heat_residual(traj, vals, collar=4)
         sups_g.append(float(np.max(sup)))
@@ -392,6 +393,20 @@ def scenario_linking_suite(params, seed, outputs):
     return metrics, checks, {"transverse_raw": 1e-6}
 
 
+def ladder_rung(lam, base_speed, s1, dt):
+    """The curve factor of one blow-down-ladder rung: the sliding grim reaper
+    of speed base_speed / lam from t = -1 to s1."""
+    c = base_speed / lam
+    lo, hi = max(c * abs(s1) - 8.0, 0.5), c + 10.0
+    # resolve the tip (curvature ~ c), the window band, and the arms
+    s_half = np.unique(np.concatenate([np.arange(0.0, 6.0 / c, 0.2 / c),
+                                       np.arange(6.0 / c, lo, 0.4),
+                                       np.arange(lo, hi, 0.04), [hi]]))
+    s_half = s_half[np.concatenate([[True], np.diff(s_half) > 1e-9])]
+    s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
+    return fx.grim_reaper_sliding_trajectory(c, s_grid, t0=-1.0, t1=s1, dt=dt)
+
+
 def scenario_blow_down_ladder(params, seed, outputs):
     lams = params.get("lambdas", (0.2, 0.1, 0.05))
     base_speed = params.get("base_speed", 4.0)
@@ -430,18 +445,7 @@ def scenario_blow_down_ladder(params, seed, outputs):
     # approximate caloric height along the same ladder
     sups = []
     for lam in lams:
-        c = base_speed / lam
-        lo = max(c * abs(s1) - 8.0, 0.5)
-        hi = c + 10.0
-        # resolve the tip (curvature ~ c), the window band, and the arms
-        s_tip = np.arange(0.0, 6.0 / c, 0.2 / c)
-        s_mid = np.arange(6.0 / c, lo, 0.4)
-        s_fine = np.arange(lo, hi, 0.04)
-        s_half = np.unique(np.concatenate([s_tip, s_mid, s_fine, [hi]]))
-        s_half = s_half[np.concatenate([[True], np.diff(s_half) > 1e-9])]
-        s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
-        traj = fx.grim_reaper_sliding_trajectory(c, s_grid, t0=-1.0,
-                                                 t1=s1, dt=dt)
+        traj = ladder_rung(lam, base_speed, s1, dt)
         prod_traj = flow.product_evolve(traj, AffineLine((0.0, 0.0), (1.0, 0.0)))
         _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)
         rep = fh.approx_height_solution(prod_traj, s1=s1, frame=frame)

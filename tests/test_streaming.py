@@ -14,6 +14,7 @@ from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
+from lmcflab import scenarios
 from lmcflab.errors import DegenerateEdge, NonFiniteVertex, VertexCountChanged
 
 LINE = geo.AffineLine((0.0, 0.0), (1.0, 0.0))
@@ -81,6 +82,29 @@ def test_generated_planes_are_used_where_a_block_form_exists():
         assert flow.parabolic_rescale(traj, 2.0).block is not None
         assert flow.product_evolve(traj, LINE).planes(2, 5)[0][1].shape[:2] == (2, 3)
     assert base_trajectory("material").block is None
+
+
+def test_block_states_equal_the_closed_form_states():
+    """A state read from a block form is, bit for bit, the closed-form curve
+    at its time: the sliding reaper base + (0, c t), the circle r(t) unit +
+    center; a parabolic rescale scales it."""
+    s_grid = np.linspace(-3.0, 3.0, 61)
+    phi = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    unit = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    closed_form = {
+        "sliding": lambda t: fx.grim_reaper_point(s_grid, 2.0) + np.array([0.0, 2.0 * t]),
+        "circle": lambda t: np.sqrt(1.0 - 2.0 * (t - 0.0)) * unit + np.array([0.3, -0.2]),
+    }
+    for kind, vertices in closed_form.items():
+        for lam in (None, 0.5, 0.1 ** 0.5):
+            traj = trajectory(kind, "curve", lam)
+            scale = 1.0 if lam is None else lam
+            for k, t in enumerate(traj.times):
+                want = scale * vertices(t / (scale * scale)) if lam else vertices(t)
+                assert traj.states[k].vertices.tobytes() == want.tobytes()
+                assert traj.state_at(t).vertices.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        flow.AnalyticTrajectory([0.0, 1.0])
 
 
 def _stored(traj):
@@ -171,8 +195,7 @@ def test_product_states_are_lazy_and_share_one_line_sample():
 
 
 def _generated(block_of, times):
-    return flow.AnalyticTrajectory(times, lambda t: block_of(np.array([t]))[0][0],
-                                   block=block_of)
+    return flow.AnalyticTrajectory(times, block=block_of)
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -264,16 +287,9 @@ def test_each_state_is_built_once_per_call(call):
     assert built == Counter(range(len(traj)))
 
 
-def ladder_rung(lam, base_speed=4.0, s1=-0.4, dt=5e-4):
-    """The blow-down ladder's product trajectory for one lam (its grid)."""
-    c = base_speed / lam
-    lo, hi = max(c * abs(s1) - 8.0, 0.5), c + 10.0
-    s_half = np.unique(np.concatenate([np.arange(0.0, 6.0 / c, 0.2 / c),
-                                       np.arange(6.0 / c, lo, 0.4),
-                                       np.arange(lo, hi, 0.04), [hi]]))
-    s_half = s_half[np.concatenate([[True], np.diff(s_half) > 1e-9])]
-    s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
-    return fx.grim_reaper_sliding_trajectory(c, s_grid, t0=-1.0, t1=s1, dt=dt)
+def ladder_rung(lam):
+    """The curve factor of a blow-down-ladder rung at the scenario's defaults."""
+    return scenarios.ladder_rung(lam, base_speed=4.0, s1=-0.4, dt=5e-4)
 
 
 def test_height_builds_only_the_first_state_and_the_state_at_s1():
