@@ -44,17 +44,11 @@ def _write_json(out, name, payload):
 
 def _make_fixture_state(cfg):
     name = cfg.get("fixture", "circle")
-    params = dict(cfg.get("fixture_params", {}))
-    if name == "circle":
-        return fx.make_circle(**params)
-    if name == "line":
-        return fx.make_line(**params)
-    if name == "line-pair":
-        return fx.make_line_pair(params.pop("angle1", 0.5),
-                                 params.pop("angle2", -0.5), **params)
-    if name == "grim-reaper":
-        return fx.make_grim_reaper(**params)[0]
-    raise SystemExit(f"unsupported curve fixture {name!r} for this command")
+    if name not in ("circle", "line", "line-pair", "grim-reaper"):
+        raise SystemExit(f"unsupported curve fixture {name!r} for this command")
+    params = {"angle1": 0.5, "angle2": -0.5} if name == "line-pair" else {}
+    state = fx.generate_fixture(name, **{**params, **cfg.get("fixture_params", {})})
+    return state[0] if name == "grim-reaper" else state   # (curve, theta_ref)
 
 
 def cmd_simulate(args):

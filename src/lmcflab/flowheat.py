@@ -8,22 +8,21 @@ step. Vertex correspondences that move tangentially (pinned ends,
 redistribution) are handled by an advection term built from the measured
 tangential vertex velocity; material trajectories have it near zero.
 
-The heat solve is one pass over the trajectory in blocks of
-``AUDIT_BLOCK`` times: march, then audit on the same geometry. Each block
-reads the trajectory's geometry as (2, b, N) coordinate planes per
-component (:meth:`~lmcflab.flow.FlowTrajectory.planes`): a generated
-trajectory computes them in one array pass and builds no state, a stored
-one stacks its states. One array pass gives the post-step edge lengths,
-tangents, measured tangential velocities and step coefficients of all b
-states, and the field is marched through them, one linear solve per step
-(LAPACK gtsv on the three diagonals for open curves, sparse LU on
-:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). The centred
-residual audit then runs on the block's planes, edge lengths and tangents.
-Time k needs the field at k + 1, so the audit trails the march by one
-time: a block reads one state before the march's starting state, and takes
-the geometry of that starting state (a post-step state of the block
-before) once more, one row in b + 1. The march keeps only these rolling
-rows and the fields at the times the caller asks for (``keep``).
+The heat march (``_march``) walks the trajectory in blocks of
+``AUDIT_BLOCK`` times, reading the b + 1 states a block's march needs as
+(2, b + 1, N) coordinate planes per component
+(:meth:`~lmcflab.flow.FlowTrajectory.planes`): a generated trajectory
+computes them in one array pass and builds no state, a stored one stacks
+its states. One array pass gives the post-step edge lengths, tangents,
+measured tangential velocities and step coefficients of all b states, and
+the field is marched through them, one linear solve per step (LAPACK gtsv
+on the three diagonals for open curves, sparse LU on
+:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). Of its two
+consumers, :func:`solve_heat_on_flow` keeps every field, measures the
+growth and runs the centred residual audit on the march's geometry,
+trailing it by one time (time k needs the field at k + 1);
+:func:`heat_field_at` marches only up to one time, with every check of the
+march and no audit or growth measurement.
 :func:`heat_residual` audits given fields with the same residual rows. The
 stencils are the vertex-axis kernels that :func:`~lmcflab.geometry.laplacian`
 and :func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
@@ -35,8 +34,9 @@ reads the caloric primitive only on the first state, where its time gauge
 is zero. It takes the angle and the Liouville primitive of that state and
 runs the holonomy check (NotExact) on the closed components of every
 state; ``caloric_primitive`` builds the gauged field over the whole
-trajectory for callers that need it. The height keeps the heat field only
-at s1 and builds, besides the first state, only the state at s1.
+trajectory for callers that need it. The height marches the heat field
+only up to s1 (:func:`heat_field_at`) and builds, besides the first state,
+only the state at s1.
 
 Products curve x static-line reduce exactly to 1-D solves on the curve
 factor: initial data used here is either constant along the line factor
@@ -157,7 +157,7 @@ class HeatSolution:
     """Field values along a trajectory plus the centred residual audit."""
 
     times: np.ndarray
-    values: list  # per time: per-component arrays, or None where not kept
+    values: list  # per time: per-component arrays
     residual_times: np.ndarray
     residual_sup: np.ndarray
     residual_l2: np.ndarray
@@ -171,66 +171,86 @@ class HeatSolution:
                 fh.write(f"{t:.12g},{s:.12g},{l:.12g}\n")
 
 
-def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
-                       growth_bound=None, keep=None) -> HeatSolution:
-    """March the heat equation along the trajectory from initial data f0.
+def _march(traj, f0, stop):
+    """The heat march from the fields f0 through the times 1..stop-1.
 
-    f0: list of per-component vertex arrays on the first state. Returns the
-    field at the time indices ``keep`` (default: every recorded time; the
-    others hold None), the centred-difference residual audit at every
-    interior time (collar 2, as :func:`heat_residual`) and the measured
-    polynomial-growth constant over every time. With ``growth_bound`` the
-    declared certificate C (1 + R^growth_degree) is enforced on every state
-    (GrowthUnbounded otherwise).
+    Yields (k0, k1, per component (curve, p, h, u, F)): first (0, 1), the
+    first state's planes p with no geometry and the fields f0; then per
+    block the planes of the states k0-1..k1-1, the edge lengths and unit
+    tangents of the post-step states k0..k1-1 and the fields at the times
+    k0-1..k1-1, rows the next block overwrites.
     """
     times = traj.times
     first = traj.planes(0, 1)
-    f0 = [np.asarray(f, dtype=float).copy() for f in f0]
     if len(f0) != len(first):
         raise ValueError("one initial array per component required")
-    growth = 0.0
-    for (c, p), f in zip(first, f0):
-        growth = max(growth, check_polynomial_growth(f, p[:, 0], growth_degree,
-                                                     growth_bound))
-    kept_times = (range(len(times)) if keep is None
-                  else sorted({range(len(times))[k] for k in keep}))
-    # the kept rows and each component's rolling rows (the fields at the
-    # times a block's audit reads) are allocated before the march: arrays
-    # allocated among a block's temporaries fragment the heap (peak RSS)
-    kept = [np.empty((len(kept_times), len(f))) for f in f0]
-    rolling = [np.empty((AUDIT_BLOCK + 2, len(f))) for f in f0]
-    values = [None] * len(times)
-    for j, k in enumerate(kept_times):
-        values[k] = [rows[j] for rows in kept]
-    for ci, f in enumerate(f0):
-        rolling[ci][0] = f
-        if values[0] is not None:
-            values[0][ci][:] = f
-    sums = _residual_sums(len(times))
-    for k0 in range(1, len(times), AUDIT_BLOCK):
-        k1 = min(k0 + AUDIT_BLOCK, len(times))
-        lo = max(k0 - 2, 0)   # the audit of time k0 - 1 reads the state at k0 - 2
+    # allocated before the march: arrays allocated among a block's
+    # temporaries fragment the heap (peak RSS)
+    rows = [np.empty((AUDIT_BLOCK + 1, len(f))) for f in f0]
+    for F, f in zip(rows, f0):
+        F[0] = f
+    yield 0, 1, [(c, p, None, None, F[:1]) for (c, p), F in zip(first, rows)]
+    for k0 in range(1, stop, AUDIT_BLOCK):
+        k1 = min(k0 + AUDIT_BLOCK, stop)
         dt = (times[k0:k1] - times[k0 - 1:k1 - 1])[:, None]
-        for ci, (c, p) in enumerate(traj.planes(lo, k1)):
-            F = rolling[ci][:k1 - lo]   # the fields at the times lo..k1-1
-            # geometry of the states lo + 1 .. k1 - 1: the march reads its
-            # post-step states (the last k1 - k0), the audit all but the last
+        block = []
+        for (c, p), F in zip(traj.planes(k0 - 1, k1), rows):
+            F = F[:k1 - k0 + 1]
             h = edge_lengths(p[:, 1:], c.closed)
             u = unit_tangents(p[:, 1:], c.closed)
-            _march_block(c.closed, p[:, k0 - 1 - lo:], h[k0 - k1:],
-                         u[:, k0 - k1:], dt, F[k0 - 1 - lo], F[k0 - lo:])
-            growth = max(growth, check_polynomial_growth(F[k0 - lo:], p[:, k0 - k1:],
-                                                         growth_degree, growth_bound))
+            _march_block(c.closed, p, h, u, dt, F[0], F[1:])
+            block.append((c, p, h, u, F))
+        yield k0, k1, block
+        for F in rows:
+            F[0] = F[k1 - k0]   # the next block's march starts here
+
+
+def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
+                       growth_bound=None) -> HeatSolution:
+    """March the heat equation along the trajectory from initial data f0.
+
+    f0: list of per-component vertex arrays on the first state. Returns the
+    field at every recorded time, the centred-difference residual audit at
+    every interior time (collar 2, as :func:`heat_residual`) and the
+    measured polynomial-growth constant over every time. With
+    ``growth_bound`` the declared certificate C (1 + R^growth_degree) is
+    enforced on every state (GrowthUnbounded otherwise).
+    """
+    times = traj.times
+    fields = [np.empty((len(times), len(f))) for f in f0]
+    tails = [None] * len(f0)
+    sums = _residual_sums(len(times))
+    growth = 0.0
+    for k0, k1, block in _march(traj, f0, len(times)):
+        for ci, (c, p, h, u, F) in enumerate(block):
+            fields[ci][k0:k1] = F[k0 - k1:]   # the times k0..k1-1
+            growth = max(growth, check_polynomial_growth(
+                F[k0 - k1:], p[:, k0 - k1:], growth_degree, growth_bound))
+            if h is None:   # the first state: no step, nothing to audit
+                continue
+            if k0 > 1:   # the audit of time k0 - 1 takes the state at k0 - 2
+                # and the geometry at k0 - 1 from the block before
+                p, h, u = (np.concatenate(pair, axis=-2)
+                           for pair in zip(tails[ci], (p, h, u)))
+            tails[ci] = p[:, -2:-1], h[-1:], u[:, -1:]
+            lo = k1 - p.shape[1]   # the audit reads the times lo..k1-1
             cols = _interior_columns(c, 2)
             if len(h) > 1 and cols is not None:
                 _residual_rows(sums, times, lo + 1, c.closed, cols, p, h[:-1],
-                               u[:, :-1], F)
-            for k in range(k0, k1):
-                if values[k] is not None:
-                    values[k][ci][:] = F[k - lo]
-            F[:2] = F[-2:]   # the next block's march and audit start here
+                               u[:, :-1], fields[ci][lo:k1])
     sup, l2 = _residual_summary(sums)
+    values = [[F[k] for F in fields] for k in range(len(times))]
     return HeatSolution(traj.times, values, traj.times[1:-1], sup, l2, growth)
+
+
+def heat_field_at(traj: FlowTrajectory, f0, k: int):
+    """``solve_heat_on_flow(traj, f0).values[k]``, bit for bit, marched up
+    to time k alone: no audit, no growth measurement, no later state read.
+    """
+    k = range(len(traj.times))[k]
+    for *_, block in _march(traj, f0, k + 1):
+        fields = [F[-1].copy() for *_, F in block]
+    return fields
 
 
 def _residual_sums(n_times):
@@ -598,7 +618,7 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     else:
         f0 = B0  # separated ansatz h = g(p, t) * z(q)
     k1 = int(np.argmin(np.abs(traj.times - s1)))
-    sol = solve_heat_on_flow(traj, f0, keep=[k1])
+    h_at_s1 = heat_field_at(traj, f0, k1)
     comps = _curve_components(traj.states[k1])
     pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
     if len(pieces) < 2:
@@ -609,7 +629,7 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     sups = []
     for (ci, sel), bb in zip(pieces, b_bar):
         c = comps[ci]
-        h_vals = sol.values[k1][ci]
+        h_vals = h_at_s1[ci]
         mask = sel & c.interior_mask(collar)
         p = c.vertices[mask]
         if mode == "factor1":

@@ -64,11 +64,14 @@ class DiscreteCurve:
             raise ValueError(
                 f"{'closed' if closed else 'open'} curve needs >= {n_min} vertices"
             )
-        if closed and np.allclose(v[0], v[-1]):
-            # first/last must be identified exactly once: drop the duplicate
-            v = v[:-1]
-            if v.shape[0] < n_min:
-                raise ValueError("closed curve needs >= 8 distinct vertices")
+        if closed:  # first/last must be identified exactly once: drop a last
+            # vertex that repeats the first (rounded, as cos 2 pi != 1): its
+            # gap is far below the edges next to it, at any scale of the curve
+            gap, e_first, e_last = np.hypot(*(v[[-1, 1, -1]] - v[[0, 0, -2]]).T)
+            if gap <= 1e-6 * min(e_first, e_last):
+                v = v[:-1]
+                if v.shape[0] < n_min:
+                    raise ValueError("closed curve needs >= 8 distinct vertices")
         check_vertices(v.T, closed)
         self.vertices = v
         self.closed = bool(closed)

@@ -5,11 +5,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
 from lmcflab import scenarios as sc
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _run(criterion: int, budget_s: float, params=None, seed=0):
@@ -142,3 +146,8 @@ def test_criterion_8_blow_down_ladder():
     assert h[0] > h[1] > h[2]
     assert g[0] > g[1] > g[2]
     assert s["pass"]
+    # bit for bit the committed seed-0 bundle: an ulp moved in the march shows here
+    ref = json.loads((REFERENCE / "seed-0" / "blow-down-ladder" / "summary.json")
+                     .read_text())["metrics"]
+    assert h == ref["hausdorff_ladder"]
+    assert g == ref["height_sup_ladder"]

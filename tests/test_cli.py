@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lmcflab import cli
+from lmcflab import fixtures as fx
 from lmcflab import flow
 
 
@@ -120,3 +121,42 @@ def test_console_entry_point():
                  "three-annulus", "heat", "translator-check", "linking",
                  "run", "compare"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("name, params, want", [
+    ("circle", {"n": 32}, lambda: fx.make_circle(n=32)),
+    ("line", {"n": 33, "angle": 0.3}, lambda: fx.make_line(angle=0.3, n=33)),
+    ("line-pair", {"n": 33}, lambda: fx.make_line_pair(0.5, -0.5, n=33)),
+    ("line-pair", {"angle1": 0.2, "n": 33},
+     lambda: fx.make_line_pair(0.2, -0.5, n=33)),
+    ("grim-reaper", {"n": 64}, lambda: fx.make_grim_reaper(n=64)[0]),
+])
+def test_curve_fixtures_come_from_the_registry(name, params, want):
+    got = flow.as_components(cli._make_fixture_state(
+        {"fixture": name, "fixture_params": params}))
+    ref = flow.as_components(want())
+    assert [(c.closed, c.component_id) for c in got] == \
+        [(c.closed, c.component_id) for c in ref]
+    assert all(np.array_equal(a.vertices, b.vertices) for a, b in zip(got, ref))
+
+
+def test_default_fixture_is_the_circle():
+    got = cli._make_fixture_state({"fixture_params": {"n": 40}})
+    assert np.array_equal(got.vertices, fx.make_circle(n=40).vertices)
+
+
+@pytest.mark.parametrize("name", ["hopf-fibers", "circle-product", "no-such"])
+def test_non_curve_fixtures_are_refused(name, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": name}))
+    with pytest.raises(SystemExit, match="unsupported curve fixture"):
+        run_cli(["density", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_density_of_the_line_pair(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "line-pair",
+                               "fixture_params": {"extent": 30.0, "n": 601}}))
+    assert run_cli(["density", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "density.json").read_text())
+    assert abs(payload["value"] - 2.0) < 1e-6

@@ -12,9 +12,9 @@ from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
-from lmcflab.errors import (ComponentAmbiguity, GrowthUnbounded,
-                            NonFiniteVertex, NotExact, SolverFailure,
-                            VertexCountChanged)
+from lmcflab.errors import (ComponentAmbiguity, DegenerateEdge,
+                            GrowthUnbounded, NonFiniteVertex, NotExact,
+                            SolverFailure, VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
@@ -420,6 +420,12 @@ def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
     assert sol.residual_l2.tolist() == ref_l2
     assert (ref_sup, ref_l2) == loop_heat_residual(traj, ref, 2)
     assert sol.growth_constant == loop_growth_constant(traj, ref)
+    # the march alone, stopped at every time: 0, mid-block and the last
+    for k in range(len(ref)):
+        got = fh.heat_field_at(traj, f0, k)
+        assert len(got) == len(ref[k])
+        for g, w in zip(got, ref[k]):
+            assert np.array_equal(g, w)
 
 
 def test_three_vertex_open_heat_solve_equals_per_step_loop():
@@ -440,8 +446,9 @@ def test_non_finite_heat_input_raises_solver_failure(kind):
     curve = fh._curve_components(traj.states[0])[0]
     f0 = curve.vertices[:, 1].copy()
     f0[curve.n_vertices // 2] = np.nan
-    with pytest.raises(SolverFailure):
-        fh.solve_heat_on_flow(traj, [f0])
+    for solve in (fh.solve_heat_on_flow, lambda traj, f: fh.heat_field_at(traj, f, 1)):
+        with pytest.raises(SolverFailure):
+            solve(traj, [f0])
     later = fh._curve_components(traj.states[2])[0]
     v = later.vertices.copy()
     v[later.n_vertices // 2] = np.nan
@@ -450,9 +457,13 @@ def test_non_finite_heat_input_raises_solver_failure(kind):
     # a later state 1e307 across has finite vertices and an infinite speed
     states = list(traj.states)
     states[2] = later.with_vertices(1e307 * later.vertices)
+    fast = flow.FlowTrajectory(traj.times, states)
+    f0 = [curve.vertices[:, 1]]
     with pytest.raises(SolverFailure), np.errstate(over="ignore", invalid="ignore"):
-        fh.solve_heat_on_flow(flow.FlowTrajectory(traj.times, states),
-                              [curve.vertices[:, 1]])
+        fh.solve_heat_on_flow(fast, f0)
+    with pytest.raises(SolverFailure), np.errstate(over="ignore", invalid="ignore"):
+        fh.heat_field_at(fast, f0, 2)
+    fh.heat_field_at(fast, f0, 1)   # the march stops before the fast state
 
 
 @pytest.mark.parametrize("closed,n", [(False, 3), (False, 6), (True, 8)])
@@ -513,4 +524,25 @@ def test_vertex_count_change_is_refused():
     with pytest.raises(VertexCountChanged):
         fh.solve_heat_on_flow(traj, [np.ones(64)])
     with pytest.raises(VertexCountChanged):
+        fh.heat_field_at(traj, [np.ones(64)], 2)
+    fh.heat_field_at(traj, [np.ones(64)], 1)
+    with pytest.raises(VertexCountChanged):
         fh.heat_residual(traj, [[np.ones(64)], [np.ones(64)], [np.ones(65)]])
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_coincident_neighbours_are_refused_by_both_consumers(closed):
+    # vertex 5 folds back onto vertex 3 at time 2: every edge is nonzero,
+    # the central difference at vertex 4 is not
+    curve = fx.make_circle(1.0, 16) if closed else fx.make_line(extent=2.0, n=16)
+    v = curve.vertices.copy()
+    v[5] = v[3]
+    times = [0.0, 0.01, 0.02]
+    traj = flow.FlowTrajectory(times, [curve, curve, curve.with_vertices(v)])
+    with pytest.raises(DegenerateEdge):
+        fh.solve_heat_on_flow(traj, [np.ones(16)])
+    with pytest.raises(DegenerateEdge):
+        fh.heat_field_at(traj, [np.ones(16)], 2)
+    assert np.array_equal(fh.heat_field_at(traj, [np.ones(16)], 1)[0],
+                          fh.solve_heat_on_flow(flow.FlowTrajectory(
+                              times[:2], [curve, curve]), [np.ones(16)]).values[1][0])

@@ -85,6 +85,28 @@ def test_degenerate_edge_check_matches_hypot(x, y, closed):
             geo.DiscreteCurve(v, closed=closed)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-170])
+def test_small_closed_curves_keep_every_vertex(scale):
+    # an absolute tolerance would take the last vertex for a repeated first
+    circle = fx.make_circle(1.0, 48).vertices
+    curve = geo.DiscreteCurve(scale * circle, closed=True)
+    assert curve.n_vertices == 48
+    assert curve.vertices.tobytes() == (scale * circle).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e6])
+def test_repeated_first_vertex_is_stored_once(scale):
+    phi = np.linspace(0.0, 2.0 * np.pi, 49)     # cos(2 pi) rounds: a near repeat
+    rounded = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    circle = fx.make_circle(1.0, 48).vertices
+    exact = np.vstack([circle, circle[:1]])
+    for v in (rounded, exact):
+        curve = geo.DiscreteCurve(scale * v, closed=True)
+        assert curve.n_vertices == 48
+        assert curve.vertices.tobytes() == (scale * v[:-1]).tobytes()
+        assert geo.DiscreteCurve(scale * v[:-1], closed=True).n_vertices == 48
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("closed", [False, True])
 def test_non_finite_vertices_are_refused(bad, closed):

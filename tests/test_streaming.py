@@ -1,5 +1,5 @@
 """Block-streamed trajectories: lazy states, generated planes, the heat
-solve's kept fields, and how many states each consumer builds."""
+march stopped at one time, and how many states each consumer builds."""
 
 import tracemalloc
 from collections import Counter
@@ -114,36 +114,31 @@ def _stored(traj):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(KINDS), st.sampled_from(["curve", "product"]),
        st.data())
-def test_kept_fields_equal_the_full_solve(kind, wrap, data):
+def test_field_at_equals_the_full_solve(kind, wrap, data):
     traj = trajectory(kind, wrap, None)
-    keep = data.draw(st.lists(st.integers(-len(traj), len(traj) - 1), max_size=6))
+    ks = data.draw(st.lists(st.integers(-len(traj), len(traj) - 1), max_size=6))
     f0 = [np.cos(3.0 * c.vertices[:, 0]) + c.vertices[:, 1]
           for c in fh._curve_components(traj.states[0])]
     full = fh.solve_heat_on_flow(traj, f0)
-    part = fh.solve_heat_on_flow(traj, f0, keep=keep)
-    kept = {range(len(traj))[k] for k in keep}
-    for k, (got, want) in enumerate(zip(part.values, full.values)):
-        if k in kept:
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        else:
-            assert got is None
-    assert part.residual_sup.tolist() == full.residual_sup.tolist()
-    assert part.residual_l2.tolist() == full.residual_l2.tolist()
-    assert part.growth_constant == full.growth_constant
+    for k in ks:
+        got = fh.heat_field_at(traj, f0, k)
+        assert len(got) == len(full.values[k])
+        assert all(np.array_equal(g, w) for g, w in zip(got, full.values[k]))
     # generated planes and stacked stored states give the same solve
     stored = fh.solve_heat_on_flow(_stored(traj), f0)
     assert stored.residual_sup.tolist() == full.residual_sup.tolist()
     assert all(np.array_equal(a[0], b[0]) for a, b in zip(stored.values, full.values))
 
 
-def test_keep_refuses_indices_outside_the_trajectory():
+def test_field_at_refuses_indices_outside_the_trajectory():
     traj = base_trajectory("circle")
     f0 = [np.ones(48)]
-    with pytest.raises(IndexError):
-        fh.solve_heat_on_flow(traj, f0, keep=[len(traj)])
-    sol = fh.solve_heat_on_flow(traj, f0, keep=[-1, len(traj) - 1])
-    assert sol.values[-1] is not None
-    assert sum(v is not None for v in sol.values) == 1
+    for k in (len(traj), -len(traj) - 1):
+        with pytest.raises(IndexError):
+            fh.heat_field_at(traj, f0, k)
+    last = fh.heat_field_at(traj, f0, -1)
+    assert np.array_equal(last[0], fh.heat_field_at(traj, f0, len(traj) - 1)[0])
+    assert np.array_equal(fh.heat_field_at(traj, f0, 0)[0], f0[0])
 
 
 def test_single_time_solve_returns_the_initial_field():
@@ -290,6 +285,28 @@ def test_each_state_is_built_once_per_call(call):
 def ladder_rung(lam):
     """The curve factor of a blow-down-ladder rung at the scenario's defaults."""
     return scenarios.ladder_rung(lam, base_speed=4.0, s1=-0.4, dt=5e-4)
+
+
+@pytest.mark.parametrize("kind", ["sliding", "material", "circle"])
+def test_field_at_reads_no_state_after_k(kind):
+    """A counting generator and block form: the march to time k reads the
+    times 0..k alone, each block's b + 1 states once."""
+    base = base_trajectory(kind)
+    traj, built = counting(base)
+    read = Counter()
+    index = {float(t): k for k, t in enumerate(base.times)}
+    if base.block is not None:
+        def block(t):
+            read.update(index[float(x)] for x in t)
+            return base.block(t)
+        traj = flow.AnalyticTrajectory(traj.times, traj.generator, block=block)
+    f0 = [np.ones(c.n_vertices) for c in fh._curve_components(base.states[0])]
+    k = fh.AUDIT_BLOCK + 3
+    built.clear()
+    fh.heat_field_at(traj, f0, k)
+    # the first state once more for its component count, and each later
+    # block's starting state once more
+    assert built + read == Counter(range(k + 1)) + Counter(range(0, k, fh.AUDIT_BLOCK))
 
 
 def test_height_builds_only_the_first_state_and_the_state_at_s1():
