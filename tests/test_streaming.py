@@ -302,7 +302,6 @@ def test_field_at_reads_no_state_after_k(kind):
         traj = flow.AnalyticTrajectory(traj.times, traj.generator, block=block)
     f0 = [np.ones(c.n_vertices) for c in fh._curve_components(base.states[0])]
     k = fh.AUDIT_BLOCK + 3
-    built.clear()
     fh.heat_field_at(traj, f0, k)
     # the first state once more for its component count, and each later
     # block's starting state once more
