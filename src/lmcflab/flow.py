@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -22,14 +23,19 @@ from .errors import (RangeError, ScanTooLarge, SingularCollapse, SolverFailure,
                      StabilityViolation, TimeGridMismatch, VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
                        ProductLagrangian, as_components, check_vertices,
-                       cyclic_tridiagonal, edge_ends, mean_curvature,
-                       require_finite, stencil_weights)
+                       cyclic_tridiagonal, edge_ends, edge_increments,
+                       edge_lengths, mean_curvature, require_finite,
+                       second_difference, stencil_weights, unit_tangents)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
 # Largest self-intersection scan accepted: 2**21 segment pairs, about 360 MB
 # of pair temporaries (some 170 bytes a pair), or 2048 segments in a state.
 SELF_INTERSECTION_MAX_PAIRS = 2 ** 21
+# Times per block of the heat march and of the centred residual audits: 8
+# was fastest on the blow-down ladder's open curves (1.5k-3.5k vertices);
+# 16 and more were slower.
+AUDIT_BLOCK = 8
 
 
 class LazyStates(Sequence):
@@ -150,6 +156,52 @@ def _curve_components(state):
         else:
             out.append(comp)
     return out
+
+
+class CentredGeometry(NamedTuple):
+    """One curve component's geometry for a centred residual at r times."""
+
+    k: int           # the first of the times k..k+r-1
+    closed: bool
+    cols: slice      # the collar-trimmed vertex columns
+    dt2: np.ndarray  # (r, 1): t_{k+1} - t_{k-1} at the times k..k+r-1
+    p: np.ndarray    # (2, r + 2, N): the planes of the states k-1..k+r
+    h: np.ndarray    # (r, edges): the edge lengths of the r middle states
+    u: np.ndarray    # (2, r, N): their unit tangents
+
+
+def interior_columns(curve, collar):
+    """The collar-trimmed vertex columns of a curve as one slice, or None."""
+    interior = np.flatnonzero(curve.interior_mask(collar))  # one index run
+    if not interior.size:
+        return None
+    return slice(interior[0], interior[-1] + 1)
+
+
+def centred_blocks(traj, collar):
+    """The geometry of the centred residual at the interior times, read from
+    :meth:`FlowTrajectory.planes` in blocks of AUDIT_BLOCK times: yields
+    (component index, CentredGeometry) per block and component, leaving out
+    each component with no vertex inside the collar."""
+    times = traj.times
+    for k0 in range(1, len(times) - 1, AUDIT_BLOCK):
+        k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
+        dt2 = (times[k0 + 1:k1 + 1] - times[k0 - 1:k1 - 1])[:, None]
+        for ci, (c, p) in enumerate(traj.planes(k0 - 1, k1 + 1)):
+            cols = interior_columns(c, collar)
+            if cols is not None:
+                mid = p[:, 1:-1]
+                yield ci, CentredGeometry(k0, c.closed, cols, dt2, p,
+                                          edge_lengths(mid, c.closed),
+                                          unit_tangents(mid, c.closed))
+
+
+def normal_fields(g: CentredGeometry):
+    """Mean curvature H and normal part x^perp of the position (coordinate
+    planes) on the middle states of g."""
+    x = g.p[:, 1:-1]
+    H = second_difference(edge_increments(x, g.closed), g.h, g.closed)
+    return H, x - (x[0] * g.u[0] + x[1] * g.u[1]) * g.u
 
 
 def _blend_states(sa, sb, lam):
@@ -351,22 +403,18 @@ def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> 
 
 def _rescaled_velocity_residual(traj):
     """Max residual of the rescaled normal speed against H + x^perp/2."""
+    curves = FlowTrajectory(traj.times, [[c.factor1 if isinstance(c, ProductLagrangian)
+                                          else c for c in as_components(s)]
+                                         for s in traj.states])
     worst = 0.0
-    states = [as_components(s) for s in traj.states]
-    for k in range(1, len(traj) - 1):
-        dtau = traj.times[k + 1] - traj.times[k - 1]
-        for c_prev, c, c_next in zip(states[k - 1], states[k], states[k + 1]):
-            if isinstance(c, ProductLagrangian):
-                c_prev, c, c_next = c_prev.factor1, c.factor1, c_next.factor1
-            vel = (c_next.vertices - c_prev.vertices) / dtau
-            t = c.tangents()
-            nu = np.stack([-t[:, 1], t[:, 0]], axis=1)
-            v_n = np.einsum("ij,ij->i", vel, nu)
-            H = mean_curvature(c)
-            xperp = c.vertices - np.einsum("ij,ij->i", c.vertices, t)[:, None] * t
-            target = np.einsum("ij,ij->i", H + 0.5 * xperp, nu)
-            mask = c.interior_mask()
-            worst = max(worst, float(np.max(np.abs((v_n - target)[mask]))))
+    for _, g in centred_blocks(curves, 2):
+        H, xperp = normal_fields(g)
+        vel = (g.p[:, 2:] - g.p[:, :-2]) / g.dt2
+        target = H + 0.5 * xperp
+        nu = -g.u[1], g.u[0]
+        v_n = vel[0] * nu[0] + vel[1] * nu[1]
+        res = v_n - (target[0] * nu[0] + target[1] * nu[1])
+        worst = max(worst, float(np.max(np.abs(res[:, g.cols]))))
     return worst
 
 

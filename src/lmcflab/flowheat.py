@@ -19,15 +19,24 @@ the field is marched through them, one linear solve per step (LAPACK gtsv
 on the three diagonals for open curves, sparse LU on
 :func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). Of its two
 consumers, :func:`solve_heat_on_flow` keeps every field, measures the
-growth and runs the centred residual audit on the march's geometry,
-trailing it by one time (time k needs the field at k + 1);
-:func:`heat_field_at` marches only up to one time, with every check of the
-march and no audit or growth measurement.
-:func:`heat_residual` audits given fields with the same residual rows. The
-stencils are the vertex-axis kernels that :func:`~lmcflab.geometry.laplacian`
-and :func:`~lmcflab.geometry.arc_gradient` apply to a single state, so the
-blocked results equal a per-state loop bit for bit. A component whose
-vertex count changes between recorded states raises VertexCountChanged.
+growth and audits the fields on the march's geometry, trailing it by one
+time (time k needs the field at k + 1); :func:`heat_field_at` marches only
+up to one time, with every check of the march and no audit or growth
+measurement.
+
+Every caloric audit takes the centred residual (d_t - Delta - v_tan d_s) f
+from one row kernel (``_residual_rows``) on the geometry that one block
+walker, :func:`~lmcflab.flow.centred_blocks`, reads for AUDIT_BLOCK
+interior times at a time, and folds the rows its own way: sup and l2
+(:func:`heat_residual`, the audit of :func:`solve_heat_on_flow`), weighted
+means (the time gauge of :func:`caloric_primitive`), the identity's
+right-hand side subtracted (:func:`evolve_B`) or turning increments in
+place of the field's (:func:`angle_caloric_residual`). A component with no
+vertex inside the collar adds nothing. The stencils are the vertex-axis
+kernels that :func:`~lmcflab.geometry.laplacian` applies to a single state,
+so the blocked results equal a per-state loop bit for bit. A component
+whose vertex count changes between recorded states raises
+VertexCountChanged.
 
 The approximate caloric height (``approx_height_solution``, ``select_s1``)
 reads the caloric primitive only on the first state, where its time gauge
@@ -55,19 +64,17 @@ from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
 from .errors import ComponentAmbiguity, SolverFailure
-from .flow import FlowTrajectory, _curve_components
-from .geometry import (CoordinateFrame, ProductLagrangian, angle_laplacian,
-                       angle_slope, arc_gradient, as_components,
+from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
+                   _curve_components, centred_blocks, interior_columns,
+                   normal_fields)
+from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
-                       exactness_primitive, lagrangian_angle, laplacian,
-                       mean_curvature, require_finite, second_difference,
-                       stencil_weights, unit_tangents, vertex_differences,
-                       vertex_sums)
-
-# Recorded times per block of the heat solve and the residual audit: 8 was
-# fastest on the blow-down ladder's open curves (1.5k-3.5k vertices); 16 and
-# more were slower.
-AUDIT_BLOCK = 8
+                       exactness_primitive, lagrangian_angle, require_finite,
+                       second_difference, stencil_weights, turning_increments,
+                       unit_tangents, vertex_differences, vertex_sums)
+# unused here; perfbench/test_perfbench.py::test_tracer_rebinds_every_
+# namespace_and_restores_it checks that the tracer rebinds this binding
+from .geometry import laplacian  # noqa: F401
 
 
 def _march_block(closed, p, h, u, dt, f, out):
@@ -234,10 +241,11 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
                            for pair in zip(tails[ci], (p, h, u)))
             tails[ci] = p[:, -2:-1], h[-1:], u[:, -1:]
             lo = k1 - p.shape[1]   # the audit reads the times lo..k1-1
-            cols = _interior_columns(c, 2)
+            cols = interior_columns(c, 2)
             if len(h) > 1 and cols is not None:
-                _residual_rows(sums, times, lo + 1, c.closed, cols, p, h[:-1],
-                               u[:, :-1], fields[ci][lo:k1])
+                dt2 = (times[lo + 2:k1] - times[lo:k1 - 2])[:, None]
+                g = CentredGeometry(lo + 1, c.closed, cols, dt2, p, h[:-1], u[:, :-1])
+                _fold(sums, g, *_heat_rows(g, fields[ci][lo:k1]))
     sup, l2 = _residual_summary(sums)
     values = [[F[k] for F in fields] for k in range(len(times))]
     return HeatSolution(traj.times, values, traj.times[1:-1], sup, l2, growth)
@@ -263,38 +271,45 @@ def _residual_summary(sums):
     return sums[0].copy(), np.sqrt(sums[1] / np.maximum(sums[2], 1e-300))
 
 
-def _interior_columns(curve, collar):
-    """The collar-trimmed vertex columns of a curve as one slice, or None."""
-    interior = np.flatnonzero(curve.interior_mask(collar))  # one index run
-    if not interior.size:
-        return None
-    return slice(interior[0], interior[-1] + 1)
+def _field_rows(values, ci, g: CentredGeometry):
+    """Component ci of the per-time fields values at the times k-1..k+r of
+    g, as one (r + 2, N) array."""
+    return np.array([values[j][ci] for j in range(g.k - 1, g.k + len(g.h) + 1)])
 
 
-def _residual_rows(sums, times, k, closed, cols, P, H, U, F):
-    """Centred residual (d_t - Delta - v_tan d_s) f of one component at the
-    times k..k+r-1, folded into the running sums (a sup and the dual-weighted
-    square and weight sums over the columns cols).
+def _residual_rows(g: CentredGeometry, F, d, grad):
+    """Centred residual (d_t - Delta - v_tan d_s) f at the r times of g, over
+    its columns, and the dual weights of those columns.
 
-    P (2, r + 2, N) and F (r + 2, N) hold the coordinate planes and fields
-    at the times k-1..k+r; H (r, edges) and U (2, r, N) the edge lengths and
-    unit tangents of the r middle states.
+    F (r + 2, N) holds the field rows at the times k-1..k+r; d (r, edges)
+    the edge increments of the r middle rows, from which Delta f is the
+    arclength second difference, and grad (r, N) the numerators of d_s f
+    over the sums of the two edges at each vertex.
     """
-    rows = slice(k - 1, k - 1 + len(H))
-    dt2 = (times[k + 1:k + 1 + len(H)] - times[k - 1:k - 1 + len(H)])[:, None]
-    fm = F[1:-1]
-    h_sums = vertex_sums(H, closed)
-    vel = (P[:, 2:] - P[:, :-2]) / dt2
-    vel *= U
+    h_sums = vertex_sums(g.h, g.closed)
+    vel = (g.p[:, 2:] - g.p[:, :-2]) / g.dt2
+    vel *= g.u
     v_tan = vel[0] + vel[1]
-    res = (F[2:] - F[:-2]) / dt2
-    res -= second_difference(edge_increments(fm, closed), H, closed)
-    res -= v_tan * (vertex_differences(fm, closed) / h_sums)
-    res = res[:, cols]
-    sup, sq_sum, w_sum = sums[:, rows]
+    res = (F[2:] - F[:-2]) / g.dt2
+    res -= second_difference(d, g.h, g.closed)
+    res -= v_tan * (grad / h_sums)
+    return res[:, g.cols], 0.5 * h_sums[:, g.cols]
+
+
+def _heat_rows(g: CentredGeometry, F):
+    """:func:`_residual_rows` of the field rows F with the arclength
+    operators of the heat march."""
+    fm = F[1:-1]
+    return _residual_rows(g, F, edge_increments(fm, g.closed),
+                          vertex_differences(fm, g.closed))
+
+
+def _fold(sums, g: CentredGeometry, res, w):
+    """Fold residual rows at the times of g and their weights into the
+    running sums: a sup and the weighted square and weight sums."""
+    sup, sq_sum, w_sum = sums[:, g.k - 1:g.k - 1 + len(res)]
     worst = np.max(np.abs(res), axis=1)
     sup[:] = np.where(worst > sup, worst, sup)
-    w = 0.5 * h_sums[:, cols]   # dual weights
     # one 1-D sum per row: the pairwise order of a per-state sum
     sq_sum += [np.sum(row) for row in w * res ** 2]
     w_sum += [np.sum(row) for row in w]
@@ -305,46 +320,31 @@ def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
 
     Returns per-time (sup, l2) over the collar-trimmed interiors of all
     components; the operator matches the solver's spatial discretization.
+    A component with no interior vertex adds nothing.
     """
-    times = traj.times
-    sums = _residual_sums(len(times))
-    for k0 in range(1, len(times) - 1, AUDIT_BLOCK):
-        k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
-        for ci, (c, p) in enumerate(traj.planes(k0 - 1, k1 + 1)):
-            cols = _interior_columns(c, collar)
-            if cols is None:
-                continue
-            mid = p[:, 1:-1]
-            F = np.array([values[k][ci] for k in range(k0 - 1, k1 + 1)])
-            _residual_rows(sums, times, k0, c.closed, cols, p,
-                           edge_lengths(mid, c.closed), unit_tangents(mid, c.closed), F)
+    sums = _residual_sums(len(traj.times))
+    for ci, g in centred_blocks(traj, collar):
+        _fold(sums, g, *_heat_rows(g, _field_rows(values, ci, g)))
     sup, l2 = _residual_summary(sums)
     return sup.tolist(), list(l2)
 
 
 def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
-    """Residual of the heat equation for the transported angle field.
+    """Residual (d_t - Delta - v_tan d_s) theta of the transported angle
+    field, with the centred operators of :func:`heat_residual`.
 
-    Uses seam-free turning-increment operators so closed curves with
-    winding (the circle) are handled; returns per-interior-time sup values.
+    Delta and d_s act through seam-free turning increments, so closed
+    curves with winding (the circle) are handled; returns per-interior-time
+    sup values. A component with no interior vertex adds nothing.
     """
-    comps_per_state = [_curve_components(s) for s in traj.states]
-    thetas = _aligned_angle_fields(comps_per_state)
-    sup_list = []
-    for k in range(1, len(traj.times) - 1):
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
-        worst = 0.0
-        for ci, c in enumerate(comps):
-            dfdt = (thetas[k + 1][ci] - thetas[k - 1][ci]) / dt2
-            tvec = c.tangents()
-            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
-            v_tan = np.einsum("ij,ij->i", vel, tvec)
-            res = dfdt - angle_laplacian(c) - v_tan * angle_slope(c)
-            mask = c.interior_mask(collar)
-            worst = max(worst, float(np.max(np.abs(res[mask]))))
-        sup_list.append(worst)
-    return np.asarray(sup_list)
+    states = [_curve_components(s) for s in traj.states]
+    thetas = _aligned_angle_fields(states)
+    sums = _residual_sums(len(traj.times))
+    for ci, g in centred_blocks(FlowTrajectory(traj.times, states), collar):
+        d = turning_increments(g.u, g.closed)
+        _fold(sums, g, *_residual_rows(g, _field_rows(thetas, ci, g), d,
+                                       vertex_sums(d, g.closed)))
+    return _residual_summary(sums)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +398,7 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
                  for comps in comps_per_state]
     g_fields = [[betas_raw[k][ci] + 2.0 * t * thetas[k][ci] for ci in range(n_comp)]
                 for k, t in enumerate(times)]
-    # raw residual means -> gauge rates
-    rates = np.zeros((len(times), n_comp))
-    for k in range(1, len(times) - 1):
-        dt2 = times[k + 1] - times[k - 1]
-        for ci, c in enumerate(comps_per_state[k]):
-            dfdt = (g_fields[k + 1][ci] - g_fields[k - 1][ci]) / dt2
-            tvec = c.tangents()
-            vel = (comps_per_state[k + 1][ci].vertices
-                   - comps_per_state[k - 1][ci].vertices) / dt2
-            v_tan = np.einsum("ij,ij->i", vel, tvec)
-            res = dfdt - laplacian(c, g_fields[k][ci]) \
-                - v_tan * arc_gradient(c, g_fields[k][ci])
-            mask = c.interior_mask(collar)
-            w = c.dual_lengths()[mask]
-            rates[k, ci] = float(np.sum(w * res[mask]) / np.sum(w))
-    if len(times) > 2:
-        rates[0] = rates[1]
-        rates[-1] = rates[-2]
+    rates = _gauge_rates(curves, g_fields, collar)
     gauge = np.zeros_like(rates)
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
@@ -427,6 +410,20 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     sup, l2 = heat_residual(curves, g_gauged, collar=collar)
     return CaloricPrimitive(times, thetas, beta, gauge,
                             np.asarray(sup), np.asarray(l2), times[1:-1])
+
+
+def _gauge_rates(curves: FlowTrajectory, fields, collar):
+    """Per time and component, the dual-weighted mean of the heat residual
+    of the fields over the interior, 0 without an interior vertex; the first
+    and last times take their neighbours' rates."""
+    rates = np.zeros((len(curves.times), len(fields[0])))
+    for ci, g in centred_blocks(curves, collar):
+        res, w = _heat_rows(g, _field_rows(fields, ci, g))
+        rates[g.k:g.k + len(res), ci] = [np.sum(a) / np.sum(b) for a, b in zip(w * res, w)]
+    if len(rates) > 2:
+        rates[0] = rates[1]
+        rates[-1] = rates[-2]
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -453,43 +450,32 @@ def _line_offset_sq(comp):
 def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     """B = cos(beta + 2(t - s1) theta) with its evolution identity audit.
 
-    The identity (d_t - Delta) B = |x^perp + 2(s1 - t) H|^2 B is checked
-    with the centred operators; at t = s1 the field reduces to cos(beta).
-    Exactness of the trajectory is required (NotExact propagates).
+    The identity (d_t - Delta - v_tan d_s) B = |x^perp + 2(s1 - t) H|^2 B is
+    checked with the centred operators of :func:`heat_residual`, the
+    tangential term accounting for vertices that slide along the curve;
+    ``identity_scale`` is the sup of the right-hand side. At t = s1 the
+    field reduces to cos(beta). A component with no interior vertex adds
+    nothing. Exactness of the trajectory is required (NotExact propagates).
     """
     times = traj.times
     states = list(traj.states)   # built once: see caloric_primitive
-    cp = caloric_primitive(FlowTrajectory(times, states), collar=collar)
-    comps_per_state = [_curve_components(s) for s in states]
-    B_fields = []
-    for k, t in enumerate(times):
-        B_fields.append([np.cos(cp.beta[k][ci] + 2.0 * (t - s1) * cp.theta[k][ci])
-                         for ci in range(len(cp.beta[k]))])
-    sup_rows = []
+    curves = FlowTrajectory(times, [_curve_components(s) for s in states])
+    cp = caloric_primitive(curves, collar=collar)
+    offsets = np.array([[_line_offset_sq(c) for c in as_components(s)] for s in states])
+    B_fields = [[np.cos(b + 2.0 * (t - s1) * th) for b, th in zip(cp.beta[k], cp.theta[k])]
+                for k, t in enumerate(times)]
+    sums = _residual_sums(len(times))
     scale = 0.0
-    for k in range(1, len(times) - 1):
-        t = times[k]
-        dt2 = times[k + 1] - times[k - 1]
-        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
-        raw_comps = as_components(states[k])
-        worst = 0.0
-        for ci, c in enumerate(comps):
-            Bp, Bm, Bc = B_fields[k + 1][ci], B_fields[k - 1][ci], B_fields[k][ci]
-            dBdt = (Bp - Bm) / dt2
-            tvec = c.tangents()
-            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
-            v_tan = np.einsum("ij,ij->i", vel, tvec)
-            lhs = dBdt - laplacian(c, Bc) - v_tan * arc_gradient(c, Bc)
-            xperp = c.vertices - np.einsum("ij,ij->i", c.vertices, tvec)[:, None] * tvec
-            w = xperp + 2.0 * (s1 - t) * mean_curvature(c)
-            w_sq = np.einsum("ij,ij->i", w, w) + _line_offset_sq(raw_comps[ci])
-            rhs = w_sq * Bc
-            mask = c.interior_mask(collar)
-            worst = max(worst, float(np.max(np.abs((lhs - rhs)[mask]))))
-            scale = max(scale, float(np.max(np.abs(rhs[mask]))))
-        sup_rows.append(worst)
-    return BFieldReport(times, B_fields, times[1:-1], np.asarray(sup_rows),
-                        scale)
+    for ci, g in centred_blocks(curves, collar):
+        F = _field_rows(B_fields, ci, g)
+        lhs, w = _heat_rows(g, F)
+        H, xperp = normal_fields(g)
+        rows = slice(g.k, g.k + len(g.h))
+        x = xperp + (2.0 * (s1 - times[rows]))[:, None] * H
+        rhs = ((x[0] * x[0] + x[1] * x[1] + offsets[rows, ci, None]) * F[1:-1])[:, g.cols]
+        _fold(sums, g, lhs - rhs, w)
+        scale = max(scale, float(np.max(np.abs(rhs))))
+    return BFieldReport(times, B_fields, times[1:-1], _residual_summary(sums)[0], scale)
 
 
 # ---------------------------------------------------------------------------

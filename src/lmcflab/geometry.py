@@ -133,9 +133,9 @@ class ScalarField:
 #
 # Fields, edge lengths and edge increments carry the vertex (or edge) axis
 # last; point sets come as coordinate planes p = (x, y) of shape (2, ..., N).
-# A single curve passes ``vertices.T``; the time-blocked heat solve and
-# audit in flowheat pass (2, b, N) stacks of b states, so both run the same
-# arithmetic and agree bit for bit.
+# A single curve passes ``vertices.T``; the time-blocked heat march and the
+# centred residual audits (flow.centred_blocks) pass (2, b, N) stacks of b
+# states, so both run the same arithmetic and agree bit for bit.
 
 
 def edge_ends(a: np.ndarray, closed: bool):
@@ -271,6 +271,14 @@ def unit_tangents(p: np.ndarray, closed: bool) -> np.ndarray:
     return d / norms
 
 
+def turning_increments(u: np.ndarray, closed: bool) -> np.ndarray:
+    """Turning angle per edge (principal branch) between the unit tangents u
+    (coordinate planes) at its two ends; closed curves include the
+    wrap-around edge, so the angles carry no branch seam."""
+    a, b = (u, np.roll(u, -1, axis=-1)) if closed else (u[..., :-1], u[..., 1:])
+    return np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
+
+
 # ---------------------------------------------------------------------------
 # pointwise operations
 
@@ -286,14 +294,6 @@ def lagrangian_angle(curve: DiscreteCurve) -> ScalarField:
     raw = np.arctan2(t[:, 1], t[:, 0])
     theta = np.unwrap(raw)
     return ScalarField(theta, name="theta")
-
-
-def angle_increments(curve: DiscreteCurve) -> np.ndarray:
-    """Turning angle per edge (principal branch), seam-free on closed curves."""
-    t, t_next = edge_ends(curve.tangents(), curve.closed)
-    cross = t[:, 0] * t_next[:, 1] - t[:, 1] * t_next[:, 0]
-    dot = np.einsum("ij,ij->i", t, t_next)
-    return np.arctan2(cross, dot)
 
 
 def laplacian(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
@@ -323,27 +323,6 @@ def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
     circles by the chord-weighted second difference.
     """
     return laplacian(curve, curve.vertices)
-
-
-def angle_slope(curve: DiscreteCurve) -> np.ndarray:
-    """d(theta)/ds per vertex from turning increments (seam-free)."""
-    return (vertex_sums(angle_increments(curve), curve.closed)
-            / vertex_sums(curve.edge_lengths(), curve.closed))
-
-
-def angle_laplacian(curve: DiscreteCurve) -> np.ndarray:
-    """Laplacian of the angle field built from seam-free turning increments.
-
-    Matches :func:`laplacian` applied to the unwrapped angle away from the
-    branch seam, but stays valid on closed curves with winding.
-    """
-    return second_difference(angle_increments(curve), curve.edge_lengths(),
-                             curve.closed)
-
-
-def angle_gradient_vector(curve: DiscreteCurve) -> np.ndarray:
-    """grad(theta) as a tangent vector field, from seam-free turning angles."""
-    return angle_slope(curve)[:, None] * curve.tangents()
 
 
 def normal_projection(curve: DiscreteCurve, index: Optional[int] = None) -> np.ndarray:

@@ -295,6 +295,120 @@ def loop_heat_residual(traj, values, collar):
     return sup_list, l2_list
 
 
+def loop_gauge_rates(traj, collar):
+    """The per-state gauge-rate loop of caloric_primitive: the fields
+    beta + 2t theta and the dual-weighted mean of their centred residual,
+    per time and component."""
+    times = traj.times
+    comps_per_state = [fh._curve_components(s) for s in traj.states]
+    thetas = fh._aligned_angle_fields(comps_per_state)
+    g_fields = [[geo.exactness_primitive(c).values + 2.0 * t * th
+                 for c, th in zip(comps, ths)]
+                for comps, ths, t in zip(comps_per_state, thetas, times)]
+    rates = np.zeros((len(times), len(comps_per_state[0])))
+    for k in range(1, len(times) - 1):
+        dt2 = times[k + 1] - times[k - 1]
+        for ci, c in enumerate(comps_per_state[k]):
+            dfdt = (g_fields[k + 1][ci] - g_fields[k - 1][ci]) / dt2
+            tvec = c.tangents()
+            vel = (comps_per_state[k + 1][ci].vertices
+                   - comps_per_state[k - 1][ci].vertices) / dt2
+            v_tan = np.einsum("ij,ij->i", vel, tvec)
+            res = dfdt - geo.laplacian(c, g_fields[k][ci]) \
+                - v_tan * geo.arc_gradient(c, g_fields[k][ci])
+            mask = c.interior_mask(collar)
+            w = c.dual_lengths()[mask]
+            rates[k, ci] = float(np.sum(w * res[mask]) / np.sum(w))
+    if len(times) > 2:
+        rates[0] = rates[1]
+        rates[-1] = rates[-2]
+    return g_fields, rates
+
+
+def loop_B_identity(traj, s1, collar, cp):
+    """The per-state identity loop of evolve_B on the angle and primitive of
+    cp: the fields B, the sup of (d_t - Delta - v_tan d_s) B - rhs per time
+    and the sup of rhs = |x^perp + 2(s1 - t) H|^2 B."""
+    times = traj.times
+    states = list(traj.states)
+    comps_per_state = [fh._curve_components(s) for s in states]
+    B_fields = [[np.cos(cp.beta[k][ci] + 2.0 * (t - s1) * cp.theta[k][ci])
+                 for ci in range(len(cp.beta[k]))] for k, t in enumerate(times)]
+    sup_rows = []
+    scale = 0.0
+    for k in range(1, len(times) - 1):
+        t = times[k]
+        dt2 = times[k + 1] - times[k - 1]
+        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
+        raw_comps = geo.as_components(states[k])
+        worst = 0.0
+        for ci, c in enumerate(comps):
+            Bp, Bm, Bc = B_fields[k + 1][ci], B_fields[k - 1][ci], B_fields[k][ci]
+            dBdt = (Bp - Bm) / dt2
+            tvec = c.tangents()
+            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
+            v_tan = np.einsum("ij,ij->i", vel, tvec)
+            lhs = dBdt - geo.laplacian(c, Bc) - v_tan * geo.arc_gradient(c, Bc)
+            xperp = c.vertices - np.einsum("ij,ij->i", c.vertices, tvec)[:, None] * tvec
+            w = xperp + 2.0 * (s1 - t) * geo.mean_curvature(c)
+            w_sq = np.einsum("ij,ij->i", w, w) + fh._line_offset_sq(raw_comps[ci])
+            rhs = w_sq * Bc
+            mask = c.interior_mask(collar)
+            worst = max(worst, float(np.max(np.abs((lhs - rhs)[mask]))))
+            scale = max(scale, float(np.max(np.abs(rhs[mask]))))
+        sup_rows.append(worst)
+    return B_fields, sup_rows, scale
+
+
+def loop_angle_residual(traj, collar):
+    """The per-state loop of angle_caloric_residual, its turning increments
+    from the (N, 2) tangents of each state."""
+    comps_per_state = [fh._curve_components(s) for s in traj.states]
+    thetas = fh._aligned_angle_fields(comps_per_state)
+    sup_list = []
+    for k in range(1, len(traj.times) - 1):
+        dt2 = traj.times[k + 1] - traj.times[k - 1]
+        comps_prev, comps, comps_next = comps_per_state[k - 1:k + 2]
+        worst = 0.0
+        for ci, c in enumerate(comps):
+            dfdt = (thetas[k + 1][ci] - thetas[k - 1][ci]) / dt2
+            tvec = c.tangents()
+            t, t_next = geo.edge_ends(tvec, c.closed)
+            turn = np.arctan2(t[:, 0] * t_next[:, 1] - t[:, 1] * t_next[:, 0],
+                              np.einsum("ij,ij->i", t, t_next))
+            h = c.edge_lengths()
+            lap = geo.second_difference(turn, h, c.closed)
+            slope = geo.vertex_sums(turn, c.closed) / geo.vertex_sums(h, c.closed)
+            vel = (comps_next[ci].vertices - comps_prev[ci].vertices) / dt2
+            v_tan = np.einsum("ij,ij->i", vel, tvec)
+            res = dfdt - lap - v_tan * slope
+            mask = c.interior_mask(collar)
+            worst = max(worst, float(np.max(np.abs(res[mask]))))
+        sup_list.append(worst)
+    return sup_list
+
+
+def loop_rescaled_velocity_residual(traj):
+    """The per-state loop of flow._rescaled_velocity_residual."""
+    worst = 0.0
+    states = [geo.as_components(s) for s in traj.states]
+    for k in range(1, len(traj) - 1):
+        dtau = traj.times[k + 1] - traj.times[k - 1]
+        for c_prev, c, c_next in zip(states[k - 1], states[k], states[k + 1]):
+            if isinstance(c, geo.ProductLagrangian):
+                c_prev, c, c_next = c_prev.factor1, c.factor1, c_next.factor1
+            vel = (c_next.vertices - c_prev.vertices) / dtau
+            t = c.tangents()
+            nu = np.stack([-t[:, 1], t[:, 0]], axis=1)
+            v_n = np.einsum("ij,ij->i", vel, nu)
+            H = geo.mean_curvature(c)
+            xperp = c.vertices - np.einsum("ij,ij->i", c.vertices, t)[:, None] * t
+            target = np.einsum("ij,ij->i", H + 0.5 * xperp, nu)
+            mask = c.interior_mask()
+            worst = max(worst, float(np.max(np.abs((v_n - target)[mask]))))
+    return worst
+
+
 def advection_oracle(v, h_prev, h_next):
     """Hybrid central/upwind coefficients of v d_s f on (f_{i-1}, f_i, f_{i+1})."""
     pe = np.abs(v) * 0.5 * (h_prev + h_next) / 2.0
@@ -364,7 +478,8 @@ def loop_heat_solve(traj, f0):
 
 def _audit_trajectory(kind, n_interior):
     """A trajectory with n_interior interior times: open curves sliding
-    tangentially, a closed circle, a curve x line product, or two curves."""
+    tangentially, a closed circle, a curve x line product (the line off the
+    origin, so that evolve_B's line offset is not 0), or two curves."""
     n_times = n_interior + 2
     if kind == "open":
         s = np.linspace(-3.0, 3.0, 61)
@@ -376,7 +491,7 @@ def _audit_trajectory(kind, n_interior):
         traj = flow.product_evolve(
             fx.grim_reaper_material_trajectory(1.0, extent=3.0, n=41,
                                                t1=2e-3 * n_times, dt=2e-3),
-            geo.AffineLine((0.0, 0.0), (1.0, 0.0)))
+            geo.AffineLine((0.0, 0.3), (1.0, 0.0)))
     else:
         prods, _, _ = fx.make_smoothed_pair(sigma=0.2, extent=4.0, n=41)
         traj = flow.evolve([p.factor1 for p in prods], 2e-3, n_times, t0=-1.0)
@@ -401,6 +516,32 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
     assert len(sup) == n_interior
     assert sup == ref_sup
     assert l2 == ref_l2
+    assert fh.angle_caloric_residual(traj, collar).tolist() == \
+        loop_angle_residual(traj, collar)
+    assert flow._rescaled_velocity_residual(traj) == \
+        loop_rescaled_velocity_residual(traj)
+    if kind == "closed":   # the circle has Liouville holonomy
+        with pytest.raises(NotExact):
+            fh.caloric_primitive(traj, collar)
+        return
+    cp = fh.caloric_primitive(traj, collar)
+    g_fields, rates = loop_gauge_rates(traj, collar)
+    assert np.array_equal(fh._gauge_rates(traj, g_fields, collar), rates)
+    gauge = np.zeros_like(rates)
+    for k in range(1, len(traj.times)):
+        dt = traj.times[k] - traj.times[k - 1]
+        gauge[k] = gauge[k - 1] - 0.5 * dt * (rates[k] + rates[k - 1])
+    assert np.array_equal(cp.gauge, gauge)
+    for k, s in enumerate(traj.states):
+        for got, c, g in zip(cp.beta[k], fh._curve_components(s), gauge[k]):
+            assert np.array_equal(got, geo.exactness_primitive(c).values + g)
+    rep = fh.evolve_B(traj, s1=-0.25, collar=collar)
+    B, ref_sup, scale = loop_B_identity(traj, -0.25, collar, cp)
+    for got, want in zip(rep.B, B, strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+    assert rep.residual_sup.tolist() == ref_sup
+    assert rep.identity_scale == scale
 
 
 @pytest.mark.parametrize("n_interior", INTERIOR_COUNTS)
@@ -426,6 +567,25 @@ def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
         assert len(got) == len(ref[k])
         for g, w in zip(got, ref[k]):
             assert np.array_equal(g, w)
+
+
+def test_component_without_interior_vertex_adds_nothing():
+    # four vertices, collar 2: every audit skips the curve, its gauge rate is 0
+    times = np.linspace(0.0, 0.05, 6)
+    traj = flow.FlowTrajectory(times, [geo.DiscreteCurve(
+        [[-1.5, 0.0], [-0.5, 0.1 * t], [0.5, 0.3 - t], [1.5, 0.2]]) for t in times])
+    zeros = [0.0] * (len(times) - 2)
+    assert fh.heat_residual(traj, [[np.ones(4)]] * len(times)) == (zeros, zeros)
+    assert fh.solve_heat_on_flow(traj, [np.ones(4)]).residual_sup.tolist() == zeros
+    cp = fh.caloric_primitive(traj)
+    assert cp.gauge.tolist() == [[0.0]] * len(times)
+    assert cp.residual_sup.tolist() == zeros
+    for beta, c in zip(cp.beta, traj.states):
+        assert np.array_equal(beta[0], geo.exactness_primitive(c).values)
+    rep = fh.evolve_B(traj, s1=0.02)
+    assert rep.residual_sup.tolist() == zeros and rep.identity_scale == 0.0
+    assert fh.angle_caloric_residual(traj).tolist() == zeros
+    assert flow._rescaled_velocity_residual(traj) == 0.0
 
 
 def test_three_vertex_open_heat_solve_equals_per_step_loop():

@@ -166,7 +166,11 @@ def test_angle_curvature_compatibility_rate():
     for n in (101, 201, 401):
         curve, _ = fx.make_grim_reaper(speed=1.0, extent=2.5, n=n)
         H = geo.mean_curvature(curve)
-        Jgrad = geo.apply_J(geo.angle_gradient_vector(curve))
+        # d(theta)/ds from seam-free turning increments, times the tangent
+        u = geo.unit_tangents(curve.vertices.T, curve.closed)
+        slope = (geo.vertex_sums(geo.turning_increments(u, curve.closed), curve.closed)
+                 / geo.vertex_sums(curve.edge_lengths(), curve.closed))
+        Jgrad = geo.apply_J((slope * u).T)
         mask = curve.interior_mask()
         errs.append(np.max(np.linalg.norm((H - Jgrad)[mask], axis=1)))
         hs.append(np.max(curve.edge_lengths()))
