@@ -27,7 +27,8 @@ measurement.
 Every caloric audit takes the centred residual (d_t - Delta - v_tan d_s) f
 from one row kernel (``_residual_rows``) on the geometry that one block
 walker, :func:`~lmcflab.flow.centred_blocks`, reads for AUDIT_BLOCK
-interior times at a time, and folds the rows its own way: sup and l2
+interior times at a time (the audit of :func:`solve_heat_on_flow` on the
+march's), and folds the rows its own way: sup and l2
 (:func:`heat_residual`, the audit of :func:`solve_heat_on_flow`), weighted
 means (the time gauge of :func:`caloric_primitive`), the identity's
 right-hand side subtracted (:func:`evolve_B`) or turning increments in
