@@ -27,6 +27,10 @@ class NotExact(LabError):
             msg += f" (component {component_id})"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # the default rebuilds from args, the message, not the holonomy
+        return type(self), (self.holonomy, self.component_id)
+
 
 class BadFrame(LabError):
     """Supplied frame is not orthonormal within tolerance."""

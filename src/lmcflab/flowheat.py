@@ -186,7 +186,8 @@ def _march(traj, f0, stop):
     first state's planes p with no geometry and the fields f0; then per
     block the planes of the states k0-1..k1-1, the edge lengths and unit
     tangents of the post-step states k0..k1-1 and the fields at the times
-    k0-1..k1-1, rows the next block overwrites.
+    k0-1..k1-1, rows the next block overwrites. A yielded list is emptied
+    when the consumer asks for the next block.
     """
     times = traj.times
     first = traj.planes(0, 1)
@@ -209,6 +210,10 @@ def _march(traj, f0, stop):
             _march_block(c.closed, p, h, u, dt, F[0], F[1:])
             block.append((c, p, h, u, F))
         yield k0, k1, block
+        # the consumer is done with this block: free its planes and geometry
+        # before the next block's are read
+        block.clear()
+        c = p = h = u = None
         for F in rows:
             F[0] = F[k1 - k0]   # the next block's march starts here
 
@@ -392,6 +397,19 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     times = traj.times
     # each state is built once: a generated trajectory builds it on each read
     curves = FlowTrajectory(times, [_curve_components(s) for s in traj.states])
+    thetas, beta, gauge = _gauged_primitive(curves, collar)
+    g_gauged = [[b + 2.0 * t * th for b, th in zip(beta[k], thetas[k])]
+                for k, t in enumerate(times)]
+    sup, l2 = heat_residual(curves, g_gauged, collar=collar)
+    return CaloricPrimitive(times, thetas, beta, gauge,
+                            np.asarray(sup), np.asarray(l2), times[1:-1])
+
+
+def _gauged_primitive(curves: FlowTrajectory, collar):
+    """The aligned angles theta, the gauged primitive beta and the gauge of
+    :func:`caloric_primitive` on a trajectory of stored curve components,
+    without its residual audit of the gauged field."""
+    times = curves.times
     comps_per_state = curves.states
     thetas = _aligned_angle_fields(comps_per_state)
     n_comp = len(comps_per_state[0])
@@ -406,11 +424,7 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
         gauge[k] = gauge[k - 1] - 0.5 * dt * (rates[k] + rates[k - 1])
     beta = [[betas_raw[k][ci] + gauge[k, ci] for ci in range(n_comp)]
             for k in range(len(times))]
-    g_gauged = [[beta[k][ci] + 2.0 * times[k] * thetas[k][ci]
-                 for ci in range(n_comp)] for k in range(len(times))]
-    sup, l2 = heat_residual(curves, g_gauged, collar=collar)
-    return CaloricPrimitive(times, thetas, beta, gauge,
-                            np.asarray(sup), np.asarray(l2), times[1:-1])
+    return thetas, beta, gauge
 
 
 def _gauge_rates(curves: FlowTrajectory, fields, collar):
@@ -461,9 +475,9 @@ def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     times = traj.times
     states = list(traj.states)   # built once: see caloric_primitive
     curves = FlowTrajectory(times, [_curve_components(s) for s in states])
-    cp = caloric_primitive(curves, collar=collar)
+    thetas, beta, _ = _gauged_primitive(curves, collar)
     offsets = np.array([[_line_offset_sq(c) for c in as_components(s)] for s in states])
-    B_fields = [[np.cos(b + 2.0 * (t - s1) * th) for b, th in zip(cp.beta[k], cp.theta[k])]
+    B_fields = [[np.cos(b + 2.0 * (t - s1) * th) for b, th in zip(beta[k], thetas[k])]
                 for k, t in enumerate(times)]
     sums = _residual_sums(len(times))
     scale = 0.0

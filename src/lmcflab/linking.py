@@ -468,18 +468,21 @@ def _gauss_rows(a, bw, total, i0):
                     + 2.0 * np.arctan2(_dot(n1, _cross(n3, n4)), den2))
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _gauss_pool():
-    """The module's Gauss-row thread pool, one worker per usable CPU (the
-    process's affinity mask where the platform has one), created on first
-    use so that importing lmcflab starts no thread."""
+    """The module's Gauss-row thread pool, one worker per usable CPU,
+    created on first use so that importing lmcflab starts no thread."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(max_workers=workers,
+            _POOL = ThreadPoolExecutor(max_workers=usable_cpus(),
                                        thread_name_prefix="lmcflab-gauss")
         return _POOL
 

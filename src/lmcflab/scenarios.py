@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing as mp
 import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -407,49 +410,85 @@ def ladder_rung(lam, base_speed, s1, dt):
     return fx.grim_reaper_sliding_trajectory(c, s_grid, t0=-1.0, t1=s1, dt=dt)
 
 
+def _rung_height(lam, base_speed, s1, dt) -> float:
+    """The largest sup |b_bar z - h| of the approximate caloric height on the
+    product of one blow-down-ladder rung with a static line."""
+    traj = ladder_rung(lam, base_speed, s1, dt)
+    prod_traj = flow.product_evolve(traj, AffineLine((0.0, 0.0), (1.0, 0.0)))
+    _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)
+    rep = fh.approx_height_solution(prod_traj, s1=s1, frame=frame)
+    return max(rep.sup_difference)
+
+
+@contextmanager
+def _light_rungs_forked(rungs):
+    """Per rung (the arguments of :func:`_rung_height`), the future of its
+    height from a forked worker process, or None for a rung the caller runs.
+
+    The heaviest rung (vertices x times) stays with the caller; the others
+    go to at most usable_cpus() - 1 workers, forked so that they share the
+    caller's imports, and the pool shuts down on exit. With one usable CPU,
+    one rung or no fork start method no process starts: every entry is
+    None. The rung heights do not depend on the process that computes them.
+    """
+    workers = min(lk.usable_cpus(), len(rungs)) - 1
+    if workers < 1 or "fork" not in mp.get_all_start_methods():
+        yield [None] * len(rungs)
+        return
+    cost = [len(t) * t.states[0].n_vertices for t in (ladder_rung(*r) for r in rungs)]
+    heaviest = cost.index(max(cost))
+    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
+    try:
+        yield [None if i == heaviest else pool.submit(_rung_height, *r)
+               for i, r in enumerate(rungs)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _hausdorff_rung(lam, base_speed):
+    """Hausdorff distance on B_1 at t = -1 between the rescaled product of
+    one rung and its limiting (multiplicity-two) plane configuration."""
+    c = base_speed / lam
+    # fine sampling where the unit ball sits (arclength ~ c from the tip)
+    s_half = np.unique(np.concatenate([np.arange(0.0, max(c - 3.0, 0.0), 0.4),
+                                       np.arange(max(c - 3.0, 0.0), c + 4.0,
+                                                 0.02)]))
+    s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
+    curve = fx.grim_reaper_point(s_grid, c) + np.array([0.0, -c])
+    # product points in B_1: (p, q) with |p|^2 + |q|^2 <= 1
+    pts4 = []
+    for q in np.linspace(-1.0, 1.0, 81):
+        sel = np.linalg.norm(curve, axis=1) ** 2 + q * q <= 1.0
+        if sel.any():
+            block = np.zeros((sel.sum(), 4))
+            block[:, 0:2] = curve[sel]
+            block[:, 2] = q
+            pts4.append(block)
+    pts4 = np.concatenate(pts4)
+    ref = []
+    for q in np.linspace(-1.0, 1.0, 81):
+        for y in np.linspace(-1.0, 1.0, 81):
+            if y * y + q * q <= 1.0:
+                ref.append([0.0, y, q, 0.0])
+    return hausdorff_distance(pts4, np.asarray(ref))
+
+
 def scenario_blow_down_ladder(params, seed, outputs):
     lams = params.get("lambdas", (0.2, 0.1, 0.05))
     base_speed = params.get("base_speed", 4.0)
     s1 = params.get("s1", -0.4)
     dt = params.get("dt", 5e-4)
     metrics, checks = {}, {}
-    # Hausdorff on B_1 at t = -1 between the rescaled product and its
-    # limiting (multiplicity-two) plane configuration
-    haus = []
-    for lam in lams:
-        c = base_speed / lam
-        # fine sampling where the unit ball sits (arclength ~ c from the tip)
-        s_half = np.unique(np.concatenate([np.arange(0.0, max(c - 3.0, 0.0), 0.4),
-                                           np.arange(max(c - 3.0, 0.0), c + 4.0,
-                                                     0.02)]))
-        s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
-        curve = fx.grim_reaper_point(s_grid, c) + np.array([0.0, -c])
-        # product points in B_1: (p, q) with |p|^2 + |q|^2 <= 1
-        pts4 = []
-        for q in np.linspace(-1.0, 1.0, 81):
-            sel = np.linalg.norm(curve, axis=1) ** 2 + q * q <= 1.0
-            if sel.any():
-                block = np.zeros((sel.sum(), 4))
-                block[:, 0:2] = curve[sel]
-                block[:, 2] = q
-                pts4.append(block)
-        pts4 = np.concatenate(pts4)
-        ref = []
-        for q in np.linspace(-1.0, 1.0, 81):
-            for y in np.linspace(-1.0, 1.0, 81):
-                if y * y + q * q <= 1.0:
-                    ref.append([0.0, y, q, 0.0])
-        haus.append(hausdorff_distance(pts4, np.asarray(ref)))
+    rungs = [(lam, base_speed, s1, dt) for lam in lams]
+    with _light_rungs_forked(rungs) as futures:
+        haus = [_hausdorff_rung(lam, base_speed) for lam in lams]
+        # approximate caloric height along the same ladder: the caller runs
+        # its rungs before it waits for the workers' results
+        mine = {i: _rung_height(*r) for i, (r, f) in enumerate(zip(rungs, futures))
+                if f is None}
+        sups = [mine[i] if f is None else f.result() for i, f in enumerate(futures)]
     metrics["hausdorff_ladder"] = haus
     checks["hausdorff_decreasing"] = all(a > b for a, b in zip(haus, haus[1:]))
-    # approximate caloric height along the same ladder
-    sups = []
-    for lam in lams:
-        traj = ladder_rung(lam, base_speed, s1, dt)
-        prod_traj = flow.product_evolve(traj, AffineLine((0.0, 0.0), (1.0, 0.0)))
-        _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)
-        rep = fh.approx_height_solution(prod_traj, s1=s1, frame=frame)
-        sups.append(max(rep.sup_difference))
     metrics["height_sup_ladder"] = sups
     checks["height_sup_decreasing"] = all(a > b for a, b in zip(sups, sups[1:]))
     if outputs:

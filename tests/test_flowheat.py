@@ -1,6 +1,8 @@
 """Heat equations along flows: caloricity, the primitive gauge, the B-field,
 and the approximate height near plane pairs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -542,6 +544,36 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
             assert np.array_equal(g, w)
     assert rep.residual_sup.tolist() == ref_sup
     assert rep.identity_scale == scale
+
+
+# evolve_B on _audit_trajectory(kind, AUDIT_BLOCK + 1), collar 2, s1 = -0.25,
+# as it was when it still ran caloric_primitive's audit: sha256 prefixes of
+# the bytes of times, B (every state's components in order), residual_times
+# and residual_sup, and identity_scale exactly
+B_FIELD_VALUES = {
+    "open": ("c29d5142c9148953", "8fbcc7fb0399cf32", "840fb0bba1dfbe15",
+             "dec6dbba1e40e5d9", "0x1.e1b4c603739e3p-1"),
+    "product": ("33395fc7d18cac20", "b31153832a62a076", "69b260864aa4bb0f",
+                "34029a9773f39e33", "0x1.7a5aa0d8a5cb0p+0"),
+    "two": ("6355dc1c4ba24bff", "f4dc796862f24622", "53ac3a60fb390609",
+            "8a67141faa525352", "0x1.7f1f67a495320p-4"),
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", sorted(B_FIELD_VALUES))
+def test_evolve_B_report_is_unchanged(kind):
+    rep = fh.evolve_B(_audit_trajectory(kind, fh.AUDIT_BLOCK + 1), s1=-0.25)
+    got = (_digest([rep.times]), _digest([b for Bk in rep.B for b in Bk]),
+           _digest([rep.residual_times]), _digest([rep.residual_sup]),
+           float(rep.identity_scale).hex())
+    assert got == B_FIELD_VALUES[kind]
 
 
 @pytest.mark.parametrize("n_interior", INTERIOR_COUNTS)

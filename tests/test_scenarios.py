@@ -92,3 +92,74 @@ def test_compare_dt_halving_within_certificate(tmp_path):
     assert not diff["identical"]
     assert "circle_drop" not in diff["flagged"]
     assert "circle_dissipation" not in diff["flagged"]
+
+
+# ---------------------------------------------------------------------------
+# the blow-down ladder's light rungs in forked workers
+
+COARSE_LADDER = {"scenario": "blow-down-ladder", "seed": 0, "params": {"dt": 2e-3}}
+
+
+def _ladder_bytes(out_dir):
+    sc.run_scenario(COARSE_LADDER, out_dir=str(out_dir))
+    return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks of this process (the pool's workers)."""
+    count = []
+    fork = os.fork
+
+    def counted():
+        count.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_ladder_bytes_equal_with_workers_and_on_one_cpu(tmp_path, monkeypatch,
+                                                        forks, cpus):
+    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: cpus)
+    with_workers = _ladder_bytes(tmp_path / "workers")
+    # at most usable_cpus() - 1 workers, one per rung the caller leaves
+    assert len(forks) == min(cpus, 3) - 1
+    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 1)
+    forks.clear()
+    assert _ladder_bytes(tmp_path / "one") == with_workers
+    assert forks == []
+
+
+def test_worker_rung_error_reaches_the_caller_typed(monkeypatch):
+    from lmcflab.errors import NotExact
+
+    caller = os.getpid()
+    height = sc.fh.approx_height_solution
+
+    def in_workers_not_exact(*args, **kwargs):
+        if os.getpid() != caller:
+            raise NotExact(0.5, component_id=1)
+        return height(*args, **kwargs)
+
+    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sc.fh, "approx_height_solution", in_workers_not_exact)
+    with pytest.raises(NotExact) as info:
+        sc.run_scenario(COARSE_LADDER)
+    assert (info.value.holonomy, info.value.component_id) == (0.5, 1)
+    assert "Traceback" in str(info.value.__cause__)   # the worker's traceback
+
+
+def test_ladder_forks_safely_after_the_gauss_pool_started(tmp_path, monkeypatch,
+                                                          forks):
+    from lmcflab import fixtures as fx
+
+    f1, f2 = fx.make_hopf_fibers(n=64)
+    assert abs(sc.lk.linking_number(f1, f2, R=1.0, n_poles=2).value) == 1
+    assert sc.lk._POOL is not None   # its threads are alive
+    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 1)
+    serial = _ladder_bytes(tmp_path / "one")
+    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 2)
+    assert _ladder_bytes(tmp_path / "workers") == serial
+    assert len(forks) == 1
