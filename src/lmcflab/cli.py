@@ -1,7 +1,7 @@
 """Command-line interface: thin dispatch over fixtures, diagnostics and the
 scenario runner. Subcommands mirror the lab operations; every run takes a
 JSON config (--config) or inline arguments, writes CSV/JSON bundles under
---out, and is deterministic given --seed."""
+--out, and is deterministic (given --seed where a command is seeded)."""
 
 from __future__ import annotations
 
@@ -235,27 +235,28 @@ def build_parser():
         description="Desk-scale numerical lab for Lagrangian mean curvature flow")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, seeded=False, **kw):
         q = sub.add_parser(name, **kw)
         q.add_argument("--config", help="JSON config path")
         q.add_argument("--out", help="output directory", default=".")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--refine", type=int, default=0,
-                       help="Richardson ladder depth where applicable")
+        if seeded:
+            q.add_argument("--seed", type=int, default=0)
         q.set_defaults(fn=fn)
         return q
 
     add("simulate", cmd_simulate, help="run a flow and write the trajectory")
     add("density", cmd_density, help="Gaussian density of a fixture")
-    add("entropy", cmd_entropy, help="entropy search over centres and scales")
+    add("entropy", cmd_entropy, seeded=True,
+        help="entropy search over centres and scales")
     add("monotonicity", cmd_monotonicity, help="weighted monotonicity audit")
     add("spectrum", cmd_spectrum, help="drift Laplacian eigentable and pair basis")
     add("three-annulus", cmd_three_annulus, help="norm-sequence dichotomy audit")
     add("heat", cmd_heat, help="heat solve along a flow with residual audit")
     add("translator-check", cmd_translator_check, help="height-vs-angle fit")
-    q = add("linking", cmd_linking, help="sphere slices and linking number")
-    q = add("run", cmd_run, help="run a named scenario")
+    add("linking", cmd_linking, seeded=True, help="sphere slices and linking number")
+    q = add("run", cmd_run, seeded=True, help="run a named scenario")
     q.add_argument("--scenario", help="scenario name", default=None)
+    q.add_argument("--refine", type=int, default=0, help="Richardson ladder depth")
     q = add("compare", cmd_compare, help="diff two scenario bundles")
     q.add_argument("bundle_a")
     q.add_argument("bundle_b")

@@ -168,7 +168,7 @@ class EntropyReport:
     r: float
 
 
-def entropy(state, seed: int = 0, n_center_seeds: int = 12) -> EntropyReport:
+def entropy(state, seed: int = 0) -> EntropyReport:
     """Supremum of the Gaussian weighted area over centres and scales.
 
     Multi-start local search: centres seeded at curve vertices, pairwise
@@ -183,7 +183,7 @@ def entropy(state, seed: int = 0, n_center_seeds: int = 12) -> EntropyReport:
     diam = float(np.max(np.linalg.norm(all_v - all_v.mean(axis=0), axis=1))) * 2.0
     h_mean = float(np.mean(np.concatenate([c.edge_lengths() for c in comps])))
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(all_v), size=min(n_center_seeds, len(all_v)), replace=False)
+    idx = rng.choice(len(all_v), size=min(12, len(all_v)), replace=False)
     seeds = [all_v.mean(axis=0)] + list(all_v[idx]) + _crossing_points(comps)
 
     log_r_lo = 2.0 * np.log(max(0.3 * h_mean, 1e-8))
@@ -268,27 +268,25 @@ class MonotonicityReport:
                 fh.write("{:.12g},{:.12g},{:.12g},{:.12g},{}\n".format(*row))
 
 
+def _curve_dissipation(curve, centre, fac, is_line=False):
+    """|H - (x-centre)^perp / fac|^2 per vertex of one curve; a sampled line
+    has H = 0."""
+    H = np.zeros_like(curve.vertices) if is_line else mean_curvature(curve)
+    tv = curve.tangents()
+    rel = curve.vertices - np.asarray(centre)
+    perp = rel - np.einsum("ij,ij->i", rel, tv)[:, None] * tv
+    w = H - perp / fac
+    return np.einsum("ij,ij->i", w, w)
+
+
 def _dissipation_vertex_field(comp, x0, t, t0):
     """|H - (x-x0)^perp / (2(t-t0))|^2 pointwise; factor split for products."""
     fac = 2.0 * (t - t0)
     if isinstance(comp, ProductLagrangian):
-        out = []
-        for curve, centre, is_line in ((comp.factor1, x0[0:2], False),
-                                       (comp.factor2, x0[2:4],
-                                        comp.factor2_line is not None)):
-            H = np.zeros_like(curve.vertices) if is_line else mean_curvature(curve)
-            tv = curve.tangents()
-            rel = curve.vertices - np.asarray(centre)
-            perp = rel - np.einsum("ij,ij->i", rel, tv)[:, None] * tv
-            w = H - perp / fac
-            out.append(np.einsum("ij,ij->i", w, w))
-        return out
-    tv = comp.tangents()
-    H = mean_curvature(comp)
-    rel = comp.vertices - np.asarray(x0)[0:2]
-    perp = rel - np.einsum("ij,ij->i", rel, tv)[:, None] * tv
-    w = H - perp / fac
-    return np.einsum("ij,ij->i", w, w)
+        return [_curve_dissipation(comp.factor1, x0[0:2], fac),
+                _curve_dissipation(comp.factor2, x0[2:4], fac,
+                                   comp.factor2_line is not None)]
+    return _curve_dissipation(comp, np.asarray(x0)[0:2], fac)
 
 
 def check_polynomial_growth(values, planes, degree: int, bound: Optional[float]):
@@ -305,15 +303,13 @@ def check_polynomial_growth(values, planes, degree: int, bound: Optional[float])
 
 
 def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
-                       f_values=None, residual_values=None, growth=None,
-                       rtol: float = 1e-8,
-                       diss_slack: float = 0.02) -> MonotonicityReport:
+                       f_values=None, residual_values=None,
+                       rtol: float = 1e-8) -> MonotonicityReport:
     """Audit the weighted monotonicity inequality between recorded times.
 
     With f = 1 this is the Gaussian-density monotonicity; general f needs
     its heat residual (partial_t - Delta) f supplied per time (or zero for
-    caloric fields). ``growth`` optionally declares (C, d) for the
-    polynomial-growth audit of f.
+    caloric fields).
     """
     times = traj.times
     n_times = len(times)
@@ -340,8 +336,6 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
                 D[k] += d1 * m2 + m1 * d2
             else:
                 fv = np.ones(comp.n_vertices) if fk is None else np.asarray(fk[ci])
-                if growth is not None:
-                    check_polynomial_growth(fv, comp.vertices.T, growth[1], growth[0])
                 if fk is None:
                     V[k] += edge_gaussian_mass(comp, window.x0[0:2], delta)
                 else:
@@ -363,7 +357,7 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
         violation = V[k + 1] - bound
         worst = max(worst, violation / scale)
         # slack: the trapezoid rule carries O(dt^2) error in the diss term
-        ok = violation <= rtol * scale + diss_slack * diss_int
+        ok = violation <= rtol * scale + 0.02 * diss_int
         if f_values is None and residual_values is None:
             nonincreasing &= bool(V[k + 1] <= V[k] + rtol * scale)
         rows.append((times[k + 1], V[k + 1], diss_int, bound, ok))
@@ -406,7 +400,7 @@ def _component_fields(comp, frame: CoordinateFrame):
                 H.reshape(-1, 4)[mask], ez_perp.reshape(-1, 4)[mask])
     v = comp.vertices
     w = v @ frame.e_w[0:2]
-    th = lagrangian_angle(comp).values
+    th = lagrangian_angle(comp)
     wt = comp.dual_lengths()
     t = comp.tangents()
     ez = frame.e_z[0:2]
@@ -427,7 +421,7 @@ def angle_oscillation(state) -> dict:
         if isinstance(comp, ProductLagrangian):
             th = comp.angle_grid()
         else:
-            th = lagrangian_angle(comp).values
+            th = lagrangian_angle(comp)
         lo = min(lo, float(np.min(th)))
         hi = max(hi, float(np.max(th)))
     osc = hi - lo

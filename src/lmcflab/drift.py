@@ -221,9 +221,10 @@ def poly_inner(f: Poly, g: Poly) -> float:
     return float(total) * np.pi ** (f.nvars / 2.0)
 
 
-def poly_inner_quadrature(f: Poly, g: Poly, nodes: int = 64) -> float:
-    """Gauss-Hermite cross-check: substitute x = sqrt(2) y, weight e^{-y^2/2}."""
-    y, w = np.polynomial.hermite_e.hermegauss(nodes)
+def poly_inner_quadrature(f: Poly, g: Poly) -> float:
+    """Gauss-Hermite cross-check (64 nodes per axis): substitute
+    x = sqrt(2) y, weight e^{-y^2/2}."""
+    y, w = np.polynomial.hermite_e.hermegauss(64)
     n = f.nvars
     if n == 1:
         pts = np.sqrt(2.0) * y[:, None]
@@ -490,17 +491,17 @@ class FrequencyReport:
     degree_estimate: Optional[float]
 
 
-def frequency_audit(seq: NormSequence, tol: float = 1e-8) -> FrequencyReport:
+def frequency_audit(seq: NormSequence) -> FrequencyReport:
     """Convexity audit of log ||u||^2_tau; linear iff homogeneous.
 
     Degree estimate is minus the slope of log ||u||^2 in tau when the
-    second differences vanish within tolerance.
+    second differences vanish within 1e-8.
     """
     if len(seq.taus) < 3:
         raise ValueError("need at least 3 points")
     log_sq = 2.0 * seq.log_norms
     d2 = log_sq[:-2] - 2.0 * log_sq[1:-1] + log_sq[2:]
-    homogeneous = bool(np.max(np.abs(d2)) < tol)
+    homogeneous = bool(np.max(np.abs(d2)) < 1e-8)
     degree = None
     if homogeneous:
         degree = float(-(log_sq[-1] - log_sq[0]) / (seq.taus[-1] - seq.taus[0]))

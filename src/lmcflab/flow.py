@@ -94,16 +94,6 @@ class FlowTrajectory:
         return [(first, np.stack([comps[ci].vertices.T for comps in per_state], axis=1))
                 for ci, first in enumerate(per_state[0])]
 
-    def state_at(self, t):
-        """State at time t by vertex-wise linear interpolation."""
-        times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise RangeError(f"t={t} outside trajectory range [{times[0]}, {times[-1]}]")
-        k = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
-        t0, t1 = times[k], times[k + 1]
-        lam = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
-        return _blend_states(self.states[k], self.states[k + 1], lam)
-
 
 class AnalyticTrajectory(FlowTrajectory):
     """Trajectory backed by an exact state generator; state_at is exact.
@@ -170,14 +160,6 @@ class CentredGeometry(NamedTuple):
     u: np.ndarray    # (2, r, N): their unit tangents
 
 
-def interior_columns(curve, collar):
-    """The collar-trimmed vertex columns of a curve as one slice, or None."""
-    interior = np.flatnonzero(curve.interior_mask(collar))  # one index run
-    if not interior.size:
-        return None
-    return slice(interior[0], interior[-1] + 1)
-
-
 def centred_blocks(traj, collar):
     """The geometry of the centred residual at the interior times, read from
     :meth:`FlowTrajectory.planes` in blocks of AUDIT_BLOCK times: yields
@@ -188,9 +170,10 @@ def centred_blocks(traj, collar):
         k1 = min(k0 + AUDIT_BLOCK, len(times) - 1)
         dt2 = (times[k0 + 1:k1 + 1] - times[k0 - 1:k1 - 1])[:, None]
         for ci, (c, p) in enumerate(traj.planes(k0 - 1, k1 + 1)):
-            cols = interior_columns(c, collar)
-            if cols is not None:
+            interior = np.flatnonzero(c.interior_mask(collar))  # one index run
+            if interior.size:
                 mid = p[:, 1:-1]
+                cols = slice(interior[0], interior[-1] + 1)
                 yield ci, CentredGeometry(k0, c.closed, cols, dt2, p,
                                           edge_lengths(mid, c.closed),
                                           unit_tangents(mid, c.closed))
@@ -202,25 +185,6 @@ def normal_fields(g: CentredGeometry):
     x = g.p[:, 1:-1]
     H = second_difference(edge_increments(x, g.closed), g.h, g.closed)
     return H, x - (x[0] * g.u[0] + x[1] * g.u[1]) * g.u
-
-
-def _blend_states(sa, sb, lam):
-    comps_a, comps_b = as_components(sa), as_components(sb)
-    out = []
-    for a, b in zip(comps_a, comps_b):
-        if isinstance(a, ProductLagrangian):
-            f1 = a.factor1.with_vertices((1 - lam) * a.factor1.vertices
-                                         + lam * b.factor1.vertices)
-            if a.factor2_line is not None:
-                out.append(ProductLagrangian(f1, a.factor2_line, component_id=a.component_id,
-                                             line_sample=a.factor2))
-            else:
-                f2 = a.factor2.with_vertices((1 - lam) * a.factor2.vertices
-                                             + lam * b.factor2.vertices)
-                out.append(ProductLagrangian(f1, f2, component_id=a.component_id))
-        else:
-            out.append(a.with_vertices((1 - lam) * a.vertices + lam * b.vertices))
-    return out if isinstance(sa, (list, tuple)) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +337,10 @@ def parabolic_rescale(traj: FlowTrajectory, lam: float) -> FlowTrajectory:
 def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> FlowTrajectory:
     """Shrinker-scale reparametrization tau = -log(-t), state -> e^{tau/2} state.
 
-    The source trajectory must cover t < 0 over the requested tau window.
-    Records the residual of |normal velocity - (H + x^perp/2)| in metadata.
+    The source trajectory must cover t < 0 over the requested tau window
+    and be an :class:`AnalyticTrajectory`, whose states exist between its
+    recorded times (RangeError otherwise). Records the residual of
+    |normal velocity - (H + x^perp/2)| in metadata.
     """
     if traj.mode != "unrescaled":
         raise ValueError("trajectory is already rescaled")
@@ -390,6 +356,9 @@ def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> 
     if tau_min < lo - 1e-9 or tau_max > hi + 1e-9:
         raise RangeError(
             f"tau window [{tau_min}, {tau_max}] not covered by [{lo:.4g}, {hi:.4g}]")
+    if not isinstance(traj, AnalyticTrajectory):
+        raise RangeError("a stored trajectory has no states between its "
+                         "recorded times; to_rescaled needs an AnalyticTrajectory")
     taus = np.arange(tau_min, tau_max + 0.5 * dtau, dtau)
     states = []
     for tau in taus:

@@ -17,18 +17,17 @@ its states. One array pass gives the post-step edge lengths, tangents,
 measured tangential velocities and step coefficients of all b states, and
 the field is marched through them, one linear solve per step (LAPACK gtsv
 on the three diagonals for open curves, sparse LU on
-:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). Of its two
-consumers, :func:`solve_heat_on_flow` keeps every field, measures the
-growth and audits the fields on the march's geometry, trailing it by one
-time (time k needs the field at k + 1); :func:`heat_field_at` marches only
-up to one time, with every check of the march and no audit or growth
+:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). The march
+yields planes and fields and audits nothing. Of its two consumers,
+:func:`solve_heat_on_flow` keeps every field and measures the growth, then
+audits the fields with :func:`heat_residual`; :func:`heat_field_at` marches
+only up to one time, with every check of the march and no audit or growth
 measurement.
 
 Every caloric audit takes the centred residual (d_t - Delta - v_tan d_s) f
 from one row kernel (``_residual_rows``) on the geometry that one block
 walker, :func:`~lmcflab.flow.centred_blocks`, reads for AUDIT_BLOCK
-interior times at a time (the audit of :func:`solve_heat_on_flow` on the
-march's), and folds the rows its own way: sup and l2
+interior times at a time, and folds the rows its own way: sup and l2
 (:func:`heat_residual`, the audit of :func:`solve_heat_on_flow`), weighted
 means (the time gauge of :func:`caloric_primitive`), the identity's
 right-hand side subtracted (:func:`evolve_B`) or turning increments in
@@ -44,9 +43,10 @@ reads the caloric primitive only on the first state, where its time gauge
 is zero. It takes the angle and the Liouville primitive of that state and
 runs the holonomy check (NotExact) on the closed components of every
 state; ``caloric_primitive`` builds the gauged field over the whole
-trajectory for callers that need it. The height marches the heat field
-only up to s1 (:func:`heat_field_at`) and builds, besides the first state,
-only the state at s1.
+trajectory for callers that need it. The height finds the two pieces at s1
+and their limit constants (``_limit_heights``, shared with ``select_s1``)
+before it marches the heat field up to s1 (:func:`heat_field_at`), and
+builds, besides the first state, only the state at s1.
 
 Products curve x static-line reduce exactly to 1-D solves on the curve
 factor: initial data used here is either constant along the line factor
@@ -66,8 +66,7 @@ from scipy.linalg.lapack import dgtsv
 from .diagnostics import check_polynomial_growth
 from .errors import ComponentAmbiguity, SolverFailure
 from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
-                   _curve_components, centred_blocks, interior_columns,
-                   normal_fields)
+                   _curve_components, centred_blocks, normal_fields)
 from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
                        exactness_primitive, lagrangian_angle, require_finite,
@@ -182,12 +181,11 @@ class HeatSolution:
 def _march(traj, f0, stop):
     """The heat march from the fields f0 through the times 1..stop-1.
 
-    Yields (k0, k1, per component (curve, p, h, u, F)): first (0, 1), the
-    first state's planes p with no geometry and the fields f0; then per
-    block the planes of the states k0-1..k1-1, the edge lengths and unit
-    tangents of the post-step states k0..k1-1 and the fields at the times
-    k0-1..k1-1, rows the next block overwrites. A yielded list is emptied
-    when the consumer asks for the next block.
+    Yields (k0, k1, per component (p, F)): first (0, 1), the first state's
+    planes p and the fields f0; then per block the planes of the states
+    k0-1..k1-1 and the fields at the times k0-1..k1-1, rows the next block
+    overwrites. A yielded list is emptied when the consumer asks for the
+    next block.
     """
     times = traj.times
     first = traj.planes(0, 1)
@@ -198,7 +196,7 @@ def _march(traj, f0, stop):
     rows = [np.empty((AUDIT_BLOCK + 1, len(f))) for f in f0]
     for F, f in zip(rows, f0):
         F[0] = f
-    yield 0, 1, [(c, p, None, None, F[:1]) for (c, p), F in zip(first, rows)]
+    yield 0, 1, [(p, F[:1]) for (_, p), F in zip(first, rows)]
     for k0 in range(1, stop, AUDIT_BLOCK):
         k1 = min(k0 + AUDIT_BLOCK, stop)
         dt = (times[k0:k1] - times[k0 - 1:k1 - 1])[:, None]
@@ -208,7 +206,7 @@ def _march(traj, f0, stop):
             h = edge_lengths(p[:, 1:], c.closed)
             u = unit_tangents(p[:, 1:], c.closed)
             _march_block(c.closed, p, h, u, dt, F[0], F[1:])
-            block.append((c, p, h, u, F))
+            block.append((p, F))
         yield k0, k1, block
         # the consumer is done with this block: free its planes and geometry
         # before the next block's are read
@@ -223,38 +221,24 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
     """March the heat equation along the trajectory from initial data f0.
 
     f0: list of per-component vertex arrays on the first state. Returns the
-    field at every recorded time, the centred-difference residual audit at
-    every interior time (collar 2, as :func:`heat_residual`) and the
-    measured polynomial-growth constant over every time. With
+    field at every recorded time, its centred-difference residual audit at
+    every interior time (:func:`heat_residual`, collar 2) and the measured
+    polynomial-growth constant over every time. With
     ``growth_bound`` the declared certificate C (1 + R^growth_degree) is
     enforced on every state (GrowthUnbounded otherwise).
     """
     times = traj.times
     fields = [np.empty((len(times), len(f))) for f in f0]
-    tails = [None] * len(f0)
-    sums = _residual_sums(len(times))
     growth = 0.0
     for k0, k1, block in _march(traj, f0, len(times)):
-        for ci, (c, p, h, u, F) in enumerate(block):
+        for ci, (p, F) in enumerate(block):
             fields[ci][k0:k1] = F[k0 - k1:]   # the times k0..k1-1
             growth = max(growth, check_polynomial_growth(
                 F[k0 - k1:], p[:, k0 - k1:], growth_degree, growth_bound))
-            if h is None:   # the first state: no step, nothing to audit
-                continue
-            if k0 > 1:   # the audit of time k0 - 1 takes the state at k0 - 2
-                # and the geometry at k0 - 1 from the block before
-                p, h, u = (np.concatenate(pair, axis=-2)
-                           for pair in zip(tails[ci], (p, h, u)))
-            tails[ci] = p[:, -2:-1], h[-1:], u[:, -1:]
-            lo = k1 - p.shape[1]   # the audit reads the times lo..k1-1
-            cols = interior_columns(c, 2)
-            if len(h) > 1 and cols is not None:
-                dt2 = (times[lo + 2:k1] - times[lo:k1 - 2])[:, None]
-                g = CentredGeometry(lo + 1, c.closed, cols, dt2, p, h[:-1], u[:, :-1])
-                _fold(sums, g, *_heat_rows(g, fields[ci][lo:k1]))
-    sup, l2 = _residual_summary(sums)
     values = [[F[k] for F in fields] for k in range(len(times))]
-    return HeatSolution(traj.times, values, traj.times[1:-1], sup, l2, growth)
+    sup, l2 = heat_residual(traj, values)
+    return HeatSolution(times, values, times[1:-1], np.asarray(sup),
+                        np.asarray(l2), growth)
 
 
 def heat_field_at(traj: FlowTrajectory, f0, k: int):
@@ -263,7 +247,7 @@ def heat_field_at(traj: FlowTrajectory, f0, k: int):
     """
     k = range(len(traj.times))[k]
     for *_, block in _march(traj, f0, k + 1):
-        fields = [F[-1].copy() for *_, F in block]
+        fields = [F[-1].copy() for _, F in block]
     return fields
 
 
@@ -375,7 +359,7 @@ def _aligned_angle_fields(comps_per_state):
     for comps in comps_per_state:
         fields = []
         for ci, c in enumerate(comps):
-            th = lagrangian_angle(c).values
+            th = lagrangian_angle(c)
             if prev is not None:
                 shift = 2.0 * np.pi * np.round((prev[ci][0] - th[0]) / (2.0 * np.pi))
                 th = th + shift
@@ -413,7 +397,7 @@ def _gauged_primitive(curves: FlowTrajectory, collar):
     comps_per_state = curves.states
     thetas = _aligned_angle_fields(comps_per_state)
     n_comp = len(comps_per_state[0])
-    betas_raw = [[exactness_primitive(c).values for c in comps]
+    betas_raw = [[exactness_primitive(c) for c in comps]
                  for comps in comps_per_state]
     g_fields = [[betas_raw[k][ci] + 2.0 * t * thetas[k][ci] for ci in range(n_comp)]
                 for k, t in enumerate(times)]
@@ -526,8 +510,8 @@ def _initial_caloric_data(traj: FlowTrajectory):
     later states are built only when a component is closed.
     """
     comps0 = _curve_components(traj.states[0])
-    theta0 = [lagrangian_angle(c).values for c in comps0]
-    beta0 = [exactness_primitive(c).values for c in comps0]
+    theta0 = [lagrangian_angle(c) for c in comps0]
+    beta0 = [exactness_primitive(c) for c in comps0]
     if any(c.closed for c in comps0):
         for state in traj.states[1:]:
             for c in _curve_components(state):
@@ -536,11 +520,11 @@ def _initial_caloric_data(traj: FlowTrajectory):
     return comps0, theta0, beta0
 
 
-def _measure_limit_constants(theta0, beta0, comps0, pieces, r_lo=0.3, r_hi=2.0):
+def _measure_limit_constants(theta0, beta0, comps0, pieces):
     """Mean angle/primitive per labeled piece, measured at the initial time.
 
     The pieces are index masks found at the comparison time; the matching
-    region at the initial time is the annulus r in [r_lo, r_hi] on the same
+    region at the initial time is the annulus 0.3 <= r <= 2 on the same
     curve, restricted (when one curve carries several pieces) to the index
     run nearest the piece in index space.
     """
@@ -551,7 +535,7 @@ def _measure_limit_constants(theta0, beta0, comps0, pieces, r_lo=0.3, r_hi=2.0):
     for ci, sel in pieces:
         c = comps0[ci]
         r = np.linalg.norm(c.vertices, axis=1)
-        annulus = (r >= r_lo) & (r <= r_hi) & c.interior_mask()
+        annulus = (r >= 0.3) & (r <= 2.0) & c.interior_mask()
         if len(by_curve[ci]) > 1 and annulus.any():
             # several pieces on one curve: keep the annulus run whose index
             # midpoint is nearest to this piece's index midpoint
@@ -597,29 +581,13 @@ def _factor1_pieces_in_disk(comps, radius):
     return [(ci, sel) for _, ci, sel in pieces]
 
 
-def approx_height_solution(traj: FlowTrajectory, s1: float,
-                           frame: CoordinateFrame, collar: int = 2) -> HeightReport:
-    """Heat solution h from initial data B*z at the first time, compared with
-    the limit heights b_bar_j * z on the two components at t = s1.
-
-    b_bar_j = cos(beta_bar_j - 2(1 + s1) theta_bar_j) with the limit
-    constants measured on each component at the initial time. The product
-    reduction requires e_z aligned with one factor; both fixture families
-    (pair x R_z and reaper x R) satisfy this.
-    """
-    if abs(traj.times[0] + 1.0) > 1e-9:
-        raise ValueError("trajectory must start at t = -1")
-    mode = _z_mode(frame)
-    comps0, theta0, beta0 = _initial_caloric_data(traj)
-    B0 = [np.cos(beta0[ci] + 2.0 * (traj.times[0] - s1) * theta0[ci])
-          for ci in range(len(comps0))]
-    if mode == "factor1":
-        ez2 = frame.e_z[0:2]
-        f0 = [B0[ci] * (comps0[ci].vertices @ ez2) for ci in range(len(comps0))]
-    else:
-        f0 = B0  # separated ansatz h = g(p, t) * z(q)
+def _limit_heights(traj: FlowTrajectory, s1, theta0, beta0, comps0):
+    """The limit heights at s1: the time index k1 nearest s1, the curves of
+    the state at k1, the two heaviest pieces inside the disk of radius 2 on
+    them, their limit constants theta_bar and beta_bar measured at the
+    initial time and b_bar_j = cos(beta_bar_j - 2(1 + s1) theta_bar_j).
+    Raises ComponentAmbiguity with fewer than two pieces."""
     k1 = int(np.argmin(np.abs(traj.times - s1)))
-    h_at_s1 = heat_field_at(traj, f0, k1)
     comps = _curve_components(traj.states[k1])
     pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
     if len(pieces) < 2:
@@ -627,11 +595,39 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     theta_bar, beta_bar = _measure_limit_constants(theta0, beta0, comps0, pieces)
     b_bar = [float(np.cos(bb - 2.0 * (1.0 + s1) * tb))
              for bb, tb in zip(beta_bar, theta_bar)]
+    return k1, comps, pieces, theta_bar, beta_bar, b_bar
+
+
+def approx_height_solution(traj: FlowTrajectory, s1: float,
+                           frame: CoordinateFrame) -> HeightReport:
+    """Heat solution h from initial data B*z at the first time, compared with
+    the limit heights b_bar_j * z on the two components at t = s1.
+
+    b_bar_j = cos(beta_bar_j - 2(1 + s1) theta_bar_j) with the limit
+    constants measured on each component at the initial time. The product
+    reduction requires e_z aligned with one factor; both fixture families
+    (pair x R_z and reaper x R) satisfy this. Raises ComponentAmbiguity,
+    before the march, when fewer than two pieces lie in the disk at s1.
+    """
+    if abs(traj.times[0] + 1.0) > 1e-9:
+        raise ValueError("trajectory must start at t = -1")
+    mode = _z_mode(frame)
+    comps0, theta0, beta0 = _initial_caloric_data(traj)
+    k1, comps, pieces, theta_bar, beta_bar, b_bar = _limit_heights(
+        traj, s1, theta0, beta0, comps0)
+    B0 = [np.cos(beta0[ci] + 2.0 * (traj.times[0] - s1) * theta0[ci])
+          for ci in range(len(comps0))]
+    if mode == "factor1":
+        ez2 = frame.e_z[0:2]
+        f0 = [B0[ci] * (comps0[ci].vertices @ ez2) for ci in range(len(comps0))]
+    else:
+        f0 = B0  # separated ansatz h = g(p, t) * z(q)
+    h_at_s1 = heat_field_at(traj, f0, k1)
     sups = []
     for (ci, sel), bb in zip(pieces, b_bar):
         c = comps[ci]
         h_vals = h_at_s1[ci]
-        mask = sel & c.interior_mask(collar)
+        mask = sel & c.interior_mask(2)
         p = c.vertices[mask]
         if mode == "factor1":
             z_vals = p @ frame.e_z[0:2]
@@ -644,28 +640,21 @@ def approx_height_solution(traj: FlowTrajectory, s1: float,
     return HeightReport(s1, b_bar, sups, theta_bar, beta_bar, mode)
 
 
-def select_s1(traj: FlowTrajectory, frame: CoordinateFrame,
-              candidates=None) -> float:
-    """Pick s1 in (-1/2, 0) maximizing the separation margin |b1 - b2|.
+def select_s1(traj: FlowTrajectory, frame: CoordinateFrame) -> float:
+    """Pick s1 among nine in [-0.45, -0.05] maximizing the separation
+    margin |b1 - b2|.
 
     The measure-zero bad set of the component extraction is not computable;
     maximizing the measured margin (with successful two-component
     extraction) is the robust surrogate.
     """
-    if candidates is None:
-        candidates = np.linspace(-0.45, -0.05, 9)
     comps0, theta0, beta0 = _initial_caloric_data(traj)
     best, best_margin = None, -1.0
-    for s1 in candidates:
-        k1 = int(np.argmin(np.abs(traj.times - s1)))
-        comps = _curve_components(traj.states[k1])
-        pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
-        if len(pieces) < 2:
+    for s1 in np.linspace(-0.45, -0.05, 9):
+        try:
+            *_, b = _limit_heights(traj, s1, theta0, beta0, comps0)
+        except ComponentAmbiguity:
             continue
-        theta_bar, beta_bar = _measure_limit_constants(theta0, beta0, comps0,
-                                                       pieces)
-        b = [np.cos(bb - 2.0 * (1.0 + s1) * tb)
-             for bb, tb in zip(beta_bar, theta_bar)]
         margin = abs(b[0] - b[1])
         if margin > best_margin:
             best, best_margin = float(s1), margin

@@ -117,17 +117,6 @@ def as_components(state) -> list:
     return [state]
 
 
-@dataclass
-class ScalarField:
-    """Per-vertex scalar data on one state."""
-
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # vertex-axis kernels
 #
@@ -283,7 +272,7 @@ def turning_increments(u: np.ndarray, closed: bool) -> np.ndarray:
 # pointwise operations
 
 
-def lagrangian_angle(curve: DiscreteCurve) -> ScalarField:
+def lagrangian_angle(curve: DiscreteCurve) -> np.ndarray:
     """Tangent angle per vertex, unwrapped continuously along the component.
 
     For the n=1 Lagrangian the angle is the argument of the unit tangent;
@@ -292,8 +281,7 @@ def lagrangian_angle(curve: DiscreteCurve) -> ScalarField:
     """
     t = curve.tangents()
     raw = np.arctan2(t[:, 1], t[:, 0])
-    theta = np.unwrap(raw)
-    return ScalarField(theta, name="theta")
+    return np.unwrap(raw)
 
 
 def laplacian(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
@@ -325,14 +313,11 @@ def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
     return laplacian(curve, curve.vertices)
 
 
-def normal_projection(curve: DiscreteCurve, index: Optional[int] = None) -> np.ndarray:
-    """Normal part x^perp of the position vector (per vertex, or one vertex)."""
+def normal_projection(curve: DiscreteCurve) -> np.ndarray:
+    """Normal part x^perp of the position vector per vertex."""
     t = curve.tangents()
     v = curve.vertices
-    xperp = v - np.einsum("ij,ij->i", v, t)[:, None] * t
-    if index is not None:
-        return xperp[index]
-    return xperp
+    return v - np.einsum("ij,ij->i", v, t)[:, None] * t
 
 
 def liouville_edge_integrals(curve: DiscreteCurve) -> np.ndarray:
@@ -345,10 +330,10 @@ def liouville_edge_integrals(curve: DiscreteCurve) -> np.ndarray:
     return v[:, 0] * q[:, 1] - v[:, 1] * q[:, 0]
 
 
-def exactness_primitive(curve: DiscreteCurve, anchor_value: float = 0.0) -> ScalarField:
+def exactness_primitive(curve: DiscreteCurve) -> np.ndarray:
     """Primitive beta with d(beta) = lambda|_curve along the component.
 
-    beta is fixed to ``anchor_value`` at the first vertex. Closed components
+    beta is 0 at the first vertex. Closed components
     with holonomy |oint lambda| > 1e-8 * length raise NotExact carrying the
     holonomy (twice the enclosed area for embedded loops).
     """
@@ -357,10 +342,8 @@ def exactness_primitive(curve: DiscreteCurve, anchor_value: float = 0.0) -> Scal
         holonomy = float(inc.sum())
         if abs(holonomy) > HOLONOMY_RTOL * curve.length():
             raise NotExact(holonomy, component_id=curve.component_id)
-        beta = anchor_value + np.concatenate([[0.0], np.cumsum(inc[:-1])])
-    else:
-        beta = anchor_value + np.concatenate([[0.0], np.cumsum(inc)])
-    return ScalarField(beta, name="beta")
+        return np.concatenate([[0.0], np.cumsum(inc[:-1])])
+    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def product_angle(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
@@ -421,11 +404,11 @@ class ProductLagrangian:
             self.factor2 = factor2
 
     def angle_grid(self) -> np.ndarray:
-        th1 = lagrangian_angle(self.factor1).values
+        th1 = lagrangian_angle(self.factor1)
         if self.factor2_line is not None:
             th2 = np.full(self.factor2.n_vertices, self.factor2_line.angle)
         else:
-            th2 = lagrangian_angle(self.factor2).values
+            th2 = lagrangian_angle(self.factor2)
         return product_angle(th1, th2)
 
     def position_grid(self) -> np.ndarray:

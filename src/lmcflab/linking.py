@@ -113,19 +113,18 @@ class ExtractionResult:
     assignment_margin: float
 
 
-def extract_components(state, radii=(2.0, 3.0), pair: Optional[PlanePairConfig] = None,
-                       delta: float = 0.1) -> ExtractionResult:
-    """Connected components of state inside B_{radii[1]} intersecting
-    B_{radii[0]}, the two largest labeled by their limit plane.
+def extract_components(state, pair: Optional[PlanePairConfig] = None) -> ExtractionResult:
+    """Connected components of state inside B_3 intersecting B_2, the two
+    largest labeled by their limit plane.
 
     Labeling cost combines the RMS distance to the plane with the angle
     mismatch of the tangent planes (oriented-plane identity, which stays
     meaningful for multiplicity-two blow-downs). Components below 1% of
     the inner-ball mass are returned as leftovers. ComponentAmbiguity is
     raised when fewer than two candidate components exist or the labeling
-    margin falls below 2*delta.
+    margin falls below 2*delta = 0.2.
     """
-    r_in, r_out = radii
+    r_in, r_out, delta = 2.0, 3.0, 0.1
     meshes = [mesh_of(c) for c in as_components(state)]
     pieces = []
     for verts, quads in meshes:
@@ -243,8 +242,7 @@ class SphereSliceCurve:
                     fh.write(f"{li},{p[0]!r},{p[1]!r},{p[2]!r},{p[3]!r}\n")
 
 
-def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
-                 max_retries: int = 10) -> SphereSliceCurve:
+def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSliceCurve:
     """Transverse intersection of a discrete surface with the sphere |x| = R.
 
     Marching triangles on the quad mesh; if any mesh vertex is tangent to
@@ -262,7 +260,7 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9,
     tris = _triangles(quads)
     radii_v = np.linalg.norm(verts, axis=1)
     R_try = float(R)
-    for _ in range(max_retries + 1):
+    for _ in range(11):   # R, then up to 10 nudged radii
         f = radii_v - R_try
         if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
             starts, _, start_edges, end_edges = _march_triangles(verts, tris, f)
@@ -582,13 +580,14 @@ class SeparationReport:
 
 
 def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
-                         b0: float, z_cut: float = 0.5) -> SeparationReport:
+                         b0: float) -> SeparationReport:
     """Check the switched half-space inclusions of the two components.
 
     H_+/- are the sides of w = phi(x) + lam * b0 * z. Component 1 must lie
-    in H_+ over {z > z_cut} and in H_- over {z < -z_cut}; component 2 the
+    in H_+ over {z > 0.5} and in H_- over {z < -0.5}; component 2 the
     other way round. Margins are the worst signed clearances.
     """
+    z_cut = 0.5
     phi = np.asarray(phi, dtype=float)
     margins = {}
     checks = []
@@ -611,7 +610,7 @@ def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
 # surface-surface intersection scan
 
 
-def surfaces_intersect(mesh_a, mesh_b, tol: float = 1e-9):
+def surfaces_intersect(mesh_a, mesh_b):
     """First intersection point of two quad meshes in R^4, or None.
 
     Two 2-surfaces in R^4 meet generically in points: each triangle pair
@@ -645,6 +644,7 @@ def surfaces_intersect(mesh_a, mesh_b, tol: float = 1e-9):
     sol = np.full(rhs.shape, np.nan)
     sol[regular] = np.linalg.solve(A[regular], rhs[regular, :, None])[:, :, 0]
     u, v, s, t = sol.T
+    tol = 1e-9   # barycentric slack
     hits = np.flatnonzero((u >= -tol) & (v >= -tol) & (u + v <= 1 + tol)
                           & (s >= -tol) & (t >= -tol) & (s + t <= 1 + tol))
     if hits.size == 0:

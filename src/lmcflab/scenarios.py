@@ -567,7 +567,14 @@ def run_scenario(config: dict, out_dir=None) -> dict:
 
 
 def compare_runs(dir_a, dir_b) -> dict:
-    """Diff two bundles of the same scenario; flags drift beyond tolerances."""
+    """Diff two bundles of the same scenario; flags drift beyond tolerances.
+
+    Numbers differ by |a - b| (a NaN on one side only by inf) and are flagged
+    beyond their metric's tolerance. Any other change is flagged with
+    tolerance 0: a flipped bool, a changed string, a list of another length,
+    a value of another type, or a key present in only one bundle. The
+    checks are compared as well, under keys ``checks.<name>``.
+    """
     with open(os.path.join(dir_a, "summary.json")) as fhd:
         a = json.load(fhd)
     with open(os.path.join(dir_b, "summary.json")) as fhd:
@@ -581,9 +588,10 @@ def compare_runs(dir_a, dir_b) -> dict:
     flagged = {}
 
     def walk(key, va, vb):
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)) \
-                and not isinstance(va, bool):
-            d = abs(float(va) - float(vb))
+        if _is_number(va) and _is_number(vb):
+            d = abs(float(va) - float(vb)) if va != vb else 0.0
+            if d != d:   # NaN on one side or both
+                d = 0.0 if va != va and vb != vb else float("inf")
             if d > 0:
                 deltas[key] = d
             t = tol.get(key.split(".")[0], 0.0)
@@ -593,10 +601,23 @@ def compare_runs(dir_a, dir_b) -> dict:
             for i, (xa, xb) in enumerate(zip(va, vb)):
                 walk(f"{key}.{i}", xa, xb)
         elif isinstance(va, dict) and isinstance(vb, dict):
-            for k in sorted(set(va) & set(vb)):
-                walk(f"{key}.{k}", va[k], vb[k])
+            walk_keys(f"{key}.", va, vb)
+        elif type(va) is not type(vb) or va != vb:
+            flagged[key] = {"a": va, "b": vb, "tolerance": 0.0}
 
-    for k in sorted(set(a["metrics"]) & set(b["metrics"])):
-        walk(k, a["metrics"][k], b["metrics"][k])
+    def walk_keys(prefix, da, db):
+        for k in sorted(set(da) | set(db)):
+            if k in da and k in db:
+                walk(prefix + k, da[k], db[k])
+            else:
+                flagged[prefix + k] = {"a": da.get(k), "b": db.get(k),
+                                       "tolerance": 0.0}
+
+    walk_keys("", a["metrics"], b["metrics"])
+    walk_keys("checks.", a.get("checks", {}), b.get("checks", {}))
     return {"scenario": a["scenario"], "deltas": deltas, "flagged": flagged,
-            "identical": not deltas}
+            "identical": not deltas and not flagged}
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

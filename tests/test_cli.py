@@ -160,3 +160,24 @@ def test_density_of_the_line_pair(tmp_path):
     assert run_cli(["density", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "density.json").read_text())
     assert abs(payload["value"] - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--refine", "2"],
+    ["density", "--seed", "1"],
+    ["heat", "--seed", "1"],
+    ["linking", "--refine", "2"],
+])
+def test_options_exist_only_where_they_are_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_and_refine_reach_the_scenario(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["run", "--scenario", "three-annulus", "--seed", "3",
+                    "--refine", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["seed"], summary["params"]) == (3, {"refine": 2})

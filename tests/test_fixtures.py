@@ -27,13 +27,13 @@ def test_generate_fixture_deterministic():
 def test_circle_reference_angle():
     curve = fx.generate_fixture("circle", radius=1.0, n=256)
     phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    theta = geo.lagrangian_angle(curve).values
+    theta = geo.lagrangian_angle(curve)
     assert np.max(np.abs(theta - (phi + np.pi / 2))) < 1e-10
 
 
 def test_grim_reaper_reference_angle():
     curve, theta_ref = fx.make_grim_reaper(speed=1.0, extent=3.0, n=512)
-    theta = geo.lagrangian_angle(curve).values
+    theta = geo.lagrangian_angle(curve)
     mask = curve.interior_mask()
     h = np.max(curve.edge_lengths())
     # reference theta(x) = x from the closed form; discrete angle is O(h^2)
@@ -43,7 +43,7 @@ def test_grim_reaper_reference_angle():
 def test_grim_reaper_speed_scaling():
     c = 2.0
     curve, theta_ref = fx.make_grim_reaper(speed=c, extent=2.0, n=512)
-    theta = geo.lagrangian_angle(curve).values
+    theta = geo.lagrangian_angle(curve)
     mask = curve.interior_mask()
     assert np.max(np.abs(theta - c * curve.vertices[:, 0])[mask]) < 1e-3
     # arm width pi / c

@@ -121,15 +121,26 @@ def test_to_rescaled_static_cone_is_static():
                                    lambda t: line)
     resc = flow.to_rescaled(traj, dtau=0.25)
     final = flow.as_components(resc.states[-1])[0]
-    th = geo.lagrangian_angle(final).values
+    th = geo.lagrangian_angle(final)
     assert np.allclose(th, 0.7, atol=1e-12)
 
 
 def test_to_rescaled_range_error():
     circ = fx.make_circle(1.0, 64)
     traj = flow.FlowTrajectory([-1.0, -0.5], [circ, circ])
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="not covered"):
         flow.to_rescaled(traj, tau_min=-5.0, tau_max=0.5)
+
+
+def test_to_rescaled_refuses_a_stored_trajectory():
+    # the window is covered, but a stored trajectory has no states between
+    # its recorded times
+    circ = fx.make_circle(1.0, 64)
+    traj = flow.FlowTrajectory([-1.0, -0.5], [circ, circ])
+    with pytest.raises(RangeError, match="stored trajectory"):
+        flow.to_rescaled(traj, tau_min=0.0, tau_max=0.5, dtau=0.25)
+    analytic = flow.AnalyticTrajectory([-1.0, -0.5], lambda t: circ)
+    assert len(flow.to_rescaled(analytic, tau_min=0.0, tau_max=0.5, dtau=0.25)) == 3
 
 
 def test_rescaling_commutation():

@@ -190,8 +190,9 @@ def test_select_s1_margin():
     assert -0.5 < s1 < 0.0
 
 
-def test_approx_height_component_ambiguity_single_component():
-    # a single line x R_z has one component in the disk: ambiguity
+def test_approx_height_component_ambiguity_single_component(monkeypatch):
+    # a single line x R_z has one component in the disk: ambiguity, raised
+    # before the heat field is marched
     line = fx.make_line(angle=0.3, extent=6.0, n=201)
     prod = geo.ProductLagrangian(line, geo.AffineLine((0, 0), (1.0, 0.0)))
     times = np.linspace(-1.0, -0.2, 41)
@@ -199,6 +200,11 @@ def test_approx_height_component_ambiguity_single_component():
     frame = geo.CoordinateFrame(np.array([0, 0, 1.0, 0]),
                                 geo.apply_J(np.array([0, 0, 1.0, 0])),
                                 np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+
+    def no_march(*args):
+        raise AssertionError("the heat field was marched")
+
+    monkeypatch.setattr(fh, "heat_field_at", no_march)
     with pytest.raises(ComponentAmbiguity):
         fh.approx_height_solution(traj, s1=-0.25, frame=frame)
 
@@ -304,7 +310,7 @@ def loop_gauge_rates(traj, collar):
     times = traj.times
     comps_per_state = [fh._curve_components(s) for s in traj.states]
     thetas = fh._aligned_angle_fields(comps_per_state)
-    g_fields = [[geo.exactness_primitive(c).values + 2.0 * t * th
+    g_fields = [[geo.exactness_primitive(c) + 2.0 * t * th
                  for c, th in zip(comps, ths)]
                 for comps, ths, t in zip(comps_per_state, thetas, times)]
     rates = np.zeros((len(times), len(comps_per_state[0])))
@@ -536,7 +542,7 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
     assert np.array_equal(cp.gauge, gauge)
     for k, s in enumerate(traj.states):
         for got, c, g in zip(cp.beta[k], fh._curve_components(s), gauge[k]):
-            assert np.array_equal(got, geo.exactness_primitive(c).values + g)
+            assert np.array_equal(got, geo.exactness_primitive(c) + g)
     rep = fh.evolve_B(traj, s1=-0.25, collar=collar)
     B, ref_sup, scale = loop_B_identity(traj, -0.25, collar, cp)
     for got, want in zip(rep.B, B, strict=True):
@@ -613,7 +619,7 @@ def test_component_without_interior_vertex_adds_nothing():
     assert cp.gauge.tolist() == [[0.0]] * len(times)
     assert cp.residual_sup.tolist() == zeros
     for beta, c in zip(cp.beta, traj.states):
-        assert np.array_equal(beta[0], geo.exactness_primitive(c).values)
+        assert np.array_equal(beta[0], geo.exactness_primitive(c))
     rep = fh.evolve_B(traj, s1=0.02)
     assert rep.residual_sup.tolist() == zeros and rep.identity_scale == 0.0
     assert fh.angle_caloric_residual(traj).tolist() == zeros

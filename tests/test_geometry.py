@@ -17,7 +17,7 @@ def circle_theta_oracle(phi):
 def test_line_angle_constant():
     alpha = 0.7
     curve = fx.make_line(angle=alpha, extent=5.0, n=41)
-    theta = geo.lagrangian_angle(curve).values
+    theta = geo.lagrangian_angle(curve)
     assert np.allclose(theta, alpha, atol=1e-13)
 
 
@@ -25,7 +25,7 @@ def test_circle_angle_matches_parametrization():
     n = 256
     curve = fx.make_circle(radius=1.0, n=n)
     phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    theta = geo.lagrangian_angle(curve).values
+    theta = geo.lagrangian_angle(curve)
     expected = circle_theta_oracle(phi)
     # central difference of circle points gives the exact tangent direction
     assert np.max(np.abs(theta - expected)) < 1e-12
@@ -180,7 +180,7 @@ def test_angle_curvature_compatibility_rate():
 
 def test_exactness_line_through_origin():
     curve = fx.make_line(angle=0.4, extent=5.0, n=51)
-    beta = geo.exactness_primitive(curve).values
+    beta = geo.exactness_primitive(curve)
     assert np.max(np.abs(beta)) < 1e-12
 
 
@@ -201,7 +201,7 @@ def test_grim_reaper_beta_against_fine_quadrature():
     speed = 1.0
     n = 201
     curve, _ = fx.make_grim_reaper(speed=speed, extent=2.0, n=n)
-    beta = geo.exactness_primitive(curve).values
+    beta = geo.exactness_primitive(curve)
 
     s_fine = np.linspace(-2.0, 2.0, (n - 1) * 10 + 1)
     v = fx.grim_reaper_point(s_fine, speed)
@@ -230,7 +230,7 @@ def test_normal_projection_circle_radial():
 def test_grad_beta_matches_normal_projection():
     # discrete identity |grad beta| = |x^perp| within O(h) on the grim reaper
     curve, _ = fx.make_grim_reaper(speed=1.0, extent=2.0, n=401)
-    beta = geo.exactness_primitive(curve).values
+    beta = geo.exactness_primitive(curve)
     grad_b = geo.arc_gradient(curve, beta)
     xperp = np.linalg.norm(geo.normal_projection(curve), axis=1)
     mask = curve.interior_mask()

@@ -72,6 +72,53 @@ def test_compare_flags_drift_beyond_tolerance(tmp_path):
     assert "line_density" in diff["flagged"]
 
 
+def _bundles(tmp_path, metrics_a, metrics_b, checks_a=None, checks_b=None):
+    """Two hand-made bundles of one scenario with the given metrics."""
+    dirs = []
+    for name, metrics, checks in (("a", metrics_a, checks_a),
+                                  ("b", metrics_b, checks_b)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "summary.json").write_text(json.dumps({
+            "schema_version": sc.SCHEMA_VERSION, "scenario": "three-annulus",
+            "metrics": metrics, "checks": checks or {},
+            "tolerances": {"x": 1.0}}))
+        dirs.append(str(d))
+    return sc.compare_runs(*dirs)
+
+
+@pytest.mark.parametrize("metrics_a, metrics_b, key", [
+    ({"uniqueness_bitwise": True}, {"uniqueness_bitwise": False},
+     "uniqueness_bitwise"),
+    ({"x": [1.0, 2.0]}, {"x": [1.0, 2.0, 3.0]}, "x"),
+    ({"x": 1.0, "only_a": 2.0}, {"x": 1.0}, "only_a"),
+    ({"x": 1.0}, {"x": 1.0, "only_b": [3]}, "only_b"),
+    ({"d": {"k": 1.0}}, {"d": {"k": 1.0, "j": 2.0}}, "d.j"),
+    ({"mode": "factor1"}, {"mode": "factor2"}, "mode"),
+    ({"y": None}, {"y": 0.0}, "y"),
+    ({"y": float("nan")}, {"y": 0.0}, "y"),
+])
+def test_compare_flags_every_non_numeric_change(tmp_path, metrics_a, metrics_b, key):
+    # "x" has tolerance 1.0, yet none of these changes is within it
+    diff = _bundles(tmp_path, metrics_a, metrics_b)
+    assert list(diff["flagged"]) == [key]
+    assert diff["flagged"][key]["tolerance"] == 0.0
+    assert not diff["identical"]
+
+
+def test_compare_flags_a_flipped_check(tmp_path):
+    diff = _bundles(tmp_path, {"x": 1.0}, {"x": 1.0}, {"ok": True}, {"ok": False})
+    assert list(diff["flagged"]) == ["checks.ok"] and not diff["identical"]
+
+
+def test_compare_equal_values_of_every_kind_are_identical(tmp_path):
+    metrics = {"b": True, "s": "factor1", "n": None, "nan": float("nan"),
+               "inf": float("inf"), "l": [1, [2.0, False]], "d": {"k": 1}}
+    diff = _bundles(tmp_path, metrics, dict(metrics, l=[1.0, [2, False]]),
+                    {"ok": True}, {"ok": True})
+    assert diff["identical"] and not diff["flagged"] and not diff["deltas"]
+
+
 def test_summary_embeds_config_hash(tmp_path):
     cfg = {"scenario": "three-annulus", "seed": 7}
     out = sc.run_scenario(cfg, out_dir=str(tmp_path))
