@@ -118,3 +118,7 @@ class GaussSumTooLarge(LabError):
 
 class ScanTooLarge(LabError):
     """A quadratic segment-pair scan has more pairs than its memory bound allows."""
+
+
+class WorkerDied(LabError):
+    """A forked worker process exited without sending its results."""

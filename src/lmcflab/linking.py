@@ -9,19 +9,16 @@ result must round to an integer within 0.1.
 
 The hot kernels are vectorized without changing a bit of their output:
 
-- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows, so its
-  temporaries are O(GAUSS_BLOCK * M) instead of several dense (N, M, 3)
-  arrays, while every summand is the one the dense formula computes and the
-  summands are added by one np.sum in the same order; sums above
-  GAUSS_MAX_PAIRS edge pairs are refused with GaussSumTooLarge;
-- the row blocks run on one module-level thread pool with a worker per
-  usable CPU, created on the first Gauss sum so that importing the
-  package starts no thread. Each block writes its own rows of
-  the caller's summand array and the caller alone adds them up, so the
-  value does not depend on which thread ran a block. Only the caller of
-  _gauss_linking_r3 submits to the pool: a row block calls only numpy and
-  the _dot/_cross helpers and never submits work, so several callers can
-  share the pool without deadlock;
+- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows through one
+  workspace allocated per loop pair, every operation writing into it with
+  out=, so its temporaries are O(GAUSS_BLOCK * M) instead of several dense
+  (N, M, 3) arrays, while every summand is the one the dense formula
+  computes and the summands are added by one np.sum in the same order;
+  linking_number refuses sums above GAUSS_MAX_PAIRS edge pairs with
+  GaussSumTooLarge before any starts;
+- linking_number spreads its poles over forked processes with
+  fanout.fan_out. A pole's whole sum stays in one process and only its
+  value crosses back, so the values do not depend on the number of CPUs;
 - sphere slicing interpolates all crossing triangles at once and orients
   the segments with one stacked 2x2 solve, emitting them in triangle order,
   so chaining builds the same loops from the same start points;
@@ -32,9 +29,6 @@ The hot kernels are vectorized without changing a bit of their output:
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -44,8 +38,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.spatial import cKDTree
 
-from .errors import (ComponentAmbiguity, CurvesTooClose, GaussSumTooLarge,
-                     NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
+from .errors import (ComponentAmbiguity, ConfigInvalid, CurvesTooClose,
+                     GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
+                     RoundingAmbiguity)
+from .fanout import fan_out
 from .geometry import PlanePairConfig, ProductLagrangian, as_components
 
 SMALL_COMPONENT_FRACTION = 0.01  # discard below this share of the B_2 mass
@@ -53,9 +49,6 @@ GAUSS_BLOCK = 16  # Gauss-sum rows per block; its temporaries stay in L2 cache
 # Largest Gauss sum accepted: 2**26 edge pairs, a 512 MiB (N, M) summand
 # array; the scenario slices need at most 1358**2 (about 1.8M) pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
-
-_POOL = None  # ThreadPoolExecutor for Gauss rows, made by _gauss_pool()
-_POOL_LOCK = threading.Lock()
 
 
 def mesh_of(obj):
@@ -418,97 +411,102 @@ def _gauss_linking_r3(loop_a, loop_b):
     b_j, b_{j+1}, split into the triangles (n1, n2, n3) and (n1, n3, n4)
     with Oosterom-Strackee's formula 2 atan2(triple, 1 + sum of dots).
 
-    The summands fill one (N, M) array, GAUSS_BLOCK rows per task on the
-    module's thread pool (see _gauss_rows), and go through one np.sum on
-    the calling thread, so the value is bit-identical to the dense
-    (N, M, 3) roll/cross/einsum formula whatever thread computed a row.
-    Raises GaussSumTooLarge, before allocating, when N * M exceeds
-    GAUSS_MAX_PAIRS.
+    The summands fill one (N, M) array, GAUSS_BLOCK rows at a time through
+    one workspace (see _gauss_rows), and go through one np.sum, so the value
+    is bit-identical to the dense (N, M, 3) roll/cross/einsum formula. The
+    caller bounds N * M by GAUSS_MAX_PAIRS (see linking_number).
     """
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
     n, m = a.shape[0], b.shape[0]
-    if n * m > GAUSS_MAX_PAIRS:
-        raise GaussSumTooLarge(
-            f"{n} x {m} Gauss pairs exceed the limit of {GAUSS_MAX_PAIRS} "
-            f"({8 * n * m / 2**20:.0f} MiB of summands)")
     bw = np.concatenate([b, b[:1]]).T.copy()          # (3, M + 1)
     total = np.empty((n, m))
-    rows = partial(_gauss_rows, a, bw, total)
-    list(_gauss_pool().map(rows, range(0, n, GAUSS_BLOCK)))
+    rows = min(GAUSS_BLOCK, n)
+    work = _GaussWorkspace(rows, m)
+    for i0 in range(0, n, GAUSS_BLOCK):
+        _gauss_rows(a, bw, total, i0, work)
     return float(np.sum(total)) / (4.0 * np.pi)
 
 
-def _gauss_rows(a, bw, total, i0):
+class _GaussWorkspace:
+    """The temporaries of _gauss_rows for blocks of up to rows rows against
+    M columns, allocated once per Gauss sum. A block of r rows uses leading
+    rows, so every array it gets is contiguous like a fresh one."""
+
+    def __init__(self, rows, m):
+        self.diff = np.empty((3, rows + 1, m + 1))
+        self.unit = np.empty((3, rows + 1, m + 1))
+        self.cross = np.empty((3, rows, m))
+        self.flat = np.empty((8, (rows + 1) * (m + 1)))
+
+    def get(self, k, shape):
+        """Scratch array k, viewed with the given 2-D shape."""
+        return self.flat[k, :shape[0] * shape[1]].reshape(shape)
+
+
+def _gauss_rows(a, bw, total, i0, w):
     """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss summands of those rows.
 
     Works on x, y, z arrays of shape (rows + 1, M + 1), with the wrapped
-    row and column appended. Each dot product is formed once and shared:
-    n1.n2 and n3.n4 are row neighbours, n2.n3 and n4.n1 column neighbours,
-    n1.n3 serves both triangles. Every summand is computed with the same
-    operations in the same order as the dense formula. Runs on pool
-    threads: it calls only numpy, _dot and _cross, and submits nothing.
+    row and column appended, in the workspace w. Each dot product is formed
+    once and shared: n1.n2 and n3.n4 are row neighbours, n2.n3 and n4.n1
+    column neighbours, n1.n3 serves both triangles. Every summand is
+    computed with the same operations in the same order as the dense
+    formula.
     """
-    n = a.shape[0]
+    n, m = a.shape[0], bw.shape[1] - 1
     i1 = min(i0 + GAUSS_BLOCK, n)
+    r = i1 - i0
     aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
-    diff = bw[:, None, :] - aw                         # (3, rows + 1, M + 1)
+    diff = np.subtract(bw[:, None, :], aw, out=w.diff[:, :r + 1])
     x, y, z = diff
-    U = diff / np.sqrt((x * x + y * y) + z * z)
+    wide, tmp = w.get(0, (r + 1, m + 1)), w.get(1, (r + 1, m + 1))
+    np.multiply(x, x, out=wide)
+    wide += np.multiply(y, y, out=tmp)
+    wide += np.multiply(z, z, out=tmp)
+    U = np.divide(diff, np.sqrt(wide, out=wide), out=w.unit[:, :r + 1])
     n1, n2, n3, n4 = (U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:],
                       U[:, 1:, :-1])
-    row = _dot(U[:, :, :-1], U[:, :, 1:])              # U[i, j] . U[i, j+1]
-    col = _dot(U[:, :-1], U[:, 1:])                    # U[i, j] . U[i+1, j]
-    diag = _dot(n1, n3)
-    den1 = ((1.0 + row[:-1]) + col[:, 1:]) + diag
-    den2 = ((1.0 + diag) + row[1:]) + col[:, :-1]
-    total[i0:i1] = (2.0 * np.arctan2(_dot(n1, _cross(n2, n3)), den1)
-                    + 2.0 * np.arctan2(_dot(n1, _cross(n3, n4)), den2))
+    row = _dot(U[:, :, :-1], U[:, :, 1:], w.get(2, (r + 1, m)),
+               w.get(1, (r + 1, m)))
+    col = _dot(U[:, :-1], U[:, 1:], w.get(3, (r, m + 1)), w.get(1, (r, m + 1)))
+    tmp = w.get(1, (r, m))
+    diag = _dot(n1, n3, w.get(4, (r, m)), tmp)
+    den1 = np.add(row[:-1], 1.0, out=w.get(5, (r, m)))
+    den1 += col[:, 1:]
+    den1 += diag
+    den2 = np.add(diag, 1.0, out=w.get(6, (r, m)))
+    den2 += row[1:]
+    den2 += col[:, :-1]
+    tri1 = _dot(n1, _cross(n2, n3, w.cross[:, :r], tmp), w.get(7, (r, m)), tmp)
+    tri2 = _dot(n1, _cross(n3, n4, w.cross[:, :r], tmp), w.get(0, (r, m)), tmp)
+    np.arctan2(tri1, den1, out=tri1)
+    np.arctan2(tri2, den2, out=tri2)
+    tri1 *= 2.0
+    tri2 *= 2.0
+    np.add(tri1, tri2, out=total[i0:i1])
 
 
-def usable_cpus():
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count (at least 1)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _gauss_pool():
-    """The module's Gauss-row thread pool, one worker per usable CPU,
-    created on first use so that importing lmcflab starts no thread."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=usable_cpus(),
-                                       thread_name_prefix="lmcflab-gauss")
-        return _POOL
-
-
-def _forget_pool():
-    """A forked child has none of the parent's pool threads: start afresh."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _dot(u, v):
-    """Component-wise dot product of stacked 3-vectors (leading axis 3).
+def _dot(u, v, out, tmp):
+    """Component-wise dot product of stacked 3-vectors (leading axis 3),
+    written into out; tmp is scratch of the same shape.
 
     Summed as (x + z) + y: the order in which numpy.einsum's two-lane SIMD
     accumulation adds a length-3 contraction, which the dense formula used.
     """
-    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+    np.multiply(u[0], v[0], out=out)
+    out += np.multiply(u[2], v[2], out=tmp)
+    out += np.multiply(u[1], v[1], out=tmp)
+    return out
 
 
-def _cross(u, v):
-    """Cross product of stacked 3-vectors, term for term as numpy.cross."""
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def _cross(u, v, out, tmp):
+    """Cross product of stacked 3-vectors into out (leading axis 3), term
+    for term as numpy.cross; tmp is scratch of one component's shape."""
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[i], v[j], out=out[k])
+        out[k] -= np.multiply(u[j], v[i], out=tmp)
+    return out
 
 
 def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
@@ -516,10 +514,17 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     """Gauss linking number of two disjoint closed curves on a 3-sphere.
 
     A pole at maximal distance from both curves is drawn from a seeded
-    candidate set; with n_poles > 1 the integer must agree across poles.
-    Raises CurvesTooClose when the curves approach within 10 edge lengths,
-    and RoundingAmbiguity when the raw value strays from an integer.
+    candidate set; with n_poles > 1 the integer must agree across poles,
+    whose sums fanout.fan_out spreads over forked processes.
+    Raises ConfigInvalid unless n_poles is a positive integer,
+    CurvesTooClose when the curves approach within 10 edge lengths,
+    GaussSumTooLarge, before any sum starts, when a loop pair has more than
+    GAUSS_MAX_PAIRS edge pairs, and RoundingAmbiguity when the raw value
+    strays from an integer.
     """
+    if (isinstance(n_poles, bool) or not isinstance(n_poles, (int, np.integer))
+            or n_poles < 1):
+        raise ConfigInvalid(f"n_poles must be a positive integer, not {n_poles!r}")
     loops1 = _as_loops(c1)
     loops2 = _as_loops(c2)
     if R is None:
@@ -540,19 +545,15 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     allpts = np.concatenate([pts1, pts2]) / R
     dists = np.arccos(np.clip(cands @ allpts.T, -1.0, 1.0)).min(axis=1)
     order = np.argsort(-dists)
-    per_pole = []
-    poles = []
-    for k in order[:n_poles]:
-        pole = cands[k] * R
-        if dists[k] < 0.15:
-            continue
-        proj1 = [_stereographic(lp, cands[k], R) for lp in loops1]
-        proj2 = [_stereographic(lp, cands[k], R) for lp in loops2]
-        raw = sum(_gauss_linking_r3(la, lb) for la in proj1 for lb in proj2)
-        per_pole.append(raw)
-        poles.append(pole)
-    if not per_pole:
+    used = [k for k in order[:n_poles] if dists[k] >= 0.15]
+    if not used:
         raise CurvesTooClose("no admissible projection pole found")
+    n, m = max(map(len, loops1)), max(map(len, loops2))
+    if n * m > GAUSS_MAX_PAIRS:
+        raise GaussSumTooLarge(
+            f"{n} x {m} Gauss pairs exceed the limit of {GAUSS_MAX_PAIRS} "
+            f"({8 * n * m / 2**20:.0f} MiB of summands)")
+    per_pole = fan_out(partial(_pole_sum, loops1, loops2, R), cands[used])
     raw = per_pole[0]
     val = int(np.round(raw))
     margin = abs(raw - val)
@@ -562,7 +563,14 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
         if int(np.round(other)) != val or abs(other - np.round(other)) >= 0.1:
             raise RoundingAmbiguity(
                 f"poles disagree: {per_pole}")
-    return LinkingReport(raw, val, margin, poles[0], per_pole)
+    return LinkingReport(raw, val, margin, cands[used[0]] * R, per_pole)
+
+
+def _pole_sum(loops1, loops2, R, pole):
+    """The raw linking sum over all loop pairs, projected from the unit pole."""
+    proj1 = [_stereographic(lp, pole, R) for lp in loops1]
+    proj2 = [_stereographic(lp, pole, R) for lp in loops2]
+    return sum(_gauss_linking_r3(la, lb) for la in proj1 for lb in proj2)
 
 
 def _min_distance(pts1, pts2):

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +24,7 @@ from . import flow
 from . import flowheat as fh
 from . import linking as lk
 from .errors import ConfigInvalid, SchemaMismatch
+from .fanout import fan_out
 from .geometry import AffineLine, make_plane_pair
 
 SCHEMA_VERSION = 1
@@ -343,24 +342,43 @@ def scenario_caloric_identities(params, seed, outputs):
 
 def scenario_linking_suite(params, seed, outputs):
     samples = params.get("samples", 400)
-    metrics, checks = {}, {}
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=samples)
-    s1 = lk.sphere_slice(meshes[0], 1.0)
-    s2 = lk.sphere_slice(meshes[1], 1.0)
-    rep = lk.linking_number(s1, s2, seed=seed, n_poles=5)
-    metrics["transverse_raw"] = rep.raw
-    metrics["transverse_value"] = rep.value
-    metrics["transverse_per_pole"] = rep.per_pole
-    checks["transverse_link_one"] = rep.value == 1
-    checks["pole_independent"] = all(int(np.round(v)) == 1 for v in rep.per_pole)
-    hit = lk.surfaces_intersect(meshes[0], meshes[1])
-    checks["linked_slices_intersect"] = hit is not None
+    # the controls run in a forked child beside the transverse link
+    (metrics, checks), (s1, s2, rep) = fan_out(
+        _call, [partial(_linking_controls, meshes, seed),
+                partial(_transverse_link, meshes, seed)])
+    metrics = {"transverse_raw": rep.raw, "transverse_value": rep.value,
+               "transverse_per_pole": rep.per_pole, **metrics}
+    checks = {"transverse_link_one": rep.value == 1,
+              "pole_independent": all(int(np.round(v)) == 1 for v in rep.per_pole),
+              **checks}
     if outputs:
         s1.write_csv(os.path.join(outputs, "slice1.csv"))
         s2.write_csv(os.path.join(outputs, "slice2.csv"))
         with open(os.path.join(outputs, "linking.json"), "w") as fhd:
             json.dump(rep.to_dict(), fhd, sort_keys=True, indent=1)
+    return metrics, checks, {"transverse_raw": 1e-6}
+
+
+def _call(task):
+    return task()
+
+
+def _transverse_link(meshes, seed):
+    """The linked sphere slices of the transverse pair and their link."""
+    s1 = lk.sphere_slice(meshes[0], 1.0)
+    s2 = lk.sphere_slice(meshes[1], 1.0)
+    return s1, s2, lk.linking_number(s1, s2, seed=seed, n_poles=5)
+
+
+def _linking_controls(meshes, seed):
+    """The linking suite's checks besides the transverse link: the pair's
+    surfaces meet, parallel translates and Hopf fibers link as expected and
+    the half-space separation holds exactly for opposite b."""
+    metrics, checks = {}, {}
+    checks["linked_slices_intersect"] = (
+        lk.surfaces_intersect(meshes[0], meshes[1]) is not None)
     # parallel translates: unlinked
     mp, frame_p, _ = fx.make_tilted_pair(lam=0.05, b=(1.0, 1.0),
                                          extent=2.0, samples=240)
@@ -393,7 +411,7 @@ def scenario_linking_suite(params, seed, outputs):
     sep_eq = lk.halfspace_separation(me[0], me[1], frame_e,
                                      phi=np.zeros(4), lam=lam, b0=1.0)
     checks["equal_b_fails"] = not sep_eq.holds
-    return metrics, checks, {"transverse_raw": 1e-6}
+    return metrics, checks
 
 
 def ladder_rung(lam, base_speed, s1, dt):
@@ -418,31 +436,6 @@ def _rung_height(lam, base_speed, s1, dt) -> float:
     _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)
     rep = fh.approx_height_solution(prod_traj, s1=s1, frame=frame)
     return max(rep.sup_difference)
-
-
-@contextmanager
-def _light_rungs_forked(rungs):
-    """Per rung (the arguments of :func:`_rung_height`), the future of its
-    height from a forked worker process, or None for a rung the caller runs.
-
-    The heaviest rung (vertices x times) stays with the caller; the others
-    go to at most usable_cpus() - 1 workers, forked so that they share the
-    caller's imports, and the pool shuts down on exit. With one usable CPU,
-    one rung or no fork start method no process starts: every entry is
-    None. The rung heights do not depend on the process that computes them.
-    """
-    workers = min(lk.usable_cpus(), len(rungs)) - 1
-    if workers < 1 or "fork" not in mp.get_all_start_methods():
-        yield [None] * len(rungs)
-        return
-    cost = [len(t) * t.states[0].n_vertices for t in (ladder_rung(*r) for r in rungs)]
-    heaviest = cost.index(max(cost))
-    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"))
-    try:
-        yield [None if i == heaviest else pool.submit(_rung_height, *r)
-               for i, r in enumerate(rungs)]
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _hausdorff_rung(lam, base_speed):
@@ -480,13 +473,19 @@ def scenario_blow_down_ladder(params, seed, outputs):
     dt = params.get("dt", 5e-4)
     metrics, checks = {}, {}
     rungs = [(lam, base_speed, s1, dt) for lam in lams]
-    with _light_rungs_forked(rungs) as futures:
-        haus = [_hausdorff_rung(lam, base_speed) for lam in lams]
-        # approximate caloric height along the same ladder: the caller runs
-        # its rungs before it waits for the workers' results
-        mine = {i: _rung_height(*r) for i, (r, f) in enumerate(zip(rungs, futures))
-                if f is None}
-        sups = [mine[i] if f is None else f.result() for i, f in enumerate(futures)]
+    # forked children compute the light rungs' heights; the caller the
+    # Hausdorff ladder and the heaviest rung (vertices x times)
+    cost = [len(t) * t.states[0].n_vertices for t in (ladder_rung(*r) for r in rungs)]
+    heaviest = cost.index(max(cost))
+    light = [r for i, r in enumerate(rungs) if i != heaviest]
+
+    def mine():
+        return ([_hausdorff_rung(lam, base_speed) for lam in lams],
+                _rung_height(*rungs[heaviest]))
+
+    *sups, (haus, top) = fan_out(_call, [partial(_rung_height, *r) for r in light]
+                                 + [mine])
+    sups.insert(heaviest, top)
     metrics["hausdorff_ladder"] = haus
     checks["hausdorff_decreasing"] = all(a > b for a, b in zip(haus, haus[1:]))
     metrics["height_sup_ladder"] = sups

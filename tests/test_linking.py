@@ -12,11 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lmcflab import fanout
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab import linking as lk
-from lmcflab.errors import (ComponentAmbiguity, CurvesTooClose, GaussSumTooLarge,
-                            NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
+from lmcflab.errors import (ComponentAmbiguity, ConfigInvalid, CurvesTooClose,
+                            GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
+                            RoundingAmbiguity)
 
 
 def crossing_count_oracle(loop_a, loop_b, seed=5):
@@ -358,7 +360,7 @@ def test_vectorized_march_equals_loop():
 
 
 # ---------------------------------------------------------------------------
-# the Gauss-row thread pool and the size bound
+# the pole fan-out, its arguments and the size bound
 
 
 def test_concurrent_callers_get_serial_values():
@@ -414,53 +416,69 @@ def run_python(code, timeout):
 
 
 def test_import_starts_no_thread():
+    # nor a process: the fan-out forks only when a caller asks for it
     out = run_python("""
-        import threading
+        import multiprocessing, os, threading
         before = threading.active_count()
-        import lmcflab.linking as lk
-        print(before, threading.active_count(), lk._POOL is None)
+        import lmcflab.scenarios
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            children = "some"
+        except ChildProcessError:
+            children = "none"
+        print(before, threading.active_count(), multiprocessing.active_children(),
+              children)
         """, timeout=60).split()
     assert out[0] == out[1]
-    assert out[2] == "True"
+    assert out[2:] == ["[]", "none"]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_a_fresh_pool():
-    # the child of a fork has none of the parent's pool threads; work it
-    # submitted to the inherited pool would wait forever
-    run_python("""
-        import os, signal, sys, time
-        import lmcflab.fixtures as fx, lmcflab.linking as lk
-        f1, f2 = fx.make_hopf_fibers(n=64)
-        value = lk._gauss_linking_r3(f1[:, :3], f2[:, :3])
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if lk._gauss_linking_r3(f1[:, :3], f2[:, :3]) == value
-                     else 1)
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                sys.exit(os.waitstatus_to_exitcode(status))
-            time.sleep(0.05)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        sys.exit("forked child hung")
-        """, timeout=90)
+def test_nested_fan_out_gives_serial_values(cpus, forks, no_child_left):
+    # forked children that fan out again: every pole as computed in one process
+    f1, f2 = fx.make_hopf_fibers(n=64)
+    cpus(1)
+    serial = lk.linking_number(f1, f2, R=1.0, n_poles=3).per_pole
+    cpus(2)
+    outer = fanout.fan_out(
+        lambda _: (lk.linking_number(f1, f2, R=1.0, n_poles=3).per_pole, len(forks)),
+        range(2))
+    # each process forked once for its poles, after the caller's first fork,
+    # which the child's copy of the count inherited
+    assert outer == [(serial, 2), (serial, 2)]
+    no_child_left()
 
 
-def test_gauss_sum_refuses_oversized_loops_before_allocating():
+def test_gauss_sum_refuses_oversized_loops_before_allocating(cpus, forks):
+    cpus(2)
     f1, f2 = fx.make_hopf_fibers(n=8193)
     assert 8193 * 8193 > lk.GAUSS_MAX_PAIRS
     tracemalloc.start()
     try:
         with pytest.raises(GaussSumTooLarge, match="8193 x 8193"):
-            lk.linking_number(f1, f2, R=1.0)
+            lk.linking_number(f1, f2, R=1.0, n_poles=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the refused summand array alone would take 8 * 8193**2 bytes (512 MiB)
     assert peak < 64 * 2**20
+    assert forks == []   # refused once, in the caller, before any pole starts
+
+
+@pytest.mark.parametrize("n_poles", [0, -1, 2.0, "2", True, None])
+def test_linking_number_refuses_bad_n_poles(monkeypatch, n_poles):
+    f1, f2 = fx.make_hopf_fibers(n=64)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a pole candidate was drawn")
+
+    monkeypatch.setattr(lk.np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigInvalid, match="n_poles must be a positive integer"):
+        lk.linking_number(f1, f2, R=1.0, n_poles=n_poles)
+
+
+def test_linking_number_takes_numpy_integer_n_poles():
+    f1, f2 = fx.make_hopf_fibers(n=64)
+    assert len(lk.linking_number(f1, f2, R=1.0, n_poles=np.int64(2)).per_pole) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lmcflab import scenarios as sc
+from lmcflab import fanout
 from lmcflab.errors import ConfigInvalid, SchemaMismatch
 
 
@@ -142,44 +143,49 @@ def test_compare_dt_halving_within_certificate(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the blow-down ladder's light rungs in forked workers
+# the fan-out of the blow-down ladder and the linking suite
 
 COARSE_LADDER = {"scenario": "blow-down-ladder", "seed": 0, "params": {"dt": 2e-3}}
+LINKING = {"scenario": "linking-suite", "seed": 1}
 
 
-def _ladder_bytes(out_dir):
-    sc.run_scenario(COARSE_LADDER, out_dir=str(out_dir))
+def _bundle_bytes(config, out_dir):
+    sc.run_scenario(config, out_dir=str(out_dir))
     return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the forks of this process (the pool's workers)."""
-    count = []
-    fork = os.fork
-
-    def counted():
-        count.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return count
+@pytest.fixture(scope="module")
+def serial_bundles(tmp_path_factory):
+    """Each fanned-out scenario's bundle computed in this process alone."""
+    root = tmp_path_factory.mktemp("serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fanout, "usable_cpus", lambda: 1)
+        return {cfg["scenario"]: _bundle_bytes(cfg, root / cfg["scenario"])
+                for cfg in (COARSE_LADDER, LINKING)}
 
 
-@pytest.mark.parametrize("cpus", [2, 8])
-def test_ladder_bytes_equal_with_workers_and_on_one_cpu(tmp_path, monkeypatch,
-                                                        forks, cpus):
-    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: cpus)
-    with_workers = _ladder_bytes(tmp_path / "workers")
-    # at most usable_cpus() - 1 workers, one per rung the caller leaves
-    assert len(forks) == min(cpus, 3) - 1
-    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 1)
-    forks.clear()
-    assert _ladder_bytes(tmp_path / "one") == with_workers
-    assert forks == []
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_ladder_bytes_equal_with_workers_and_on_one_cpu(tmp_path, serial_bundles,
+                                                        forks, cpus, no_child_left, n):
+    cpus(n)
+    assert _bundle_bytes(COARSE_LADDER, tmp_path) == serial_bundles["blow-down-ladder"]
+    # at most usable_cpus() - 1 children, one per rung the caller leaves
+    assert len(forks) == min(n, 3) - 1
+    no_child_left()
 
 
-def test_worker_rung_error_reaches_the_caller_typed(monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_linking_suite_bytes_equal_with_workers_and_on_one_cpu(tmp_path, serial_bundles,
+                                                               forks, cpus,
+                                                               no_child_left, n):
+    cpus(n)
+    assert _bundle_bytes(LINKING, tmp_path) == serial_bundles["linking-suite"]
+    # one child for the controls, up to four for the transverse link's poles
+    assert len(forks) == {1: 0, 2: 2, 8: 5}[n]
+    no_child_left()
+
+
+def test_worker_rung_error_reaches_the_caller_typed(monkeypatch, cpus, no_child_left):
     from lmcflab.errors import NotExact
 
     caller = os.getpid()
@@ -190,23 +196,23 @@ def test_worker_rung_error_reaches_the_caller_typed(monkeypatch):
             raise NotExact(0.5, component_id=1)
         return height(*args, **kwargs)
 
-    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 2)
+    cpus(2)
     monkeypatch.setattr(sc.fh, "approx_height_solution", in_workers_not_exact)
     with pytest.raises(NotExact) as info:
         sc.run_scenario(COARSE_LADDER)
     assert (info.value.holonomy, info.value.component_id) == (0.5, 1)
     assert "Traceback" in str(info.value.__cause__)   # the worker's traceback
+    no_child_left()
 
 
-def test_ladder_forks_safely_after_the_gauss_pool_started(tmp_path, monkeypatch,
-                                                          forks):
+def test_ladder_forks_safely_after_a_linking_fan_out(tmp_path, serial_bundles,
+                                                     forks, cpus, no_child_left):
     from lmcflab import fixtures as fx
 
+    cpus(2)
     f1, f2 = fx.make_hopf_fibers(n=64)
     assert abs(sc.lk.linking_number(f1, f2, R=1.0, n_poles=2).value) == 1
-    assert sc.lk._POOL is not None   # its threads are alive
-    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 1)
-    serial = _ladder_bytes(tmp_path / "one")
-    monkeypatch.setattr(sc.lk, "usable_cpus", lambda: 2)
-    assert _ladder_bytes(tmp_path / "workers") == serial
     assert len(forks) == 1
+    assert _bundle_bytes(COARSE_LADDER, tmp_path) == serial_bundles["blow-down-ladder"]
+    assert len(forks) == 2
+    no_child_left()
