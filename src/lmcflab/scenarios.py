@@ -468,23 +468,26 @@ def _hausdorff_rung(lam, base_speed):
 
 def scenario_blow_down_ladder(params, seed, outputs):
     lams = params.get("lambdas", (0.2, 0.1, 0.05))
+    if not lams:
+        raise ConfigInvalid("blow-down-ladder needs at least one lambda")
     base_speed = params.get("base_speed", 4.0)
     s1 = params.get("s1", -0.4)
     dt = params.get("dt", 5e-4)
     metrics, checks = {}, {}
     rungs = [(lam, base_speed, s1, dt) for lam in lams]
-    # forked children compute the light rungs' heights; the caller the
-    # Hausdorff ladder and the heaviest rung (vertices x times)
+    # a forked child marches the heaviest rung (vertices x times), where its
+    # temporaries page-fault far less than in a long-running caller; the
+    # caller computes the Hausdorff ladder and the light rungs meanwhile
     cost = [len(t) * t.states[0].n_vertices for t in (ladder_rung(*r) for r in rungs)]
     heaviest = cost.index(max(cost))
     light = [r for i, r in enumerate(rungs) if i != heaviest]
 
     def mine():
         return ([_hausdorff_rung(lam, base_speed) for lam in lams],
-                _rung_height(*rungs[heaviest]))
+                [_rung_height(*r) for r in light])
 
-    *sups, (haus, top) = fan_out(_call, [partial(_rung_height, *r) for r in light]
-                                 + [mine])
+    top, (haus, sups) = fan_out(_call, [partial(_rung_height, *rungs[heaviest]),
+                                        mine])
     sups.insert(heaviest, top)
     metrics["hausdorff_ladder"] = haus
     checks["hausdorff_decreasing"] = all(a > b for a, b in zip(haus, haus[1:]))

@@ -169,8 +169,8 @@ def test_ladder_bytes_equal_with_workers_and_on_one_cpu(tmp_path, serial_bundles
                                                         forks, cpus, no_child_left, n):
     cpus(n)
     assert _bundle_bytes(COARSE_LADDER, tmp_path) == serial_bundles["blow-down-ladder"]
-    # at most usable_cpus() - 1 children, one per rung the caller leaves
-    assert len(forks) == min(n, 3) - 1
+    # one child for the heaviest rung, none on one CPU
+    assert len(forks) == min(n, 2) - 1
     no_child_left()
 
 
@@ -183,6 +183,12 @@ def test_linking_suite_bytes_equal_with_workers_and_on_one_cpu(tmp_path, serial_
     # one child for the controls, up to four for the transverse link's poles
     assert len(forks) == {1: 0, 2: 2, 8: 5}[n]
     no_child_left()
+
+
+def test_ladder_refuses_an_empty_lambda_list():
+    # an empty ladder would pass both of its checks without a rung
+    with pytest.raises(ConfigInvalid, match="at least one lambda"):
+        sc.run_scenario({"scenario": "blow-down-ladder", "params": {"lambdas": []}})
 
 
 def test_worker_rung_error_reaches_the_caller_typed(monkeypatch, cpus, no_child_left):
