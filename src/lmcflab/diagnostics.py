@@ -150,14 +150,9 @@ def _crossing_points(curves):
             if a is b:
                 keep = jj > ii + 1
                 ii, jj = ii[keep], jj[keep]
-            hit = segments_intersect(pa[ii], qa[ii], pb[jj], qb[jj])
-            for i0, j0 in zip(ii[hit][:8], jj[hit][:8]):
-                d1 = qa[i0] - pa[i0]
-                d2 = qb[j0] - pb[j0]
-                denom = d1[0] * d2[1] - d1[1] * d2[0]
-                dp = pb[j0] - pa[i0]
-                tpar = (dp[0] * d2[1] - dp[1] * d2[0]) / denom
-                pts.append(pa[i0] + tpar * d1)
+            hit, t, _ = segments_intersect(pa[ii], qa[ii], pb[jj], qb[jj])
+            i0 = ii[hit][:8]
+            pts.extend(pa[i0] + t[hit][:8, None] * (qa[i0] - pa[i0]))
     return pts
 
 

@@ -4,6 +4,8 @@ Every generator is deterministic in its parameters. Reference fields
 (tangent angle, height, curvature) come from the closed forms of the
 underlying solutions, not from the discrete operators they are used to
 test. ``FIXTURE_MANIFEST`` maps each fixture to the object it realizes.
+Each trajectory fixture is one block formula: it evaluates its closed form
+for any b times in one broadcast (:class:`~lmcflab.flow.AnalyticTrajectory`).
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownFixture
-from .geometry import (AffineLine, CoordinateFrame, DiscreteCurve,
-                       ProductLagrangian, apply_J, grid_quad_mesh,
-                       make_plane_pair, standard_frame)
+from .geometry import (AffineLine, DiscreteCurve, ProductLagrangian,
+                       grid_quad_mesh, make_plane_pair, standard_frame)
 
 FIXTURE_MANIFEST = {
     "line": "static line, the trivial translator / unit-density plane (n=1)",
@@ -24,7 +25,7 @@ FIXTURE_MANIFEST = {
     "circle-product": "shrinking circle x static line: shrinking cylinder",
     "plane-pair-m1": "two Lagrangian planes meeting along the z-line",
     "plane-pair-m0": "transverse Lagrangian plane pair meeting at 0",
-    "tilted-pair": "graphs w = phi + lam*b_j*z over the m=1 pair",
+    "tilted-pair": "graphs w = lam*b_j*z over the m=1 pair",
     "smoothed-pair": "two slightly bent lines x static line (near-pair flow)",
     "neck-pair": "single connected surface asymptotic to both planes",
     "hopf-fibers": "two fibers of the Hopf fibration of the unit 3-sphere",
@@ -91,21 +92,6 @@ def make_grim_reaper(speed=1.0, extent=6.0, n=512, graded=False,
     return curve, theta_ref
 
 
-def grim_reaper_material_positions(s0, t, speed=1.0):
-    """Material trajectories of grim reaper vertices labelled by arclength at t=0.
-
-    The tangent angle alpha = c*x of a material point obeys
-    tan(alpha(t)) = tan(alpha(0)) e^{-c^2 t}; the point then sits on the
-    translated profile.
-    """
-    c = float(speed)
-    x0 = np.arcsin(np.tanh(c * np.asarray(s0, dtype=float))) / c
-    tan_a = np.tan(c * x0) * np.exp(-c * c * t)
-    x = np.arctan(tan_a) / c
-    y = -np.log(np.cos(c * x)) / c + c * t
-    return np.stack([x, y], axis=-1)
-
-
 def make_grim_reaper_product(speed=1.0, extent=6.0, n=512, line_extent=12.0,
                              line_samples=97, graded=False, **grade_kw):
     """Grim reaper x R: the product translator in C^2.
@@ -117,10 +103,7 @@ def make_grim_reaper_product(speed=1.0, extent=6.0, n=512, line_extent=12.0,
     line = AffineLine((0.0, 0.0), (1.0, 0.0))
     prod = ProductLagrangian(curve, line, line_extent=line_extent,
                              line_samples=line_samples)
-    e_z = np.array([0.0, 1.0, 0.0, 0.0])
-    frame = CoordinateFrame(e_z, apply_J(e_z),
-                            np.array([[0, 0, 1, 0], [0, 0, 0, 1.0]]))
-    return prod, frame, theta_ref
+    return prod, standard_frame(4, z_axis=1), theta_ref
 
 
 def make_circle_product(radius=1.0, n=256, line_extent=12.0, line_samples=97):
@@ -129,10 +112,7 @@ def make_circle_product(radius=1.0, n=256, line_extent=12.0, line_samples=97):
     line = AffineLine((0.0, 0.0), (1.0, 0.0))
     prod = ProductLagrangian(circ, line, line_extent=line_extent,
                              line_samples=line_samples)
-    e_z = np.array([1.0, 0.0, 0.0, 0.0])
-    frame = CoordinateFrame(e_z, apply_J(e_z),
-                            np.array([[0, 0, 1, 0], [0, 0, 0, 1.0]]))
-    return prod, frame
+    return prod, standard_frame(4, z_axis=0)
 
 
 def make_smoothed_pair(angle=np.pi / 4, sigma=0.05, extent=8.0, n=401,
@@ -155,17 +135,14 @@ def make_smoothed_pair(angle=np.pi / 4, sigma=0.05, extent=8.0, n=401,
         products.append(ProductLagrangian(curve, line, component_id=cid,
                                           line_extent=line_extent,
                                           line_samples=line_samples))
-    e_z = np.array([0.0, 0.0, 1.0, 0.0])
-    frame = CoordinateFrame(e_z, apply_J(e_z),
-                            np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-    pair = make_plane_pair((angle, -angle), intersection_dim=1,
-                           frame=standard_frame(4, z_axis=2))
+    frame = standard_frame(4, z_axis=2)
+    pair = make_plane_pair((angle, -angle), intersection_dim=1, frame=frame)
     return products, frame, pair
 
 
-def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0), phi_coeff=0.0,
+def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0),
                      extent=3.5, samples=141):
-    """Graphs w = phi + lam*b_j*z over the m = 1 pair planes.
+    """Graphs w = lam*b_j*z over the m = 1 pair planes.
 
     Returns the two graph meshes (as vertex/quad meshes in R^4), the frame,
     and the underlying pair config. With b_1 != b_2 the graphs meet only at
@@ -179,8 +156,7 @@ def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0), phi_coeff=0.0,
         uu = np.linspace(-extent, extent, samples)
         Z, U = np.meshgrid(zz, uu, indexing="ij")
         pts = (Z[..., None] * plane.basis[0] + U[..., None] * plane.basis[1])
-        phi_val = phi_coeff * U  # phi ranges over the transverse coordinates
-        w_val = phi_val + lam * b[j] * Z
+        w_val = lam * b[j] * Z
         meshes.append(grid_quad_mesh(pts + w_val[..., None] * frame.e_w))
     return meshes, frame, pair
 
@@ -220,13 +196,14 @@ def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,
     x0 = np.arcsin(np.tanh(c * s0)) / c
     tan0 = np.tan(c * x0)
 
-    def gen(t):
-        x = np.arctan(tan0 * np.exp(-c * c * (t - t0))) / c
-        y = -np.log(np.cos(c * x)) / c + c * t
-        return DiscreteCurve(np.stack([x, y], axis=-1))
+    def block(t):
+        # the material points of every time in one broadcast
+        x = np.arctan(tan0 * np.exp(-c * c * (t - t0))[:, None]) / c
+        p = np.stack([x, -np.log(np.cos(c * x)) / c + c * t[:, None]])
+        return [(DiscreteCurve(p[:, 0].T), p)]
 
     times = np.arange(t0, t1 + 0.5 * dt, dt)
-    return AnalyticTrajectory(times, gen)
+    return AnalyticTrajectory(times, block=block)
 
 
 def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):

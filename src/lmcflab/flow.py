@@ -7,6 +7,11 @@ explicit scheme is kept for cross-validation. Open-curve endpoints are
 pinned where they are (Dirichlet); the induced boundary lag
 decays like erfc(ds / sqrt(4t)) into the interior, so fixtures pad their
 arms and diagnostics exclude a boundary collar.
+
+Trajectories are stored (:func:`evolve`, :func:`load_trajectory`) or
+generated. Every generated trajectory, an :class:`AnalyticTrajectory`, is
+one block formula: it maps any b times to their coordinate planes in one
+array pass, and its states are that formula at one time.
 """
 
 from __future__ import annotations
@@ -96,25 +101,20 @@ class FlowTrajectory:
 
 
 class AnalyticTrajectory(FlowTrajectory):
-    """Trajectory backed by an exact state generator; state_at is exact.
+    """Trajectory given by one exact block formula; state_at is exact.
 
-    ``generator(t)`` builds each state when it is read. ``block``, if given,
-    maps b times to what :meth:`planes` returns for them, in one array pass;
-    each block gets :func:`~lmcflab.geometry.check_vertices`, as each state
-    does. Without a generator a state is the block's curves at its one time.
+    ``block(t)`` maps b times to what :meth:`planes` returns for them, in one
+    array pass; each block gets :func:`~lmcflab.geometry.check_vertices`, as
+    each state does. A state, at a recorded time or any other in range, is
+    the block's curves at that one time.
     """
 
-    def __init__(self, times, generator=None, mode="unrescaled", metadata=None,
-                 block=None):
+    def __init__(self, times, block, mode="unrescaled", metadata=None):
         times = np.asarray(times, dtype=float)
-        if generator is None and block is None:
-            raise ValueError("a generator or a block form is required")
-        self.generator = generator or (lambda t: _block_state(block, t))
         self.block = block
-        super().__init__(times, LazyStates(lambda k: self.generator(times[k]),
+        super().__init__(times, LazyStates(lambda k: _block_state(block, times[k]),
                                            range(len(times))),
-                         mode=mode, metadata=metadata,
-                         planes=None if block is None else self._block_planes)
+                         mode=mode, metadata=metadata, planes=self._block_planes)
 
     def _block_planes(self, lo, hi):
         out = self.block(self.times[lo:hi])
@@ -125,7 +125,7 @@ class AnalyticTrajectory(FlowTrajectory):
     def state_at(self, t):
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise RangeError(f"t={t} outside trajectory range")
-        return self.generator(float(t))
+        return _block_state(self.block, float(t))
 
 
 def _block_state(block, t):
@@ -321,14 +321,11 @@ def parabolic_rescale(traj: FlowTrajectory, lam: float) -> FlowTrajectory:
     if lam <= 0:
         raise ValueError("lam must be positive")
     if isinstance(traj, AnalyticTrajectory):
-        gen, block = traj.generator, traj.block
-        if block is None:
-            return AnalyticTrajectory(lam * lam * traj.times,
-                                      lambda t: scale_state(gen(t / (lam * lam)), lam),
-                                      mode=traj.mode, metadata=traj.metadata)
-        return AnalyticTrajectory(lam * lam * traj.times, mode=traj.mode, metadata=traj.metadata,
-                                  block=lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
-                                                   for c, p in block(t / (lam * lam))])
+        block = traj.block
+        return AnalyticTrajectory(lam * lam * traj.times,
+                                  lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
+                                             for c, p in block(t / (lam * lam))],
+                                  mode=traj.mode, metadata=traj.metadata)
     states = [scale_state(s, lam) for s in traj.states]
     return FlowTrajectory(lam * lam * traj.times, states, mode=traj.mode,
                           metadata=dict(traj.metadata, rescaled_by=lam))
@@ -424,7 +421,11 @@ def product_evolve(traj1: FlowTrajectory, traj2_or_line) -> FlowTrajectory:
 
 
 def segments_intersect(p1, p2, q1, q2):
-    """Vectorized proper-intersection test between segment batches in R^2."""
+    """Vectorized proper-intersection test between segment batches in R^2.
+
+    Returns (hit mask, t, u), with p1 + t (p2 - p1) = q1 + u (q2 - q1) on
+    the pairs that are not parallel.
+    """
     d1 = p2 - p1
     d2 = q2 - q1
     denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -434,7 +435,7 @@ def segments_intersect(p1, p2, q1, q2):
         u = (dp[:, 0] * d1[:, 1] - dp[:, 1] * d1[:, 0]) / denom
     ok = np.abs(denom) > 1e-15
     eps = 1e-12
-    return ok & (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
+    return ok & (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps), t, u
 
 
 def state_self_intersects(state) -> bool:
@@ -470,7 +471,7 @@ def state_self_intersects(state) -> bool:
         if m is not None:
             adjacent |= same & (cid[ii] == k) & (diff == m - 1)
     keep = ~adjacent
-    hits = segments_intersect(P1[ii[keep]], P2[ii[keep]], P1[jj[keep]], P2[jj[keep]])
+    hits, _, _ = segments_intersect(P1[ii[keep]], P2[ii[keep]], P1[jj[keep]], P2[jj[keep]])
     return bool(np.any(hits))
 
 

@@ -225,6 +225,10 @@ def scenario_three_annulus(params, seed, outputs):
 
 def scenario_grim_reaper_translator(params, seed, outputs):
     refine = params.get("refine", 3)
+    # two sizes at least: the Richardson slopes compare neighbouring sizes
+    if type(refine) is not int or refine < 2:
+        raise ConfigInvalid(f"grim-reaper-translator needs an integer refine >= 2, "
+                            f"got {refine!r}")
     sizes = [128 * 2 ** k for k in range(refine)]
     resids = []
     fits = []
@@ -287,7 +291,6 @@ def scenario_caloric_identities(params, seed, outputs):
         dt = 0.5 * h * h
         traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                   t1=60 * dt, dt=dt)
-        traj = flow.FlowTrajectory(traj.times, list(traj.states))  # built once
         vals = [[flow.as_components(s)[0].vertices[:, 1]] for s in traj.states]
         sup, _ = fh.heat_residual(traj, vals, collar=4)
         sups_g.append(float(np.max(sup)))

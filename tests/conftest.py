@@ -4,8 +4,14 @@ import multiprocessing as mp
 import os
 
 import pytest
+from hypothesis import settings
 
 from lmcflab import fanout
+
+# the property tests draw the same examples on every run and write no
+# example database into the tree
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

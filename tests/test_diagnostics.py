@@ -150,6 +150,44 @@ def test_crossing_limit_counts_segment_pairs(monkeypatch):
         dg._crossing_points([line])
 
 
+def per_hit_crossings(curves):
+    """The crossing points of _crossing_points, each from its own segment
+    pair's parameter t, scanned one pair at a time."""
+    pts = []
+    for i, a in enumerate(curves):
+        for b in curves[i:]:
+            pa, qa = geo.edge_ends(a.vertices, a.closed)
+            pb, qb = geo.edge_ends(b.vertices, b.closed)
+            hits = []
+            for i0 in range(len(pa)):
+                for j0 in range(i0 + 2 if a is b else 0, len(pb)):
+                    d1, d2, dp = qa[i0] - pa[i0], qb[j0] - pb[j0], pb[j0] - pa[i0]
+                    denom = d1[0] * d2[1] - d1[1] * d2[0]
+                    if abs(denom) > 1e-15:
+                        t = (dp[0] * d2[1] - dp[1] * d2[0]) / denom
+                        u = (dp[0] * d1[1] - dp[1] * d1[0]) / denom
+                        if 1e-12 < t < 1 - 1e-12 and 1e-12 < u < 1 - 1e-12:
+                            hits.append(pa[i0] + t * d1)
+            pts += hits[:8]
+    return pts
+
+
+def test_crossing_points_equal_the_per_hit_formula():
+    # a self-crossing curve, a wave crossing it 18 times (8 kept) and a circle
+    phi = np.linspace(0.0, 2.0 * np.pi, 121, endpoint=False)
+    lissajous = geo.DiscreteCurve(np.stack([np.sin(3 * phi), np.sin(2 * phi)], axis=1),
+                                  closed=True)
+    x = np.linspace(-1.2, 1.2, 81)
+    wave = geo.DiscreteCurve(np.stack([x, 0.1 + 0.5 * np.sin(15.0 * x)], axis=1))
+    curves = [lissajous, wave, fx.make_circle(0.7, 48)]
+    got, want = dg._crossing_points(curves), per_hit_crossings(curves)
+    assert len(got) == len(want) == 22
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    hit, t, u = flow.segments_intersect(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]),
+                                        np.array([[1.0, -1.0]]), np.array([[1.0, 3.0]]))
+    assert (hit.tolist(), t.tolist(), u.tolist()) == ([True], [0.5], [0.25])
+
+
 def test_density_between_one_and_entropy():
     circ = fx.make_circle(1.0, 256)
     ent = dg.entropy(circ).value

@@ -51,12 +51,13 @@ def test_grim_reaper_speed_scaling():
 
 
 def test_grim_reaper_material_positions_consistent():
-    # material points stay on the translated profile
-    s0 = np.linspace(-2.0, 2.0, 101)
-    for t in (0.0, 0.1, 0.3):
-        p = fx.grim_reaper_material_positions(s0, t, speed=1.0)
-        y_expected = -np.log(np.cos(p[:, 0])) + t
-        assert np.max(np.abs(p[:, 1] - y_expected)) < 1e-12
+    # material points start at their arclength labels and stay on the
+    # translated profile
+    traj = fx.grim_reaper_material_trajectory(1.0, extent=2.0, n=101, t1=0.3, dt=0.1)
+    [(_, p)] = traj.planes(0, len(traj))
+    assert np.max(np.abs(p[:, 0].T - fx.grim_reaper_point(np.linspace(-2.0, 2.0, 101)))) < 1e-12
+    y_expected = -np.log(np.cos(p[0])) + traj.times[:, None]
+    assert np.max(np.abs(p[1] - y_expected)) < 1e-12
 
 
 def test_reaper_product_frame_identities():

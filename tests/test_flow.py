@@ -99,13 +99,26 @@ def test_parabolic_rescale_scales_curvature():
     assert np.allclose(np.linalg.norm(H, axis=1), 1.0 / lam, atol=1e-12)
 
 
+def self_shrinking_circle(times, n=64):
+    """The circle r^2 = -2t with n material vertices, as a block form."""
+    unit = fx.make_circle(1.0, n).vertices.T
+
+    def block(t):
+        p = np.sqrt(-2.0 * t)[:, None] * unit[:, None, :]
+        return [(geo.DiscreteCurve(p[:, 0].T, closed=True), p)]
+
+    return flow.AnalyticTrajectory(times, block=block)
+
+
+def static(times, curve):
+    """The trajectory that stays at curve, as a block form."""
+    return flow.AnalyticTrajectory(times, block=lambda t: [
+        (curve, np.broadcast_to(curve.vertices.T[:, None], (2, len(t), curve.n_vertices)))])
+
+
 def test_to_rescaled_self_shrinking_circle_static():
     # circle with r^2 = -2t becomes the static circle of radius sqrt(2)
-    def gen(t):
-        return fx.make_circle(np.sqrt(-2.0 * t), 64)
-
-    times = -np.exp(-np.arange(-2.0, 0.01, 0.005))
-    traj = flow.AnalyticTrajectory(times, gen)
+    traj = self_shrinking_circle(-np.exp(-np.arange(-2.0, 0.01, 0.005)))
     resc = flow.to_rescaled(traj, tau_min=-1.9, tau_max=-0.1, dtau=0.1)
     assert resc.mode == "rescaled"
     for s in resc.states:
@@ -117,8 +130,7 @@ def test_to_rescaled_self_shrinking_circle_static():
 
 def test_to_rescaled_static_cone_is_static():
     line = fx.make_line(angle=0.7, extent=8.0, n=65)
-    traj = flow.AnalyticTrajectory(-np.exp(-np.arange(0.0, 2.01, 0.05)),
-                                   lambda t: line)
+    traj = static(-np.exp(-np.arange(0.0, 2.01, 0.05)), line)
     resc = flow.to_rescaled(traj, dtau=0.25)
     final = flow.as_components(resc.states[-1])[0]
     th = geo.lagrangian_angle(final)
@@ -139,17 +151,13 @@ def test_to_rescaled_refuses_a_stored_trajectory():
     traj = flow.FlowTrajectory([-1.0, -0.5], [circ, circ])
     with pytest.raises(RangeError, match="stored trajectory"):
         flow.to_rescaled(traj, tau_min=0.0, tau_max=0.5, dtau=0.25)
-    analytic = flow.AnalyticTrajectory([-1.0, -0.5], lambda t: circ)
+    analytic = static([-1.0, -0.5], circ)
     assert len(flow.to_rescaled(analytic, tau_min=0.0, tau_max=0.5, dtau=0.25)) == 3
 
 
 def test_rescaling_commutation():
     # to_rescaled . D_lam = tau-translation by -2 log(lam) of to_rescaled
-    def gen(t):
-        return fx.make_circle(np.sqrt(-2.0 * t), 64)
-
-    times = -np.exp(-np.arange(-3.0, 0.51, 0.01))
-    traj = flow.AnalyticTrajectory(times, gen)
+    traj = self_shrinking_circle(-np.exp(-np.arange(-3.0, 0.51, 0.01)))
     lam = 2.0
     shift = -2.0 * np.log(lam)  # tau-translation induced by D_lam
     taus = np.arange(-3.5, -1.49, 0.25)

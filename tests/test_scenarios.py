@@ -191,6 +191,15 @@ def test_ladder_refuses_an_empty_lambda_list():
         sc.run_scenario({"scenario": "blow-down-ladder", "params": {"lambdas": []}})
 
 
+@pytest.mark.parametrize("refine", [0, 1, True, "3"])
+def test_reaper_refuses_a_bad_refine_before_any_fixture(refine, monkeypatch):
+    # the Richardson slopes need two sizes at least
+    monkeypatch.setattr(sc.fx, "make_grim_reaper_product", None)
+    with pytest.raises(ConfigInvalid, match="refine"):
+        sc.run_scenario({"scenario": "grim-reaper-translator",
+                         "params": {"refine": refine}})
+
+
 def test_worker_rung_error_reaches_the_caller_typed(monkeypatch, cpus, no_child_left):
     from lmcflab.errors import NotExact
 

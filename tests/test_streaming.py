@@ -76,23 +76,32 @@ def test_planes_equal_the_stacked_states(window):
 
 
 def test_generated_planes_are_used_where_a_block_form_exists():
-    for kind in ("sliding", "circle"):
+    for kind in ("sliding", "material", "circle"):
         traj = base_trajectory(kind)
         assert traj.block is not None
         assert flow.parabolic_rescale(traj, 2.0).block is not None
         assert flow.product_evolve(traj, LINE).planes(2, 5)[0][1].shape[:2] == (2, 3)
-    assert base_trajectory("material").block is None
 
 
 def test_block_states_equal_the_closed_form_states():
     """A state read from a block form is, bit for bit, the closed-form curve
-    at its time: the sliding reaper base + (0, c t), the circle r(t) unit +
-    center; a parabolic rescale scales it."""
+    at its time: the sliding reaper base + (0, c t), the material reaper's
+    points x = arctan(tan(c x0) e^{-c^2 (t - t0)}) / c on the profile
+    translated by c t, the circle r(t) unit + center; a parabolic rescale
+    scales it."""
     s_grid = np.linspace(-3.0, 3.0, 61)
     phi = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    c = 1.0
+    tan0 = np.tan(c * (np.arcsin(np.tanh(c * np.linspace(-3.0, 3.0, 41))) / c))
+
+    def material(t):
+        x = np.arctan(tan0 * np.exp(-c * c * (t - 0.0))) / c
+        return np.stack([x, -np.log(np.cos(c * x)) / c + c * t], axis=-1)
+
     closed_form = {
         "sliding": lambda t: fx.grim_reaper_point(s_grid, 2.0) + np.array([0.0, 2.0 * t]),
+        "material": material,
         "circle": lambda t: np.sqrt(1.0 - 2.0 * (t - 0.0)) * unit + np.array([0.3, -0.2]),
     }
     for kind, vertices in closed_form.items():
@@ -103,8 +112,6 @@ def test_block_states_equal_the_closed_form_states():
                 want = scale * vertices(t / (scale * scale)) if lam else vertices(t)
                 assert traj.states[k].vertices.tobytes() == want.tobytes()
                 assert traj.state_at(t).vertices.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        flow.AnalyticTrajectory([0.0, 1.0])
 
 
 def _stored(traj):
@@ -252,15 +259,16 @@ def test_stacked_planes_refuse_a_changed_vertex_count():
 
 
 def counting(traj):
-    """traj with a generator that counts the states it builds, by time index."""
+    """traj with a block form that counts, by time index, the times it is
+    called on: once per state built, once per time of a block of planes."""
     built = Counter()
     index = {float(t): k for k, t in enumerate(traj.times)}
 
-    def gen(t):
-        built[index[float(t)]] += 1
-        return traj.generator(t)
+    def block(t):
+        built.update(index[float(x)] for x in t)
+        return traj.block(t)
 
-    return flow.AnalyticTrajectory(traj.times, gen, block=traj.block), built
+    return flow.AnalyticTrajectory(traj.times, block=block), built
 
 
 def _material(t0=0.0):
@@ -289,23 +297,40 @@ def ladder_rung(lam):
 
 @pytest.mark.parametrize("kind", ["sliding", "material", "circle"])
 def test_field_at_reads_no_state_after_k(kind):
-    """A counting generator and block form: the march to time k reads the
-    times 0..k alone, each block's b + 1 states once."""
+    """A counting block form: the march to time k reads the times 0..k
+    alone, each block's b + 1 states once."""
     base = base_trajectory(kind)
     traj, built = counting(base)
-    read = Counter()
-    index = {float(t): k for k, t in enumerate(base.times)}
-    if base.block is not None:
-        def block(t):
-            read.update(index[float(x)] for x in t)
-            return base.block(t)
-        traj = flow.AnalyticTrajectory(traj.times, traj.generator, block=block)
     f0 = [np.ones(c.n_vertices) for c in fh._curve_components(base.states[0])]
     k = fh.AUDIT_BLOCK + 3
     fh.heat_field_at(traj, f0, k)
     # the first state once more for its component count, and each later
     # block's starting state once more
-    assert built + read == Counter(range(k + 1)) + Counter(range(0, k, fh.AUDIT_BLOCK))
+    assert built == Counter(range(k + 1)) + Counter(range(0, k, fh.AUDIT_BLOCK))
+
+
+def test_heat_solve_and_audit_build_no_state(monkeypatch):
+    """On the material reaper, solve_heat_on_flow and heat_residual take all
+    geometry from block calls of several times: no state is built, and the
+    solve equals the one on the stacked states bit for bit."""
+    base = _material()
+    f0 = [np.cos(3.0 * base.states[0].vertices[:, 0])]
+    stored = _stored(base)
+    want = fh.solve_heat_on_flow(stored, f0)
+    traj, read = counting(base)
+
+    def no_state(block, t):
+        raise AssertionError(f"a state was built at t={t}")
+
+    monkeypatch.setattr(flow, "_block_state", no_state)
+    sol = fh.solve_heat_on_flow(traj, f0)
+    assert set(read) == set(range(len(traj)))
+    assert sol.residual_sup.tolist() == want.residual_sup.tolist()
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(sol.values, want.values))
+    read.clear()
+    assert fh.heat_residual(traj, sol.values, collar=4) == \
+        fh.heat_residual(stored, want.values, collar=4)
+    assert set(read) == set(range(len(traj)))
 
 
 def test_height_builds_only_the_first_state_and_the_state_at_s1():
@@ -314,7 +339,10 @@ def test_height_builds_only_the_first_state_and_the_state_at_s1():
     _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)
     rep = fh.approx_height_solution(prod, s1=-0.4, frame=frame)
     k1 = int(np.argmin(np.abs(traj.times + 0.4)))
-    assert set(built) <= {0, k1} and max(built.values()) == 1
+    # the heat march up to s1 (as in test_field_at_reads_no_state_after_k),
+    # then the states 0 and k1 once each
+    march = Counter(range(k1 + 1)) + Counter(range(0, k1, fh.AUDIT_BLOCK))
+    assert built == march + Counter([0, k1])
     # the same report as from the stored states
     want = fh.approx_height_solution(_stored(prod), s1=-0.4, frame=frame)
     assert rep.sup_difference == want.sup_difference
