@@ -213,7 +213,7 @@ def cmd_run(args):
     if "scenario" not in cfg:
         raise SystemExit("run needs --scenario NAME or a config with 'scenario'")
     cfg.setdefault("seed", args.seed)
-    if args.refine:
+    if args.refine is not None:
         cfg.setdefault("params", {})["refine"] = args.refine
     out = _ensure_out(args)
     summary = sc.run_scenario(cfg, out_dir=out)
@@ -256,7 +256,7 @@ def build_parser():
     add("linking", cmd_linking, seeded=True, help="sphere slices and linking number")
     q = add("run", cmd_run, seeded=True, help="run a named scenario")
     q.add_argument("--scenario", help="scenario name", default=None)
-    q.add_argument("--refine", type=int, default=0, help="Richardson ladder depth")
+    q.add_argument("--refine", type=int, default=None, help="Richardson ladder depth")
     q = add("compare", cmd_compare, help="diff two scenario bundles")
     q.add_argument("bundle_a")
     q.add_argument("bundle_b")

@@ -9,13 +9,17 @@ result must round to an integer within 0.1.
 
 The hot kernels are vectorized without changing a bit of their output:
 
-- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows through one
-  workspace allocated per loop pair, every operation writing into it with
-  out=, so its temporaries are O(GAUSS_BLOCK * M) instead of several dense
-  (N, M, 3) arrays, while every summand is the one the dense formula
-  computes and the summands are added by one np.sum in the same order;
-  linking_number refuses sums above GAUSS_MAX_PAIRS edge pairs with
-  GaussSumTooLarge before any starts;
+- the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows on flat
+  contiguous rows allocated once per loop pair: a block and its wrapped row
+  against the M + 1 columns lie on rows of length (GAUSS_BLOCK + 1)(M + 1),
+  so the four corners of every edge pair are shifted 1-D slices and the
+  kernel's passes run on contiguous slices, writing with out=. Its
+  temporaries are O(GAUSS_BLOCK * M) instead of several dense (N, M, 3)
+  arrays. Each kept entry is half the dense formula's summand, computed
+  with the same operations; one np.sum adds the half-angles in the same
+  order and the sum is divided by 2 pi, and as doubling commutes with every
+  rounding the value keeps its bits. linking_number refuses sums above
+  GAUSS_MAX_PAIRS edge pairs with GaussSumTooLarge before any starts;
 - linking_number spreads its poles over forked processes with
   fanout.fan_out. A pole's whole sum stays in one process and only its
   value crosses back, so the values do not depend on the number of CPUs;
@@ -45,7 +49,9 @@ from .fanout import fan_out
 from .geometry import PlanePairConfig, ProductLagrangian, as_components
 
 SMALL_COMPONENT_FRACTION = 0.01  # discard below this share of the B_2 mass
-GAUSS_BLOCK = 16  # Gauss-sum rows per block; its temporaries stay in L2 cache
+# Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
+# stay in L2 cache (about 2.5 MiB for the scenario slices)
+GAUSS_BLOCK = 16
 # Largest Gauss sum accepted: 2**26 edge pairs, a 512 MiB (N, M) summand
 # array; the scenario slices need at most 1358**2 (about 1.8M) pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
@@ -411,80 +417,76 @@ def _gauss_linking_r3(loop_a, loop_b):
     b_j, b_{j+1}, split into the triangles (n1, n2, n3) and (n1, n3, n4)
     with Oosterom-Strackee's formula 2 atan2(triple, 1 + sum of dots).
 
-    The summands fill one (N, M) array, GAUSS_BLOCK rows at a time through
-    one workspace (see _gauss_rows), and go through one np.sum, so the value
-    is bit-identical to the dense (N, M, 3) roll/cross/einsum formula. The
-    caller bounds N * M by GAUSS_MAX_PAIRS (see linking_number).
+    The half-angles atan2(...) fill one (N, M) array, GAUSS_BLOCK rows at a
+    time on flat rows (see _gauss_rows), and go through one np.sum, divided
+    by 2 pi in place of the doubled angles' 4 pi. Doubling commutes with
+    every rounding of the sum, so the value is bit-identical to the dense
+    (N, M, 3) roll/cross/einsum formula. The caller bounds N * M by
+    GAUSS_MAX_PAIRS (see linking_number).
     """
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
     n, m = a.shape[0], b.shape[0]
     bw = np.concatenate([b, b[:1]]).T.copy()          # (3, M + 1)
     total = np.empty((n, m))
-    rows = min(GAUSS_BLOCK, n)
-    work = _GaussWorkspace(rows, m)
+    work = np.empty((14, (min(GAUSS_BLOCK, n) + 1) * (m + 1)))
     for i0 in range(0, n, GAUSS_BLOCK):
         _gauss_rows(a, bw, total, i0, work)
-    return float(np.sum(total)) / (4.0 * np.pi)
+    return float(np.sum(total)) / (2.0 * np.pi)
 
 
-class _GaussWorkspace:
-    """The temporaries of _gauss_rows for blocks of up to rows rows against
-    M columns, allocated once per Gauss sum. A block of r rows uses leading
-    rows, so every array it gets is contiguous like a fresh one."""
+def _gauss_rows(a, bw, total, i0, work):
+    """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss half-angles of those
+    rows, using the flat rows of work as unit vectors, cross products and
+    scratch.
 
-    def __init__(self, rows, m):
-        self.diff = np.empty((3, rows + 1, m + 1))
-        self.unit = np.empty((3, rows + 1, m + 1))
-        self.cross = np.empty((3, rows, m))
-        self.flat = np.empty((8, (rows + 1) * (m + 1)))
-
-    def get(self, k, shape):
-        """Scratch array k, viewed with the given 2-D shape."""
-        return self.flat[k, :shape[0] * shape[1]].reshape(shape)
-
-
-def _gauss_rows(a, bw, total, i0, w):
-    """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss summands of those rows.
-
-    Works on x, y, z arrays of shape (rows + 1, M + 1), with the wrapped
-    row and column appended, in the workspace w. Each dot product is formed
-    once and shared: n1.n2 and n3.n4 are row neighbours, n2.n3 and n4.n1
-    column neighbours, n1.n3 serves both triangles. Every summand is
+    The block's r rows and the wrapped row after them, against the M + 1
+    columns of bw (its wrapped column appended), lie on flat rows of length
+    (r + 1) W with W = M + 1: entry (i, j) is k = i W + j, so the corners
+    n1, n2, n4, n3 of pair (i, j) are the unit vectors at k, k + 1, k + W and
+    k + W + 1, and every pass between the differences and the final strided
+    add into total runs on a contiguous 1-D slice. Each dot product is
+    formed once and shared: row[k] = u_k.u_{k+1} gives n1.n2 and (at k + W)
+    n4.n3, col[k] = u_k.u_{k+W} gives n1.n4 and (at k + 1) n2.n3, and n1.n3
+    serves both triangles. The entries at the padding column j = M pair
+    unrelated vectors; they are computed and discarded. Every kept entry is
     computed with the same operations in the same order as the dense
     formula.
     """
-    n, m = a.shape[0], bw.shape[1] - 1
+    n, w = a.shape[0], bw.shape[1]
+    m = w - 1
     i1 = min(i0 + GAUSS_BLOCK, n)
     r = i1 - i0
+    size = (r + 1) * w
+    span = r * w - 1     # entries k < span have all four corners on the rows
+    u, cross, s = work[:3, :size], work[3:6, :span], work[6:]
     aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
-    diff = np.subtract(bw[:, None, :], aw, out=w.diff[:, :r + 1])
-    x, y, z = diff
-    wide, tmp = w.get(0, (r + 1, m + 1)), w.get(1, (r + 1, m + 1))
+    np.subtract(bw[:, None, :], aw, out=u.reshape(3, r + 1, w))
+    x, y, z = u
+    wide, tmp = s[0, :size], s[1, :size]
     np.multiply(x, x, out=wide)
     wide += np.multiply(y, y, out=tmp)
     wide += np.multiply(z, z, out=tmp)
-    U = np.divide(diff, np.sqrt(wide, out=wide), out=w.unit[:, :r + 1])
-    n1, n2, n3, n4 = (U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:],
-                      U[:, 1:, :-1])
-    row = _dot(U[:, :, :-1], U[:, :, 1:], w.get(2, (r + 1, m)),
-               w.get(1, (r + 1, m)))
-    col = _dot(U[:, :-1], U[:, 1:], w.get(3, (r, m + 1)), w.get(1, (r, m + 1)))
-    tmp = w.get(1, (r, m))
-    diag = _dot(n1, n3, w.get(4, (r, m)), tmp)
-    den1 = np.add(row[:-1], 1.0, out=w.get(5, (r, m)))
-    den1 += col[:, 1:]
+    np.divide(u, np.sqrt(wide, out=wide), out=u)
+    row = _dot(u[:, :-1], u[:, 1:], s[2, :size - 1], tmp[:size - 1])
+    col = _dot(u[:, :-w], u[:, w:], s[3, :size - w], tmp[:size - w])
+    n1, n2 = u[:, :span], u[:, 1:span + 1]
+    n3, n4 = u[:, w + 1:w + 1 + span], u[:, w:w + span]
+    tmp = tmp[:span]
+    diag = _dot(n1, n3, s[4, :span], tmp)
+    den1 = np.add(row[:span], 1.0, out=s[5, :span])
+    den1 += col[1:span + 1]
     den1 += diag
-    den2 = np.add(diag, 1.0, out=w.get(6, (r, m)))
-    den2 += row[1:]
-    den2 += col[:, :-1]
-    tri1 = _dot(n1, _cross(n2, n3, w.cross[:, :r], tmp), w.get(7, (r, m)), tmp)
-    tri2 = _dot(n1, _cross(n3, n4, w.cross[:, :r], tmp), w.get(0, (r, m)), tmp)
+    den2 = np.add(diag, 1.0, out=s[6, :span])
+    den2 += row[w:w + span]
+    den2 += col[:span]
+    tri1 = _dot(n1, _cross(n2, n3, cross, tmp), s[7, :span], tmp)
+    tri2 = _dot(n1, _cross(n3, n4, cross, tmp), s[0, :span], tmp)
     np.arctan2(tri1, den1, out=tri1)
     np.arctan2(tri2, den2, out=tri2)
-    tri1 *= 2.0
-    tri2 *= 2.0
-    np.add(tri1, tri2, out=total[i0:i1])
+    half1 = s[7, :r * w].reshape(r, w)[:, :m]
+    half2 = s[0, :r * w].reshape(r, w)[:, :m]
+    np.add(half1, half2, out=total[i0:i1])
 
 
 def _dot(u, v, out, tmp):

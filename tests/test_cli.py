@@ -11,6 +11,7 @@ import pytest
 from lmcflab import cli
 from lmcflab import fixtures as fx
 from lmcflab import flow
+from lmcflab.errors import ConfigInvalid
 
 
 def run_cli(args):
@@ -181,3 +182,17 @@ def test_seed_and_refine_reach_the_scenario(tmp_path):
                     "--refine", "2", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["seed"], summary["params"]) == (3, {"refine": 2})
+
+
+def test_refine_zero_reaches_the_scenario_and_is_refused(tmp_path):
+    # 0 is a value like any other, not "not given": the scenario refuses it
+    # as it refuses {"params": {"refine": 0}}
+    with pytest.raises(ConfigInvalid, match="refine"):
+        run_cli(["run", "--scenario", "grim-reaper-translator", "--refine", "0",
+                 "--out", str(tmp_path / "run")])
+
+
+def test_run_without_refine_writes_empty_params(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["run", "--scenario", "three-annulus", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["params"] == {}

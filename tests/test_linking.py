@@ -336,6 +336,51 @@ def test_blocked_gauss_equals_dense_at_block_edges(rows):
     assert lk._gauss_linking_r3(b, a) == dense_gauss_linking_oracle(b, a)
 
 
+@pytest.mark.parametrize("cols", [3, 4, lk.GAUSS_BLOCK - 1, lk.GAUSS_BLOCK + 1])
+@pytest.mark.parametrize("rows", [1, 3, lk.GAUSS_BLOCK - 1, lk.GAUSS_BLOCK + 1,
+                                  2 * lk.GAUSS_BLOCK])
+def test_blocked_gauss_equals_dense_on_flat_row_edges(rows, cols):
+    # short flat rows: the padding column and the wrapped row and column sit
+    # next to kept entries in every block (37 columns: the test above); the
+    # discarded padding entries must raise no floating-point error either
+    rng = np.random.default_rng(100 * rows + cols)
+    a = rng.normal(size=(rows, 3))
+    b = rng.normal(size=(cols, 3)) + [0.5, 0.0, 0.0]
+    with np.errstate(all="raise"):
+        ab, ba = lk._gauss_linking_r3(a, b), lk._gauss_linking_r3(b, a)
+    assert ab == dense_gauss_linking_oracle(a, b)
+    assert ba == dense_gauss_linking_oracle(b, a)
+
+
+def test_gauss_sum_holds_no_dense_vector_temporaries():
+    n = 1358   # the vertex count of each scenario transverse slice
+    f1, f2 = fx.make_hopf_fibers(n=n)
+    tracemalloc.start()
+    try:
+        lk.linking_number(f1, f2, R=1.0)   # one pole, summed in this process
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (N, M) summands plus the block workspace (about 2.5 MiB); a dense
+    # (N, M, 3) temporary would add 44 MiB
+    assert peak < 8 * n * n + 6 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (17, 37), (64, 129)])
+def test_dot_adds_in_einsums_order(shape):
+    rng = np.random.default_rng(shape[1])
+    p = rng.normal(size=shape + (3,))
+    q = rng.normal(size=shape + (3,))
+    got = lk._dot(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0),
+                  np.empty(shape), np.empty(shape))
+    assert np.array_equal(got, np.einsum("...i,...i->...", p, q)), (
+        "this numpy build's einsum adds a length-3 contraction in another "
+        "order than _dot's (x + z) + y; see the CHANGES.md FOUND line on the "
+        "zero tolerance of transverse_per_pole: the tolerance-0 references "
+        "(lmcflab compare, the dense-oracle equality tests) then fail on "
+        "correct code")
+
+
 def test_vectorized_march_equals_loop():
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=120)
