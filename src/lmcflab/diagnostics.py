@@ -303,8 +303,9 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
     """Audit the weighted monotonicity inequality between recorded times.
 
     With f = 1 this is the Gaussian-density monotonicity; general f needs
-    its heat residual (partial_t - Delta) f supplied per time (or zero for
-    caloric fields).
+    its heat residual (partial_t - Delta) f (zero for caloric fields). Both
+    are caloric fields on curve states: one (T, N) array per component, row
+    k at ``traj.times[k]``.
     """
     times = traj.times
     n_times = len(times)
@@ -314,12 +315,10 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
     for k, (t, state) in enumerate(zip(times, traj.states)):
         delta = window.scale(t)
         comps = as_components(state)
-        fk = None if f_values is None else f_values[k]
-        rk = None if residual_values is None else residual_values[k]
         for ci, comp in enumerate(comps):
             diss = _dissipation_vertex_field(comp, window.x0, t, window.t0)
             if isinstance(comp, ProductLagrangian):
-                if fk is not None:
+                if f_values is not None:
                     raise NotImplementedError("weighted f audits run on curve states")
                 m1 = edge_gaussian_mass(comp.factor1, window.x0[0:2], delta)
                 m2 = edge_gaussian_mass(comp.factor2, window.x0[2:4], delta)
@@ -330,15 +329,15 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
                                                 window.x0[2:4], delta)
                 D[k] += d1 * m2 + m1 * d2
             else:
-                fv = np.ones(comp.n_vertices) if fk is None else np.asarray(fk[ci])
-                if fk is None:
+                fv = np.ones(comp.n_vertices) if f_values is None else f_values[ci][k]
+                if f_values is None:
                     V[k] += edge_gaussian_mass(comp, window.x0[0:2], delta)
                 else:
                     V[k] += weighted_gaussian_integral(comp, fv, window.x0[0:2], delta)
                 D[k] += weighted_gaussian_integral(comp, fv * diss,
                                                    window.x0[0:2], delta)
-                if rk is not None:
-                    R[k] += weighted_gaussian_integral(comp, np.asarray(rk[ci]),
+                if residual_values is not None:
+                    R[k] += weighted_gaussian_integral(comp, residual_values[ci][k],
                                                        window.x0[0:2], delta)
     rows = []
     worst = 0.0

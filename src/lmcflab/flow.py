@@ -73,8 +73,8 @@ class FlowTrajectory:
         self.states = states if isinstance(states, LazyStates) else list(states)
         if len(self.states) != self.times.shape[0]:
             raise ValueError("one state per time required")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
         self.mode = mode
         self.metadata = dict(metadata or {})
         self._planes = planes

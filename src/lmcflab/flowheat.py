@@ -1,6 +1,9 @@
 """Heat equations along evolving discrete flows: caloric coordinates, the
 caloric combination of the Liouville primitive with the angle, the cosine
-B-field, and the approximate caloric height near plane-pair geometry.
+B-field, and the approximate caloric height near plane-pair geometry. A
+caloric field along T times is a list of per-component (T, N) arrays, row
+k at ``traj.times[k]``: the march writes it, the reports hold it and every
+audit slices its rows.
 
 The per-step scheme is backward Euler with the metric of the post-step
 state (mass-lumped arclength weights), interleaved with the geometric
@@ -64,7 +67,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
-from .errors import ComponentAmbiguity, SolverFailure
+from .errors import (ComponentAmbiguity, FieldShapeMismatch, SolverFailure,
+                     VertexCountChanged)
 from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
                    _curve_components, centred_blocks, normal_fields)
 from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
@@ -164,7 +168,7 @@ class HeatSolution:
     """Field values along a trajectory plus the centred residual audit."""
 
     times: np.ndarray
-    values: list  # per time: per-component arrays
+    values: list  # per component: the (T, N) field, row k at times[k]
     residual_times: np.ndarray
     residual_sup: np.ndarray
     residual_l2: np.ndarray
@@ -178,6 +182,14 @@ class HeatSolution:
                 fh.write(f"{t:.12g},{s:.12g},{l:.12g}\n")
 
 
+def _check_shapes(fields, first, lead):
+    """Raise FieldShapeMismatch unless fields holds one array of shape
+    lead + (N,) per component of the planes first, N its vertex count."""
+    want, got = [lead + p.shape[-1:] for _, p in first], [np.shape(F) for F in fields]
+    if got != want:
+        raise FieldShapeMismatch(f"field shapes {got}, expected {want}")
+
+
 def _march(traj, f0, stop):
     """The heat march from the fields f0 through the times 1..stop-1.
 
@@ -185,12 +197,11 @@ def _march(traj, f0, stop):
     planes p and the fields f0; then per block the planes of the states
     k0-1..k1-1 and the fields at the times k0-1..k1-1, rows the next block
     overwrites. A yielded list is emptied when the consumer asks for the
-    next block.
+    next block. f0 must hold one (N,) array per component.
     """
     times = traj.times
     first = traj.planes(0, 1)
-    if len(f0) != len(first):
-        raise ValueError("one initial array per component required")
+    _check_shapes(f0, first, ())
     # allocated before the march: arrays allocated among a block's
     # temporaries fragment the heap (peak RSS)
     rows = [np.empty((AUDIT_BLOCK + 1, len(f))) for f in f0]
@@ -221,9 +232,9 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
     """March the heat equation along the trajectory from initial data f0.
 
     f0: list of per-component vertex arrays on the first state. Returns the
-    field at every recorded time, its centred-difference residual audit at
-    every interior time (:func:`heat_residual`, collar 2) and the measured
-    polynomial-growth constant over every time. With
+    (T, N) field of each component, its centred-difference residual audit
+    at every interior time (:func:`heat_residual`, collar 2) and the
+    measured polynomial-growth constant over every time. With
     ``growth_bound`` the declared certificate C (1 + R^growth_degree) is
     enforced on every state (GrowthUnbounded otherwise).
     """
@@ -235,15 +246,14 @@ def solve_heat_on_flow(traj: FlowTrajectory, f0, growth_degree: int = 2,
             fields[ci][k0:k1] = F[k0 - k1:]   # the times k0..k1-1
             growth = max(growth, check_polynomial_growth(
                 F[k0 - k1:], p[:, k0 - k1:], growth_degree, growth_bound))
-    values = [[F[k] for F in fields] for k in range(len(times))]
-    sup, l2 = heat_residual(traj, values)
-    return HeatSolution(times, values, times[1:-1], np.asarray(sup),
+    sup, l2 = heat_residual(traj, fields)
+    return HeatSolution(times, fields, times[1:-1], np.asarray(sup),
                         np.asarray(l2), growth)
 
 
 def heat_field_at(traj: FlowTrajectory, f0, k: int):
-    """``solve_heat_on_flow(traj, f0).values[k]``, bit for bit, marched up
-    to time k alone: no audit, no growth measurement, no later state read.
+    """``[F[k] for F in solve_heat_on_flow(traj, f0).values]``, bit for bit,
+    marched to time k alone: no audit, no growth measurement, no later state read.
     """
     k = range(len(traj.times))[k]
     for *_, block in _march(traj, f0, k + 1):
@@ -259,12 +269,6 @@ def _residual_sums(n_times):
 def _residual_summary(sums):
     """(sup, l2) arrays per interior time from the running sums."""
     return sums[0].copy(), np.sqrt(sums[1] / np.maximum(sums[2], 1e-300))
-
-
-def _field_rows(values, ci, g: CentredGeometry):
-    """Component ci of the per-time fields values at the times k-1..k+r of
-    g, as one (r + 2, N) array."""
-    return np.array([values[j][ci] for j in range(g.k - 1, g.k + len(g.h) + 1)])
 
 
 def _residual_rows(g: CentredGeometry, F, d, grad):
@@ -305,16 +309,18 @@ def _fold(sums, g: CentredGeometry, res, w):
     w_sum += [np.sum(row) for row in w]
 
 
-def heat_residual(traj: FlowTrajectory, values, collar: int = 2):
-    """Centred residual (d_t - Delta - v_tan d_s) f at interior times.
+def heat_residual(traj: FlowTrajectory, fields, collar: int = 2):
+    """Centred residual (d_t - Delta - v_tan d_s) f at interior times of the
+    fields f, one (T, N) array per component (FieldShapeMismatch otherwise).
 
     Returns per-time (sup, l2) over the collar-trimmed interiors of all
     components; the operator matches the solver's spatial discretization.
     A component with no interior vertex adds nothing.
     """
+    _check_shapes(fields, traj.planes(0, 1), traj.times.shape)
     sums = _residual_sums(len(traj.times))
     for ci, g in centred_blocks(traj, collar):
-        _fold(sums, g, *_heat_rows(g, _field_rows(values, ci, g)))
+        _fold(sums, g, *_heat_rows(g, fields[ci][g.k - 1:g.k + len(g.h) + 1]))
     sup, l2 = _residual_summary(sums)
     return sup.tolist(), list(l2)
 
@@ -327,13 +333,13 @@ def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
     curves with winding (the circle) are handled; returns per-interior-time
     sup values. A component with no interior vertex adds nothing.
     """
-    states = [_curve_components(s) for s in traj.states]
-    thetas = _aligned_angle_fields(states)
+    curves = FlowTrajectory(traj.times, [_curve_components(s) for s in traj.states])
+    thetas = _aligned_angle_fields(curves)
     sums = _residual_sums(len(traj.times))
-    for ci, g in centred_blocks(FlowTrajectory(traj.times, states), collar):
+    for ci, g in centred_blocks(curves, collar):
         d = turning_increments(g.u, g.closed)
-        _fold(sums, g, *_residual_rows(g, _field_rows(thetas, ci, g), d,
-                                       vertex_sums(d, g.closed)))
+        _fold(sums, g, *_residual_rows(g, thetas[ci][g.k - 1:g.k + len(g.h) + 1],
+                                       d, vertex_sums(d, g.closed)))
     return _residual_summary(sums)[0]
 
 
@@ -344,29 +350,30 @@ def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
 @dataclass
 class CaloricPrimitive:
     times: np.ndarray
-    theta: list    # per time: per-component arrays, branch-aligned in t
-    beta: list     # per time: per-component arrays, caloric gauge applied
+    theta: list    # per component: (T, N) angles, branch-aligned in t
+    beta: list     # per component: (T, N) primitives, caloric gauge applied
     gauge: np.ndarray  # per time, per component: the additive constants
     residual_sup: np.ndarray  # gauged residual of beta + 2 t theta
     residual_l2: np.ndarray
     residual_times: np.ndarray
 
 
-def _aligned_angle_fields(comps_per_state):
-    """Per-time unwrapped angles with time-continuous branch at the anchor."""
-    out = []
-    prev = None
-    for comps in comps_per_state:
-        fields = []
-        for ci, c in enumerate(comps):
-            th = lagrangian_angle(c)
-            if prev is not None:
-                shift = 2.0 * np.pi * np.round((prev[ci][0] - th[0]) / (2.0 * np.pi))
-                th = th + shift
-            fields.append(th)
-        out.append(fields)
-        prev = fields
-    return out
+def _curve_rows(curves: FlowTrajectory, fn):
+    """Per component, fn of its curve at each time of the stored curves as
+    one (T, N) array; raises VertexCountChanged when N changes."""
+    if len({tuple(c.n_vertices for c in comps) for comps in curves.states}) > 1:
+        raise VertexCountChanged("a component's vertex count changes")
+    return [np.array([fn(c) for c in comps]) for comps in zip(*curves.states)]
+
+
+def _aligned_angle_fields(curves: FlowTrajectory):
+    """Per component, the (T, N) unwrapped angles of the stored curves, the
+    branch at the first vertex continuous in time."""
+    thetas = _curve_rows(curves, lagrangian_angle)
+    for th in thetas:
+        for k in range(1, len(th)):
+            th[k] += 2.0 * np.pi * np.round((th[k - 1, 0] - th[k, 0]) / (2.0 * np.pi))
+    return thetas
 
 
 def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive:
@@ -382,8 +389,7 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     # each state is built once: a generated trajectory builds it on each read
     curves = FlowTrajectory(times, [_curve_components(s) for s in traj.states])
     thetas, beta, gauge = _gauged_primitive(curves, collar)
-    g_gauged = [[b + 2.0 * t * th for b, th in zip(beta[k], thetas[k])]
-                for k, t in enumerate(times)]
+    g_gauged = [b + 2.0 * times[:, None] * th for b, th in zip(beta, thetas)]
     sup, l2 = heat_residual(curves, g_gauged, collar=collar)
     return CaloricPrimitive(times, thetas, beta, gauge,
                             np.asarray(sup), np.asarray(l2), times[1:-1])
@@ -394,20 +400,15 @@ def _gauged_primitive(curves: FlowTrajectory, collar):
     :func:`caloric_primitive` on a trajectory of stored curve components,
     without its residual audit of the gauged field."""
     times = curves.times
-    comps_per_state = curves.states
-    thetas = _aligned_angle_fields(comps_per_state)
-    n_comp = len(comps_per_state[0])
-    betas_raw = [[exactness_primitive(c) for c in comps]
-                 for comps in comps_per_state]
-    g_fields = [[betas_raw[k][ci] + 2.0 * t * thetas[k][ci] for ci in range(n_comp)]
-                for k, t in enumerate(times)]
-    rates = _gauge_rates(curves, g_fields, collar)
+    thetas = _aligned_angle_fields(curves)
+    betas_raw = _curve_rows(curves, exactness_primitive)
+    rates = _gauge_rates(curves, [b + 2.0 * times[:, None] * th
+                                  for b, th in zip(betas_raw, thetas)], collar)
     gauge = np.zeros_like(rates)
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
         gauge[k] = gauge[k - 1] - 0.5 * dt * (rates[k] + rates[k - 1])
-    beta = [[betas_raw[k][ci] + gauge[k, ci] for ci in range(n_comp)]
-            for k in range(len(times))]
+    beta = [b + gauge[:, ci, None] for ci, b in enumerate(betas_raw)]
     return thetas, beta, gauge
 
 
@@ -415,9 +416,9 @@ def _gauge_rates(curves: FlowTrajectory, fields, collar):
     """Per time and component, the dual-weighted mean of the heat residual
     of the fields over the interior, 0 without an interior vertex; the first
     and last times take their neighbours' rates."""
-    rates = np.zeros((len(curves.times), len(fields[0])))
+    rates = np.zeros((len(curves.times), len(fields)))
     for ci, g in centred_blocks(curves, collar):
-        res, w = _heat_rows(g, _field_rows(fields, ci, g))
+        res, w = _heat_rows(g, fields[ci][g.k - 1:g.k + len(g.h) + 1])
         rates[g.k:g.k + len(res), ci] = [np.sum(a) / np.sum(b) for a, b in zip(w * res, w)]
     if len(rates) > 2:
         rates[0] = rates[1]
@@ -432,7 +433,7 @@ def _gauge_rates(curves: FlowTrajectory, fields, collar):
 @dataclass
 class BFieldReport:
     times: np.ndarray
-    B: list  # per time, per component arrays on the curve factor
+    B: list  # per component: (T, N) fields on the curve factor
     residual_times: np.ndarray
     residual_sup: np.ndarray
     identity_scale: float
@@ -461,12 +462,11 @@ def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     curves = FlowTrajectory(times, [_curve_components(s) for s in states])
     thetas, beta, _ = _gauged_primitive(curves, collar)
     offsets = np.array([[_line_offset_sq(c) for c in as_components(s)] for s in states])
-    B_fields = [[np.cos(b + 2.0 * (t - s1) * th) for b, th in zip(beta[k], thetas[k])]
-                for k, t in enumerate(times)]
+    B_fields = [np.cos(b + 2.0 * (times[:, None] - s1) * th) for b, th in zip(beta, thetas)]
     sums = _residual_sums(len(times))
     scale = 0.0
     for ci, g in centred_blocks(curves, collar):
-        F = _field_rows(B_fields, ci, g)
+        F = B_fields[ci][g.k - 1:g.k + len(g.h) + 1]
         lhs, w = _heat_rows(g, F)
         H, xperp = normal_fields(g)
         rows = slice(g.k, g.k + len(g.h))
@@ -503,9 +503,9 @@ def _z_mode(frame: CoordinateFrame) -> str:
 
 def _initial_caloric_data(traj: FlowTrajectory):
     """The curves of the first state with their angle theta and Liouville
-    primitive beta: ``caloric_primitive(traj).theta[0]`` and ``.beta[0]``
-    (the gauge vanishes at the first time) without the rest of the
-    trajectory's gauged field. NotExact propagates from closed components
+    primitive beta: row 0 of each field in ``caloric_primitive(traj).theta``
+    and ``.beta`` (the gauge vanishes at the first time) without the rest of
+    the trajectory's gauged field. NotExact propagates from closed components
     with holonomy on any recorded state, as from caloric_primitive; the
     later states are built only when a component is closed.
     """

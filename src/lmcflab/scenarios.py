@@ -49,8 +49,12 @@ def validate_config(config: dict) -> dict:
         raise ConfigInvalid(f"unknown scenario {config['scenario']!r}; "
                             f"known: {sorted(SCENARIOS)}")
     config.setdefault("schema_version", SCHEMA_VERSION)
-    config.setdefault("seed", 0)
-    config.setdefault("params", {})
+    seed = config.setdefault("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigInvalid(f"'seed' must be an integer, not {seed!r}")
+    config["seed"] = int(seed)
+    if not isinstance(config.setdefault("params", {}), dict):
+        raise ConfigInvalid(f"'params' must be an object, not {config['params']!r}")
     return config
 
 
@@ -271,8 +275,8 @@ def scenario_caloric_identities(params, seed, outputs):
     for n in (64, 128, 256):
         dt = 2.0 * (2 * np.pi / n) ** 2
         traj = fx.shrinking_circle_trajectory(2.0, n, t1=0.3, dt=dt)
-        vals = [[flow.as_components(s)[0].vertices[:, 0]] for s in traj.states]
-        sup, _ = fh.heat_residual(traj, vals)
+        # x at every time: plane 0 of the one curve's (2, T, N) planes
+        sup, _ = fh.heat_residual(traj, [traj.planes(0, len(traj))[0][1][0]])
         sups.append(float(np.max(sup)))
     slopes = [float(np.log2(sups[k] / sups[k + 1])) for k in range(len(sups) - 1)]
     metrics["circle_coordinate_residuals"] = sups
@@ -281,7 +285,7 @@ def scenario_caloric_identities(params, seed, outputs):
     # static line: coordinates have zero residual
     line = fx.make_line(angle=0.5, extent=6.0, n=101)
     traj_l = flow.FlowTrajectory(np.linspace(0, 0.1, 11), [line] * 11)
-    sup_l, _ = fh.heat_residual(traj_l, [[line.vertices[:, 0]]] * 11)
+    sup_l, _ = fh.heat_residual(traj_l, [traj_l.planes(0, 11)[0][1][0]])
     metrics["line_coordinate_residual"] = float(np.max(sup_l))
     checks["line_coordinate_caloric"] = metrics["line_coordinate_residual"] < 1e-10
     # reaper coordinates + product reduction
@@ -291,8 +295,7 @@ def scenario_caloric_identities(params, seed, outputs):
         dt = 0.5 * h * h
         traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
                                                   t1=60 * dt, dt=dt)
-        vals = [[flow.as_components(s)[0].vertices[:, 1]] for s in traj.states]
-        sup, _ = fh.heat_residual(traj, vals, collar=4)
+        sup, _ = fh.heat_residual(traj, [traj.planes(0, len(traj))[0][1][1]], collar=4)
         sups_g.append(float(np.max(sup)))
     slopes_g = [float(np.log(sups_g[k] / sups_g[k + 1]) / np.log(2.0))
                 for k in range(len(sups_g) - 1)]
@@ -319,20 +322,13 @@ def scenario_caloric_identities(params, seed, outputs):
     metrics["beta_richardson_slope"] = slope_b
     checks["beta_richardson"] = slope_b >= 1.8
     # uniqueness: bitwise determinism and O(dt) agreement under halving
-    n = 128
-    f0 = None
-    outs = {}
-    for dt in (2e-3, 1e-3, 5e-4):
-        traj = fx.shrinking_circle_trajectory(1.0, n, t1=0.1, dt=dt)
-        if f0 is None:
-            f0 = [flow.as_components(traj.states[0])[0].vertices[:, 1]]
-        outs[dt] = fh.solve_heat_on_flow(traj, f0)
-    again = fh.solve_heat_on_flow(fx.shrinking_circle_trajectory(1.0, n, t1=0.1,
-                                                                 dt=2e-3), f0)
-    bitwise = all(np.array_equal(a[0], b[0])
-                  for a, b in zip(outs[2e-3].values, again.values))
-    e1 = float(np.max(np.abs(outs[2e-3].values[-1][0] - outs[1e-3].values[-1][0])))
-    e2 = float(np.max(np.abs(outs[1e-3].values[-1][0] - outs[5e-4].values[-1][0])))
+    circle = partial(fx.shrinking_circle_trajectory, 1.0, 128, t1=0.1)
+    f0 = [circle(t1=0.0).planes(0, 1)[0][1][1, 0]]   # y at t = 0
+    outs = {dt: fh.solve_heat_on_flow(circle(dt=dt), f0) for dt in (2e-3, 1e-3, 5e-4)}
+    bitwise = np.array_equal(outs[2e-3].values[0],
+                             fh.solve_heat_on_flow(circle(dt=2e-3), f0).values[0])
+    e1, e2 = [float(np.max(np.abs(outs[a].values[0][-1] - outs[b].values[0][-1])))
+              for a, b in ((2e-3, 1e-3), (1e-3, 5e-4))]
     metrics["uniqueness_bitwise"] = bool(bitwise)
     metrics["dt_halving_errors"] = [e1, e2]
     metrics["dt_halving_ratio"] = e1 / e2
@@ -549,7 +545,7 @@ def run_scenario(config: dict, out_dir=None) -> dict:
     """
     config = validate_config(dict(config))
     name = config["scenario"]
-    seed = int(config["seed"])
+    seed = config["seed"]
     params = dict(config["params"])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -228,8 +228,8 @@ def test_monotonicity_caloric_coordinate_constant():
     line = fx.make_line(angle=0.3, extent=25.0, n=501)
     traj = flow.FlowTrajectory([0.0, 0.1, 0.2], [line] * 3)
     w = dg.GaussianWindow(np.zeros(2), t0=0.5)
-    f_vals = [[line.vertices @ np.array([1.0, 0.0])] for _ in range(3)]
-    res_vals = [[np.zeros(line.n_vertices)] for _ in range(3)]
+    f_vals = [np.tile(line.vertices @ np.array([1.0, 0.0]), (3, 1))]
+    res_vals = [np.zeros((3, line.n_vertices))]
     rep = dg.monotonicity_audit(traj, w, f_values=f_vals, residual_values=res_vals)
     assert np.max(np.abs(rep.values - rep.values[0])) < 1e-8
 

@@ -356,3 +356,11 @@ def test_first_crossing_time_reports_earliest():
     clean = [fx.make_circle(1.0, 64)]
     traj2 = flow.FlowTrajectory([0.0, 0.1], [clean, clean])
     assert flow.first_crossing_time(traj2) is None
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 0.2], [0.0, 0.1, np.inf],
+                                   [-np.inf, 0.1, 0.2]])
+def test_trajectory_times_must_be_finite(times):
+    curve = fx.make_circle(1.0, 16)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        flow.FlowTrajectory(times, [curve] * 3)

@@ -15,15 +15,16 @@ from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
 from lmcflab.errors import (ComponentAmbiguity, DegenerateEdge,
-                            GrowthUnbounded, NonFiniteVertex, NotExact,
-                            SolverFailure, VertexCountChanged)
+                            FieldShapeMismatch, GrowthUnbounded,
+                            NonFiniteVertex, NotExact, SolverFailure,
+                            VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
     traj = fx.shrinking_circle_trajectory(1.0, 128, t1=0.1, dt=2e-3)
     sol = fh.solve_heat_on_flow(traj, [np.ones(128)])
-    for vals in sol.values:
-        assert np.max(np.abs(vals[0] - 1.0)) < 1e-13
+    for row in sol.values[0]:
+        assert np.max(np.abs(row - 1.0)) < 1e-13
     assert np.max(sol.residual_sup) < 1e-12
 
 
@@ -38,7 +39,7 @@ def test_coordinate_caloric_on_circle():
     h = 2 * np.pi / n
     for k in (len(traj.times) // 2, len(traj.times) - 1):
         coord = flow.as_components(traj.states[k])[0].vertices[:, 0]
-        err = np.max(np.abs(sol.values[k][0] - coord))
+        err = np.max(np.abs(sol.values[0][k] - coord))
         assert err < 20.0 * (h * h + dt)
 
 
@@ -48,7 +49,7 @@ def test_coordinate_residual_richardson():
     for n in (64, 128, 256):
         dt = 2.0 * (2 * np.pi / n) ** 2
         traj = fx.shrinking_circle_trajectory(2.0, n, t1=0.3, dt=dt)
-        vals = [[flow.as_components(s)[0].vertices[:, 0]] for s in traj.states]
+        vals = [np.array([flow.as_components(s)[0].vertices[:, 0] for s in traj.states])]
         sup, _ = fh.heat_residual(traj, vals)
         sups.append(np.max(sup))
     slope = np.log2(sups[0] / sups[1])
@@ -116,11 +117,10 @@ def test_uniqueness_bitwise_and_dt_halving():
     f0 = [flow.as_components(traj.states[0])[0].vertices[:, 1]]
     a = fh.solve_heat_on_flow(traj, f0)
     b = fh.solve_heat_on_flow(traj, f0)
-    for va, vb in zip(a.values, b.values):
-        assert np.array_equal(va[0], vb[0])  # bitwise determinism
+    assert np.array_equal(a.values[0], b.values[0])  # bitwise determinism
     fine = fx.shrinking_circle_trajectory(1.0, n, t1=0.1, dt=5e-4)
     c = fh.solve_heat_on_flow(fine, f0)
-    diff = np.max(np.abs(a.values[-1][0] - c.values[-1][0]))
+    diff = np.max(np.abs(a.values[0][-1] - c.values[0][-1]))
     assert diff < 10.0 * 1e-3  # O(dt) agreement across halving
 
 
@@ -130,7 +130,7 @@ def test_maximum_principle_closed_curve():
     traj = fx.shrinking_circle_trajectory(1.0, n, t1=0.05, dt=5e-4)
     f0 = [rng.uniform(-1.0, 1.0, size=n)]
     sol = fh.solve_heat_on_flow(traj, f0)
-    sups = [np.max(np.abs(v[0])) for v in sol.values]
+    sups = [np.max(np.abs(row)) for row in sol.values[0]]
     for s_prev, s_next in zip(sups, sups[1:]):
         assert s_next <= s_prev + 1e-12
 
@@ -142,7 +142,7 @@ def test_caloric_field_passes_monotonicity_equality():
     f0 = [flow.as_components(traj.states[0])[0].vertices[:, 0]]
     sol = fh.solve_heat_on_flow(traj, f0)
     w = dg.GaussianWindow(np.zeros(2), t0=0.45)
-    zero = [[np.zeros(n)] for _ in traj.times]
+    zero = [np.zeros((len(traj.times), n))]
     rep = dg.monotonicity_audit(traj, w, f_values=sol.values,
                                 residual_values=zero, rtol=1e-3)
     # f = x is odd about the centre: the weighted integral stays near zero
@@ -217,8 +217,8 @@ def test_evolve_B_static_line():
     rep = fh.evolve_B(traj, s1=-0.25)
     assert np.max(rep.residual_sup) < 1e-9
     # B is a constant on a static line through the origin
-    for Bk in rep.B:
-        assert np.max(np.abs(Bk[0] - rep.B[0][0][0])) < 1e-9
+    assert rep.B[0].shape == (len(times), 101)
+    assert np.max(np.abs(rep.B[0] - rep.B[0][0, 0])) < 1e-9
 
 
 def test_evolve_B_grim_reaper_refinement():
@@ -250,7 +250,7 @@ def test_evolve_B_near_pair_plateaus():
         for ci, c in enumerate(comps):
             r = np.linalg.norm(c.vertices, axis=1)
             mask = (r > 1.0) & (r < 2.0)
-            plateau = rep.B[k1][ci][mask]
+            plateau = rep.B[ci][k1][mask]
             worst = max(worst, float(np.max(np.abs(plateau - hr.b_bar[ci]))))
         spreads.append(worst)
     assert spreads[0] > spreads[1] > spreads[2], spreads
@@ -273,7 +273,19 @@ def test_evolve_B_propagates_not_exact():
 
 
 # ---------------------------------------------------------------------------
-# reference per-state loops for the time-blocked heat solve and audit
+# reference per-state loops for the time-blocked heat solve and audit; they
+# index fields per time, values[k][ci], and the program holds one (T, N)
+# array per component
+
+
+def per_time(fields):
+    """The per-component (T, N) fields as per-time lists of component rows."""
+    return [list(rows) for rows in zip(*fields)]
+
+
+def per_component(values):
+    """Per-time lists of component rows as per-component (T, N) fields."""
+    return [np.array(rows) for rows in zip(*values)]
 
 
 def loop_heat_residual(traj, values, collar):
@@ -309,7 +321,7 @@ def loop_gauge_rates(traj, collar):
     per time and component."""
     times = traj.times
     comps_per_state = [fh._curve_components(s) for s in traj.states]
-    thetas = fh._aligned_angle_fields(comps_per_state)
+    thetas = per_time(fh._aligned_angle_fields(flow.FlowTrajectory(times, comps_per_state)))
     g_fields = [[geo.exactness_primitive(c) + 2.0 * t * th
                  for c, th in zip(comps, ths)]
                 for comps, ths, t in zip(comps_per_state, thetas, times)]
@@ -340,8 +352,9 @@ def loop_B_identity(traj, s1, collar, cp):
     times = traj.times
     states = list(traj.states)
     comps_per_state = [fh._curve_components(s) for s in states]
-    B_fields = [[np.cos(cp.beta[k][ci] + 2.0 * (t - s1) * cp.theta[k][ci])
-                 for ci in range(len(cp.beta[k]))] for k, t in enumerate(times)]
+    beta, theta = per_time(cp.beta), per_time(cp.theta)
+    B_fields = [[np.cos(beta[k][ci] + 2.0 * (t - s1) * theta[k][ci])
+                 for ci in range(len(beta[k]))] for k, t in enumerate(times)]
     sup_rows = []
     scale = 0.0
     for k in range(1, len(times) - 1):
@@ -372,7 +385,8 @@ def loop_angle_residual(traj, collar):
     """The per-state loop of angle_caloric_residual, its turning increments
     from the (N, 2) tangents of each state."""
     comps_per_state = [fh._curve_components(s) for s in traj.states]
-    thetas = fh._aligned_angle_fields(comps_per_state)
+    thetas = per_time(fh._aligned_angle_fields(flow.FlowTrajectory(traj.times,
+                                                                   comps_per_state)))
     sup_list = []
     for k in range(1, len(traj.times) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
@@ -519,7 +533,7 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
     rng = np.random.default_rng(n_interior)
     values = [[rng.normal(size=c.n_vertices) for c in fh._curve_components(s)]
               for s in traj.states]
-    sup, l2 = fh.heat_residual(traj, values, collar=collar)
+    sup, l2 = fh.heat_residual(traj, per_component(values), collar=collar)
     ref_sup, ref_l2 = loop_heat_residual(traj, values, collar)
     assert len(sup) == n_interior
     assert sup == ref_sup
@@ -534,18 +548,19 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
         return
     cp = fh.caloric_primitive(traj, collar)
     g_fields, rates = loop_gauge_rates(traj, collar)
-    assert np.array_equal(fh._gauge_rates(traj, g_fields, collar), rates)
+    assert np.array_equal(fh._gauge_rates(traj, per_component(g_fields), collar), rates)
     gauge = np.zeros_like(rates)
     for k in range(1, len(traj.times)):
         dt = traj.times[k] - traj.times[k - 1]
         gauge[k] = gauge[k - 1] - 0.5 * dt * (rates[k] + rates[k - 1])
     assert np.array_equal(cp.gauge, gauge)
+    beta = per_time(cp.beta)
     for k, s in enumerate(traj.states):
-        for got, c, g in zip(cp.beta[k], fh._curve_components(s), gauge[k]):
+        for got, c, g in zip(beta[k], fh._curve_components(s), gauge[k]):
             assert np.array_equal(got, geo.exactness_primitive(c) + g)
     rep = fh.evolve_B(traj, s1=-0.25, collar=collar)
     B, ref_sup, scale = loop_B_identity(traj, -0.25, collar, cp)
-    for got, want in zip(rep.B, B, strict=True):
+    for got, want in zip(per_time(rep.B), B, strict=True):
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
     assert rep.residual_sup.tolist() == ref_sup
@@ -576,7 +591,7 @@ def _digest(arrays):
 @pytest.mark.parametrize("kind", sorted(B_FIELD_VALUES))
 def test_evolve_B_report_is_unchanged(kind):
     rep = fh.evolve_B(_audit_trajectory(kind, fh.AUDIT_BLOCK + 1), s1=-0.25)
-    got = (_digest([rep.times]), _digest([b for Bk in rep.B for b in Bk]),
+    got = (_digest([rep.times]), _digest([b for Bk in zip(*rep.B) for b in Bk]),
            _digest([rep.residual_times]), _digest([rep.residual_sup]),
            float(rep.identity_scale).hex())
     assert got == B_FIELD_VALUES[kind]
@@ -589,12 +604,12 @@ def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
     f0 = [c.vertices[:, 1] for c in fh._curve_components(traj.states[0])]
     sol = fh.solve_heat_on_flow(traj, f0)
     ref = loop_heat_solve(traj, f0)
-    assert len(sol.values) == len(ref)
-    for got, want in zip(sol.values, ref):
-        for g, w in zip(got, want):
+    assert [F.shape for F in sol.values] == [(len(ref), len(f)) for f in f0]
+    for got, want in zip(per_time(sol.values), ref, strict=True):
+        for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
     # the two-pass oracle: the per-step march, then the standalone audit
-    ref_sup, ref_l2 = fh.heat_residual(traj, ref)
+    ref_sup, ref_l2 = fh.heat_residual(traj, per_component(ref))
     assert sol.residual_sup.tolist() == ref_sup
     assert sol.residual_l2.tolist() == ref_l2
     assert (ref_sup, ref_l2) == loop_heat_residual(traj, ref, 2)
@@ -613,13 +628,13 @@ def test_component_without_interior_vertex_adds_nothing():
     traj = flow.FlowTrajectory(times, [geo.DiscreteCurve(
         [[-1.5, 0.0], [-0.5, 0.1 * t], [0.5, 0.3 - t], [1.5, 0.2]]) for t in times])
     zeros = [0.0] * (len(times) - 2)
-    assert fh.heat_residual(traj, [[np.ones(4)]] * len(times)) == (zeros, zeros)
+    assert fh.heat_residual(traj, [np.ones((len(times), 4))]) == (zeros, zeros)
     assert fh.solve_heat_on_flow(traj, [np.ones(4)]).residual_sup.tolist() == zeros
     cp = fh.caloric_primitive(traj)
     assert cp.gauge.tolist() == [[0.0]] * len(times)
     assert cp.residual_sup.tolist() == zeros
-    for beta, c in zip(cp.beta, traj.states):
-        assert np.array_equal(beta[0], geo.exactness_primitive(c))
+    for beta, c in zip(cp.beta[0], traj.states, strict=True):
+        assert np.array_equal(beta, geo.exactness_primitive(c))
     rep = fh.evolve_B(traj, s1=0.02)
     assert rep.residual_sup.tolist() == zeros and rep.identity_scale == 0.0
     assert fh.angle_caloric_residual(traj).tolist() == zeros
@@ -634,7 +649,7 @@ def test_three_vertex_open_heat_solve_equals_per_step_loop():
     traj = flow.FlowTrajectory(times, states)
     f0 = [np.array([0.3, -1.2, 2.0])]
     sol = fh.solve_heat_on_flow(traj, f0)
-    for got, want in zip(sol.values, loop_heat_solve(traj, f0)):
+    for got, want in zip(per_time(sol.values), loop_heat_solve(traj, f0)):
         assert np.array_equal(got[0], want[0])
 
 
@@ -692,10 +707,10 @@ def test_initial_caloric_data_equals_caloric_primitive(kind):
     cp = fh.caloric_primitive(traj)
     for got, want in zip(comps0, fh._curve_components(traj.states[0])):
         assert np.array_equal(got.vertices, want.vertices)
-    assert len(theta0) == len(cp.theta[0]) == len(beta0)
-    for got, want in zip(theta0, cp.theta[0]):
+    assert len(theta0) == len(cp.theta) == len(beta0)
+    for got, want in zip(theta0, per_time(cp.theta)[0]):
         assert np.array_equal(got, want)
-    for got, want in zip(beta0, cp.beta[0]):
+    for got, want in zip(beta0, per_time(cp.beta)[0]):
         assert np.array_equal(got, want)
 
 
@@ -725,7 +740,57 @@ def test_vertex_count_change_is_refused():
         fh.heat_field_at(traj, [np.ones(64)], 2)
     fh.heat_field_at(traj, [np.ones(64)], 1)
     with pytest.raises(VertexCountChanged):
-        fh.heat_residual(traj, [[np.ones(64)], [np.ones(64)], [np.ones(65)]])
+        fh.heat_residual(traj, [np.ones((3, 64))])
+
+
+def test_caloric_fields_refuse_a_changed_vertex_count():
+    a, b = fx.make_line(extent=2.0, n=16), fx.make_line(extent=2.1, n=17)
+    traj = flow.FlowTrajectory([0.0, 0.01, 0.02], [a, a, b])
+    for audit in (fh.caloric_primitive, fh.angle_caloric_residual,
+                  lambda traj: fh.evolve_B(traj, s1=0.01)):
+        with pytest.raises(VertexCountChanged):
+            audit(traj)
+
+
+def _two_curve_trajectory():
+    """Four times of a circle with 24 vertices and a line with 16."""
+    times = np.linspace(0.0, 0.03, 4)
+    return flow.FlowTrajectory(times, [[fx.make_circle(1.0 + t, 24),
+                                        fx.make_line(extent=2.0 + t, n=16)]
+                                       for t in times])
+
+
+# mis-shaped fields: per case, the fields handed to heat_residual and the
+# initial data handed to the march (None where the case has none)
+MIS_SHAPED = {
+    "vertex count": ([np.ones((4, 24)), np.ones((4, 15))], [np.ones(24), np.ones(17)]),
+    "too few times": ([np.ones((3, 24)), np.ones((3, 16))], None),
+    "extra times": ([np.ones((5, 24)), np.ones((5, 16))], None),
+    "component count": ([np.ones((4, 24))], [np.ones(24)]),
+    "extra component": ([np.ones((4, 24)), np.ones((4, 16)), np.ones((4, 16))],
+                        [np.ones(24), np.ones(16), np.ones(16)]),
+    "one-time rows": ([np.ones(24), np.ones(16)], [np.ones((1, 24)), np.ones((1, 16))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIS_SHAPED))
+def test_mis_shaped_fields_are_refused_before_any_block(case, monkeypatch):
+    traj = _two_curve_trajectory()
+    fields, f0 = MIS_SHAPED[case]
+    fh.heat_residual(traj, [np.ones((4, 24)), np.ones((4, 16))])   # the shape that fits
+
+    def no_block(*args):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(fh, "centred_blocks", no_block)
+    monkeypatch.setattr(fh, "_march_block", no_block)
+    with pytest.raises(FieldShapeMismatch):
+        fh.heat_residual(traj, fields)
+    if f0 is not None:
+        with pytest.raises(FieldShapeMismatch):
+            fh.solve_heat_on_flow(traj, f0)
+        with pytest.raises(FieldShapeMismatch):
+            fh.heat_field_at(traj, f0, 0)
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -743,4 +808,4 @@ def test_coincident_neighbours_are_refused_by_both_consumers(closed):
         fh.heat_field_at(traj, [np.ones(16)], 2)
     assert np.array_equal(fh.heat_field_at(traj, [np.ones(16)], 1)[0],
                           fh.solve_heat_on_flow(flow.FlowTrajectory(
-                              times[:2], [curve, curve]), [np.ones(16)]).values[1][0])
+                              times[:2], [curve, curve]), [np.ones(16)]).values[0][1])

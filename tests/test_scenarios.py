@@ -28,6 +28,22 @@ def test_config_validation():
     assert cfg["seed"] == 0 and cfg["schema_version"] == sc.SCHEMA_VERSION
 
 
+@pytest.mark.parametrize("bad", [{"seed": 1.5}, {"seed": True}, {"seed": "abc"},
+                                 {"seed": None}, {"params": [["refine", 2]]},
+                                 {"params": "refine=2"}, {"params": None}])
+def test_config_validation_refuses_bad_seed_and_params(bad):
+    key, = bad
+    with pytest.raises(ConfigInvalid, match=key):
+        sc.validate_config({"scenario": "three-annulus", **bad})
+
+
+def test_numpy_integer_seed_runs_as_the_same_config():
+    cfg = sc.validate_config({"scenario": "three-annulus", "seed": np.int64(1)})
+    assert type(cfg["seed"]) is int and cfg["seed"] == 1
+    assert sc.config_hash(cfg) == \
+        sc.config_hash(sc.validate_config({"scenario": "three-annulus", "seed": 1}))
+
+
 def test_config_hash_stable():
     a = sc.config_hash({"scenario": "x", "params": {"b": 1, "a": 2}})
     b = sc.config_hash({"params": {"a": 2, "b": 1}, "scenario": "x"})

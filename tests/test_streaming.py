@@ -129,12 +129,12 @@ def test_field_at_equals_the_full_solve(kind, wrap, data):
     full = fh.solve_heat_on_flow(traj, f0)
     for k in ks:
         got = fh.heat_field_at(traj, f0, k)
-        assert len(got) == len(full.values[k])
-        assert all(np.array_equal(g, w) for g, w in zip(got, full.values[k]))
+        assert len(got) == len(full.values)
+        assert all(np.array_equal(g, F[k]) for g, F in zip(got, full.values))
     # generated planes and stacked stored states give the same solve
     stored = fh.solve_heat_on_flow(_stored(traj), f0)
     assert stored.residual_sup.tolist() == full.residual_sup.tolist()
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(stored.values, full.values))
+    assert all(np.array_equal(a, b) for a, b in zip(stored.values, full.values, strict=True))
 
 
 def test_field_at_refuses_indices_outside_the_trajectory():
@@ -152,7 +152,7 @@ def test_single_time_solve_returns_the_initial_field():
     traj = flow.FlowTrajectory([0.0], [fx.make_circle(1.0, 16)])
     f0 = np.linspace(0.0, 1.0, 16)
     sol = fh.solve_heat_on_flow(traj, [f0])
-    assert np.array_equal(sol.values[0][0], f0)
+    assert np.array_equal(sol.values[0], [f0])
     assert sol.residual_sup.size == 0
 
 
@@ -326,7 +326,7 @@ def test_heat_solve_and_audit_build_no_state(monkeypatch):
     sol = fh.solve_heat_on_flow(traj, f0)
     assert set(read) == set(range(len(traj)))
     assert sol.residual_sup.tolist() == want.residual_sup.tolist()
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(sol.values, want.values))
+    assert all(np.array_equal(a, b) for a, b in zip(sol.values, want.values, strict=True))
     read.clear()
     assert fh.heat_residual(traj, sol.values, collar=4) == \
         fh.heat_residual(stored, want.values, collar=4)
