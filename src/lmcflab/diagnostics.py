@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 from scipy.special import erf
 
 from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
-from .flow import FlowTrajectory, segments_intersect
+from .flow import FlowTrajectory, check_field_shapes, segments_intersect
 from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
                        ProductLagrangian, as_components, edge_ends,
                        lagrangian_angle, mean_curvature)
@@ -305,9 +305,12 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
     With f = 1 this is the Gaussian-density monotonicity; general f needs
     its heat residual (partial_t - Delta) f (zero for caloric fields). Both
     are caloric fields on curve states: one (T, N) array per component, row
-    k at ``traj.times[k]``.
+    k at ``traj.times[k]`` (FieldShapeMismatch otherwise).
     """
     times = traj.times
+    for fields in (f_values, residual_values):
+        if fields is not None:
+            check_field_shapes(fields, traj.planes(0, 1), times.shape)
     n_times = len(times)
     V = np.zeros(n_times)
     D = np.zeros(n_times)
@@ -402,25 +405,6 @@ def _component_fields(comp, frame: CoordinateFrame):
     H = mean_curvature(comp)
     mask = comp.interior_mask()
     return w[mask], th[mask], wt[mask], H[mask], ez_perp[mask]
-
-
-def angle_oscillation(state) -> dict:
-    """sup(theta) - inf(theta) over the state, with the margin to pi.
-
-    The almost-calibrated margin is reported, never enforced: a state is
-    almost calibrated when the oscillation stays below pi by some margin.
-    """
-    lo, hi = np.inf, -np.inf
-    for comp in as_components(state):
-        if isinstance(comp, ProductLagrangian):
-            th = comp.angle_grid()
-        else:
-            th = lagrangian_angle(comp)
-        lo = min(lo, float(np.min(th)))
-        hi = max(hi, float(np.max(th)))
-    osc = hi - lo
-    return {"oscillation": osc, "margin_to_pi": np.pi - osc,
-            "almost_calibrated": bool(osc < np.pi)}
 
 
 def translator_fit(state, frame: CoordinateFrame):

@@ -83,9 +83,6 @@ class Poly:
             out[tuple(e)] = v
         return Poly(out, self.nvars)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
 
@@ -219,24 +216,6 @@ def poly_inner(f: Poly, g: Poly) -> float:
                 term *= m
             total += term
     return float(total) * np.pi ** (f.nvars / 2.0)
-
-
-def poly_inner_quadrature(f: Poly, g: Poly) -> float:
-    """Gauss-Hermite cross-check (64 nodes per axis): substitute
-    x = sqrt(2) y, weight e^{-y^2/2}."""
-    y, w = np.polynomial.hermite_e.hermegauss(64)
-    n = f.nvars
-    if n == 1:
-        pts = np.sqrt(2.0) * y[:, None]
-        wt = w
-    elif n == 2:
-        Y1, Y2 = np.meshgrid(y, y, indexing="ij")
-        pts = np.sqrt(2.0) * np.stack([Y1.ravel(), Y2.ravel()], axis=1)
-        wt = np.outer(w, w).ravel()
-    else:
-        raise NotImplementedError("quadrature path supports n <= 2")
-    vals = f.evaluate(pts) * g.evaluate(pts)
-    return float((2.0 ** (n / 2.0)) * np.sum(wt * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +411,6 @@ class NormSequence:
         self.log_norms = np.asarray(self.log_norms, dtype=float)
         if np.max(np.abs(np.diff(self.taus) - 1.0)) > 1e-12:
             raise ValueError("taus must be consecutive integers")
-
-    @classmethod
-    def from_solution(cls, u, taus):
-        return cls(np.asarray(taus, dtype=float),
-                   np.array([np.log(weighted_norm(u, t)) for t in taus]))
 
     def write_csv(self, path):
         with open(path, "w") as fh:

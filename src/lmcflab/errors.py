@@ -112,6 +112,10 @@ class VertexCountChanged(LabError):
     """A component's vertex count differs between recorded states."""
 
 
+class ComponentCountChanged(LabError):
+    """The number of curve components differs between recorded states."""
+
+
 class FieldShapeMismatch(LabError):
     """A field is not one (times, vertices) or (vertices,) array per component."""
 

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
 
-from .errors import (RangeError, ScanTooLarge, SingularCollapse, SolverFailure,
+from .errors import (ComponentCountChanged, FieldShapeMismatch, RangeError,
+                     ScanTooLarge, SingularCollapse, SolverFailure,
                      StabilityViolation, TimeGridMismatch, VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
                        ProductLagrangian, as_components, check_vertices,
@@ -86,10 +87,16 @@ class FlowTrajectory:
         """Per curve component of the states lo..hi-1: (its curve at lo, its
         vertices as coordinate planes of shape (2, hi - lo, N)). A curve x
         static-line product gives its curve factor. Raises
+        ComponentCountChanged when the number of components changes and
         VertexCountChanged when a component's vertex count changes."""
         if self._planes is not None:
             return self._planes(lo, hi)
         per_state = [_curve_components(s) for s in self.states[lo:hi]]
+        for k, comps in enumerate(per_state):
+            if len(comps) != len(per_state[0]):
+                raise ComponentCountChanged(
+                    f"{len(per_state[0])} curve components at time index {lo} "
+                    f"and {len(comps)} at {lo + k}")
         for ci, first in enumerate(per_state[0]):
             for k, comps in enumerate(per_state):
                 if comps[ci].n_vertices != first.n_vertices:
@@ -126,6 +133,14 @@ class AnalyticTrajectory(FlowTrajectory):
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise RangeError(f"t={t} outside trajectory range")
         return _block_state(self.block, float(t))
+
+
+def check_field_shapes(fields, first, lead):
+    """Raise FieldShapeMismatch unless fields holds one array of shape
+    lead + (N,) per component of the planes first, N its vertex count."""
+    want, got = [lead + p.shape[-1:] for _, p in first], [np.shape(F) for F in fields]
+    if got != want:
+        raise FieldShapeMismatch(f"field shapes {got}, expected {want}")
 
 
 def _block_state(block, t):
@@ -473,14 +488,6 @@ def state_self_intersects(state) -> bool:
     keep = ~adjacent
     hits, _, _ = segments_intersect(P1[ii[keep]], P2[ii[keep]], P1[jj[keep]], P2[jj[keep]])
     return bool(np.any(hits))
-
-
-def first_crossing_time(traj: FlowTrajectory):
-    """First recorded time at which any state self-intersects, else None."""
-    for t, s in zip(traj.times, traj.states):
-        if state_self_intersects(s):
-            return float(t)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,10 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
-from .errors import (ComponentAmbiguity, FieldShapeMismatch, SolverFailure,
-                     VertexCountChanged)
+from .errors import ComponentAmbiguity, SolverFailure, VertexCountChanged
 from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
-                   _curve_components, centred_blocks, normal_fields)
+                   _curve_components, centred_blocks, check_field_shapes,
+                   normal_fields)
 from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
                        exactness_primitive, lagrangian_angle, require_finite,
@@ -182,14 +182,6 @@ class HeatSolution:
                 fh.write(f"{t:.12g},{s:.12g},{l:.12g}\n")
 
 
-def _check_shapes(fields, first, lead):
-    """Raise FieldShapeMismatch unless fields holds one array of shape
-    lead + (N,) per component of the planes first, N its vertex count."""
-    want, got = [lead + p.shape[-1:] for _, p in first], [np.shape(F) for F in fields]
-    if got != want:
-        raise FieldShapeMismatch(f"field shapes {got}, expected {want}")
-
-
 def _march(traj, f0, stop):
     """The heat march from the fields f0 through the times 1..stop-1.
 
@@ -201,7 +193,7 @@ def _march(traj, f0, stop):
     """
     times = traj.times
     first = traj.planes(0, 1)
-    _check_shapes(f0, first, ())
+    check_field_shapes(f0, first, ())
     # allocated before the march: arrays allocated among a block's
     # temporaries fragment the heap (peak RSS)
     rows = [np.empty((AUDIT_BLOCK + 1, len(f))) for f in f0]
@@ -317,7 +309,7 @@ def heat_residual(traj: FlowTrajectory, fields, collar: int = 2):
     components; the operator matches the solver's spatial discretization.
     A component with no interior vertex adds nothing.
     """
-    _check_shapes(fields, traj.planes(0, 1), traj.times.shape)
+    check_field_shapes(fields, traj.planes(0, 1), traj.times.shape)
     sums = _residual_sums(len(traj.times))
     for ci, g in centred_blocks(traj, collar):
         _fold(sums, g, *_heat_rows(g, fields[ci][g.k - 1:g.k + len(g.h) + 1]))

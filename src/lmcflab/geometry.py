@@ -1,6 +1,6 @@
 """Discrete Lagrangian geometry: polyline immersions in C, products in C^2,
 analytic plane pairs, and the pointwise quantities built on them (tangent
-angle, mean curvature, Liouville primitive, normal projection).
+angle, mean curvature, Liouville primitive).
 
 Conventions fixed here and used everywhere else:
 
@@ -15,7 +15,6 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -313,13 +312,6 @@ def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
     return laplacian(curve, curve.vertices)
 
 
-def normal_projection(curve: DiscreteCurve) -> np.ndarray:
-    """Normal part x^perp of the position vector per vertex."""
-    t = curve.tangents()
-    v = curve.vertices
-    return v - np.einsum("ij,ij->i", v, t)[:, None] * t
-
-
 def liouville_edge_integrals(curve: DiscreteCurve) -> np.ndarray:
     """Integral of lambda = x dy - y dx over each straight edge.
 
@@ -489,9 +481,6 @@ class CoordinateFrame:
     def dim(self) -> int:
         return self.e_z.shape[0]
 
-    def w_of(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.e_w
-
 
 def standard_frame(dim: int = 4, z_axis: int = 0) -> CoordinateFrame:
     """Frame with e_z along a coordinate axis (axis index into R^{2n})."""
@@ -536,9 +525,6 @@ class LagrangianPlane:
     def distance(self, points: np.ndarray) -> np.ndarray:
         diff = np.asarray(points) - self.project(points)
         return np.linalg.norm(np.atleast_2d(diff), axis=-1)
-
-    def point_at(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords) @ self.basis
 
     def as_product(self, extent: float = LINE_EXTENT,
                    samples: int = LINE_SAMPLES) -> ProductLagrangian:
@@ -611,75 +597,3 @@ def make_plane_pair(angles, intersection_dim: int, frame: Optional[CoordinateFra
             raise ValueError("m = 0 pair must be transverse (angle gap not 0 mod pi)")
     return PlanePairConfig(n=n, planes=planes, angles=(theta1, theta2),
                            intersection_dim=intersection_dim, frame=frame)
-
-
-# ---------------------------------------------------------------------------
-# curve set serialization (structured text, one record per vertex)
-
-
-def save_curves(path, curves) -> None:
-    """Write curve components as structured text.
-
-    Format: a version header, then per component a header line
-    ``component <id> closed=<0|1> n=<N>`` followed by N ``x y`` records.
-    """
-    curves = as_components(curves)
-    with open(path, "w") as fh:
-        fh.write("# lmcflab curveset v1\n")
-        fh.write(f"# components: {len(curves)}\n")
-        for c in curves:
-            fh.write(f"component {c.component_id} closed={int(c.closed)} n={c.n_vertices}\n")
-            for x, y in c.vertices:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-
-
-def save_plane_pair(path, pair: PlanePairConfig) -> None:
-    """Serialize a plane pair as frame matrices plus angles (JSON)."""
-    payload = {
-        "n": pair.n,
-        "intersection_dim": pair.intersection_dim,
-        "angles": [float(a) for a in pair.angles],
-        "planes": [[[float(x) for x in row] for row in p.basis]
-                   for p in pair.planes],
-        "frame": {"e_z": [float(x) for x in pair.frame.e_z],
-                  "e_w": [float(x) for x in pair.frame.e_w],
-                  "transverse": [[float(x) for x in row]
-                                 for row in pair.frame.transverse]},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def load_plane_pair(path) -> PlanePairConfig:
-    """Read a plane pair written by :func:`save_plane_pair`."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    frame = CoordinateFrame(np.asarray(payload["frame"]["e_z"]),
-                            np.asarray(payload["frame"]["e_w"]),
-                            np.asarray(payload["frame"]["transverse"]))
-    planes = [LagrangianPlane(np.asarray(basis), angle)
-              for basis, angle in zip(payload["planes"], payload["angles"])]
-    return PlanePairConfig(n=payload["n"], planes=planes,
-                           angles=tuple(payload["angles"]),
-                           intersection_dim=payload["intersection_dim"],
-                           frame=frame)
-
-
-def load_curves(path) -> list:
-    """Read a curve set written by :func:`save_curves`."""
-    curves = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "component":
-            raise ValueError(f"malformed curve file near: {lines[i]!r}")
-        cid = int(head[1])
-        closed = bool(int(head[2].split("=")[1]))
-        n = int(head[3].split("=")[1])
-        block = lines[i + 1: i + 1 + n]
-        verts = np.array([[float(t) for t in ln.split()] for ln in block])
-        curves.append(DiscreteCurve(verts, closed=closed, component_id=cid))
-        i += 1 + n
-    return curves

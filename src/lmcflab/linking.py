@@ -1,6 +1,6 @@
-"""Topological machinery near a plane pair in C^2 = R^4: component
-extraction, sphere slicing, Gauss linking numbers of curves in the
-3-sphere, and the half-space separation audit.
+"""Topological machinery near a plane pair in C^2 = R^4: sphere slicing,
+Gauss linking numbers of curves in the 3-sphere, and the half-space
+separation audit.
 
 Linking is computed by stereographic projection from a pole far from both
 curves followed by the exact polygonal Gauss integral (solid angles of
@@ -38,17 +38,13 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 from scipy.spatial import cKDTree
 
-from .errors import (ComponentAmbiguity, ConfigInvalid, CurvesTooClose,
-                     GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
-                     RoundingAmbiguity)
+from .errors import (ConfigInvalid, CurvesTooClose, GaussSumTooLarge,
+                     NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
 from .fanout import fan_out
-from .geometry import PlanePairConfig, ProductLagrangian, as_components
+from .geometry import ProductLagrangian
 
-SMALL_COMPONENT_FRACTION = 0.01  # discard below this share of the B_2 mass
 # Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
 # stay in L2 cache (about 2.5 MiB for the scenario slices)
 GAUSS_BLOCK = 16
@@ -65,149 +61,6 @@ def mesh_of(obj):
     return np.asarray(verts, dtype=float), np.asarray(quads, dtype=int)
 
 
-def _quad_areas(verts, quads):
-    """Areas of quads in R^4 (two triangles per quad)."""
-    p0, p1, p2, p3 = (verts[quads[:, k]] for k in range(4))
-    return _tri_area(p0, p1, p2) + _tri_area(p0, p2, p3)
-
-
-def _tri_area(a, b, c):
-    u = b - a
-    v = c - a
-    uu = np.einsum("ij,ij->i", u, u)
-    vv = np.einsum("ij,ij->i", v, v)
-    uv = np.einsum("ij,ij->i", u, v)
-    return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
-
-
-def _quad_angles(verts, quads):
-    """Lagrangian angle of each quad's tangent plane: arg det_C(u, v)."""
-    p0, p1, p2, p3 = (verts[quads[:, k]] for k in range(4))
-    u = p1 - p0
-    v = p3 - p0
-    u1 = u[:, 0] + 1j * u[:, 1]
-    u2 = u[:, 2] + 1j * u[:, 3]
-    v1 = v[:, 0] + 1j * v[:, 1]
-    v2 = v[:, 2] + 1j * v[:, 3]
-    det = u1 * v2 - u2 * v1
-    return np.angle(det)
-
-
-@dataclass
-class ComponentSlice:
-    """One labeled connected piece of the state inside the extraction ball."""
-
-    label: int                 # 1 or 2: index of the assigned limit plane
-    vertices: np.ndarray
-    quads: np.ndarray
-    mass_b2: float
-    mean_angle: float
-    vertex_ids: np.ndarray     # indices into the parent mesh
-
-
-@dataclass
-class ExtractionResult:
-    components: list
-    leftovers: list
-    assignment_margin: float
-
-
-def extract_components(state, pair: Optional[PlanePairConfig] = None) -> ExtractionResult:
-    """Connected components of state inside B_3 intersecting B_2, the two
-    largest labeled by their limit plane.
-
-    Labeling cost combines the RMS distance to the plane with the angle
-    mismatch of the tangent planes (oriented-plane identity, which stays
-    meaningful for multiplicity-two blow-downs). Components below 1% of
-    the inner-ball mass are returned as leftovers. ComponentAmbiguity is
-    raised when fewer than two candidate components exist or the labeling
-    margin falls below 2*delta = 0.2.
-    """
-    r_in, r_out, delta = 2.0, 3.0, 0.1
-    meshes = [mesh_of(c) for c in as_components(state)]
-    pieces = []
-    for verts, quads in meshes:
-        inside = np.linalg.norm(verts, axis=1) <= r_out
-        if not inside.any():
-            continue
-        idx = np.flatnonzero(inside)
-        remap = -np.ones(verts.shape[0], dtype=int)
-        remap[idx] = np.arange(idx.size)
-        edges = np.concatenate([quads[:, [0, 1]], quads[:, [1, 2]],
-                                quads[:, [2, 3]], quads[:, [3, 0]]])
-        keep = inside[edges[:, 0]] & inside[edges[:, 1]]
-        e = remap[edges[keep]]
-        adj = sp.coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])),
-                            shape=(idx.size, idx.size))
-        n_comp, labels = _cc(adj, directed=False)
-        quad_ok = inside[quads].all(axis=1)
-        q_lab = np.full(quads.shape[0], -1)
-        q_lab[quad_ok] = labels[remap[quads[quad_ok, 0]]]
-        areas = _quad_areas(verts, quads)
-        centroids = 0.25 * (verts[quads[:, 0]] + verts[quads[:, 1]]
-                            + verts[quads[:, 2]] + verts[quads[:, 3]])
-        cent_in = np.linalg.norm(centroids, axis=1) <= r_in
-        angles = _quad_angles(verts, quads)
-        for comp in range(n_comp):
-            vid = idx[labels == comp]
-            qsel = q_lab == comp
-            touches_inner = np.linalg.norm(verts[vid], axis=1).min() <= r_in
-            mass = float(np.sum(areas[qsel & cent_in]))
-            if not touches_inner:
-                continue
-            ang_w = areas[qsel & cent_in]
-            ang = angles[qsel & cent_in]
-            if ang.size:
-                mean_ang = float(np.angle(np.sum(ang_w * np.exp(1j * ang))
-                                          / max(np.sum(ang_w), 1e-300)))
-            else:
-                mean_ang = float("nan")
-            local = -np.ones(verts.shape[0], dtype=int)
-            local[vid] = np.arange(vid.size)
-            pieces.append(ComponentSlice(0, verts[vid], _requad(quads[qsel], local),
-                                         mass, mean_ang, vid))
-    pieces.sort(key=lambda p: -p.mass_b2)
-    total_mass = sum(p.mass_b2 for p in pieces)
-    main = [p for p in pieces if p.mass_b2 >= SMALL_COMPONENT_FRACTION * total_mass]
-    leftovers = [p for p in pieces if all(p is not q for q in main)]
-    if len(main) < 2:
-        raise ComponentAmbiguity(
-            f"found {len(main)} candidate component(s) inside B_{r_out}")
-    leftovers.extend(main[2:])
-    main = main[:2]
-    margin = float("inf")
-    if pair is not None:
-        cost = np.zeros((2, 2))
-        for i, p in enumerate(main):
-            pts = p.vertices[np.linalg.norm(p.vertices, axis=1) <= r_in]
-            if pts.size == 0:
-                pts = p.vertices
-            for j, plane in enumerate(pair.planes):
-                d = plane.distance(pts)
-                geom = float(np.sqrt(np.mean(d * d)))
-                dth = np.angle(np.exp(1j * (p.mean_angle - pair.angles[j])))
-                cost[i, j] = geom + abs(dth)
-        direct = cost[0, 0] + cost[1, 1]
-        swapped = cost[0, 1] + cost[1, 0]
-        margin = abs(direct - swapped)
-        if margin < 2.0 * delta:
-            raise ComponentAmbiguity(
-                f"labeling margin {margin:.3g} below 2*delta = {2 * delta:.3g}")
-        order = (0, 1) if direct <= swapped else (1, 0)
-        main[order[0]].label = 1
-        main[order[1]].label = 2
-        main.sort(key=lambda p: p.label)
-    else:
-        main[0].label = 1
-        main[1].label = 2
-    return ExtractionResult(main, leftovers, margin)
-
-
-def _requad(quads, remap):
-    out = remap[quads]
-    return out[(out >= 0).all(axis=1)]
-
-
 # ---------------------------------------------------------------------------
 # sphere slicing
 
@@ -218,7 +71,6 @@ class SphereSliceCurve:
 
     loops: list           # list of (M, 4) arrays, ordered, closed
     radius: float
-    parent_label: int = 0
 
     def length(self) -> float:
         """Geodesic length: great-circle arcs between consecutive points."""
@@ -229,9 +81,6 @@ class SphereSliceCurve:
                                   np.arcsin(np.clip(chords / (2.0 * self.radius),
                                                     0.0, 1.0))))
         return total
-
-    def all_points(self) -> np.ndarray:
-        return np.concatenate(self.loops, axis=0)
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -250,12 +99,7 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSlice
     outward radial direction first. Raises OpenSliceLoop when the segments
     do not chain into closed loops.
     """
-    if isinstance(component, ComponentSlice):
-        verts, quads = component.vertices, component.quads
-        label = component.label
-    else:
-        verts, quads = mesh_of(component)
-        label = 0
+    verts, quads = mesh_of(component)
     tris = _triangles(quads)
     radii_v = np.linalg.norm(verts, axis=1)
     R_try = float(R)
@@ -266,7 +110,7 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSlice
             loops = _chain_segments(starts, start_edges, end_edges)
             loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
                      for lp in loops]
-            return SphereSliceCurve(loops, R_try, label)
+            return SphereSliceCurve(loops, R_try)
         R_try += 0.003
     raise NoTransverseRadius(f"no transverse radius near {R} after retries")
 
@@ -602,7 +446,7 @@ def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
     margins = {}
     checks = []
     for name, comp, sign_hi in (("comp1", comp1, +1.0), ("comp2", comp2, -1.0)):
-        verts = comp.vertices if isinstance(comp, ComponentSlice) else mesh_of(comp)[0]
+        verts = mesh_of(comp)[0]
         z = verts @ frame.e_z
         w = verts @ frame.e_w
         g = w - (verts @ phi + lam * b0 * z)

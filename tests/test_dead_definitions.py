@@ -1,0 +1,72 @@
+"""No definition in src/lmcflab that nothing in src/lmcflab refers to.
+
+An AST scan collects every top-level function, class and constant and every
+method (dunder methods aside: Python calls them itself) of the package. A
+definition counts as referred to when a load-context name, an attribute or
+a ``from`` import anywhere in the package carries its name. The unreferenced
+ones must be exactly the allowlist below, each kept for the reason given.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lmcflab"
+
+ALLOWED = {
+    "__init__.__version__": "the package version, read by users",
+    "fixtures.FIXTURE_MANIFEST": "documents what each fixture realizes; "
+                                 "tests check that it covers every fixture",
+    "scenarios.CRITERION_SCENARIOS": "maps each acceptance criterion to its "
+                                     "scenario for the acceptance tests",
+    "geometry.arc_gradient": "perfbench times it as a stage and pins its self time",
+    "flow.parabolic_rescale": "the parabolic scaling of a trajectory, kept for "
+                              "the scaling-equivariance property tests",
+    "drift.project_out": "the projection Pi_tau, kept for the idempotence "
+                         "property test",
+    "flow.to_rescaled": "the shrinker-scale flow; tests check its velocity "
+                        "identity",
+    "flowheat.angle_caloric_residual": "the caloric identity of theta, checked "
+                                       "by tests",
+    "flowheat.evolve_B": "the evolution identity of the B-field, checked by tests",
+    "flowheat.select_s1": "the choice of s1 by the separation margin, checked "
+                          "by tests",
+    "flow.load_trajectory": "reads the file that `lmcflab simulate` writes",
+    "flow.state_self_intersects": "the embeddedness scan; tests check its "
+                                  "crossings and its ScanTooLarge refusal",
+}
+
+
+def unreferenced_definitions(src=SRC):
+    """Qualified names (module.name, module.Class.method) nothing refers to."""
+    defs, refs = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (sub.name.startswith("__") and sub.name.endswith("__")))
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defs.update((f"{path.stem}.{t.id}", t.id)
+                        for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return {qualified for qualified, name in defs.items() if name not in refs}
+
+
+def test_every_unreferenced_definition_is_allowlisted():
+    dead = unreferenced_definitions()
+    unexpected = sorted(dead - set(ALLOWED))
+    stale = sorted(set(ALLOWED) - dead)
+    assert not unexpected, f"nothing in src refers to {unexpected}: delete them"
+    assert not stale, (f"allowlisted but gone or referred to in src: {stale}; "
+                       f"drop them from ALLOWED")

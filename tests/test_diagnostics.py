@@ -10,7 +10,8 @@ from lmcflab import diagnostics as dg
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import geometry as geo
-from lmcflab.errors import NonFiniteVertex, ScanTooLarge, WindowInPast
+from lmcflab.errors import (FieldShapeMismatch, NonFiniteVertex, ScanTooLarge,
+                            WindowInPast)
 
 CIRCLE_ENTROPY = np.sqrt(2.0 * np.pi / np.e)  # ~ 1.5203
 
@@ -234,6 +235,20 @@ def test_monotonicity_caloric_coordinate_constant():
     assert np.max(np.abs(rep.values - rep.values[0])) < 1e-8
 
 
+@pytest.mark.parametrize("shape", [(3, 50), (2, 51), (4, 51)])
+def test_monotonicity_audit_refuses_mis_shaped_fields(shape):
+    # a 51-vertex line at 3 times takes one (3, 51) array per field: a short
+    # row or a missing time used to raise IndexError, an extra time passed
+    line = fx.make_line(angle=0.3, extent=25.0, n=51)
+    traj = flow.FlowTrajectory([0.0, 0.1, 0.2], [line] * 3)
+    w = dg.GaussianWindow(np.zeros(2), t0=0.5)
+    good, bad = [np.ones((3, 51))], [np.ones(shape)]
+    with pytest.raises(FieldShapeMismatch):
+        dg.monotonicity_audit(traj, w, f_values=bad, residual_values=good)
+    with pytest.raises(FieldShapeMismatch):
+        dg.monotonicity_audit(traj, w, f_values=good, residual_values=bad)
+
+
 def test_translator_fit_plane_containing_ez():
     # plane containing e_z: w and theta constant, b = 0, tiny residual
     prod, frame = fx.make_circle_product(1.0, 64)
@@ -293,18 +308,6 @@ def test_density_scale_equivariance():
         w_scaled = dg.GaussianWindow(lam * w.x0, t0=lam * lam * 0.7)
         val = dg.gaussian_density_ratio(scaled, w_scaled, t=0.0)
         assert abs(val - base) < 1e-8
-
-
-def test_angle_oscillation_reported_not_enforced():
-    # grim reaper: oscillation approaches pi from below (almost calibrated)
-    curve, _ = fx.make_grim_reaper(speed=1.0, extent=4.0, n=201)
-    rep = dg.angle_oscillation(curve)
-    assert rep["almost_calibrated"]
-    assert 0 < rep["margin_to_pi"] < 0.1
-    # circle: oscillation 2*pi (not zero-Maslov); still just reported
-    rep_c = dg.angle_oscillation(fx.make_circle(1.0, 64))
-    assert not rep_c["almost_calibrated"]
-    assert abs(rep_c["oscillation"] - 2 * np.pi * (1 - 1 / 64)) < 1e-9
 
 
 def test_nan_vertex_never_reaches_the_gaussian_mass():

@@ -349,15 +349,6 @@ def test_trajectory_roundtrip(tmp_path):
         assert np.array_equal(va, vb)
 
 
-def test_first_crossing_time_reports_earliest():
-    crossing = fx.make_line_pair(0.4, -0.4, extent=2.0, n=32)
-    traj = flow.FlowTrajectory([0.0, 0.1], [crossing, crossing])
-    assert flow.first_crossing_time(traj) == 0.0
-    clean = [fx.make_circle(1.0, 64)]
-    traj2 = flow.FlowTrajectory([0.0, 0.1], [clean, clean])
-    assert flow.first_crossing_time(traj2) is None
-
-
 @pytest.mark.parametrize("times", [[0.0, np.nan, 0.2], [0.0, 0.1, np.inf],
                                    [-np.inf, 0.1, 0.2]])
 def test_trajectory_times_must_be_finite(times):

@@ -14,10 +14,10 @@ from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
-from lmcflab.errors import (ComponentAmbiguity, DegenerateEdge,
-                            FieldShapeMismatch, GrowthUnbounded,
-                            NonFiniteVertex, NotExact, SolverFailure,
-                            VertexCountChanged)
+from lmcflab.errors import (ComponentAmbiguity, ComponentCountChanged,
+                            DegenerateEdge, FieldShapeMismatch,
+                            GrowthUnbounded, NonFiniteVertex, NotExact,
+                            SolverFailure, VertexCountChanged)
 
 
 def test_constant_initial_data_stays_constant():
@@ -741,6 +741,17 @@ def test_vertex_count_change_is_refused():
     fh.heat_field_at(traj, [np.ones(64)], 1)
     with pytest.raises(VertexCountChanged):
         fh.heat_residual(traj, [np.ones((3, 64))])
+
+
+def test_component_count_change_is_refused():
+    # a component that vanishes at time index 2 used to end in a bare IndexError
+    a = fx.make_circle(1.0, 32)
+    traj = flow.FlowTrajectory([0.0, 0.01, 0.02], [[a, a], [a, a], [a]])
+    with pytest.raises(ComponentCountChanged, match="2 curve components at time "
+                                                    "index 0 and 1 at 2"):
+        fh.solve_heat_on_flow(traj, [np.ones(32), np.ones(32)])
+    with pytest.raises(ComponentCountChanged, match="at 2"):
+        fh.heat_residual(traj, [np.ones((3, 32)), np.ones((3, 32))])
 
 
 def test_caloric_fields_refuse_a_changed_vertex_count():

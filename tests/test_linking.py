@@ -1,4 +1,4 @@
-"""Component extraction, sphere slices, Gauss linking, half-space audit."""
+"""Sphere slices, Gauss linking, half-space audit."""
 
 import os
 import subprocess
@@ -16,9 +16,8 @@ from lmcflab import fanout
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab import linking as lk
-from lmcflab.errors import (ComponentAmbiguity, ConfigInvalid, CurvesTooClose,
-                            GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
-                            RoundingAmbiguity)
+from lmcflab.errors import (ConfigInvalid, CurvesTooClose, GaussSumTooLarge,
+                            NoTransverseRadius, OpenSliceLoop)
 
 
 def crossing_count_oracle(loop_a, loop_b, seed=5):
@@ -94,7 +93,7 @@ def test_slice_respects_halfspace():
     verts, quads = meshes[0]
     verts = verts + 0.5 * frame.e_w  # lift into w > 0.2
     sl = lk.sphere_slice((verts, quads), 1.0)
-    w = sl.all_points() @ frame.e_w
+    w = np.concatenate(sl.loops) @ frame.e_w
     assert np.min(w) > 0.2
 
 
@@ -124,8 +123,8 @@ def test_parallel_pair_unlinked_and_disjoint():
     assert rep.value == 0
     assert lk.surfaces_intersect((va, qa), (vb, qa)) is None
     # separation on the whole sphere implies unlinked
-    w_all = np.concatenate([sa.all_points() @ frame.e_w,
-                            -(sb.all_points() @ frame.e_w - 0.4)])
+    w_all = np.concatenate([np.concatenate(sa.loops) @ frame.e_w,
+                            -(np.concatenate(sb.loops) @ frame.e_w - 0.4)])
     assert np.max(w_all) < 0.2
 
 
@@ -136,34 +135,6 @@ def test_curves_too_close_guard():
     s2 = lk.sphere_slice(meshes[1], 1.0)
     with pytest.raises(CurvesTooClose):
         lk.linking_number(s1, s2)
-
-
-def test_extract_components_exact_pair():
-    pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
-    state = [p.as_product(extent=4.0, samples=160) for p in pair.planes]
-    res = lk.extract_components(state, pair=pair)
-    assert len(res.components) == 2
-    assert not res.leftovers
-    assert [c.label for c in res.components] == [1, 2]
-    # labels follow the angles
-    assert abs(res.components[0].mean_angle - pair.angles[0]) < 1e-6
-    assert abs(res.components[1].mean_angle - pair.angles[1]) < 1e-6
-
-
-def test_extract_components_with_speck_leftover():
-    pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
-    state = [p.as_product(extent=4.0, samples=160) for p in pair.planes]
-    speck = fx.make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0))
-    res = lk.extract_components(state + [speck], pair=pair)
-    assert len(res.components) == 2
-    assert len(res.leftovers) == 1
-    assert res.leftovers[0].mass_b2 < 0.01
-
-
-def test_extract_components_neck_is_ambiguous():
-    prod, pair = fx.make_neck_pair(sigma=0.05)
-    with pytest.raises(ComponentAmbiguity):
-        lk.extract_components(prod, pair=pair)
 
 
 def test_halfspace_separation_tilted_pair():
