@@ -1,12 +1,13 @@
 """Acceptance gate: one test per criterion, each backed by exactly one named
-scenario, asserted at the stated tolerance and runtime budget.
+scenario, asserted at the stated tolerance and runtime budget. The seed-0
+summaries come from the session's bundles (conftest.py), which the digest
+gate checks byte for byte.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.
 """
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,13 @@ from lmcflab import scenarios as sc
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-def _run(criterion: int, budget_s: float, params=None, seed=0):
+def _run(bundles, criterion: int, budget_s: float):
+    """The criterion's seed-0 summary from the session's bundles (conftest.py),
+    with the seconds its scenario took checked against the budget."""
     name = sc.CRITERION_SCENARIOS[criterion]
-    cfg = {"scenario": name, "seed": seed}
-    if params:
-        cfg["params"] = params
-    t0 = time.perf_counter()
-    summary = sc.run_scenario(cfg)
-    elapsed = time.perf_counter() - t0
+    root, seconds = bundles
+    summary = json.loads((root / "seed-0" / name / "summary.json").read_text())
+    elapsed = seconds[0, name]
     status = "PASS" if summary["pass"] and elapsed < budget_s else "FAIL"
     print(f"[{status}] criterion {criterion}: scenario={name} "
           f"pass={summary['pass']} runtime={elapsed:.1f}s (budget {budget_s:.0f}s)",
@@ -32,10 +32,10 @@ def _run(criterion: int, budget_s: float, params=None, seed=0):
     return summary
 
 
-def test_criterion_1_gaussian_density():
+def test_criterion_1_gaussian_density(bundles):
     # plane through the centre -> 1.0, transverse pair -> 2.0, each to 1e-6;
     # the whole scenario stays inside one 5 s budget
-    s = _run(1, budget_s=5.0)
+    s = _run(bundles, 1, budget_s=5.0)
     m = s["metrics"]
     assert abs(m["plane_density"] - 1.0) < 1e-6
     assert abs(m["line_density"] - 1.0) < 1e-6
@@ -44,10 +44,10 @@ def test_criterion_1_gaussian_density():
     assert s["pass"]
 
 
-def test_criterion_2_huisken_monotonicity():
+def test_criterion_2_huisken_monotonicity(bundles):
     # f = 1 monotone within 1e-8 * value per step on plane, circle, reaper,
     # reaper x R; the circle decrement matches its dissipation within 2%
-    s = _run(2, budget_s=60.0)
+    s = _run(bundles, 2, budget_s=60.0)
     assert s["checks"]["plane_monotone"]
     assert s["checks"]["circle_monotone"]
     assert s["checks"]["reaper_monotone"]
@@ -56,11 +56,11 @@ def test_criterion_2_huisken_monotonicity():
     assert s["pass"]
 
 
-def test_criterion_3_drift_spectrum():
+def test_criterion_3_drift_spectrum(bundles):
     # L0 h_k = -(|k|/2) h_k exactly (symbolic) and to 1e-8 (grid path) for
     # |k| <= 4, n in {1,2}; degree-1 pair space has dimension 2n with
     # z*theta present and <z*theta, z> = 0 to 1e-10 for opposite angles
-    s = _run(3, budget_s=30.0)
+    s = _run(bundles, 3, budget_s=30.0)
     m = s["metrics"]
     assert m["symbolic_nonzero_residual_terms"] == 0
     assert m["grid_eigen_residual"] < 1e-8
@@ -69,17 +69,17 @@ def test_criterion_3_drift_spectrum():
     assert s["pass"]
 
 
-def test_criterion_4_three_annulus():
+def test_criterion_4_three_annulus(bundles):
     # growing for all s < d, decaying for all s > d (s not integer, d <= 4);
     # zero violations over 100 log-convex synthetic mixtures
-    s = _run(4, budget_s=10.0)
+    s = _run(bundles, 4, budget_s=10.0)
     assert s["checks"]["homogeneous_classification"]
     assert s["metrics"]["mixture_violations"] == 0
     assert s["metrics"]["n_mixtures"] == 100
     assert s["pass"]
 
 
-def test_criterion_5_translator_characterization():
+def test_criterion_5_translator_characterization(bundles):
     # reaper x R: fit residual < 1e-3 at N = 512 with Richardson slope >= 1.8;
     # the fitted b recovers the unit translator speed. The paper's identity
     # theta + kappa w = const forces b * kappa = -1 (see the decisions
@@ -87,7 +87,7 @@ def test_criterion_5_translator_characterization():
     # as |b * kappa_fixture + 1| < 1e-3 at the same tolerance, together with
     # the recovered velocity identity H = kappa e_z^perp.
     # circle x R: residual >= 0.1 * RMS(w) at every tested resolution.
-    s = _run(5, budget_s=60.0)
+    s = _run(bundles, 5, budget_s=60.0)
     m = s["metrics"]
     assert m["residuals"][-1] < 1e-3
     assert min(m["richardson_slopes"]) >= 1.8
@@ -98,12 +98,12 @@ def test_criterion_5_translator_characterization():
     assert s["pass"]
 
 
-def test_criterion_6_caloric_identities():
+def test_criterion_6_caloric_identities(bundles):
     # constants and coordinates caloric with O(h^2) + O(dt) residuals
     # (Richardson slope >= 1.8), the primitive-plus-angle combination passes
     # the same ladder, and the heat solve is bitwise deterministic with
     # first-order dt agreement under halving
-    s = _run(6, budget_s=120.0)
+    s = _run(bundles, 6, budget_s=120.0)
     c = s["checks"]
     assert c["constant_caloric"]
     assert c["line_coordinate_caloric"]
@@ -117,12 +117,12 @@ def test_criterion_6_caloric_identities():
     assert s["pass"]
 
 
-def test_criterion_7_linking():
+def test_criterion_7_linking(bundles):
     # transverse-plane slices link exactly once (5 independent poles),
     # parallel translates give exactly 0, Hopf fibers +-1 per orientation;
     # tilted-pair half-space separation passes with margin lam/2 and fails
     # when the two slope constants coincide
-    s = _run(7, budget_s=30.0)
+    s = _run(bundles, 7, budget_s=30.0)
     m = s["metrics"]
     assert m["transverse_value"] == 1
     assert all(int(np.round(v)) == 1 for v in m["transverse_per_pole"])
@@ -135,11 +135,11 @@ def test_criterion_7_linking():
     assert s["pass"]
 
 
-def test_criterion_8_blow_down_ladder():
+def test_criterion_8_blow_down_ladder(bundles):
     # parabolic rescalings at lambda in {0.2, 0.1, 0.05}: Hausdorff distance
     # on B_1 to the limit plane configuration decreases monotonically, and
     # the approximate caloric height sup-difference decreases along the ladder
-    s = _run(8, budget_s=300.0)
+    s = _run(bundles, 8, budget_s=300.0)
     h = s["metrics"]["hausdorff_ladder"]
     g = s["metrics"]["height_sup_ladder"]
     assert len(h) == 3 and len(g) == 3

@@ -1,13 +1,13 @@
 """Every scenario bundle, byte for byte.
 
-The test writes the bundles of all eight scenarios for seeds 0 and 1 and
-compares the sha256 of each file with ``tests/bundle_digests.json``. A
-changed file is named; for a ``summary.json`` the message also carries the
-deltas and flags of ``scenarios.compare_runs`` against the committed
-reference in ``perfbench/reference``. Several outputs have tolerance 0 and
-their last bits follow numpy's SIMD code paths, so the manifest records the
-runtime SIMD features it was written under, and a mismatch on another CPU
-says so.
+The test takes the bundles of all eight scenarios for seeds 0 and 1 (the
+session's ``bundles``, see conftest.py) and compares the sha256 of each
+file with ``tests/bundle_digests.json``. A changed file is named; for a
+``summary.json`` the message also carries the deltas and flags of
+``scenarios.compare_runs`` against the committed reference in
+``perfbench/reference``. Several outputs have tolerance 0 and their last
+bits follow numpy's SIMD code paths, so the manifest records the runtime
+SIMD features it was written under, and a mismatch on another CPU says so.
 
 Rewrite the manifest from the current tree, only when an output is meant to
 change, with
@@ -29,7 +29,6 @@ from lmcflab import scenarios
 
 MANIFEST = Path(__file__).with_name("bundle_digests.json")
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
-SEEDS = (0, 1)
 
 
 def simd_features():
@@ -38,12 +37,8 @@ def simd_features():
             "found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
 
 
-def write_bundles(root):
-    """Write every bundle under root/seed-<n>/<scenario>; {relative path: sha256}."""
-    for seed in SEEDS:
-        for name in scenarios.SCENARIOS:
-            scenarios.run_scenario({"scenario": name, "seed": seed},
-                                   out_dir=root / f"seed-{seed}" / name)
+def digests(root):
+    """{path relative to root: sha256} of every file under root."""
     return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -59,15 +54,16 @@ def describe(root, rel):
             f"deltas {report['deltas']}, flagged {report['flagged']}")
 
 
-def test_every_bundle_file_matches_its_digest(tmp_path):
+def test_every_bundle_file_matches_its_digest(bundles):
+    root, _ = bundles
     manifest = json.loads(MANIFEST.read_text())
-    digests = write_bundles(tmp_path)
+    got = digests(root)
     expected = manifest["files"]
-    problems = [f"{rel} is missing" for rel in sorted(set(expected) - set(digests))]
+    problems = [f"{rel} is missing" for rel in sorted(set(expected) - set(got))]
     problems += [f"{rel} is not in the manifest"
-                 for rel in sorted(set(digests) - set(expected))]
-    problems += [describe(tmp_path, rel) for rel in sorted(set(digests) & set(expected))
-                 if digests[rel] != expected[rel]]
+                 for rel in sorted(set(got) - set(expected))]
+    problems += [describe(root, rel) for rel in sorted(set(got) & set(expected))
+                 if got[rel] != expected[rel]]
     if problems and simd_features() != manifest["simd"]:
         problems.append(f"numpy's runtime SIMD features {simd_features()} differ from "
                         f"the manifest's {manifest['simd']}: tolerance-0 outputs "
@@ -76,8 +72,10 @@ def test_every_bundle_file_matches_its_digest(tmp_path):
 
 
 if __name__ == "__main__":
+    from conftest import write_bundles
     with tempfile.TemporaryDirectory() as tmp:
-        files = write_bundles(Path(tmp))
+        write_bundles(Path(tmp))
+        files = digests(Path(tmp))
     MANIFEST.write_text(json.dumps({"simd": simd_features(), "files": files},
                                    indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(files)} digests to {MANIFEST}", file=sys.stderr)
