@@ -21,9 +21,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from numpy._core._multiarray_umath import (__cpu_baseline__,
-                                           __cpu_dispatch__,
-                                           __cpu_features__)
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:   # numpy < 2
+    from numpy.core import _multiarray_umath as umath
 
 from lmcflab import scenarios
 
@@ -33,8 +34,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 def simd_features():
     """numpy's runtime SIMD features, as np.show_runtime() reports them."""
-    return {"baseline": list(__cpu_baseline__),
-            "found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
+    return {"baseline": list(umath.__cpu_baseline__),
+            "found": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]}
 
 
 def digests(root):
