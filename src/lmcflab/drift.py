@@ -281,11 +281,7 @@ class SolutionMixture:
     terms: list
 
     def norm_sq(self, tau: float) -> float:
-        total = 0.0
-        for a in self.terms:
-            for b in self.terms:
-                total += np.exp(-0.5 * (a.degree + b.degree) * tau) * _pair_inner0(a, b)
-        return total
+        return sum(pair_inner(a, b, tau) for a in self.terms for b in self.terms)
 
 
 def _pair_inner0(a: PairSolution, b: PairSolution) -> float:

@@ -11,7 +11,10 @@ arms and diagnostics exclude a boundary collar.
 Trajectories are stored (:func:`evolve`, :func:`load_trajectory`) or
 generated. Every generated trajectory, an :class:`AnalyticTrajectory`, is
 one block formula: it maps any b times to their coordinate planes in one
-array pass, and its states are that formula at one time.
+array pass, and its states are that formula at one time. Consumers read
+geometry through :meth:`FlowTrajectory.planes` (per curve component, the
+(2, b, N) coordinate planes of b states); the centred residual audits walk
+them in blocks (:func:`centred_blocks`).
 """
 
 from __future__ import annotations
@@ -25,19 +28,16 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import (ComponentCountChanged, FieldShapeMismatch, RangeError,
-                     ScanTooLarge, SingularCollapse, SolverFailure,
-                     StabilityViolation, TimeGridMismatch, VertexCountChanged)
+                     SingularCollapse, SolverFailure, StabilityViolation,
+                     TimeGridMismatch, VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
                        ProductLagrangian, as_components, check_vertices,
-                       cyclic_tridiagonal, edge_ends, edge_increments,
-                       edge_lengths, mean_curvature, require_finite,
-                       second_difference, stencil_weights, unit_tangents)
+                       cyclic_tridiagonal, edge_increments, edge_lengths,
+                       mean_curvature, require_finite, second_difference,
+                       stencil_weights, unit_tangents)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
-# Largest self-intersection scan accepted: 2**21 segment pairs, about 360 MB
-# of pair temporaries (some 170 bytes a pair), or 2048 segments in a state.
-SELF_INTERSECTION_MAX_PAIRS = 2 ** 21
 # Times per block of the heat march and of the centred residual audits: 8
 # was fastest on the blow-down ladder's open curves (1.5k-3.5k vertices);
 # 16 and more were slower.
@@ -384,11 +384,8 @@ def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> 
 
 def _rescaled_velocity_residual(traj):
     """Max residual of the rescaled normal speed against H + x^perp/2."""
-    curves = FlowTrajectory(traj.times, [[c.factor1 if isinstance(c, ProductLagrangian)
-                                          else c for c in as_components(s)]
-                                         for s in traj.states])
     worst = 0.0
-    for _, g in centred_blocks(curves, 2):
+    for _, g in centred_blocks(traj, 2):
         H, xperp = normal_fields(g)
         vel = (g.p[:, 2:] - g.p[:, :-2]) / g.dt2
         target = H + 0.5 * xperp
@@ -432,7 +429,7 @@ def product_evolve(traj1: FlowTrajectory, traj2_or_line) -> FlowTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# embeddedness audit
+# segment crossings
 
 
 def segments_intersect(p1, p2, q1, q2):
@@ -452,42 +449,6 @@ def segments_intersect(p1, p2, q1, q2):
     eps = 1e-12
     return ok & (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps), t, u
 
-
-def state_self_intersects(state) -> bool:
-    """Segment-segment scan over all curve components of a state.
-
-    Raises ScanTooLarge, before allocating, when the state has more than
-    SELF_INTERSECTION_MAX_PAIRS segment pairs.
-    """
-    comps = as_components(state)
-    n_seg = sum(c.n_vertices - (not c.closed) for c in comps)
-    if n_seg * (n_seg - 1) // 2 > SELF_INTERSECTION_MAX_PAIRS:
-        raise ScanTooLarge(
-            f"{n_seg} segments make {n_seg * (n_seg - 1) // 2} pairs, over the "
-            f"self-intersection limit of {SELF_INTERSECTION_MAX_PAIRS}")
-    P1s, P2s, cids, sids, closed_len = [], [], [], [], {}
-    for k, c in enumerate(comps):
-        p1, p2 = edge_ends(c.vertices, c.closed)
-        m = p1.shape[0]
-        P1s.append(p1)
-        P2s.append(p2)
-        cids.append(np.full(m, k))
-        sids.append(np.arange(m))
-        closed_len[k] = m if c.closed else None
-    P1 = np.concatenate(P1s)
-    P2 = np.concatenate(P2s)
-    cid = np.concatenate(cids)
-    sid = np.concatenate(sids)
-    ii, jj = np.triu_indices(P1.shape[0], k=1)
-    same = cid[ii] == cid[jj]
-    diff = np.abs(sid[ii] - sid[jj])
-    adjacent = same & (diff <= 1)
-    for k, m in closed_len.items():
-        if m is not None:
-            adjacent |= same & (cid[ii] == k) & (diff == m - 1)
-    keep = ~adjacent
-    hits, _, _ = segments_intersect(P1[ii[keep]], P2[ii[keep]], P1[jj[keep]], P2[jj[keep]])
-    return bool(np.any(hits))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ so the blocked results equal a per-state loop bit for bit. A component
 whose vertex count changes between recorded states raises
 VertexCountChanged.
 
+Geometry is read only through ``planes``. The angles and Liouville
+primitives of a whole trajectory are the kernels ``tangent_angles`` and
+``liouville_primitive`` of :mod:`lmcflab.geometry` on its (2, T, N) planes.
+Only :func:`evolve_B` builds a state, the first, for its line offsets.
+
 The approximate caloric height (``approx_height_solution``, ``select_s1``)
 reads the caloric primitive only on the first state, where its time gauge
 is zero. It takes the angle and the Liouville primitive of that state and
@@ -49,7 +54,8 @@ state; ``caloric_primitive`` builds the gauged field over the whole
 trajectory for callers that need it. The height finds the two pieces at s1
 and their limit constants (``_limit_heights``, shared with ``select_s1``)
 before it marches the heat field up to s1 (:func:`heat_field_at`), and
-builds, besides the first state, only the state at s1.
+reads, besides the march, only the planes of the first state and of the
+state at s1.
 
 Products curve x static-line reduce exactly to 1-D solves on the curve
 factor: initial data used here is either constant along the line factor
@@ -67,14 +73,13 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .diagnostics import check_polynomial_growth
-from .errors import ComponentAmbiguity, SolverFailure, VertexCountChanged
+from .errors import ComponentAmbiguity, SolverFailure
 from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
-                   _curve_components, centred_blocks, check_field_shapes,
-                   normal_fields)
+                   centred_blocks, check_field_shapes, normal_fields)
 from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
-                       exactness_primitive, lagrangian_angle, require_finite,
-                       second_difference, stencil_weights, turning_increments,
+                       liouville_primitive, require_finite, second_difference,
+                       stencil_weights, tangent_angles, turning_increments,
                        unit_tangents, vertex_differences, vertex_sums)
 # unused here; perfbench/test_perfbench.py::test_tracer_rebinds_every_
 # namespace_and_restores_it checks that the tracer rebinds this binding
@@ -325,10 +330,9 @@ def angle_caloric_residual(traj: FlowTrajectory, collar: int = 2):
     curves with winding (the circle) are handled; returns per-interior-time
     sup values. A component with no interior vertex adds nothing.
     """
-    curves = FlowTrajectory(traj.times, [_curve_components(s) for s in traj.states])
-    thetas = _aligned_angle_fields(curves)
+    thetas = _aligned_angle_fields(traj.planes(0, len(traj.times)))
     sums = _residual_sums(len(traj.times))
-    for ci, g in centred_blocks(curves, collar):
+    for ci, g in centred_blocks(traj, collar):
         d = turning_increments(g.u, g.closed)
         _fold(sums, g, *_residual_rows(g, thetas[ci][g.k - 1:g.k + len(g.h) + 1],
                                        d, vertex_sums(d, g.closed)))
@@ -350,18 +354,10 @@ class CaloricPrimitive:
     residual_times: np.ndarray
 
 
-def _curve_rows(curves: FlowTrajectory, fn):
-    """Per component, fn of its curve at each time of the stored curves as
-    one (T, N) array; raises VertexCountChanged when N changes."""
-    if len({tuple(c.n_vertices for c in comps) for comps in curves.states}) > 1:
-        raise VertexCountChanged("a component's vertex count changes")
-    return [np.array([fn(c) for c in comps]) for comps in zip(*curves.states)]
-
-
-def _aligned_angle_fields(curves: FlowTrajectory):
-    """Per component, the (T, N) unwrapped angles of the stored curves, the
-    branch at the first vertex continuous in time."""
-    thetas = _curve_rows(curves, lagrangian_angle)
+def _aligned_angle_fields(planes):
+    """Per component (curve, p) of a trajectory's planes, the (T, N)
+    unwrapped angles, the branch at the first vertex continuous in time."""
+    thetas = [tangent_angles(p, c.closed) for c, p in planes]
     for th in thetas:
         for k in range(1, len(th)):
             th[k] += 2.0 * np.pi * np.round((th[k - 1, 0] - th[k, 0]) / (2.0 * np.pi))
@@ -378,24 +374,24 @@ def caloric_primitive(traj: FlowTrajectory, collar: int = 2) -> CaloricPrimitive
     components with holonomy.
     """
     times = traj.times
-    # each state is built once: a generated trajectory builds it on each read
-    curves = FlowTrajectory(times, [_curve_components(s) for s in traj.states])
-    thetas, beta, gauge = _gauged_primitive(curves, collar)
+    thetas, beta, gauge = _gauged_primitive(traj, collar)
     g_gauged = [b + 2.0 * times[:, None] * th for b, th in zip(beta, thetas)]
-    sup, l2 = heat_residual(curves, g_gauged, collar=collar)
+    sup, l2 = heat_residual(traj, g_gauged, collar=collar)
     return CaloricPrimitive(times, thetas, beta, gauge,
                             np.asarray(sup), np.asarray(l2), times[1:-1])
 
 
-def _gauged_primitive(curves: FlowTrajectory, collar):
+def _gauged_primitive(traj: FlowTrajectory, collar):
     """The aligned angles theta, the gauged primitive beta and the gauge of
-    :func:`caloric_primitive` on a trajectory of stored curve components,
-    without its residual audit of the gauged field."""
-    times = curves.times
-    thetas = _aligned_angle_fields(curves)
-    betas_raw = _curve_rows(curves, exactness_primitive)
-    rates = _gauge_rates(curves, [b + 2.0 * times[:, None] * th
-                                  for b, th in zip(betas_raw, thetas)], collar)
+    :func:`caloric_primitive`, without its residual audit of the gauged
+    field."""
+    times = traj.times
+    planes = traj.planes(0, len(times))
+    thetas = _aligned_angle_fields(planes)
+    betas_raw = [liouville_primitive(p, c.closed, c.component_id) for c, p in planes]
+    planes = None   # freed before the audit walks the trajectory again
+    rates = _gauge_rates(traj, [b + 2.0 * times[:, None] * th
+                                for b, th in zip(betas_raw, thetas)], collar)
     gauge = np.zeros_like(rates)
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
@@ -404,12 +400,12 @@ def _gauged_primitive(curves: FlowTrajectory, collar):
     return thetas, beta, gauge
 
 
-def _gauge_rates(curves: FlowTrajectory, fields, collar):
+def _gauge_rates(traj: FlowTrajectory, fields, collar):
     """Per time and component, the dual-weighted mean of the heat residual
     of the fields over the interior, 0 without an interior vertex; the first
     and last times take their neighbours' rates."""
-    rates = np.zeros((len(curves.times), len(fields)))
-    for ci, g in centred_blocks(curves, collar):
+    rates = np.zeros((len(traj.times), len(fields)))
+    for ci, g in centred_blocks(traj, collar):
         res, w = _heat_rows(g, fields[ci][g.k - 1:g.k + len(g.h) + 1])
         rates[g.k:g.k + len(res), ci] = [np.sum(a) / np.sum(b) for a, b in zip(w * res, w)]
     if len(rates) > 2:
@@ -448,22 +444,22 @@ def evolve_B(traj: FlowTrajectory, s1: float, collar: int = 2) -> BFieldReport:
     ``identity_scale`` is the sup of the right-hand side. At t = s1 the
     field reduces to cos(beta). A component with no interior vertex adds
     nothing. Exactness of the trajectory is required (NotExact propagates).
+    The squared offsets of static lines from the origin are read from the
+    first state alone, because a static line does not move.
     """
     times = traj.times
-    states = list(traj.states)   # built once: see caloric_primitive
-    curves = FlowTrajectory(times, [_curve_components(s) for s in states])
-    thetas, beta, _ = _gauged_primitive(curves, collar)
-    offsets = np.array([[_line_offset_sq(c) for c in as_components(s)] for s in states])
+    thetas, beta, _ = _gauged_primitive(traj, collar)
+    offsets = [_line_offset_sq(c) for c in as_components(traj.states[0])]
     B_fields = [np.cos(b + 2.0 * (times[:, None] - s1) * th) for b, th in zip(beta, thetas)]
     sums = _residual_sums(len(times))
     scale = 0.0
-    for ci, g in centred_blocks(curves, collar):
+    for ci, g in centred_blocks(traj, collar):
         F = B_fields[ci][g.k - 1:g.k + len(g.h) + 1]
         lhs, w = _heat_rows(g, F)
         H, xperp = normal_fields(g)
         rows = slice(g.k, g.k + len(g.h))
         x = xperp + (2.0 * (s1 - times[rows]))[:, None] * H
-        rhs = ((x[0] * x[0] + x[1] * x[1] + offsets[rows, ci, None]) * F[1:-1])[:, g.cols]
+        rhs = ((x[0] * x[0] + x[1] * x[1] + offsets[ci]) * F[1:-1])[:, g.cols]
         _fold(sums, g, lhs - rhs, w)
         scale = max(scale, float(np.max(np.abs(rhs))))
     return BFieldReport(times, B_fields, times[1:-1], _residual_summary(sums)[0], scale)
@@ -499,16 +495,18 @@ def _initial_caloric_data(traj: FlowTrajectory):
     and ``.beta`` (the gauge vanishes at the first time) without the rest of
     the trajectory's gauged field. NotExact propagates from closed components
     with holonomy on any recorded state, as from caloric_primitive; the
-    later states are built only when a component is closed.
+    later planes are read, in blocks of AUDIT_BLOCK times, only when a
+    component is closed.
     """
-    comps0 = _curve_components(traj.states[0])
-    theta0 = [lagrangian_angle(c) for c in comps0]
-    beta0 = [exactness_primitive(c) for c in comps0]
+    first = traj.planes(0, 1)
+    comps0 = [c for c, _ in first]
+    theta0 = [tangent_angles(p[:, 0], c.closed) for c, p in first]
+    beta0 = [liouville_primitive(p[:, 0], c.closed, c.component_id) for c, p in first]
     if any(c.closed for c in comps0):
-        for state in traj.states[1:]:
-            for c in _curve_components(state):
+        for k0 in range(1, len(traj.times), AUDIT_BLOCK):
+            for c, p in traj.planes(k0, min(k0 + AUDIT_BLOCK, len(traj.times))):
                 if c.closed:
-                    exactness_primitive(c)
+                    liouville_primitive(p, c.closed, c.component_id)
     return comps0, theta0, beta0
 
 
@@ -580,7 +578,7 @@ def _limit_heights(traj: FlowTrajectory, s1, theta0, beta0, comps0):
     initial time and b_bar_j = cos(beta_bar_j - 2(1 + s1) theta_bar_j).
     Raises ComponentAmbiguity with fewer than two pieces."""
     k1 = int(np.argmin(np.abs(traj.times - s1)))
-    comps = _curve_components(traj.states[k1])
+    comps = [c for c, _ in traj.planes(k1, k1 + 1)]
     pieces = _factor1_pieces_in_disk(comps, radius=2.0)[:2]
     if len(pieces) < 2:
         raise ComponentAmbiguity("fewer than two components inside the disk")

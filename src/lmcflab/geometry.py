@@ -121,9 +121,10 @@ def as_components(state) -> list:
 #
 # Fields, edge lengths and edge increments carry the vertex (or edge) axis
 # last; point sets come as coordinate planes p = (x, y) of shape (2, ..., N).
-# A single curve passes ``vertices.T``; the time-blocked heat march and the
-# centred residual audits (flow.centred_blocks) pass (2, b, N) stacks of b
-# states, so both run the same arithmetic and agree bit for bit.
+# A single curve passes ``vertices.T``; the time-blocked heat march, the
+# centred residual audits (flow.centred_blocks) and the caloric fields pass
+# (2, b, N) stacks of b states, so both run the same arithmetic and agree
+# bit for bit.
 
 
 def edge_ends(a: np.ndarray, closed: bool):
@@ -267,20 +268,49 @@ def turning_increments(u: np.ndarray, closed: bool) -> np.ndarray:
     return np.arctan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
 
 
+def tangent_angles(p: np.ndarray, closed: bool) -> np.ndarray:
+    """Tangent angle per vertex of the polylines p (coordinate planes),
+    unwrapped along the vertex axis from the principal branch at the first
+    vertex."""
+    u = unit_tangents(p, closed)
+    theta = np.arctan2(u[1], u[0])
+    for k in np.ndindex(theta.shape[:-1]):
+        # in place, one polyline at a time: unwrapping a whole (T, N) block
+        # holds six (T, N) temporaries
+        theta[k] = np.unwrap(theta[k])
+    return theta
+
+
+def liouville_primitive(p: np.ndarray, closed: bool, component_id: int) -> np.ndarray:
+    """Primitive beta with d(beta) = lambda along the polylines p (coordinate
+    planes), 0 at the first vertex: the cumulative sum of the edge integrals
+    of lambda = x dy - y dx, exact as the cross products x_i y_{i+1} - y_i
+    x_{i+1} of the edge ends. The first closed polyline along the leading
+    axes with holonomy |oint lambda| > HOLONOMY_RTOL * length raises NotExact
+    with that holonomy (twice the enclosed area for embedded loops).
+    """
+    a, b = (p, np.roll(p, -1, axis=-1)) if closed else (p[..., :-1], p[..., 1:])
+    inc = a[0] * b[1] - a[1] * b[0]
+    if closed:
+        h = edge_lengths(p, closed)
+        for k in np.ndindex(inc.shape[:-1]):
+            # one 1-D sum per polyline: the pairwise order of a single curve's sum
+            holonomy = float(np.sum(inc[k]))
+            if abs(holonomy) > HOLONOMY_RTOL * float(np.sum(h[k])):
+                raise NotExact(holonomy, component_id=component_id)
+    beta = np.zeros(p.shape[1:])
+    np.cumsum(inc[..., :p.shape[-1] - 1], axis=-1, out=beta[..., 1:])
+    return beta
+
+
 # ---------------------------------------------------------------------------
 # pointwise operations
 
 
 def lagrangian_angle(curve: DiscreteCurve) -> np.ndarray:
-    """Tangent angle per vertex, unwrapped continuously along the component.
-
-    For the n=1 Lagrangian the angle is the argument of the unit tangent;
-    the returned field is free of 2*pi jumps between adjacent vertices and
-    starts on the principal branch at the first vertex.
-    """
-    t = curve.tangents()
-    raw = np.arctan2(t[:, 1], t[:, 0])
-    return np.unwrap(raw)
+    """Lagrangian angle of the n=1 curve: its :func:`tangent_angles`, free of
+    2*pi jumps between adjacent vertices."""
+    return tangent_angles(curve.vertices.T, curve.closed)
 
 
 def laplacian(curve: DiscreteCurve, values: np.ndarray) -> np.ndarray:
@@ -312,30 +342,10 @@ def mean_curvature(curve: DiscreteCurve) -> np.ndarray:
     return laplacian(curve, curve.vertices)
 
 
-def liouville_edge_integrals(curve: DiscreteCurve) -> np.ndarray:
-    """Integral of lambda = x dy - y dx over each straight edge.
-
-    The trapezoid rule is exact for this linear form on straight segments
-    and reduces to the cross product of the endpoints.
-    """
-    v, q = edge_ends(curve.vertices, curve.closed)
-    return v[:, 0] * q[:, 1] - v[:, 1] * q[:, 0]
-
-
 def exactness_primitive(curve: DiscreteCurve) -> np.ndarray:
-    """Primitive beta with d(beta) = lambda|_curve along the component.
-
-    beta is 0 at the first vertex. Closed components
-    with holonomy |oint lambda| > 1e-8 * length raise NotExact carrying the
-    holonomy (twice the enclosed area for embedded loops).
-    """
-    inc = liouville_edge_integrals(curve)
-    if curve.closed:
-        holonomy = float(inc.sum())
-        if abs(holonomy) > HOLONOMY_RTOL * curve.length():
-            raise NotExact(holonomy, component_id=curve.component_id)
-        return np.concatenate([[0.0], np.cumsum(inc[:-1])])
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    """Primitive beta with d(beta) = lambda|_curve along the component, 0 at
+    the first vertex: its :func:`liouville_primitive` (NotExact on holonomy)."""
+    return liouville_primitive(curve.vertices.T, curve.closed, curve.component_id)
 
 
 def product_angle(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
@@ -476,10 +486,6 @@ class CoordinateFrame:
             raise BadFrame("frame rows are not orthonormal within 1e-12")
         if np.max(np.abs(apply_J(self.e_z) - self.e_w)) != 0.0:
             raise BadFrame("e_w must equal J e_z exactly")
-
-    @property
-    def dim(self) -> int:
-        return self.e_z.shape[0]
 
 
 def standard_frame(dim: int = 4, z_axis: int = 0) -> CoordinateFrame:

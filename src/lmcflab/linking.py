@@ -72,16 +72,6 @@ class SphereSliceCurve:
     loops: list           # list of (M, 4) arrays, ordered, closed
     radius: float
 
-    def length(self) -> float:
-        """Geodesic length: great-circle arcs between consecutive points."""
-        total = 0.0
-        for loop in self.loops:
-            chords = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1)
-            total += float(np.sum(2.0 * self.radius *
-                                  np.arcsin(np.clip(chords / (2.0 * self.radius),
-                                                    0.0, 1.0))))
-        return total
-
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("loop,x1,y1,x2,y2\n")

@@ -1,10 +1,13 @@
-"""No definition in src/lmcflab that nothing in src/lmcflab refers to.
+"""No definition in src/lmcflab that nothing in src/lmcflab refers to, and
+no module-level import that its module never reads.
 
 An AST scan collects every top-level function, class and constant and every
 method (dunder methods aside: Python calls them itself) of the package. A
 definition counts as referred to when a load-context name, an attribute or
 a ``from`` import anywhere in the package carries its name. The unreferenced
 ones must be exactly the allowlist below, each kept for the reason given.
+An import counts as read when a load-context name in its own module carries
+the name it binds; the unread ones must be exactly their own allowlist.
 """
 
 import ast
@@ -31,8 +34,14 @@ ALLOWED = {
     "flowheat.select_s1": "the choice of s1 by the separation margin, checked "
                           "by tests",
     "flow.load_trajectory": "reads the file that `lmcflab simulate` writes",
-    "flow.state_self_intersects": "the embeddedness scan; tests check its "
-                                  "crossings and its ScanTooLarge refusal",
+    "geometry.exactness_primitive": "the single-curve primitive; perfbench "
+                                    "times it as a stage, and tests take it as "
+                                    "the per-state reference",
+}
+
+IMPORTS_ALLOWED = {
+    "flowheat.laplacian": "perfbench/test_perfbench.py pins that the tracer "
+                          "rebinds flowheat.laplacian",
 }
 
 
@@ -70,3 +79,30 @@ def test_every_unreferenced_definition_is_allowlisted():
     assert not unexpected, f"nothing in src refers to {unexpected}: delete them"
     assert not stale, (f"allowlisted but gone or referred to in src: {stale}; "
                        f"drop them from ALLOWED")
+
+
+def unread_imports(src=SRC):
+    """module.name of every module-level import binding its module never reads."""
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name).split(".")[0]
+                             for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread.update(f"{path.stem}.{name}" for name in bound - read)
+    return unread
+
+
+def test_every_unread_import_is_allowlisted():
+    unread = unread_imports()
+    unexpected = sorted(unread - set(IMPORTS_ALLOWED))
+    stale = sorted(set(IMPORTS_ALLOWED) - unread)
+    assert not unexpected, f"imported but never read: {unexpected}: delete them"
+    assert not stale, (f"allowlisted but gone or read: {stale}; "
+                       f"drop them from IMPORTS_ALLOWED")

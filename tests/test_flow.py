@@ -1,7 +1,5 @@
 """Flow engine against exact solutions: circles, grim reapers, rescalings."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,8 +9,8 @@ from scipy.linalg import solve_banded
 from lmcflab import flow
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
-from lmcflab.errors import (NonFiniteVertex, RangeError, ScanTooLarge,
-                            SolverFailure, StabilityViolation, TimeGridMismatch)
+from lmcflab.errors import (NonFiniteVertex, RangeError, SolverFailure,
+                            StabilityViolation, TimeGridMismatch)
 from lmcflab.flow import SingularCollapse
 
 
@@ -218,44 +216,6 @@ def test_product_evolve_grid_mismatch():
     t2 = flow.evolve(l1, 2e-3, 4)
     with pytest.raises(TimeGridMismatch):
         flow.product_evolve(t1, t2)
-
-
-def test_self_intersection_scan():
-    # figure-eight-ish curve crosses itself; a circle does not
-    s = np.linspace(0, 2 * np.pi, 64, endpoint=False) + 0.05
-    eight = np.stack([np.sin(2 * s), np.sin(s)], axis=1)
-    assert flow.state_self_intersects(geo.DiscreteCurve(eight, closed=True))
-    assert not flow.state_self_intersects(fx.make_circle(1.0, 64))
-    # even vertex count keeps the crossing off the sample points
-    crossing = fx.make_line_pair(0.4, -0.4, extent=2.0, n=32)
-    assert flow.state_self_intersects(crossing)
-
-
-def test_self_intersection_scan_refuses_large_states():
-    # 10k segments are 5e7 pairs: refused before the pair arrays exist
-    circ = fx.make_circle(1.0, 10_000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ScanTooLarge):
-            flow.state_self_intersects(circ)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-
-
-@pytest.mark.parametrize("closed", [True, False])
-def test_self_intersection_limit_counts_segment_pairs(monkeypatch, closed):
-    curve = fx.make_circle(1.0, 64)
-    if not closed:
-        curve = geo.DiscreteCurve(curve.vertices)
-    n_seg = 64 if closed else 63
-    pairs = n_seg * (n_seg - 1) // 2
-    monkeypatch.setattr(flow, "SELF_INTERSECTION_MAX_PAIRS", pairs)
-    assert not flow.state_self_intersects(curve)
-    monkeypatch.setattr(flow, "SELF_INTERSECTION_MAX_PAIRS", pairs - 1)
-    with pytest.raises(ScanTooLarge):
-        flow.state_self_intersects(curve)
 
 
 def semi_implicit_step_oracle(curve, dt):

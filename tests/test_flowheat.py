@@ -245,7 +245,7 @@ def test_evolve_B_near_pair_plateaus():
         rep = fh.evolve_B(traj, s1=-0.25)
         k1 = int(np.argmin(np.abs(traj.times - (-0.25))))
         hr = fh.approx_height_solution(traj, s1=-0.25, frame=frame)
-        comps = fh._curve_components(traj.states[k1])
+        comps = flow._curve_components(traj.states[k1])
         worst = 0.0
         for ci, c in enumerate(comps):
             r = np.linalg.norm(c.vertices, axis=1)
@@ -288,14 +288,24 @@ def per_component(values):
     return [np.array(rows) for rows in zip(*values)]
 
 
+def aligned_angles(comps_per_state):
+    """Per time and component, the unwrapped angles of each state, the
+    branch at the first vertex continuous in time."""
+    thetas = [[geo.lagrangian_angle(c) for c in comps] for comps in comps_per_state]
+    for prev, rows in zip(thetas, thetas[1:]):
+        for th_prev, th in zip(prev, rows):
+            th += 2.0 * np.pi * np.round((th_prev[0] - th[0]) / (2.0 * np.pi))
+    return thetas
+
+
 def loop_heat_residual(traj, values, collar):
     """The per-state centred residual loop the blocked audit must reproduce."""
     sup_list, l2_list = [], []
     for k in range(1, len(traj.times) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
-        comps_prev = fh._curve_components(traj.states[k - 1])
-        comps = fh._curve_components(traj.states[k])
-        comps_next = fh._curve_components(traj.states[k + 1])
+        comps_prev = flow._curve_components(traj.states[k - 1])
+        comps = flow._curve_components(traj.states[k])
+        comps_next = flow._curve_components(traj.states[k + 1])
         worst = sq_sum = w_sum = 0.0
         for ci, c in enumerate(comps):
             dfdt = (values[k + 1][ci] - values[k - 1][ci]) / dt2
@@ -320,8 +330,8 @@ def loop_gauge_rates(traj, collar):
     beta + 2t theta and the dual-weighted mean of their centred residual,
     per time and component."""
     times = traj.times
-    comps_per_state = [fh._curve_components(s) for s in traj.states]
-    thetas = per_time(fh._aligned_angle_fields(flow.FlowTrajectory(times, comps_per_state)))
+    comps_per_state = [flow._curve_components(s) for s in traj.states]
+    thetas = aligned_angles(comps_per_state)
     g_fields = [[geo.exactness_primitive(c) + 2.0 * t * th
                  for c, th in zip(comps, ths)]
                 for comps, ths, t in zip(comps_per_state, thetas, times)]
@@ -351,7 +361,7 @@ def loop_B_identity(traj, s1, collar, cp):
     and the sup of rhs = |x^perp + 2(s1 - t) H|^2 B."""
     times = traj.times
     states = list(traj.states)
-    comps_per_state = [fh._curve_components(s) for s in states]
+    comps_per_state = [flow._curve_components(s) for s in states]
     beta, theta = per_time(cp.beta), per_time(cp.theta)
     B_fields = [[np.cos(beta[k][ci] + 2.0 * (t - s1) * theta[k][ci])
                  for ci in range(len(beta[k]))] for k, t in enumerate(times)]
@@ -384,9 +394,8 @@ def loop_B_identity(traj, s1, collar, cp):
 def loop_angle_residual(traj, collar):
     """The per-state loop of angle_caloric_residual, its turning increments
     from the (N, 2) tangents of each state."""
-    comps_per_state = [fh._curve_components(s) for s in traj.states]
-    thetas = per_time(fh._aligned_angle_fields(flow.FlowTrajectory(traj.times,
-                                                                   comps_per_state)))
+    comps_per_state = [flow._curve_components(s) for s in traj.states]
+    thetas = aligned_angles(comps_per_state)
     sup_list = []
     for k in range(1, len(traj.times) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
@@ -477,7 +486,7 @@ def loop_growth_constant(traj, values, degree=2):
     """The growth constant per state, radii from the (N, 2) vertex norms."""
     worst = 0.0
     for state, vals in zip(traj.states, values):
-        for c, f in zip(fh._curve_components(state), vals):
+        for c, f in zip(flow._curve_components(state), vals):
             r = np.linalg.norm(c.vertices, axis=-1)
             worst = max(worst, float(np.max(np.abs(f) / (1.0 + r ** degree))))
     return worst
@@ -489,8 +498,8 @@ def loop_heat_solve(traj, f0):
     for k in range(1, len(traj.times)):
         dt = traj.times[k] - traj.times[k - 1]
         nxt = []
-        for c_prev, c, f in zip(fh._curve_components(traj.states[k - 1]),
-                                fh._curve_components(traj.states[k]), values[-1]):
+        for c_prev, c, f in zip(flow._curve_components(traj.states[k - 1]),
+                                flow._curve_components(traj.states[k]), values[-1]):
             vel = (c.vertices - c_prev.vertices) / dt
             nxt.append(heat_step_oracle(c, f, dt,
                                         np.einsum("ij,ij->i", vel, c.tangents())))
@@ -531,7 +540,7 @@ INTERIOR_COUNTS = [1, fh.AUDIT_BLOCK - 1, fh.AUDIT_BLOCK, fh.AUDIT_BLOCK + 1,
 def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
     traj = _audit_trajectory(kind, n_interior)
     rng = np.random.default_rng(n_interior)
-    values = [[rng.normal(size=c.n_vertices) for c in fh._curve_components(s)]
+    values = [[rng.normal(size=c.n_vertices) for c in flow._curve_components(s)]
               for s in traj.states]
     sup, l2 = fh.heat_residual(traj, per_component(values), collar=collar)
     ref_sup, ref_l2 = loop_heat_residual(traj, values, collar)
@@ -556,7 +565,7 @@ def test_blocked_residual_equals_per_state_loop(kind, n_interior, collar):
     assert np.array_equal(cp.gauge, gauge)
     beta = per_time(cp.beta)
     for k, s in enumerate(traj.states):
-        for got, c, g in zip(beta[k], fh._curve_components(s), gauge[k]):
+        for got, c, g in zip(beta[k], flow._curve_components(s), gauge[k]):
             assert np.array_equal(got, geo.exactness_primitive(c) + g)
     rep = fh.evolve_B(traj, s1=-0.25, collar=collar)
     B, ref_sup, scale = loop_B_identity(traj, -0.25, collar, cp)
@@ -601,7 +610,7 @@ def test_evolve_B_report_is_unchanged(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_blocked_heat_solve_equals_per_step_loop(kind, n_interior):
     traj = _audit_trajectory(kind, n_interior)
-    f0 = [c.vertices[:, 1] for c in fh._curve_components(traj.states[0])]
+    f0 = [c.vertices[:, 1] for c in flow._curve_components(traj.states[0])]
     sol = fh.solve_heat_on_flow(traj, f0)
     ref = loop_heat_solve(traj, f0)
     assert [F.shape for F in sol.values] == [(len(ref), len(f)) for f in f0]
@@ -656,13 +665,13 @@ def test_three_vertex_open_heat_solve_equals_per_step_loop():
 @pytest.mark.parametrize("kind", ["open", "closed"])
 def test_non_finite_heat_input_raises_solver_failure(kind):
     traj = _audit_trajectory(kind, 3)
-    curve = fh._curve_components(traj.states[0])[0]
+    curve = flow._curve_components(traj.states[0])[0]
     f0 = curve.vertices[:, 1].copy()
     f0[curve.n_vertices // 2] = np.nan
     for solve in (fh.solve_heat_on_flow, lambda traj, f: fh.heat_field_at(traj, f, 1)):
         with pytest.raises(SolverFailure):
             solve(traj, [f0])
-    later = fh._curve_components(traj.states[2])[0]
+    later = flow._curve_components(traj.states[2])[0]
     v = later.vertices.copy()
     v[later.n_vertices // 2] = np.nan
     with pytest.raises(NonFiniteVertex):   # no such state reaches a solve
@@ -705,7 +714,7 @@ def test_initial_caloric_data_equals_caloric_primitive(kind):
     traj = _audit_trajectory(kind, 3)
     comps0, theta0, beta0 = fh._initial_caloric_data(traj)
     cp = fh.caloric_primitive(traj)
-    for got, want in zip(comps0, fh._curve_components(traj.states[0])):
+    for got, want in zip(comps0, flow._curve_components(traj.states[0])):
         assert np.array_equal(got.vertices, want.vertices)
     assert len(theta0) == len(cp.theta) == len(beta0)
     for got, want in zip(theta0, per_time(cp.theta)[0]):

@@ -15,7 +15,8 @@ from lmcflab import flow
 from lmcflab import flowheat as fh
 from lmcflab import geometry as geo
 from lmcflab import scenarios
-from lmcflab.errors import DegenerateEdge, NonFiniteVertex, VertexCountChanged
+from lmcflab.errors import (DegenerateEdge, NonFiniteVertex, NotExact,
+                            VertexCountChanged)
 
 LINE = geo.AffineLine((0.0, 0.0), (1.0, 0.0))
 
@@ -63,7 +64,7 @@ def windows(draw, traj_strategy=trajectories):
 @given(windows())
 def test_planes_equal_the_stacked_states(window):
     traj, lo, hi = window
-    per_state = [fh._curve_components(s) for s in traj.states[lo:hi]]
+    per_state = [flow._curve_components(s) for s in traj.states[lo:hi]]
     blocks = traj.planes(lo, hi)
     assert len(blocks) == len(per_state[0])
     for ci, (curve, planes) in enumerate(blocks):
@@ -73,6 +74,75 @@ def test_planes_equal_the_stacked_states(window):
         assert planes.tobytes() == want.tobytes()   # bit for bit, signed zeros too
         assert curve.vertices.tobytes() == first.vertices.tobytes()
         assert (curve.closed, curve.component_id) == (first.closed, first.component_id)
+
+
+def angle_oracle(c):
+    """A curve's unwrapped tangent angles from its (N, 2) tangents, apart
+    from the vertex-axis kernels."""
+    t = c.tangents()
+    return np.unwrap(np.arctan2(t[:, 1], t[:, 0]))
+
+
+def primitive_oracle(c):
+    """A curve's Liouville primitive from the cross products of its (N, 2)
+    edge ends, apart from the vertex-axis kernels; NotExact on holonomy."""
+    v, q = geo.edge_ends(c.vertices, c.closed)
+    inc = v[:, 0] * q[:, 1] - v[:, 1] * q[:, 0]
+    if c.closed:
+        holonomy = float(inc.sum())
+        if abs(holonomy) > geo.HOLONOMY_RTOL * c.length():
+            raise NotExact(holonomy, component_id=c.component_id)
+        inc = inc[:-1]
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+def primitive_rows(rows):
+    """The (T, N) primitives from a thunk, or the holonomy and component id
+    of the NotExact it raises."""
+    try:
+        return rows().tobytes()
+    except NotExact as exc:
+        return exc.holonomy, exc.component_id
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows())
+def test_kernel_rows_equal_the_per_state_rows(window):
+    traj, lo, hi = window
+    per_state = [flow._curve_components(s) for s in traj.states[lo:hi]]
+    for ci, (c, p) in enumerate(traj.planes(lo, hi)):
+        comps = [cs[ci] for cs in per_state]
+        want = np.array([angle_oracle(x) for x in comps]).tobytes()
+        assert geo.tangent_angles(p, c.closed).tobytes() == want
+        assert np.array([geo.lagrangian_angle(x) for x in comps]).tobytes() == want
+        want = primitive_rows(lambda: np.array([primitive_oracle(x) for x in comps]))
+        assert primitive_rows(lambda: geo.liouville_primitive(p, c.closed, c.component_id)) == want
+        assert primitive_rows(lambda: np.array([geo.exactness_primitive(x) for x in comps])) == want
+
+
+def test_primitive_refuses_a_later_non_exact_state_as_the_per_state_path():
+    """A figure-eight is exact (its lobes cancel) until one lobe grows at time
+    index 2: the block raises the holonomy of that state, on the component
+    id of the closed curve, as the per-state loop does."""
+    phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    arm = geo.DiscreteCurve([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]], component_id=4)
+
+    def eight(a):
+        y = np.sin(phi) * np.cos(phi) * np.where(phi < np.pi, 1.0, a)
+        return geo.DiscreteCurve(np.stack([np.sin(phi), y], axis=1), closed=True,
+                                 component_id=7)
+
+    states = [[arm, eight(1.0)], [arm, eight(1.0)], [arm, eight(1.5)], [arm, eight(2.0)]]
+    traj = flow.FlowTrajectory([0.0, 0.1, 0.2, 0.3], states)
+    got = [primitive_rows(lambda: geo.liouville_primitive(p, c.closed, c.component_id))
+           for c, p in traj.planes(0, 4)]
+    want = [primitive_rows(lambda: np.array([primitive_oracle(s[ci]) for s in states]))
+            for ci in range(2)]
+    assert got == want
+    assert got[1][1] == 7
+    with pytest.raises(NotExact) as exc:
+        primitive_oracle(eight(1.5))
+    assert exc.value.holonomy == got[1][0]
 
 
 def test_generated_planes_are_used_where_a_block_form_exists():
@@ -125,7 +195,7 @@ def test_field_at_equals_the_full_solve(kind, wrap, data):
     traj = trajectory(kind, wrap, None)
     ks = data.draw(st.lists(st.integers(-len(traj), len(traj) - 1), max_size=6))
     f0 = [np.cos(3.0 * c.vertices[:, 0]) + c.vertices[:, 1]
-          for c in fh._curve_components(traj.states[0])]
+          for c in flow._curve_components(traj.states[0])]
     full = fh.solve_heat_on_flow(traj, f0)
     for k in ks:
         got = fh.heat_field_at(traj, f0, k)
@@ -276,18 +346,38 @@ def _material(t0=0.0):
                                               t1=t0 + 0.04, dt=2e-3)
 
 
+def no_state(block, t):
+    raise AssertionError(f"a state was built at t={t}")
+
+
 @pytest.mark.parametrize("call", [
     lambda traj: fh.caloric_primitive(traj, collar=4),
     lambda traj: fh.caloric_primitive(flow.product_evolve(traj, LINE)),
-    lambda traj: fh.evolve_B(traj, s1=-0.9, collar=4),
-    lambda traj: fh.evolve_B(flow.product_evolve(traj, LINE), s1=-0.9),
     fh.angle_caloric_residual,
     flow._rescaled_velocity_residual,
 ])
-def test_each_state_is_built_once_per_call(call):
-    traj, built = counting(_material(t0=-1.0))
+def test_caloric_fields_read_only_block_calls(monkeypatch, call):
+    traj, read = counting(_material(t0=-1.0))
+    monkeypatch.setattr(flow, "_block_state", no_state)
     call(traj)
-    assert built == Counter(range(len(traj)))
+    assert set(read) == set(range(len(traj)))
+
+
+@pytest.mark.parametrize("wrap", ["curve", "product"])
+def test_evolve_B_builds_only_the_first_state(monkeypatch, wrap):
+    """evolve_B reads the static line offsets from state 0 and every other
+    geometry from block calls."""
+    traj, read = counting(_material(t0=-1.0))
+    built, block_state = [], flow._block_state
+
+    def counted(block, t):
+        built.append(t)
+        return block_state(block, t)
+
+    monkeypatch.setattr(flow, "_block_state", counted)
+    fh.evolve_B(traj if wrap == "curve" else flow.product_evolve(traj, LINE), s1=-0.9)
+    assert built == [traj.times[0]]
+    assert set(read) == set(range(len(traj)))
 
 
 def ladder_rung(lam):
@@ -301,7 +391,7 @@ def test_field_at_reads_no_state_after_k(kind):
     alone, each block's b + 1 states once."""
     base = base_trajectory(kind)
     traj, built = counting(base)
-    f0 = [np.ones(c.n_vertices) for c in fh._curve_components(base.states[0])]
+    f0 = [np.ones(c.n_vertices) for c in flow._curve_components(base.states[0])]
     k = fh.AUDIT_BLOCK + 3
     fh.heat_field_at(traj, f0, k)
     # the first state once more for its component count, and each later
@@ -318,10 +408,6 @@ def test_heat_solve_and_audit_build_no_state(monkeypatch):
     stored = _stored(base)
     want = fh.solve_heat_on_flow(stored, f0)
     traj, read = counting(base)
-
-    def no_state(block, t):
-        raise AssertionError(f"a state was built at t={t}")
-
     monkeypatch.setattr(flow, "_block_state", no_state)
     sol = fh.solve_heat_on_flow(traj, f0)
     assert set(read) == set(range(len(traj)))
@@ -360,6 +446,6 @@ def test_height_on_the_largest_rung_stays_under_32_mib():
     finally:
         tracemalloc.stop()
     assert len(prod) == 1201
-    assert fh._curve_components(prod.states[0])[0].n_vertices == 3481
+    assert flow._curve_components(prod.states[0])[0].n_vertices == 3481
     # holding every state and field, as the stored path does, peaks near 100 MiB
     assert peak < 32 * 2 ** 20, peak / 2 ** 20
