@@ -105,6 +105,11 @@ def primitive_rows(rows):
         return exc.holonomy, exc.component_id
 
 
+def stacked(fn, curves):
+    """A thunk stacking fn of each curve as the rows of one array."""
+    return lambda: np.array([fn(c) for c in curves])
+
+
 @settings(max_examples=80, deadline=None)
 @given(windows())
 def test_kernel_rows_equal_the_per_state_rows(window):
@@ -112,12 +117,13 @@ def test_kernel_rows_equal_the_per_state_rows(window):
     per_state = [flow._curve_components(s) for s in traj.states[lo:hi]]
     for ci, (c, p) in enumerate(traj.planes(lo, hi)):
         comps = [cs[ci] for cs in per_state]
-        want = np.array([angle_oracle(x) for x in comps]).tobytes()
+        want = stacked(angle_oracle, comps)().tobytes()
         assert geo.tangent_angles(p, c.closed).tobytes() == want
-        assert np.array([geo.lagrangian_angle(x) for x in comps]).tobytes() == want
-        want = primitive_rows(lambda: np.array([primitive_oracle(x) for x in comps]))
-        assert primitive_rows(lambda: geo.liouville_primitive(p, c.closed, c.component_id)) == want
-        assert primitive_rows(lambda: np.array([geo.exactness_primitive(x) for x in comps])) == want
+        assert stacked(geo.lagrangian_angle, comps)().tobytes() == want
+        want = primitive_rows(stacked(primitive_oracle, comps))
+        got = primitive_rows(lambda: geo.liouville_primitive(p, c.closed, c.component_id))
+        assert got == want
+        assert primitive_rows(stacked(geo.exactness_primitive, comps)) == want
 
 
 def test_primitive_refuses_a_later_non_exact_state_as_the_per_state_path():
@@ -136,7 +142,7 @@ def test_primitive_refuses_a_later_non_exact_state_as_the_per_state_path():
     traj = flow.FlowTrajectory([0.0, 0.1, 0.2, 0.3], states)
     got = [primitive_rows(lambda: geo.liouville_primitive(p, c.closed, c.component_id))
            for c, p in traj.planes(0, 4)]
-    want = [primitive_rows(lambda: np.array([primitive_oracle(s[ci]) for s in states]))
+    want = [primitive_rows(stacked(primitive_oracle, [s[ci] for s in states]))
             for ci in range(2)]
     assert got == want
     assert got[1][1] == 7
