@@ -19,14 +19,18 @@ from . import flow
 from . import flowheat as fh
 from . import linking as lk
 from . import scenarios as sc
+from .errors import ConfigInvalid
 from .geometry import make_plane_pair
 
 
 def _load_config(args, default=None):
-    if args.config:
-        with open(args.config) as fhd:
-            return json.load(fhd)
-    return dict(default or {})
+    if not args.config:
+        return dict(default or {})
+    with open(args.config) as fhd:
+        cfg = json.load(fhd)
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"config must be a JSON object, not {cfg!r}")
+    return cfg
 
 
 def _ensure_out(args):
@@ -213,8 +217,9 @@ def cmd_run(args):
     if "scenario" not in cfg:
         raise SystemExit("run needs --scenario NAME or a config with 'scenario'")
     cfg.setdefault("seed", args.seed)
+    cfg = sc.validate_config(cfg)  # refuses non-object params before refine is set
     if args.refine is not None:
-        cfg.setdefault("params", {})["refine"] = args.refine
+        cfg["params"]["refine"] = args.refine
     out = _ensure_out(args)
     summary = sc.run_scenario(cfg, out_dir=out)
     print(os.path.join(out, "summary.json"))

@@ -279,8 +279,7 @@ def _dissipation_vertex_field(comp, x0, t, t0):
     fac = 2.0 * (t - t0)
     if isinstance(comp, ProductLagrangian):
         return [_curve_dissipation(comp.factor1, x0[0:2], fac),
-                _curve_dissipation(comp.factor2, x0[2:4], fac,
-                                   comp.factor2_line is not None)]
+                _curve_dissipation(comp.factor2, x0[2:4], fac, is_line=True)]
     return _curve_dissipation(comp, np.asarray(x0)[0:2], fac)
 
 

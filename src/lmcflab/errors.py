@@ -44,10 +44,6 @@ class SingularCollapse(LabError):
     """Minimum edge length collapsed below the singularity threshold."""
 
 
-class TimeGridMismatch(LabError):
-    """Two trajectories do not share a common time grid."""
-
-
 class RangeError(LabError):
     """Requested time window is not covered by the trajectory."""
 

@@ -101,8 +101,8 @@ def make_grim_reaper_product(speed=1.0, extent=6.0, n=512, line_extent=12.0,
     """
     curve, theta_ref = make_grim_reaper(speed, extent, n, graded=graded, **grade_kw)
     line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(curve, line, line_extent=line_extent,
-                             line_samples=line_samples)
+    prod = ProductLagrangian(curve, line,
+                             line_sample=line.sample(line_extent, line_samples))
     return prod, standard_frame(4, z_axis=1), theta_ref
 
 
@@ -110,8 +110,8 @@ def make_circle_product(radius=1.0, n=256, line_extent=12.0, line_samples=97):
     """Shrinking circle x R (a shrinking cylinder); frame e_z = e_x of factor 1."""
     circ = make_circle(radius, n)
     line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(circ, line, line_extent=line_extent,
-                             line_samples=line_samples)
+    prod = ProductLagrangian(circ, line,
+                             line_sample=line.sample(line_extent, line_samples))
     return prod, standard_frame(4, z_axis=0)
 
 
@@ -132,9 +132,9 @@ def make_smoothed_pair(angle=np.pi / 4, sigma=0.05, extent=8.0, n=401,
         v = s[:, None] * d + (sigma * np.exp(-0.5 * s ** 2))[:, None] * nrm
         curve = DiscreteCurve(v, component_id=cid)
         line = AffineLine((0.0, 0.0), (1.0, 0.0))
-        products.append(ProductLagrangian(curve, line, component_id=cid,
-                                          line_extent=line_extent,
-                                          line_samples=line_samples))
+        products.append(ProductLagrangian(
+            curve, line, component_id=cid,
+            line_sample=line.sample(line_extent, line_samples)))
     frame = standard_frame(4, z_axis=2)
     pair = make_plane_pair((angle, -angle), intersection_dim=1, frame=frame)
     return products, frame, pair
@@ -174,8 +174,8 @@ def make_neck_pair(angle=np.pi / 4, sigma=0.05, extent=6.0, n=301,
     y = np.sqrt(m * m * x * x + sigma * sigma)
     curve = DiscreteCurve(np.stack([x, y], axis=1))
     line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(curve, line, line_extent=line_extent,
-                             line_samples=line_samples)
+    prod = ProductLagrangian(curve, line,
+                             line_sample=line.sample(line_extent, line_samples))
     pair = make_plane_pair((angle, -angle), intersection_dim=1,
                            frame=standard_frame(4, z_axis=2))
     return prod, pair

@@ -1,5 +1,5 @@
-"""Time evolution: curve shortening flow for n=1, product flows for n=2,
-parabolic rescaling, and the shrinker-scale rescaled flow.
+"""Time evolution: curve shortening flow for n=1, curve x static-line
+products for n=2, parabolic rescaling, and the shrinker-scale rescaled flow.
 
 The semi-implicit scheme (I - dt*Laplacian) x_new = x_old is the default
 (unconditionally stable; long backward horizons need large steps); the
@@ -29,7 +29,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import (ComponentCountChanged, FieldShapeMismatch, RangeError,
                      SingularCollapse, SolverFailure, StabilityViolation,
-                     TimeGridMismatch, VertexCountChanged)
+                     VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
                        ProductLagrangian, as_components, check_vertices,
                        cyclic_tridiagonal, edge_increments, edge_lengths,
@@ -151,16 +151,8 @@ def _block_state(block, t):
 
 def _curve_components(state):
     """Factor-1 curves of a state (products reduce to their curve factor)."""
-    out = []
-    for comp in as_components(state):
-        if isinstance(comp, ProductLagrangian):
-            if comp.factor2_line is None:
-                raise NotImplementedError(
-                    "heat solves support curve x static-line products")
-            out.append(comp.factor1)
-        else:
-            out.append(comp)
-    return out
+    return [c.factor1 if isinstance(c, ProductLagrangian) else c
+            for c in as_components(state)]
 
 
 class CentredGeometry(NamedTuple):
@@ -315,14 +307,11 @@ def evolve(state, dt, n_steps, scheme="semi_implicit", t0=0.0,
 
 def _scale_component(comp, lam):
     if isinstance(comp, ProductLagrangian):
-        f1 = comp.factor1.with_vertices(lam * comp.factor1.vertices)
-        f2 = comp.factor2.with_vertices(lam * comp.factor2.vertices)
-        if comp.factor2_line is not None:
-            line = AffineLine(lam * comp.factor2_line.point,
-                              comp.factor2_line.direction)
-            return ProductLagrangian(f1, line, component_id=comp.component_id,
-                                     line_sample=f2)
-        return ProductLagrangian(f1, f2, component_id=comp.component_id)
+        line = AffineLine(lam * comp.factor2_line.point, comp.factor2_line.direction)
+        return ProductLagrangian(
+            comp.factor1.with_vertices(lam * comp.factor1.vertices), line,
+            component_id=comp.component_id,
+            line_sample=comp.factor2.with_vertices(lam * comp.factor2.vertices))
     return comp.with_vertices(lam * comp.vertices)
 
 
@@ -396,36 +385,25 @@ def _rescaled_velocity_residual(traj):
     return worst
 
 
-def product_evolve(traj1: FlowTrajectory, traj2_or_line) -> FlowTrajectory:
-    """Product trajectory from a curve trajectory and a curve trajectory/line.
-
-    A curve x static-line product evolves each time slice identically; with
-    two trajectories the time grids must agree. The product states are
-    built when read; a curve x line product streams the planes of traj1.
+def product_evolve(traj: FlowTrajectory, line: AffineLine) -> FlowTrajectory:
+    """Curve trajectory x static line: each time slice is the product of the
+    curve state with ``line`` (TypeError for any other second factor), all
+    sharing one line sample. The product states are built when read; the
+    planes are those of traj.
     """
-    if isinstance(traj2_or_line, AffineLine):
-        line = traj2_or_line
-        sample = line.sample(LINE_EXTENT, LINE_SAMPLES)
+    if not isinstance(line, AffineLine):
+        raise TypeError(f"a product's second factor is an AffineLine, "
+                        f"not {type(line).__name__}")
+    sample = line.sample(LINE_EXTENT, LINE_SAMPLES)
 
-        def build(k):
-            return [ProductLagrangian(c, line, component_id=c.component_id,
-                                      line_sample=sample)
-                    for c in as_components(traj1.states[k])]
+    def build(k):
+        return [ProductLagrangian(c, line, component_id=c.component_id,
+                                  line_sample=sample)
+                for c in as_components(traj.states[k])]
 
-        return FlowTrajectory(traj1.times, LazyStates(build, range(len(traj1))),
-                              mode=traj1.mode, metadata=traj1.metadata,
-                              planes=traj1.planes)
-    traj2 = traj2_or_line
-    if len(traj1.times) != len(traj2.times) or \
-            np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
-        raise TimeGridMismatch("factor trajectories live on different time grids")
-
-    def build_pair(k):
-        return [ProductLagrangian(as_components(traj1.states[k])[0],
-                                  as_components(traj2.states[k])[0])]
-
-    return FlowTrajectory(traj1.times, LazyStates(build_pair, range(len(traj1))),
-                          mode=traj1.mode, metadata=traj1.metadata)
+    return FlowTrajectory(traj.times, LazyStates(build, range(len(traj))),
+                          mode=traj.mode, metadata=traj.metadata,
+                          planes=traj.planes)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,12 @@ before it marches the heat field up to s1 (:func:`heat_field_at`), and
 reads, besides the march, only the planes of the first state and of the
 state at s1.
 
-Products curve x static-line reduce exactly to 1-D solves on the curve
-factor: initial data used here is either constant along the line factor
-(B, B*z with z along the curve factor) or linear in it (B*z with z along
-the line factor), and both symmetries are preserved by the product heat
-flow. The general 2-D product solve is not needed by any fixture.
+Every product is a curve times a static line
+(:class:`~lmcflab.geometry.ProductLagrangian`), and its heat solves reduce
+exactly to 1-D solves on the curve factor: initial data used here is
+either constant along the line (B, B*z with z along the curve factor) or
+linear in it (B*z with z along the line), and the product heat flow
+preserves both symmetries.
 """
 
 from __future__ import annotations
@@ -428,7 +429,7 @@ class BFieldReport:
 
 
 def _line_offset_sq(comp):
-    if isinstance(comp, ProductLagrangian) and comp.factor2_line is not None:
+    if isinstance(comp, ProductLagrangian):
         line = comp.factor2_line
         p = line.point - (line.point @ line.direction) * line.direction
         return float(p @ p)

@@ -348,11 +348,6 @@ def exactness_primitive(curve: DiscreteCurve) -> np.ndarray:
     return liouville_primitive(curve.vertices.T, curve.closed, curve.component_id)
 
 
-def product_angle(theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
-    """Lagrangian angle of a product on the (i, j) parameter grid."""
-    return np.asarray(theta1)[:, None] + np.asarray(theta2)[None, :]
-
-
 # ---------------------------------------------------------------------------
 # lines, products
 
@@ -382,45 +377,44 @@ LINE_EXTENT = 12.0
 LINE_SAMPLES = 97
 
 
-class ProductLagrangian:
-    """Product gamma1 x gamma2 in C x C = C^2.
+def _factor_grid(rows1, rows2) -> np.ndarray:
+    """(N1, N2, 4) array holding the (N, 2) factor rows rows1[i] and rows2[j]
+    at grid point (i, j)."""
+    out = np.empty((rows1.shape[0], rows2.shape[0], 4))
+    out[:, :, 0:2] = rows1[:, None, :]
+    out[:, :, 2:4] = rows2[None, :, :]
+    return out
 
-    ``factor2`` may be a DiscreteCurve or an AffineLine. A line is sampled
-    on [-line_extent, line_extent] with ``line_samples`` vertices, unless
-    ``line_sample`` hands in a sampling made before (the states of one
-    trajectory share one; rescaling scales it with the curve factor).
-    The Lagrangian angle of the product is the sum of factor tangent angles.
+
+class ProductLagrangian:
+    """Product gamma x L in C x C = C^2 of a curve with a static line.
+
+    ``factor2`` is the line sampled as a DiscreteCurve: ``line_sample``, or
+    by default ``line.sample(LINE_EXTENT, LINE_SAMPLES)`` (the states of one
+    trajectory share one sample; rescaling scales it with the curve). The
+    Lagrangian angle of the product is the curve's tangent angle plus the
+    line's angle.
     """
 
-    def __init__(self, factor1: DiscreteCurve, factor2, component_id=0,
-                 line_extent: float = LINE_EXTENT,
-                 line_samples: int = LINE_SAMPLES, line_sample=None):
+    def __init__(self, factor1: DiscreteCurve, line: AffineLine, component_id=0,
+                 line_sample=None):
+        if not isinstance(line, AffineLine):
+            raise TypeError(f"a product's second factor is an AffineLine, "
+                            f"not {type(line).__name__}")
         self.factor1 = factor1
         self.component_id = int(component_id)
-        if isinstance(factor2, AffineLine):
-            self.factor2_line = factor2
-            self.factor2 = (factor2.sample(line_extent, line_samples)
-                            if line_sample is None else line_sample)
-        else:
-            self.factor2_line = None
-            self.factor2 = factor2
+        self.factor2_line = line
+        self.factor2 = (line.sample(LINE_EXTENT, LINE_SAMPLES)
+                        if line_sample is None else line_sample)
 
     def angle_grid(self) -> np.ndarray:
-        th1 = lagrangian_angle(self.factor1)
-        if self.factor2_line is not None:
-            th2 = np.full(self.factor2.n_vertices, self.factor2_line.angle)
-        else:
-            th2 = lagrangian_angle(self.factor2)
-        return product_angle(th1, th2)
+        """Lagrangian angle on the (i, j) parameter grid."""
+        return (lagrangian_angle(self.factor1)[:, None]
+                + np.full(self.factor2.n_vertices, self.factor2_line.angle))
 
     def position_grid(self) -> np.ndarray:
         """(N1, N2, 4) array of product points (x1, y1, x2, y2)."""
-        p = self.factor1.vertices
-        q = self.factor2.vertices
-        out = np.empty((p.shape[0], q.shape[0], 4))
-        out[:, :, 0:2] = p[:, None, :]
-        out[:, :, 2:4] = q[None, :, :]
-        return out
+        return _factor_grid(self.factor1.vertices, self.factor2.vertices)
 
     def weight_grid(self) -> np.ndarray:
         """Mass-lumped area weights on the parameter grid."""
@@ -430,24 +424,13 @@ class ProductLagrangian:
         """Orthonormal tangent pair (T1, T2) per grid point, embedded in R^4."""
         t1 = self.factor1.tangents()
         t2 = self.factor2.tangents()
-        n1, n2 = t1.shape[0], t2.shape[0]
-        T1 = np.zeros((n1, n2, 4))
-        T2 = np.zeros((n1, n2, 4))
-        T1[:, :, 0:2] = t1[:, None, :]
-        T2[:, :, 2:4] = t2[None, :, :]
-        return T1, T2
+        return (_factor_grid(t1, np.zeros_like(t2)),
+                _factor_grid(np.zeros_like(t1), t2))
 
     def mean_curvature_grid(self) -> np.ndarray:
-        """(N1, N2, 4) mean curvature (H1, H2) of the product."""
-        H1 = mean_curvature(self.factor1)
-        if self.factor2_line is not None:
-            H2 = np.zeros_like(self.factor2.vertices)
-        else:
-            H2 = mean_curvature(self.factor2)
-        out = np.empty((H1.shape[0], H2.shape[0], 4))
-        out[:, :, 0:2] = H1[:, None, :]
-        out[:, :, 2:4] = H2[None, :, :]
-        return out
+        """(N1, N2, 4) mean curvature (H1, 0) of the product."""
+        return _factor_grid(mean_curvature(self.factor1),
+                            np.zeros_like(self.factor2.vertices))
 
     def quad_mesh(self):
         """Vertices (N1*N2, 4) and quad index array for the mesh in R^4."""
@@ -542,7 +525,7 @@ class LagrangianPlane:
             raise ValueError("plane basis is not factor-aligned")
         l1 = AffineLine((0.0, 0.0), b[0][:2]).sample(extent, samples)
         l2 = AffineLine((0.0, 0.0), b[1][2:])
-        return ProductLagrangian(l1, l2, line_extent=extent, line_samples=samples)
+        return ProductLagrangian(l1, l2, line_sample=l2.sample(extent, samples))
 
 
 @dataclass

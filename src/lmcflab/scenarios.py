@@ -145,29 +145,22 @@ def scenario_hermite_spectrum(params, seed, outputs):
     worst_sym = 0
     worst_grid = 0.0
     rows = []
+
+    def on_grid(poly, axes):
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        return poly.evaluate(pts).reshape(grids[0].shape)
+
     for n in (1, 2):
+        axes = [np.linspace(-3.0, 3.0, 41) for _ in range(n)]
         for elem in drift.hermite_basis(n, max_deg):
             resid = drift.drift_apply(elem.poly) + elem.poly.scale(
                 Fraction(elem.degree, 2))
             worst_sym = max(worst_sym, len(resid.coeffs))
             rows.append((n, elem.multi_index, elem.degree, elem.eigenvalue))
-        for elem in drift.hermite_basis(n, max_deg):
-            axes = [np.linspace(-3.0, 3.0, 41) for _ in range(n)]
-            if n == 1:
-                vals = elem.poly.evaluate(axes[0][:, None])
-            else:
-                X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-                vals = elem.poly.evaluate(
-                    np.stack([X.ravel(), Y.ravel()], axis=1)).reshape(X.shape)
-            inner_axes, out = drift.drift_apply_grid(axes, vals)
-            if n == 1:
-                ref = elem.poly.evaluate(inner_axes[0][:, None])
-            else:
-                Xi, Yi = np.meshgrid(inner_axes[0], inner_axes[1], indexing="ij")
-                ref = elem.poly.evaluate(
-                    np.stack([Xi.ravel(), Yi.ravel()], axis=1)).reshape(Xi.shape)
+            inner_axes, out = drift.drift_apply_grid(axes, on_grid(elem.poly, axes))
             worst_grid = max(worst_grid, float(np.max(np.abs(
-                out + elem.eigenvalue * ref))))
+                out + elem.eigenvalue * on_grid(elem.poly, inner_axes)))))
     metrics["symbolic_nonzero_residual_terms"] = worst_sym
     metrics["grid_eigen_residual"] = worst_grid
     checks["symbolic_exact"] = worst_sym == 0
@@ -288,8 +281,9 @@ def scenario_caloric_identities(params, seed, outputs):
     sup_l, _ = fh.heat_residual(traj_l, [traj_l.planes(0, 11)[0][1][0]])
     metrics["line_coordinate_residual"] = float(np.max(sup_l))
     checks["line_coordinate_caloric"] = metrics["line_coordinate_residual"] < 1e-10
-    # reaper coordinates + product reduction
-    sups_g = []
+    # on one material reaper per size: the coordinate ladder, the
+    # beta + 2 t theta ladder (Lemma-style identity) and its product reduction
+    sups_g, sups_b, hs = [], [], []
     for n in (101, 201, 401):
         h = 8.0 / (n - 1)
         dt = 0.5 * h * h
@@ -297,17 +291,6 @@ def scenario_caloric_identities(params, seed, outputs):
                                                   t1=60 * dt, dt=dt)
         sup, _ = fh.heat_residual(traj, [traj.planes(0, len(traj))[0][1][1]], collar=4)
         sups_g.append(float(np.max(sup)))
-    slopes_g = [float(np.log(sups_g[k] / sups_g[k + 1]) / np.log(2.0))
-                for k in range(len(sups_g) - 1)]
-    metrics["reaper_coordinate_residuals"] = sups_g
-    checks["reaper_coordinate_richardson"] = min(slopes_g) >= 1.8
-    # beta + 2 t theta ladder (Lemma-style identity) on reaper and product
-    sups_b, hs = [], []
-    for n in (101, 201, 401):
-        h = 8.0 / (n - 1)
-        dt = 0.5 * h * h
-        traj = fx.grim_reaper_material_trajectory(1.0, extent=4.0, n=n,
-                                                  t1=60 * dt, dt=dt)
         rep = fh.caloric_primitive(traj, collar=4)
         sups_b.append(float(np.max(rep.residual_sup)))
         hs.append(h)
@@ -317,6 +300,10 @@ def scenario_caloric_identities(params, seed, outputs):
             metrics["beta_product_delta"] = float(np.max(np.abs(
                 rep.residual_sup - rep_p.residual_sup)))
             checks["beta_product_additivity"] = metrics["beta_product_delta"] < 1e-12
+    slopes_g = [float(np.log(sups_g[k] / sups_g[k + 1]) / np.log(2.0))
+                for k in range(len(sups_g) - 1)]
+    metrics["reaper_coordinate_residuals"] = sups_g
+    checks["reaper_coordinate_richardson"] = min(slopes_g) >= 1.8
     slope_b = float(np.log(sups_b[0] / sups_b[2]) / np.log(hs[0] / hs[2]))
     metrics["beta_residuals"] = sups_b
     metrics["beta_richardson_slope"] = slope_b
@@ -447,22 +434,15 @@ def _hausdorff_rung(lam, base_speed):
                                                  0.02)]))
     s_grid = np.concatenate([-s_half[::-1][:-1], s_half])
     curve = fx.grim_reaper_point(s_grid, c) + np.array([0.0, -c])
-    # product points in B_1: (p, q) with |p|^2 + |q|^2 <= 1
-    pts4 = []
-    for q in np.linspace(-1.0, 1.0, 81):
-        sel = np.linalg.norm(curve, axis=1) ** 2 + q * q <= 1.0
-        if sel.any():
-            block = np.zeros((sel.sum(), 4))
-            block[:, 0:2] = curve[sel]
-            block[:, 2] = q
-            pts4.append(block)
-    pts4 = np.concatenate(pts4)
-    ref = []
-    for q in np.linspace(-1.0, 1.0, 81):
-        for y in np.linspace(-1.0, 1.0, 81):
-            if y * y + q * q <= 1.0:
-                ref.append([0.0, y, q, 0.0])
-    return hausdorff_distance(pts4, np.asarray(ref))
+    g = np.linspace(-1.0, 1.0, 81)
+    # product points (p, q, 0) in B_1, |p|^2 + q^2 <= 1, q-major
+    qi, pi = np.nonzero(np.linalg.norm(curve, axis=1) ** 2 + (g * g)[:, None] <= 1.0)
+    pts4 = np.column_stack([curve[pi], g[qi], np.zeros(len(qi))])
+    # the limit plane's points (0, y, q, 0) in B_1, q-major
+    Q, Y = np.meshgrid(g, g, indexing="ij")
+    inside = Y * Y + Q * Q <= 1.0
+    zero = np.zeros(np.count_nonzero(inside))
+    return hausdorff_distance(pts4, np.column_stack([zero, Y[inside], Q[inside], zero]))
 
 
 def scenario_blow_down_ladder(params, seed, outputs):

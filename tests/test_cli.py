@@ -192,6 +192,26 @@ def test_refine_zero_reaches_the_scenario_and_is_refused(tmp_path):
                  "--out", str(tmp_path / "run")])
 
 
+@pytest.mark.parametrize("command", ["simulate", "density", "entropy",
+                                     "monotonicity", "spectrum", "three-annulus",
+                                     "heat", "translator-check", "linking", "run"])
+def test_a_config_that_is_not_an_object_is_refused(command, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(ConfigInvalid, match="JSON object"):
+        run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_refine_is_refused_with_params_that_are_not_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "three-annulus", "params": [1]}))
+    with pytest.raises(ConfigInvalid, match="'params' must be an object"):
+        run_cli(["run", "--config", str(cfg), "--refine", "2",
+                 "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_without_refine_writes_empty_params(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["run", "--scenario", "three-annulus", "--out", str(out)]) == 0

@@ -10,7 +10,7 @@ from lmcflab import flow
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab.errors import (NonFiniteVertex, RangeError, SolverFailure,
-                            StabilityViolation, TimeGridMismatch)
+                            StabilityViolation)
 from lmcflab.flow import SingularCollapse
 
 
@@ -210,12 +210,13 @@ def test_product_evolve_circle_cylinder_radius_law():
     assert abs(r - circle_radius_oracle(1.0, dt * steps)) < 2e-3
 
 
-def test_product_evolve_grid_mismatch():
+def test_product_refuses_a_second_factor_that_is_not_a_line():
     l1 = fx.make_line(0.0, 4.0, 33)
-    t1 = flow.evolve(l1, 1e-3, 4)
-    t2 = flow.evolve(l1, 2e-3, 4)
-    with pytest.raises(TimeGridMismatch):
-        flow.product_evolve(t1, t2)
+    traj = flow.evolve(l1, 1e-3, 4)
+    with pytest.raises(TypeError, match="not FlowTrajectory"):
+        flow.product_evolve(traj, traj)
+    with pytest.raises(TypeError, match="not DiscreteCurve"):
+        geo.ProductLagrangian(l1, l1)
 
 
 def semi_implicit_step_oracle(curve, dt):

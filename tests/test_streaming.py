@@ -262,10 +262,6 @@ def test_product_states_are_lazy_and_share_one_line_sample():
     a, b = prod.states[0][0], prod.states[1][0]
     assert a.factor2 is b.factor2
     assert built == Counter({0: 1, 1: 1})
-    pair = flow.product_evolve(traj, traj)
-    assert isinstance(pair.states, flow.LazyStates)
-    with pytest.raises(NotImplementedError):
-        pair.planes(0, 2)
 
 
 # ---------------------------------------------------------------------------
