@@ -1,7 +1,8 @@
 """Command-line interface: thin dispatch over fixtures, diagnostics and the
-scenario runner. Subcommands mirror the lab operations; every run takes a
-JSON config (--config) or inline arguments, writes CSV/JSON bundles under
---out, and is deterministic (given --seed where a command is seeded)."""
+scenario runner. Subcommands mirror the lab operations; each lab command
+reads its keys from its DEFAULTS table, over which a JSON --config merges,
+writes CSV/JSON bundles under --out, and is deterministic (given --seed
+where a command is seeded)."""
 
 from __future__ import annotations
 
@@ -23,20 +24,76 @@ from .errors import ConfigInvalid
 from .geometry import make_plane_pair
 
 
-def _load_config(args, default=None):
-    if not args.config:
-        return dict(default or {})
-    with open(args.config) as fhd:
-        cfg = json.load(fhd)
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid(f"config must be a JSON object, not {cfg!r}")
-    return cfg
+# Every key each lab command reads, with its default. A --config file's
+# keys are merged over these; each must be known and of its default's JSON
+# type (a float default also takes an int; a None default takes anything).
+DEFAULTS = {
+    "simulate": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 128},
+                 "dt": 5e-4, "steps": 200, "scheme": "semi_implicit",
+                 "t0": 0.0, "redistribute_every": 0, "record_every": 10},
+    "density": {"fixture": "line", "fixture_params": {"extent": 30.0, "n": 601},
+                "x0": [0.0, 0.0], "t0": 1.0, "t": 0.0},
+    "entropy": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 256}},
+    "monotonicity": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 256},
+                     "dt": 5e-4, "steps": 400, "record_every": 10,
+                     "x0": [0.3, 0.0], "t0": 0.8},
+    "spectrum": {"n": 2, "max_degree": 4, "angles": [np.pi / 4, -np.pi / 4]},
+    "three-annulus": {"degree": 1, "s": 0.5, "taus": list(range(-10, 1)),
+                      "log_norms": None},
+    "heat": {"radius": 1.0, "n": 256, "dt": 1e-3, "t1": 0.2, "field": "x"},
+    "translator-check": {"fixture": "grim-reaper-product", "speed": 1.0,
+                         "extent": 3.0, "radius": 1.0, "n": 512},
+    "linking": {"lam": 0.1, "b": [1.0, -1.0], "extent": 2.0, "samples": 400,
+                "radius": 1.0, "n_poles": 5},
+}
+
+# the values a key admits where the command branches on it
+CHOICES = {("heat", "field"): ("x", "y"),
+           ("translator-check", "fixture"): ("grim-reaper-product", "circle-product")}
 
 
-def _ensure_out(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _fits(value, default):
+    """Whether a JSON value has the JSON type of the default."""
+    if default is None:
+        return True
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _load_config(args):
+    """The command's config, refused with ConfigInvalid before anything is
+    written: the --config file's keys over the command's DEFAULTS, or, for
+    ``run``, the scenario config that ``scenarios.validate_config`` checks."""
+    cfg = {}
+    if getattr(args, "config", None):
+        with open(args.config) as fhd:
+            cfg = json.load(fhd)
+        if not isinstance(cfg, dict):
+            raise ConfigInvalid(f"config must be a JSON object, not {cfg!r}")
+    if args.command == "run":
+        if args.scenario:
+            cfg.setdefault("scenario", args.scenario)
+        if "scenario" not in cfg:
+            raise SystemExit("run needs --scenario NAME or a config with 'scenario'")
+        cfg.setdefault("seed", args.seed)
+        cfg = sc.validate_config(cfg)  # refuses non-object params before refine is set
+        if args.refine is not None:
+            cfg["params"]["refine"] = args.refine
+        return cfg
+    defaults = DEFAULTS.get(args.command, {})
+    for key, value in cfg.items():
+        if key not in defaults:
+            raise ConfigInvalid(f"unknown key {key!r} for {args.command}; "
+                                f"known: {sorted(defaults)}")
+        if not _fits(value, defaults[key]):
+            raise ConfigInvalid(f"{key!r} must be of the type of its default "
+                                f"{defaults[key]!r}, not {value!r}")
+        allowed = CHOICES.get((args.command, key))
+        if allowed and value not in allowed:
+            raise ConfigInvalid(f"{key!r} must be one of {list(allowed)}, not {value!r}")
+    if "fixture_params" in defaults and "fixture" in cfg:
+        cfg.setdefault("fixture_params", {})   # the generator's own defaults
+    return {**defaults, **cfg}
 
 
 def _write_json(out, name, payload):
@@ -47,26 +104,19 @@ def _write_json(out, name, payload):
 
 
 def _make_fixture_state(cfg):
-    name = cfg.get("fixture", "circle")
+    name = cfg["fixture"]
     if name not in ("circle", "line", "line-pair", "grim-reaper"):
         raise SystemExit(f"unsupported curve fixture {name!r} for this command")
-    params = {"angle1": 0.5, "angle2": -0.5} if name == "line-pair" else {}
-    state = fx.generate_fixture(name, **{**params, **cfg.get("fixture_params", {})})
+    state = fx.generate_fixture(name, **cfg["fixture_params"])
     return state[0] if name == "grim-reaper" else state   # (curve, theta_ref)
 
 
 def cmd_simulate(args):
-    cfg = _load_config(args, {"fixture": "circle",
-                              "fixture_params": {"radius": 1.0, "n": 128},
-                              "dt": 5e-4, "steps": 200, "scheme": "semi_implicit",
-                              "record_every": 10})
-    out = _ensure_out(args)
+    cfg, out = args.cfg, args.out
     state = _make_fixture_state(cfg)
-    traj = flow.evolve(state, cfg.get("dt", 5e-4), cfg.get("steps", 200),
-                       scheme=cfg.get("scheme", "semi_implicit"),
-                       t0=cfg.get("t0", 0.0),
-                       redistribute_every=cfg.get("redistribute_every", 0),
-                       record_every=cfg.get("record_every", 10))
+    traj = flow.evolve(state, cfg["dt"], cfg["steps"], scheme=cfg["scheme"],
+                       t0=cfg["t0"], redistribute_every=cfg["redistribute_every"],
+                       record_every=cfg["record_every"])
     traj_path = os.path.join(out, "trajectory.txt")
     flow.save_trajectory(traj_path, traj)
     with open(os.path.join(out, "diagnostics.csv"), "w") as fhd:
@@ -78,38 +128,26 @@ def cmd_simulate(args):
 
 
 def cmd_density(args):
-    cfg = _load_config(args, {"fixture": "line",
-                              "fixture_params": {"extent": 30.0, "n": 601},
-                              "x0": [0.0, 0.0], "t0": 1.0, "t": 0.0})
-    out = _ensure_out(args)
+    cfg = args.cfg
     state = _make_fixture_state(cfg)
-    w = dg.GaussianWindow(np.asarray(cfg.get("x0", [0.0, 0.0])), cfg.get("t0", 1.0))
-    val = dg.gaussian_density_ratio(state, w, t=cfg.get("t", 0.0))
-    _write_json(out, "density.json", {"value": val, "x0": cfg.get("x0"),
-                                      "t0": cfg.get("t0"), "t": cfg.get("t")})
+    w = dg.GaussianWindow(np.asarray(cfg["x0"]), cfg["t0"])
+    val = dg.gaussian_density_ratio(state, w, t=cfg["t"])
+    _write_json(args.out, "density.json", {"value": val, "x0": cfg["x0"],
+                                           "t0": cfg["t0"], "t": cfg["t"]})
 
 
 def cmd_entropy(args):
-    cfg = _load_config(args, {"fixture": "circle",
-                              "fixture_params": {"radius": 1.0, "n": 256}})
-    out = _ensure_out(args)
-    state = _make_fixture_state(cfg)
-    rep = dg.entropy(state, seed=args.seed)
-    _write_json(out, "entropy.json",
+    rep = dg.entropy(_make_fixture_state(args.cfg), seed=args.seed)
+    _write_json(args.out, "entropy.json",
                 {"value": rep.value, "x0": [float(x) for x in rep.x0],
                  "r": rep.r, "seed": args.seed})
 
 
 def cmd_monotonicity(args):
-    cfg = _load_config(args, {"fixture": "circle",
-                              "fixture_params": {"radius": 1.0, "n": 256},
-                              "dt": 5e-4, "steps": 400, "record_every": 10,
-                              "x0": [0.3, 0.0], "t0": 0.8})
-    out = _ensure_out(args)
+    cfg, out = args.cfg, args.out
     state = _make_fixture_state(cfg)
-    traj = flow.evolve(state, cfg.get("dt", 5e-4), cfg.get("steps", 400),
-                       record_every=cfg.get("record_every", 10))
-    w = dg.GaussianWindow(np.asarray(cfg.get("x0", [0.3, 0.0])), cfg.get("t0", 0.8))
+    traj = flow.evolve(state, cfg["dt"], cfg["steps"], record_every=cfg["record_every"])
+    w = dg.GaussianWindow(np.asarray(cfg["x0"]), cfg["t0"])
     rep = dg.monotonicity_audit(traj, w)
     rep.write_csv(os.path.join(out, "monotonicity.csv"))
     _write_json(out, "monotonicity.json",
@@ -119,38 +157,31 @@ def cmd_monotonicity(args):
 
 
 def cmd_spectrum(args):
-    cfg = _load_config(args, {"n": 2, "max_degree": 4})
-    out = _ensure_out(args)
-    n = cfg.get("n", 2)
-    rows = []
-    for elem in drift.hermite_basis(n, cfg.get("max_degree", 4)):
-        rows.append({"multi_index": list(elem.multi_index),
-                     "degree": elem.degree, "eigenvalue": elem.eigenvalue})
+    cfg, out = args.cfg, args.out
+    rows = [{"multi_index": list(e.multi_index), "degree": e.degree,
+             "eigenvalue": e.eigenvalue}
+            for e in drift.hermite_basis(cfg["n"], cfg["max_degree"])]
     with open(os.path.join(out, "spectrum.csv"), "w") as fhd:
         fhd.write("multi_index,degree,eigenvalue\n")
         for r in rows:
             fhd.write(f"{'x'.join(map(str, r['multi_index']))},"
                       f"{r['degree']},{r['eigenvalue']}\n")
-    pair = make_plane_pair(tuple(cfg.get("angles", (np.pi / 4, -np.pi / 4))), 1)
+    pair = make_plane_pair(tuple(cfg["angles"]), 1)
     basis, gram = drift.homogeneous_basis(pair, max_degree=1)
     np.savetxt(os.path.join(out, "pair_gram.csv"), gram, delimiter=",")
     _write_json(out, "spectrum.json",
-                {"n": n, "elements": rows,
+                {"n": cfg["n"], "elements": rows,
                  "pair_basis": [b.label for b in basis]})
 
 
 def cmd_three_annulus(args):
-    cfg = _load_config(args, {"degree": 1, "s": 0.5,
-                              "taus": list(range(-10, 1))})
-    out = _ensure_out(args)
-    taus = np.asarray(cfg.get("taus", list(range(-10, 1))), dtype=float)
-    if "log_norms" in cfg:
-        seq = drift.NormSequence(taus, np.asarray(cfg["log_norms"], dtype=float))
-    else:
-        d = cfg.get("degree", 1)
-        seq = drift.NormSequence(taus, -0.5 * d * taus)
+    cfg, out = args.cfg, args.out
+    taus = np.asarray(cfg["taus"], dtype=float)
+    log_norms = (-0.5 * cfg["degree"] * taus if cfg["log_norms"] is None
+                 else np.asarray(cfg["log_norms"], dtype=float))
+    seq = drift.NormSequence(taus, log_norms)
     seq.write_csv(os.path.join(out, "norm_sequence.csv"))
-    rep = drift.three_annulus_classify(seq, cfg.get("s", 0.5))
+    rep = drift.three_annulus_classify(seq, cfg["s"])
     freq = drift.frequency_audit(seq)
     _write_json(out, "three_annulus.json",
                 {"classification": rep.classification, "s": rep.s,
@@ -160,14 +191,11 @@ def cmd_three_annulus(args):
 
 
 def cmd_heat(args):
-    cfg = _load_config(args, {"n": 256, "dt": 1e-3, "t1": 0.2, "field": "x"})
-    out = _ensure_out(args)
-    traj = fx.shrinking_circle_trajectory(cfg.get("radius", 1.0), cfg.get("n", 256),
-                                          t1=cfg.get("t1", 0.2),
-                                          dt=cfg.get("dt", 1e-3))
+    cfg, out = args.cfg, args.out
+    traj = fx.shrinking_circle_trajectory(cfg["radius"], cfg["n"], t1=cfg["t1"],
+                                          dt=cfg["dt"])
     comp0 = flow.as_components(traj.states[0])[0]
-    axis = 0 if cfg.get("field", "x") == "x" else 1
-    f0 = [comp0.vertices[:, axis]]
+    f0 = [comp0.vertices[:, "xy".index(cfg["field"])]]
     sol = fh.solve_heat_on_flow(traj, f0)
     sol.write_csv(os.path.join(out, "heat_residuals.csv"))
     _write_json(out, "heat.json",
@@ -176,18 +204,14 @@ def cmd_heat(args):
 
 
 def cmd_translator_check(args):
-    cfg = _load_config(args, {"fixture": "grim-reaper-product",
-                              "speed": 1.0, "n": 512})
-    out = _ensure_out(args)
-    if cfg.get("fixture", "grim-reaper-product") == "circle-product":
-        prod, frame = fx.make_circle_product(cfg.get("radius", 1.0),
-                                             cfg.get("n", 256))
+    cfg = args.cfg
+    if cfg["fixture"] == "circle-product":
+        prod, frame = fx.make_circle_product(cfg["radius"], cfg["n"])
     else:
-        prod, frame, _ = fx.make_grim_reaper_product(cfg.get("speed", 1.0),
-                                                     extent=cfg.get("extent", 3.0),
-                                                     n=cfg.get("n", 512))
+        prod, frame, _ = fx.make_grim_reaper_product(cfg["speed"], cfg["extent"],
+                                                     cfg["n"])
     fits = dg.translator_fit(prod, frame)
-    _write_json(out, "translator.json",
+    _write_json(args.out, "translator.json",
                 [{"component": f.component_id, "a": f.a, "b": f.b,
                   "residual": f.residual, "rms_w": f.rms_w, "kappa": f.kappa,
                   "velocity_residual": f.velocity_residual,
@@ -195,42 +219,28 @@ def cmd_translator_check(args):
 
 
 def cmd_linking(args):
-    cfg = _load_config(args, {"lam": 0.1, "b": [1.0, -1.0], "samples": 400})
-    out = _ensure_out(args)
-    meshes, frame, pair = fx.make_tilted_pair(lam=cfg.get("lam", 0.1),
-                                              b=tuple(cfg.get("b", (1.0, -1.0))),
-                                              extent=cfg.get("extent", 2.0),
-                                              samples=cfg.get("samples", 400))
-    s1 = lk.sphere_slice(meshes[0], cfg.get("radius", 1.0))
-    s2 = lk.sphere_slice(meshes[1], cfg.get("radius", 1.0))
+    cfg, out = args.cfg, args.out
+    meshes, frame, pair = fx.make_tilted_pair(lam=cfg["lam"], b=tuple(cfg["b"]),
+                                              extent=cfg["extent"],
+                                              samples=cfg["samples"])
+    s1 = lk.sphere_slice(meshes[0], cfg["radius"])
+    s2 = lk.sphere_slice(meshes[1], cfg["radius"])
     s1.write_csv(os.path.join(out, "slice1.csv"))
     s2.write_csv(os.path.join(out, "slice2.csv"))
-    rep = lk.linking_number(s1, s2, seed=args.seed,
-                            n_poles=cfg.get("n_poles", 5))
+    rep = lk.linking_number(s1, s2, seed=args.seed, n_poles=cfg["n_poles"])
     _write_json(out, "linking.json", rep.to_dict())
 
 
 def cmd_run(args):
-    cfg = _load_config(args)
-    if args.scenario:
-        cfg.setdefault("scenario", args.scenario)
-    if "scenario" not in cfg:
-        raise SystemExit("run needs --scenario NAME or a config with 'scenario'")
-    cfg.setdefault("seed", args.seed)
-    cfg = sc.validate_config(cfg)  # refuses non-object params before refine is set
-    if args.refine is not None:
-        cfg["params"]["refine"] = args.refine
-    out = _ensure_out(args)
-    summary = sc.run_scenario(cfg, out_dir=out)
-    print(os.path.join(out, "summary.json"))
+    summary = sc.run_scenario(args.cfg, out_dir=args.out)
+    print(os.path.join(args.out, "summary.json"))
     print(f"scenario={summary['scenario']} pass={summary['pass']}")
     return 0 if summary["pass"] else 1
 
 
 def cmd_compare(args):
     diff = sc.compare_runs(args.bundle_a, args.bundle_b)
-    out = _ensure_out(args)
-    _write_json(out, "compare.json", diff)
+    _write_json(args.out, "compare.json", diff)
     return 0 if not diff["flagged"] else 1
 
 
@@ -242,7 +252,8 @@ def build_parser():
 
     def add(name, fn, seeded=False, **kw):
         q = sub.add_parser(name, **kw)
-        q.add_argument("--config", help="JSON config path")
+        if name != "compare":
+            q.add_argument("--config", help="JSON config path")
         q.add_argument("--out", help="output directory", default=".")
         if seeded:
             q.add_argument("--seed", type=int, default=0)
@@ -270,6 +281,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.cfg = _load_config(args)
+    args.out = args.out or "."
+    os.makedirs(args.out, exist_ok=True)
     code = args.fn(args)
     return 0 if code is None else code
 

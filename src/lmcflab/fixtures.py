@@ -3,7 +3,8 @@
 Every generator is deterministic in its parameters. Reference fields
 (tangent angle, height, curvature) come from the closed forms of the
 underlying solutions, not from the discrete operators they are used to
-test. ``FIXTURE_MANIFEST`` maps each fixture to the object it realizes.
+test. ``FIXTURES`` maps each fixture name to its generator and the object
+it realizes.
 Each trajectory fixture is one block formula: it evaluates its closed form
 for any b times in one broadcast (:class:`~lmcflab.flow.AnalyticTrajectory`).
 """
@@ -15,23 +16,6 @@ import numpy as np
 from .errors import UnknownFixture
 from .geometry import (AffineLine, DiscreteCurve, ProductLagrangian,
                        grid_quad_mesh, make_plane_pair, standard_frame)
-
-FIXTURE_MANIFEST = {
-    "line": "static line, the trivial translator / unit-density plane (n=1)",
-    "line-pair": "two lines through the origin, the n=1 cone with density two",
-    "circle": "round circle, the compact self-shrinker (entropy sqrt(2*pi/e))",
-    "grim-reaper": "translating curve y = -log(cos(c x))/c, tangent angle c*x",
-    "grim-reaper-product": "grim reaper x static line: translator in C^2",
-    "circle-product": "shrinking circle x static line: shrinking cylinder",
-    "plane-pair-m1": "two Lagrangian planes meeting along the z-line",
-    "plane-pair-m0": "transverse Lagrangian plane pair meeting at 0",
-    "tilted-pair": "graphs w = lam*b_j*z over the m=1 pair",
-    "smoothed-pair": "two slightly bent lines x static line (near-pair flow)",
-    "neck-pair": "single connected surface asymptotic to both planes",
-    "hopf-fibers": "two fibers of the Hopf fibration of the unit 3-sphere",
-    "sphere-speck": "tiny round 2-sphere mesh, a discardable leftover",
-}
-
 
 def grim_reaper_point(s, speed=1.0):
     """Arclength parametrization of the grim reaper of the given speed.
@@ -66,7 +50,7 @@ def make_line(angle=0.0, extent=20.0, n=257, point=(0.0, 0.0)):
     return line.sample(extent, n)
 
 
-def make_line_pair(angle1, angle2, extent=20.0, n=257):
+def make_line_pair(angle1=0.5, angle2=-0.5, extent=20.0, n=257):
     return [DiscreteCurve(make_line(angle1, extent, n).vertices, component_id=0),
             DiscreteCurve(make_line(angle2, extent, n).vertices, component_id=1)]
 
@@ -92,26 +76,20 @@ def make_grim_reaper(speed=1.0, extent=6.0, n=512, graded=False,
     return curve, theta_ref
 
 
-def make_grim_reaper_product(speed=1.0, extent=6.0, n=512, line_extent=12.0,
-                             line_samples=97, graded=False, **grade_kw):
+def make_grim_reaper_product(speed=1.0, extent=6.0, n=512):
     """Grim reaper x R: the product translator in C^2.
 
     Frame: e_z is the translation axis (the e_y direction of factor one),
     e_w = J e_z. The fixture translates with H = speed * e_z^perp.
     """
-    curve, theta_ref = make_grim_reaper(speed, extent, n, graded=graded, **grade_kw)
-    line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(curve, line,
-                             line_sample=line.sample(line_extent, line_samples))
+    curve, theta_ref = make_grim_reaper(speed, extent, n)
+    prod = ProductLagrangian(curve, AffineLine((0.0, 0.0), (1.0, 0.0)))
     return prod, standard_frame(4, z_axis=1), theta_ref
 
 
-def make_circle_product(radius=1.0, n=256, line_extent=12.0, line_samples=97):
+def make_circle_product(radius=1.0, n=256):
     """Shrinking circle x R (a shrinking cylinder); frame e_z = e_x of factor 1."""
-    circ = make_circle(radius, n)
-    line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(circ, line,
-                             line_sample=line.sample(line_extent, line_samples))
+    prod = ProductLagrangian(make_circle(radius, n), AffineLine((0.0, 0.0), (1.0, 0.0)))
     return prod, standard_frame(4, z_axis=0)
 
 
@@ -269,27 +247,41 @@ def make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0), n=12):
     return grid_quad_mesh(radius * pts + np.asarray(center))
 
 
-_GENERATORS = {
-    "line": make_line,
-    "line-pair": make_line_pair,
-    "circle": make_circle,
-    "grim-reaper": make_grim_reaper,
-    "grim-reaper-product": make_grim_reaper_product,
-    "circle-product": make_circle_product,
-    "plane-pair-m1": lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 1),
-    "plane-pair-m0": lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 0),
-    "tilted-pair": make_tilted_pair,
-    "smoothed-pair": make_smoothed_pair,
-    "neck-pair": make_neck_pair,
-    "hopf-fibers": make_hopf_fibers,
-    "sphere-speck": make_sphere_speck,
+# name -> (generator, the object the fixture realizes)
+FIXTURES = {
+    "line": (make_line,
+             "static line, the trivial translator / unit-density plane (n=1)"),
+    "line-pair": (make_line_pair,
+                  "two lines through the origin, the n=1 cone with density two"),
+    "circle": (make_circle,
+               "round circle, the compact self-shrinker (entropy sqrt(2*pi/e))"),
+    "grim-reaper": (make_grim_reaper,
+                    "translating curve y = -log(cos(c x))/c, tangent angle c*x"),
+    "grim-reaper-product": (make_grim_reaper_product,
+                            "grim reaper x static line: translator in C^2"),
+    "circle-product": (make_circle_product,
+                       "shrinking circle x static line: shrinking cylinder"),
+    "plane-pair-m1": (lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 1),
+                      "two Lagrangian planes meeting along the z-line"),
+    "plane-pair-m0": (lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 0),
+                      "transverse Lagrangian plane pair meeting at 0"),
+    "tilted-pair": (make_tilted_pair,
+                    "graphs w = lam*b_j*z over the m=1 pair"),
+    "smoothed-pair": (make_smoothed_pair,
+                      "two slightly bent lines x static line (near-pair flow)"),
+    "neck-pair": (make_neck_pair,
+                  "single connected surface asymptotic to both planes"),
+    "hopf-fibers": (make_hopf_fibers,
+                    "two fibers of the Hopf fibration of the unit 3-sphere"),
+    "sphere-speck": (make_sphere_speck,
+                     "tiny round 2-sphere mesh, a discardable leftover"),
 }
 
 
 def generate_fixture(name, **params):
     """Deterministic fixture generation by name; raises UnknownFixture."""
     try:
-        gen = _GENERATORS[name]
+        gen, _ = FIXTURES[name]
     except KeyError:
-        raise UnknownFixture(f"unknown fixture {name!r}; known: {sorted(_GENERATORS)}")
+        raise UnknownFixture(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
     return gen(**params)

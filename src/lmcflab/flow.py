@@ -257,6 +257,8 @@ def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> D
 
 def step_flow(state, dt, scheme="semi_implicit", min_edge=None):
     """One flow step of a state (curve or list of curves)."""
+    if scheme not in ("semi_implicit", "explicit"):
+        raise ValueError(f"unknown scheme {scheme!r}; known: 'semi_implicit', 'explicit'")
     stepper = step_flow_semi_implicit if scheme == "semi_implicit" else step_flow_explicit
     comps = as_components(state)
     out = [stepper(c, dt, min_edge=min_edge) for c in comps]

@@ -432,10 +432,6 @@ class ProductLagrangian:
         return _factor_grid(mean_curvature(self.factor1),
                             np.zeros_like(self.factor2.vertices))
 
-    def quad_mesh(self):
-        """Vertices (N1*N2, 4) and quad index array for the mesh in R^4."""
-        return grid_quad_mesh(self.position_grid())
-
 
 def grid_quad_mesh(X: np.ndarray):
     """Vertices (n1*n2, 4) and the (i, j) -> (i+1, j) -> (i+1, j+1) ->
@@ -544,20 +540,18 @@ class PlanePairConfig:
     frame: CoordinateFrame
 
 
-def make_plane_pair(angles, intersection_dim: int, frame: Optional[CoordinateFrame] = None,
-                    n: int = 2) -> PlanePairConfig:
+def make_plane_pair(angles, intersection_dim: int,
+                    frame: Optional[CoordinateFrame] = None) -> PlanePairConfig:
     """Construct the analytic plane pair used as the blow-down model.
 
     For m = 1 (the main configuration) the pair is R e_z x l_1 and
     R e_z x l_2 with l_j lines at the requested angles in the second
     complex factor.  For m = 0 both planes are products of lines meeting
-    only at the origin.  m must be < n.
+    only at the origin.  Pairs live in C^2 (n = 2), so m is 0 or 1.
     """
     theta1, theta2 = float(angles[0]), float(angles[1])
-    if intersection_dim >= n or intersection_dim < 0:
-        raise ValueError("intersection_dim must lie in {0, ..., n-1}")
-    if n != 2:
-        raise ValueError("only n = 2 plane pairs are instantiated")
+    if intersection_dim not in (0, 1):
+        raise ValueError("intersection_dim must lie in {0, 1} (n = 2)")
     if frame is None:
         frame = standard_frame(4, z_axis=0)
     if intersection_dim == 1:
@@ -584,5 +578,5 @@ def make_plane_pair(angles, intersection_dim: int, frame: Optional[CoordinateFra
             planes.append(LagrangianPlane(np.vstack([a, b]), th))
         if abs((theta1 - theta2) % np.pi) < 1e-12:
             raise ValueError("m = 0 pair must be transverse (angle gap not 0 mod pi)")
-    return PlanePairConfig(n=n, planes=planes, angles=(theta1, theta2),
+    return PlanePairConfig(n=2, planes=planes, angles=(theta1, theta2),
                            intersection_dim=intersection_dim, frame=frame)

@@ -43,7 +43,6 @@ from scipy.spatial import cKDTree
 from .errors import (ConfigInvalid, CurvesTooClose, GaussSumTooLarge,
                      NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
 from .fanout import fan_out
-from .geometry import ProductLagrangian
 
 # Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
 # stay in L2 cache (about 2.5 MiB for the scenario slices)
@@ -54,9 +53,7 @@ GAUSS_MAX_PAIRS = 2 ** 26
 
 
 def mesh_of(obj):
-    """(vertices (N,4), quads (Q,4 int)) from a product or a mesh tuple."""
-    if isinstance(obj, ProductLagrangian):
-        return obj.quad_mesh()
+    """(vertices (N,4), quads (Q,4 int)) as arrays from a mesh tuple."""
     verts, quads = obj
     return np.asarray(verts, dtype=float), np.asarray(quads, dtype=int)
 

@@ -141,9 +141,78 @@ def test_curve_fixtures_come_from_the_registry(name, params, want):
     assert all(np.array_equal(a.vertices, b.vertices) for a, b in zip(got, ref))
 
 
-def test_default_fixture_is_the_circle():
-    got = cli._make_fixture_state({"fixture_params": {"n": 40}})
-    assert np.array_equal(got.vertices, fx.make_circle(n=40).vertices)
+class _Built(Exception):
+    pass
+
+
+def _stop_at_the_fixture(name, **params):
+    raise _Built(name, params)
+
+
+def test_each_command_reads_its_own_default_fixture(tmp_path, monkeypatch):
+    # the same fixture with no --config and with an empty one
+    monkeypatch.setattr(cli.fx, "generate_fixture", _stop_at_the_fixture)
+    empty = tmp_path / "cfg.json"
+    empty.write_text("{}")
+    for command, want in [("simulate", ("circle", {"radius": 1.0, "n": 128})),
+                          ("density", ("line", {"extent": 30.0, "n": 601})),
+                          ("entropy", ("circle", {"radius": 1.0, "n": 256})),
+                          ("monotonicity", ("circle", {"radius": 1.0, "n": 256}))]:
+        for config in ([], ["--config", str(empty)]):
+            with pytest.raises(_Built) as built:
+                run_cli([command, *config, "--out", str(tmp_path / "out")])
+            assert built.value.args == want, (command, config)
+
+
+def test_a_named_fixture_gets_its_generators_defaults(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.fx, "generate_fixture", _stop_at_the_fixture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "circle"}))
+    with pytest.raises(_Built) as built:
+        run_cli(["density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert built.value.args == ("circle", {})
+
+
+@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
+def test_an_empty_config_writes_the_same_files_as_none(command, tmp_path):
+    empty = tmp_path / "cfg.json"
+    empty.write_text("{}")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli([command, "--out", str(a)]) == 0
+    assert run_cli([command, "--config", str(empty), "--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("config", [{"t0": 1.0}, {"t0": 1, "x0": [0, 0]}])
+def test_density_records_the_window_it_used(config, tmp_path):
+    # a float key also takes an int
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["density", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "density.json").read_text())
+    assert abs(payload["value"] - 1.0) < 1e-6   # the line, not the circle
+    assert (payload["x0"], payload["t0"], payload["t"]) == ([0.0, 0.0], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("density", {"fixture_params": [1]}, "fixture_params"),
+    ("density", {"x0": "ab"}, "x0"),
+    ("density", {"bogus": 1}, "bogus"),
+    ("simulate", {"steps": 2.5}, "steps"),
+    ("simulate", {"steps": True}, "steps"),
+    ("heat", {"dt": "x"}, "dt"),
+    ("heat", {"field": "z"}, "field"),
+    ("translator-check", {"fixture": "circle"}, "fixture"),
+])
+def test_a_mistyped_or_unknown_key_is_refused(command, config, key, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ConfigInvalid, match=repr(key)):
+        run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["hopf-fibers", "circle-product", "no-such"])
@@ -168,6 +237,7 @@ def test_density_of_the_line_pair(tmp_path):
     ["density", "--seed", "1"],
     ["heat", "--seed", "1"],
     ["linking", "--refine", "2"],
+    ["compare", "a", "b", "--config", "c.json"],
 ])
 def test_options_exist_only_where_they_are_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

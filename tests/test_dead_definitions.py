@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lmcflab"
 
 ALLOWED = {
     "__init__.__version__": "the package version, read by users",
-    "fixtures.FIXTURE_MANIFEST": "documents what each fixture realizes; "
-                                 "tests check that it covers every fixture",
     "scenarios.CRITERION_SCENARIOS": "maps each acceptance criterion to its "
                                      "scenario for the acceptance tests",
     "geometry.arc_gradient": "perfbench times it as a stage and pins its self time",

@@ -1,4 +1,4 @@
-"""Fixture generators: reference fields, determinism, manifest coverage."""
+"""Fixture generators: reference fields, determinism, the registry."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ def test_unknown_fixture():
         fx.generate_fixture("nonesuch")
 
 
-def test_manifest_covers_generators():
-    for name in fx._GENERATORS:
-        assert name in fx.FIXTURE_MANIFEST
+@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+def test_every_fixture_generates_from_its_defaults(name):
+    assert fx.generate_fixture(name) is not None
 
 
 def test_generate_fixture_deterministic():
@@ -71,7 +71,7 @@ def test_smoothed_pair_components_near_planes():
     prods, frame, pair = fx.make_smoothed_pair(sigma=0.05, n=101)
     assert len(prods) == 2
     for prod, plane in zip(prods, pair.planes):
-        verts = prod.quad_mesh()[0]
+        verts = geo.grid_quad_mesh(prod.position_grid())[0]
         d = plane.distance(verts)
         assert np.max(d) < 0.06  # within sigma of its plane
 
@@ -95,7 +95,7 @@ def test_hopf_fibers_on_sphere():
 def test_neck_pair_connected():
     prod, pair = fx.make_neck_pair(sigma=0.05, n=101)
     # single connected product mesh close to the pair only away from origin
-    verts = prod.quad_mesh()[0]
+    verts = geo.grid_quad_mesh(prod.position_grid())[0]
     assert verts.shape[0] == 101 * prod.factor2.n_vertices
 
 

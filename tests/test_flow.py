@@ -27,6 +27,14 @@ def test_line_static_both_schemes():
         assert np.max(np.abs(out.vertices - line.vertices)) < 1e-12
 
 
+@pytest.mark.parametrize("scheme", ["semi-implicit", "implicit", "Explicit"])
+def test_unknown_scheme_is_refused(scheme):
+    # any other name once ran the explicit step
+    circ = fx.make_circle(1.0, 64)
+    with pytest.raises(ValueError, match="known: 'semi_implicit', 'explicit'"):
+        flow.step_flow(circ, 1e-4, scheme=scheme)
+
+
 def test_explicit_stability_guard():
     circ = fx.make_circle(1.0, 64)
     h = circ.edge_lengths().min()

@@ -91,7 +91,8 @@ def test_hopf_crossing_count_oracle_agrees():
 
 def test_plane_slice_great_circle():
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
-    mesh = pair.planes[0].as_product(extent=2.0, samples=300).quad_mesh()
+    mesh = geo.grid_quad_mesh(
+        pair.planes[0].as_product(extent=2.0, samples=300).position_grid())
     sl = lk.sphere_slice(mesh, 1.0)
     assert sl.radius == 1.0
     assert len(sl.loops) == 1
@@ -183,7 +184,8 @@ def test_halfspace_separation_equal_b_fails():
 def test_tangency_retries_nudge_radius():
     # grids hitting the sphere exactly get the +0.003 radius nudge
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
-    mesh = pair.planes[0].as_product(extent=2.0, samples=301).quad_mesh()
+    mesh = geo.grid_quad_mesh(
+        pair.planes[0].as_product(extent=2.0, samples=301).position_grid())
     sl = lk.sphere_slice(mesh, 1.0)  # 301 grid hits (0.6, 0.8) points
     assert sl.radius > 1.0
     assert abs(geodesic_length(sl) - 2.0 * np.pi * sl.radius) < 1e-6
