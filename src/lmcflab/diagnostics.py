@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erf
 
 from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
@@ -171,6 +170,8 @@ def entropy(state, seed: int = 0) -> EntropyReport:
     section, then a joint Nelder-Mead polish. The reported value is an
     achieved lower bound for the supremum.
     """
+    from scipy.optimize import minimize   # only this search needs it
+
     comps = as_components(state)
     if any(isinstance(c, ProductLagrangian) for c in comps):
         raise NotImplementedError("entropy search is implemented for curve states")

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundaryTooTight, EqualAngles, IllConditionedGram
-from .geometry import PlanePairConfig
+from .errors import (BoundaryTooTight, ConfigInvalid, EqualAngles,
+                     IllConditionedGram)
 
 GRAM_CONDITION_LIMIT = 1e8
 
@@ -314,7 +314,8 @@ def homogeneous_basis(config, max_degree: int = 1):
     the rescaled coordinates. Pair with a one-dimensional intersection:
     degree 0 spans {1, theta}, degree 1 spans the transverse coordinates
     together with z and z*theta. Degenerate when the angles coincide.
-    Returns (basis list, Gram matrix at tau = 0).
+    Returns (basis list, Gram matrix at tau = 0). Raises ConfigInvalid for
+    a config without a pair's angles, n and intersection_dim.
     """
     if isinstance(config, int):
         n = config
@@ -325,7 +326,9 @@ def homogeneous_basis(config, max_degree: int = 1):
                                           f"x{ax + 1}"))
         return basis, _gram(basis)
 
-    assert isinstance(config, PlanePairConfig)
+    if not all(hasattr(config, a) for a in ("angles", "n", "intersection_dim")):
+        raise ConfigInvalid(f"config must be a dimension or a plane pair, "
+                            f"not {type(config).__name__}")
     th1, th2 = config.angles
     if abs(th1 - th2) < 1e-12:
         raise EqualAngles("plane pair has equal angles; the span degenerates")

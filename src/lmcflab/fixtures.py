@@ -124,18 +124,20 @@ def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0),
 
     Returns the two graph meshes (as vertex/quad meshes in R^4), the frame,
     and the underlying pair config. With b_1 != b_2 the graphs meet only at
-    the origin and their sphere slices are linked.
+    the origin and their sphere slices are linked. The two meshes share one
+    quads array, which callers must not write into.
     """
     pair = make_plane_pair((angle, -angle), intersection_dim=1)
     frame = pair.frame
+    zz = np.linspace(-extent, extent, samples)
+    Z, U = (g[..., None] for g in np.meshgrid(zz, zz, indexing="ij", sparse=True))
     meshes = []
     for j, plane in enumerate(pair.planes):
-        zz = np.linspace(-extent, extent, samples)
-        uu = np.linspace(-extent, extent, samples)
-        Z, U = np.meshgrid(zz, uu, indexing="ij")
-        pts = (Z[..., None] * plane.basis[0] + U[..., None] * plane.basis[1])
-        w_val = lam * b[j] * Z
-        meshes.append(grid_quad_mesh(pts + w_val[..., None] * frame.e_w))
+        pts = np.multiply(Z, plane.basis[0], out=np.empty((samples, samples, 4)))
+        pts += U * plane.basis[1]
+        pts += lam * b[j] * Z * frame.e_w
+        meshes.append(grid_quad_mesh(pts) if j == 0
+                      else (pts.reshape(-1, 4), meshes[0][1]))
     return meshes, frame, pair
 
 

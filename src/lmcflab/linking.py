@@ -23,9 +23,10 @@ The hot kernels are vectorized without changing a bit of their output:
 - linking_number spreads its poles over forked processes with
   fanout.fan_out. A pole's whole sum stays in one process and only its
   value crosses back, so the values do not depend on the number of CPUs;
-- sphere slicing interpolates all crossing triangles at once and orients
-  the segments with one stacked 2x2 solve, emitting them in triangle order,
-  so chaining builds the same loops from the same start points;
+- sphere slicing gathers corners only for the crossing triangles, picked
+  by per-vertex sides gathered per quad, and never writes the quads (the
+  tilted pair's meshes share theirs); one stacked 2x2 solve orients the
+  segments, emitted in triangle order, so chaining builds the same loops;
 - the surface intersection scan takes its candidate triangle pairs from one
   k-d tree query over quad bounding balls, built corner by corner without
   a (Q, 4, 4) gather, and solves them as one stack.
@@ -87,19 +88,31 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSlice
     do not chain into closed loops.
     """
     verts, quads = mesh_of(component)
-    tris = _triangles(quads)
     radii_v = np.linalg.norm(verts, axis=1)
     R_try = float(R)
     for _ in range(11):   # R, then up to 10 nudged radii
         f = radii_v - R_try
         if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
-            starts, _, start_edges, end_edges = _march_triangles(verts, tris, f)
+            starts, _, start_edges, end_edges = _march_triangles(
+                verts, _crossing_triangles(quads, f > 0), f)
             loops = _chain_segments(starts, start_edges, end_edges)
             loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
                      for lp in loops]
             return SphereSliceCurve(loops, R_try)
         R_try += 0.003
     raise NoTransverseRadius(f"no transverse radius near {R} after retries")
+
+
+def _crossing_triangles(quads, above):
+    """_triangles(quads)[crossing] without the (2Q, 3) gather: the triangles
+    whose corners lie on both sides, every (0, 1, 2) one, then every
+    (0, 2, 3) one. above is the per-vertex side, gathered per quad."""
+    side = above[quads]
+    parts = []
+    for corners in ([0, 1, 2], [0, 2, 3]):
+        t = side[:, corners]
+        parts.append(quads[t.any(axis=1) & ~t.all(axis=1)][:, corners])
+    return np.concatenate(parts)
 
 
 def _march_triangles(verts, tris, f):
@@ -269,7 +282,8 @@ def _gauss_linking_r3(loop_a, loop_b):
 def _gauss_rows(a, bw, total, i0, work):
     """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss half-angles of those
     rows, using the flat rows of work as unit vectors, cross products and
-    scratch.
+    scratch. A block after the first must follow the block before on the
+    same work: its row 0 is that block's wrapped row, moved, not recomputed.
 
     The block's r rows and the wrapped row after them, against the M + 1
     columns of bw (its wrapped column appended), lie on flat rows of length
@@ -291,15 +305,22 @@ def _gauss_rows(a, bw, total, i0, work):
     size = (r + 1) * w
     span = r * w - 1     # entries k < span have all four corners on the rows
     u, cross, s = work[:3, :size], work[3:6, :span], work[6:]
-    aw = a[np.append(np.arange(i0, i1), i1 % n)].T[:, :, None]
-    np.subtract(bw[:, None, :], aw, out=u.reshape(3, r + 1, w))
-    x, y, z = u
-    wide, tmp = s[0, :size], s[1, :size]
+    carry = min(i0, 1)   # row 0 is the block before's wrapped row: move it
+    k0, prev = carry * w, GAUSS_BLOCK * w
+    if carry:
+        u[:, :w] = work[:3, prev:prev + w]
+        s[2, :w - 1] = s[2, prev:prev + w - 1]
+    aw = a[np.append(np.arange(i0 + carry, i1), i1 % n)].T[:, :, None]
+    np.subtract(bw[:, None, :], aw, out=u[:, k0:].reshape(3, r + 1 - carry, w))
+    x, y, z = fresh = u[:, k0:]
+    wide, tmp = s[0, k0:size], s[1, k0:size]
     np.multiply(x, x, out=wide)
     wide += np.multiply(y, y, out=tmp)
     wide += np.multiply(z, z, out=tmp)
-    np.divide(u, np.sqrt(wide, out=wide), out=u)
-    row = _dot(u[:, :-1], u[:, 1:], s[2, :size - 1], tmp[:size - 1])
+    np.divide(fresh, np.sqrt(wide, out=wide), out=fresh)
+    lo = max(k0 - 1, 0)
+    _dot(u[:, lo:-1], u[:, lo + 1:], s[2, lo:size - 1], tmp[:size - 1 - lo])
+    row = s[2, :size - 1]
     col = _dot(u[:, :-w], u[:, w:], s[3, :size - w], tmp[:size - w])
     n1, n2 = u[:, :span], u[:, 1:span + 1]
     n3, n4 = u[:, w + 1:w + 1 + span], u[:, w:w + span]

@@ -327,13 +327,13 @@ def scenario_caloric_identities(params, seed, outputs):
 
 
 def scenario_linking_suite(params, seed, outputs):
-    samples = params.get("samples", 400)
-    meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
-                                              extent=2.0, samples=samples)
-    # the controls run in a forked child beside the transverse link
+    tilted = partial(fx.make_tilted_pair, lam=0.1, b=(1.0, -1.0), extent=2.0,
+                     samples=params.get("samples", 400))
+    # the controls run in a forked child beside the transverse link; each
+    # process builds its own meshes, so the caller holds none while it forks
     (metrics, checks), (s1, s2, rep) = fan_out(
-        _call, [partial(_linking_controls, meshes, seed),
-                partial(_transverse_link, meshes, seed)])
+        _call, [partial(_linking_controls, tilted, seed),
+                partial(_transverse_link, tilted, seed)])
     metrics = {"transverse_raw": rep.raw, "transverse_value": rep.value,
                "transverse_per_pole": rep.per_pole, **metrics}
     checks = {"transverse_link_one": rep.value == 1,
@@ -351,20 +351,22 @@ def _call(task):
     return task()
 
 
-def _transverse_link(meshes, seed):
-    """The linked sphere slices of the transverse pair and their link."""
-    s1 = lk.sphere_slice(meshes[0], 1.0)
-    s2 = lk.sphere_slice(meshes[1], 1.0)
+def _transverse_link(tilted, seed):
+    """The linked sphere slices of the transverse pair tilted() and their
+    link. The meshes go before the Gauss sum's (N, M) array is made."""
+    meshes = tilted()[0]
+    s1, s2 = (lk.sphere_slice(mesh, 1.0) for mesh in meshes)
+    del meshes
     return s1, s2, lk.linking_number(s1, s2, seed=seed, n_poles=5)
 
 
-def _linking_controls(meshes, seed):
-    """The linking suite's checks besides the transverse link: the pair's
-    surfaces meet, parallel translates and Hopf fibers link as expected and
-    the half-space separation holds exactly for opposite b."""
+def _linking_controls(tilted, seed):
+    """The linking suite's checks besides the transverse link: the surfaces
+    of the pair tilted() meet, parallel translates and Hopf fibers link as
+    expected and the half-space separation holds exactly for opposite b."""
     metrics, checks = {}, {}
     checks["linked_slices_intersect"] = (
-        lk.surfaces_intersect(meshes[0], meshes[1]) is not None)
+        lk.surfaces_intersect(*tilted()[0]) is not None)
     # parallel translates: unlinked
     mp, frame_p, _ = fx.make_tilted_pair(lam=0.05, b=(1.0, 1.0),
                                          extent=2.0, samples=240)

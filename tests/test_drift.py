@@ -1,6 +1,7 @@
 """Drift Laplacian spectrum, weighted norms, projections, three-annulus."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import sympy
 
 from lmcflab import drift
 from lmcflab import geometry as geo
-from lmcflab.errors import BoundaryTooTight, EqualAngles, IllConditionedGram
+from lmcflab.errors import (BoundaryTooTight, ConfigInvalid, EqualAngles,
+                            IllConditionedGram)
 
 
 def poly_inner_quadrature(f: drift.Poly, g: drift.Poly) -> float:
@@ -210,6 +212,22 @@ def test_equal_angles_rejected():
     pair.angles = (0.3, 0.3)
     with pytest.raises(EqualAngles):
         drift.homogeneous_basis(pair)
+
+
+@pytest.mark.parametrize("config", ["pair", 2.0, None, (0.3, -0.3)])
+def test_homogeneous_basis_refuses_a_config_that_is_no_pair(config):
+    # a typed error, which python -O keeps, not an assert
+    with pytest.raises(ConfigInvalid, match=type(config).__name__):
+        drift.homogeneous_basis(config)
+
+
+def test_homogeneous_basis_reads_a_pair_by_its_attributes():
+    pair = geo.make_plane_pair((0.3, -0.3), 1)
+    like = SimpleNamespace(angles=pair.angles, n=pair.n, intersection_dim=1)
+    (basis, gram), (want, want_gram) = (drift.homogeneous_basis(like),
+                                        drift.homogeneous_basis(pair))
+    assert [b.label for b in basis] == [b.label for b in want]
+    assert np.array_equal(gram, want_gram)
 
 
 def test_project_out_member_of_span():

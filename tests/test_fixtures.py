@@ -1,5 +1,7 @@
 """Fixture generators: reference fields, determinism, the registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,45 @@ def test_tilted_pair_graphs():
         z = verts @ frame.e_z
         w = verts @ frame.e_w
         assert np.max(np.abs(w - lam * b * z)) < 1e-12
+
+
+def tilted_pair_oracle(lam, b, extent, samples, angle=np.pi / 4):
+    """The tilted pair's vertices by the formula make_tilted_pair used before
+    it wrote each graph into one array: full meshgrids and temporaries."""
+    pair = geo.make_plane_pair((angle, -angle), intersection_dim=1)
+    out = []
+    for j, plane in enumerate(pair.planes):
+        zz = np.linspace(-extent, extent, samples)
+        uu = np.linspace(-extent, extent, samples)
+        Z, U = np.meshgrid(zz, uu, indexing="ij")
+        pts = (Z[..., None] * plane.basis[0] + U[..., None] * plane.basis[1])
+        w_val = lam * b[j] * Z
+        out.append((pts + w_val[..., None] * pair.frame.e_w).reshape(-1, 4))
+    return out
+
+
+@pytest.mark.parametrize("lam, b, extent, samples", [
+    (0.1, (1.0, -1.0), 2.0, 400), (0.05, (1.0, 1.0), 2.0, 240),
+    (0.2, (1.0, -1.0), 3.4, 120), (0.37, (-2.5, 0.3), 1.3, 7)])
+def test_tilted_pair_vertices_and_shared_quads(lam, b, extent, samples):
+    (va, qa), (vb, qb) = fx.make_tilted_pair(lam=lam, b=b, extent=extent,
+                                             samples=samples)[0]
+    assert qb is qa
+    assert np.array_equal(qa, geo.grid_quad_mesh(np.zeros((samples, samples, 4)))[1])
+    for got, want in zip((va, vb), tilted_pair_oracle(lam, b, extent, samples)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_tilted_pair_builds_without_grid_sized_temporaries():
+    tracemalloc.start()
+    try:
+        fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0, samples=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two meshes with their shared quads hold 14.6 MiB; the full
+    # meshgrids and point temporaries took the build to 35.3 MiB
+    assert peak < 22 * 2**20
 
 
 def test_hopf_fibers_on_sphere():

@@ -389,6 +389,35 @@ def test_vectorized_march_equals_loop():
     assert len(set(start_edges.tolist())) == len(start_edges)
 
 
+def test_crossing_triangles_equal_the_full_gather():
+    rng = np.random.default_rng(7)
+    verts, quads = geo.grid_quad_mesh(rng.normal(size=(9, 11, 4)))
+    quads = rng.permutation(quads)   # any quad order, not only a grid's
+    tris = lk._triangles(quads)
+    patterns = [rng.random(len(verts)) < p for p in rng.random(20)]
+    patterns += [np.ones(len(verts), bool), np.zeros(len(verts), bool)]
+    for above in patterns:
+        sign = above[tris]
+        crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
+        got = lk._crossing_triangles(quads, above)
+        assert got.dtype == tris.dtype
+        assert np.array_equal(got, tris[crossing])   # same triangles, same order
+
+
+def test_sphere_slice_gathers_no_array_of_all_triangles():
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=400)[0]
+    tracemalloc.start()   # the held meshes are not counted
+    try:
+        lk.sphere_slice(meshes[0], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (2Q, 3) triangle indices and their corner values took 17.9 MiB;
+    # the radii's (N, 4) norm temporary alone is 4.9 MiB
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the pole fan-out, its arguments and the size bound
 
@@ -461,6 +490,19 @@ def test_import_starts_no_thread():
         """, timeout=60).split()
     assert out[0] == out[1]
     assert out[2:] == ["[]", "none"]
+
+
+def test_imports_leave_unused_scipy_modules_out():
+    # scipy.optimize serves only diagnostics.entropy, which no scenario
+    # calls, and drift needs nothing of geometry's scipy.sparse
+    out = run_python("""
+        import sys
+        import lmcflab.drift
+        sparse = "scipy.sparse" in sys.modules
+        import lmcflab.scenarios
+        print(sparse, "scipy.optimize" in sys.modules)
+        """, timeout=60).split()
+    assert out == ["False", "False"]
 
 
 def test_nested_fan_out_gives_serial_values(cpus, forks, no_child_left):
