@@ -115,19 +115,17 @@ def _crossing_triangles(quads, above):
     return np.concatenate(parts)
 
 
-def _march_triangles(verts, tris, f):
-    """Oriented crossing segments of the level set f = 0, one per crossing
-    triangle, in triangle order: (starts, ends, start_edges, end_edges).
+def _march_triangles(verts, tri, f):
+    """Oriented segments of the level set f = 0, one per triangle of tri,
+    which must all cross it (see _crossing_triangles), in order:
+    (starts, ends, start_edges, end_edges).
 
     The edge arrays name the mesh edge each point lies on by its sorted
     vertex pair (lo * len(verts) + hi), the same in both triangles that
     share the edge."""
-    sign = f[tris] > 0
-    crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
-    tri = tris[crossing]
     p = verts[tri]
     fv = f[tri]
-    sign = sign[crossing]
+    sign = fv > 0
     # a crossing triangle cuts exactly two of its edges (0,1), (1,2), (2,0);
     # the first cut edge in that order gives the first point
     cut01 = sign[:, 0] != sign[:, 1]

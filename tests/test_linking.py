@@ -372,8 +372,9 @@ def test_vectorized_march_equals_loop():
     verts, quads = meshes[0]
     tris = lk._triangles(quads)
     f = np.linalg.norm(verts, axis=1) - 1.0
-    starts, ends, start_edges, end_edges = lk._march_triangles(verts, tris, f)
-    segs = loop_march_oracle(verts, tris, f)
+    starts, ends, start_edges, end_edges = lk._march_triangles(
+        verts, lk._crossing_triangles(quads, f > 0), f)
+    segs = loop_march_oracle(verts, tris, f)   # over every triangle
     assert len(segs) > 100
     assert starts.tobytes() == np.array([s[0] for s in segs]).tobytes()
     assert ends.tobytes() == np.array([s[1] for s in segs]).tobytes()
