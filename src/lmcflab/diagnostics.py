@@ -19,8 +19,8 @@ from scipy.special import erf
 from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
 from .flow import FlowTrajectory, check_field_shapes, segments_intersect
 from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
-                       ProductLagrangian, as_components, edge_ends,
-                       lagrangian_angle, mean_curvature)
+                       ProductLagrangian, _factor_grid, as_components,
+                       edge_ends, lagrangian_angle, mean_curvature)
 
 # rho < 1e-16 * peak outside this many sqrt(t0-t): integrate only inside
 TRUNCATION_SIGMAS = 2.0 * np.sqrt(-np.log(1e-16))  # ~ 12.14
@@ -366,6 +366,9 @@ def monotonicity_audit(traj: FlowTrajectory, window: GaussianWindow,
 # ---------------------------------------------------------------------------
 # translator characterization
 
+# curve rows per block of a product's (rows, N2, 4) fields in translator_fit
+FIT_ROWS = 32
+
 
 @dataclass
 class TranslatorFit:
@@ -380,21 +383,27 @@ class TranslatorFit:
 
 
 def _component_fields(comp, frame: CoordinateFrame):
-    """(w, theta, weights, velocity-check data) for one component."""
+    """(w, theta, weights, velocity) on one component's interior points;
+    velocity(kappa) gives |H - kappa e_z^perp|^2 and |H|^2 per point."""
     if isinstance(comp, ProductLagrangian):
-        X = comp.position_grid()
-        w = X @ frame.e_w
-        th = comp.angle_grid()
-        wt = comp.weight_grid()
-        T1, T2 = comp.tangent_grids()
-        ez = frame.e_z
-        ez_perp = (ez - np.einsum("ijk,k->ij", T1, ez)[:, :, None] * T1
-                   - np.einsum("ijk,k->ij", T2, ez)[:, :, None] * T2)
-        H = comp.mean_curvature_grid()
-        mask = np.outer(comp.factor1.interior_mask(),
-                        comp.factor2.interior_mask()).ravel()
-        return (w.ravel()[mask], th.ravel()[mask], wt.ravel()[mask],
-                H.reshape(-1, 4)[mask], ez_perp.reshape(-1, 4)[mask])
+        f1, f2 = comp.factor1, comp.factor2
+        mask = np.outer(f1.interior_mask(), f2.interior_mask())
+        blocks = [slice(r, r + FIT_ROWS) for r in range(0, f1.n_vertices, FIT_ROWS)]
+        w = np.concatenate([(_factor_grid(f1.vertices[r], f2.vertices) @ frame.e_w)[mask[r]]
+                            for r in blocks])
+        t1, t2, H1, ez = f1.tangents(), f2.tangents(), mean_curvature(f1), frame.e_z
+
+        def velocity(kappa):
+            terms = []
+            for r in blocks:
+                T1 = _factor_grid(t1[r], np.zeros_like(t2))
+                T2 = _factor_grid(np.zeros_like(t1[r]), t2)
+                ez_perp = (ez - np.einsum("ijk,k->ij", T1, ez)[:, :, None] * T1
+                           - np.einsum("ijk,k->ij", T2, ez)[:, :, None] * T2)
+                H = _factor_grid(H1[r], np.zeros_like(f2.vertices))
+                terms.append(_velocity_terms(H[mask[r]], ez_perp[mask[r]], kappa))
+            return [np.concatenate(t) for t in zip(*terms)]
+        return w, comp.angle_grid()[mask], comp.weight_grid()[mask], velocity
     v = comp.vertices
     w = v @ frame.e_w[0:2]
     th = lagrangian_angle(comp)
@@ -404,7 +413,13 @@ def _component_fields(comp, frame: CoordinateFrame):
     ez_perp = ez - (t @ ez)[:, None] * t
     H = mean_curvature(comp)
     mask = comp.interior_mask()
-    return w[mask], th[mask], wt[mask], H[mask], ez_perp[mask]
+    return (w[mask], th[mask], wt[mask],
+            lambda kappa: _velocity_terms(H[mask], ez_perp[mask], kappa))
+
+
+def _velocity_terms(H, ez_perp, kappa):
+    dev = H - kappa * ez_perp
+    return np.einsum("ij,ij->i", dev, dev), np.einsum("ij,ij->i", H, H)
 
 
 def translator_fit(state, frame: CoordinateFrame):
@@ -416,10 +431,15 @@ def translator_fit(state, frame: CoordinateFrame):
     velocity identity H = kappa e_z^perp is scored against the data.
     Degenerate components (theta constant, w varying) report b undefined
     and fall back to the w - a residual.
+
+    A product's fields are built FIT_ROWS curve rows at a time, never as an
+    (N1, N2, 4) grid: w first, then |H - kappa e_z^perp|^2 and |H|^2 once
+    kappa is known. The blocks' interior points join in row-major order, so
+    every weighted sum adds the same 1-D arrays whatever FIT_ROWS is.
     """
     fits = []
     for comp in as_components(state):
-        w, th, wt, H, ez_perp = _component_fields(comp, frame)
+        w, th, wt, velocity = _component_fields(comp, frame)
         wsum = wt.sum()
         th_mean = (wt * th).sum() / wsum
         w_mean = (wt * w).sum() / wsum
@@ -442,9 +462,9 @@ def translator_fit(state, frame: CoordinateFrame):
         vel_res = None
         if abs(b) > 1e-12:
             kappa = -1.0 / b
-            dev = H - kappa * ez_perp
-            num = (wt * np.einsum("ij,ij->i", dev, dev)).sum()
-            den = (wt * np.einsum("ij,ij->i", H, H)).sum() + 1e-300
+            dev2, H2 = velocity(kappa)
+            num = (wt * dev2).sum()
+            den = (wt * H2).sum() + 1e-300
             vel_res = float(np.sqrt(num / den))
         fits.append(TranslatorFit(getattr(comp, "component_id", 0),
                                   a, b, resid, rms_w, kappa, vel_res))

@@ -412,25 +412,9 @@ class ProductLagrangian:
         return (lagrangian_angle(self.factor1)[:, None]
                 + np.full(self.factor2.n_vertices, self.factor2_line.angle))
 
-    def position_grid(self) -> np.ndarray:
-        """(N1, N2, 4) array of product points (x1, y1, x2, y2)."""
-        return _factor_grid(self.factor1.vertices, self.factor2.vertices)
-
     def weight_grid(self) -> np.ndarray:
         """Mass-lumped area weights on the parameter grid."""
         return np.outer(self.factor1.dual_lengths(), self.factor2.dual_lengths())
-
-    def tangent_grids(self):
-        """Orthonormal tangent pair (T1, T2) per grid point, embedded in R^4."""
-        t1 = self.factor1.tangents()
-        t2 = self.factor2.tangents()
-        return (_factor_grid(t1, np.zeros_like(t2)),
-                _factor_grid(np.zeros_like(t1), t2))
-
-    def mean_curvature_grid(self) -> np.ndarray:
-        """(N1, N2, 4) mean curvature (H1, 0) of the product."""
-        return _factor_grid(mean_curvature(self.factor1),
-                            np.zeros_like(self.factor2.vertices))
 
 
 def grid_quad_mesh(X: np.ndarray):

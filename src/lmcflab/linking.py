@@ -28,8 +28,8 @@ The hot kernels are vectorized without changing a bit of their output:
   tilted pair's meshes share theirs); one stacked 2x2 solve orients the
   segments, emitted in triangle order, so chaining builds the same loops;
 - the surface intersection scan takes its candidate triangle pairs from one
-  k-d tree query over quad bounding balls, built corner by corner without
-  a (Q, 4, 4) gather, and solves them as one stack.
+  k-d tree query over quad bounding balls, built corner by corner in blocks
+  of MESH_BLOCK quads, and gathers and solves those triangles as one stack.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from .fanout import fan_out
 # Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
 # stay in L2 cache (about 2.5 MiB for the scenario slices)
 GAUSS_BLOCK = 16
+# vertices or quads per block of the slice radii and the quad bounding balls
+MESH_BLOCK = 4096
 # Largest Gauss sum accepted: 2**26 edge pairs, a 512 MiB (N, M) summand
 # array; the scenario slices need at most 1358**2 (about 1.8M) pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
@@ -74,8 +76,8 @@ class SphereSliceCurve:
         with open(path, "w") as fh:
             fh.write("loop,x1,y1,x2,y2\n")
             for li, loop in enumerate(self.loops):
-                for p in loop:
-                    fh.write(f"{li},{p[0]!r},{p[1]!r},{p[2]!r},{p[3]!r}\n")
+                for p in loop.tolist():   # Python floats: repr without np.float64(...)
+                    fh.write(f"{li},{','.join(map(repr, p))}\n")
 
 
 def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSliceCurve:
@@ -88,19 +90,22 @@ def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSlice
     do not chain into closed loops.
     """
     verts, quads = mesh_of(component)
-    radii_v = np.linalg.norm(verts, axis=1)
+    radii_v = np.concatenate([np.linalg.norm(verts[k:k + MESH_BLOCK], axis=1)
+                              for k in range(0, len(verts), MESH_BLOCK)])
     R_try = float(R)
     for _ in range(11):   # R, then up to 10 nudged radii
         f = radii_v - R_try
         if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
-            starts, _, start_edges, end_edges = _march_triangles(
-                verts, _crossing_triangles(quads, f > 0), f)
-            loops = _chain_segments(starts, start_edges, end_edges)
-            loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None])
-                     for lp in loops]
-            return SphereSliceCurve(loops, R_try)
+            break
         R_try += 0.003
-    raise NoTransverseRadius(f"no transverse radius near {R} after retries")
+    else:
+        raise NoTransverseRadius(f"no transverse radius near {R} after retries")
+    del radii_v   # only f is held through the march
+    starts, _, start_edges, end_edges = _march_triangles(
+        verts, _crossing_triangles(quads, f > 0), f)
+    loops = _chain_segments(starts, start_edges, end_edges)
+    loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None]) for lp in loops]
+    return SphereSliceCurve(loops, R_try)
 
 
 def _crossing_triangles(quads, above):
@@ -387,7 +392,7 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     for lp in loops1 + loops2:
         edge = max(edge, float(np.max(np.linalg.norm(np.roll(lp, -1, axis=0) - lp,
                                                      axis=1))))
-    dmin = _min_distance(pts1, pts2)
+    dmin = _min_distance(pts1, pts2, 10.0 * edge)
     if dmin <= 10.0 * edge:
         raise CurvesTooClose(
             f"min distance {dmin:.3g} not above 10 x edge length {edge:.3g}")
@@ -425,8 +430,12 @@ def _pole_sum(loops1, loops2, R, pole):
     return sum(_gauss_linking_r3(la, lb) for la in proj1 for lb in proj2)
 
 
-def _min_distance(pts1, pts2):
-    return float(cKDTree(pts2).query(pts1)[0].min())
+def _min_distance(pts1, pts2, bound):
+    """The least distance of the point sets if it is at most bound, else a
+    value above bound (inf, or the distance when within rounding of bound).
+    The tree keeps neighbours strictly nearer than its bound: next float."""
+    ub = np.nextafter(bound, np.inf)
+    return float(cKDTree(pts2).query(pts1, distance_upper_bound=ub)[0].min())
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +504,8 @@ def surfaces_intersect(mesh_a, mesh_b):
     ia = (near["i"][:, None] + np.array([0, 0, 1, 1]) * len(qa)).ravel()
     ib = (near["j"][:, None] + np.array([0, 1, 0, 1]) * len(qb)).ravel()
     order = np.lexsort((ib, ia))
-    pa = va[_triangles(qa)[ia[order]]]
-    pb = vb[_triangles(qb)[ib[order]]]
+    pa = va[_triangles(qa, ia[order])]
+    pb = vb[_triangles(qb, ib[order])]
     A = np.stack([pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0],
                   -(pb[:, 1] - pb[:, 0]), -(pb[:, 2] - pb[:, 0])], axis=2)
     rhs = pb[:, 0] - pa[:, 0]
@@ -513,24 +522,33 @@ def surfaces_intersect(mesh_a, mesh_b):
     return pa[k, 0] + u[k] * (pa[k, 1] - pa[k, 0]) + v[k] * (pa[k, 2] - pa[k, 0])
 
 
-def _triangles(quads):
-    """Two triangles per quad: (0, 1, 2) of every quad, then (0, 2, 3)."""
-    return np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+def _triangles(quads, idx):
+    """Corner indices of the triangles idx, where triangle k < Q is corners
+    (0, 1, 2) of quad k and triangle Q + k is corners (0, 2, 3) of quad k."""
+    q = len(quads)
+    corners = np.where((idx >= q)[:, None], [0, 2, 3], [0, 1, 2])
+    return np.take_along_axis(quads[idx % q], corners, axis=1)
 
 
 def _bounding_balls(verts, quads):
     """Centroids and radii of the quads' corner sets.
 
-    Gathers each corner once instead of a (Q, 4, d) copy, and adds in the
-    order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a gathered
-    (Q, 4, 4) array, so both outputs are bit-identical to theirs.
+    Runs over blocks of MESH_BLOCK quads, gathers each corner once instead
+    of a (Q, 4, d) copy, and adds in the order pts.mean(axis=1) and
+    np.sum(d ** 2, axis=2) add over a gathered (Q, 4, 4) array, so both
+    outputs are bit-identical to theirs.
     """
-    corners = [verts[quads[:, k]] for k in range(4)]
-    centre = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
-    r2 = []
-    for p in corners:
-        d = p - centre
-        d *= d
-        r2.append(((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
-    return centre, np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
-                                      np.maximum(r2[2], r2[3])))
+    centre, radius = np.empty((len(quads), verts.shape[1])), np.empty(len(quads))
+    for k in range(0, len(quads), MESH_BLOCK):
+        rows = slice(k, k + MESH_BLOCK)
+        corners = [verts[quads[rows, j]] for j in range(4)]
+        c = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
+        r2 = []
+        for p in corners:
+            d = p - c
+            d *= d
+            r2.append(((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
+        centre[rows] = c
+        radius[rows] = np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
+                                          np.maximum(r2[2], r2[3])))
+    return centre, radius

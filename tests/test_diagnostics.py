@@ -1,5 +1,6 @@
 """Gaussian diagnostics against closed forms and quadrature oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,103 @@ def test_translator_fit_circle_product_rejected():
     prod, frame = fx.make_circle_product(1.0, 128)
     fit = dg.translator_fit(prod, frame)[0]
     assert fit.residual >= 0.1 * fit.rms_w
+
+
+def grid_translator_fit(state, frame):
+    """translator_fit on whole (N1, N2, 4) grids of points, tangents and
+    mean curvature: the formula before the row blocks, kept as the oracle."""
+    fits = []
+    for comp in geo.as_components(state):
+        if isinstance(comp, geo.ProductLagrangian):
+            f1, f2 = comp.factor1, comp.factor2
+            w = geo._factor_grid(f1.vertices, f2.vertices) @ frame.e_w
+            th, wt = comp.angle_grid(), comp.weight_grid()
+            t1, t2 = f1.tangents(), f2.tangents()
+            T1 = geo._factor_grid(t1, np.zeros_like(t2))
+            T2 = geo._factor_grid(np.zeros_like(t1), t2)
+            ez = frame.e_z
+            ez_perp = (ez - np.einsum("ijk,k->ij", T1, ez)[:, :, None] * T1
+                       - np.einsum("ijk,k->ij", T2, ez)[:, :, None] * T2)
+            H = geo._factor_grid(geo.mean_curvature(f1), np.zeros_like(f2.vertices))
+            mask = np.outer(f1.interior_mask(), f2.interior_mask()).ravel()
+            w, th, wt = w.ravel()[mask], th.ravel()[mask], wt.ravel()[mask]
+            H, ez_perp = H.reshape(-1, 4)[mask], ez_perp.reshape(-1, 4)[mask]
+        else:
+            t = comp.tangents()
+            ez = frame.e_z[0:2]
+            mask = comp.interior_mask()
+            w = (comp.vertices @ frame.e_w[0:2])[mask]
+            th = geo.lagrangian_angle(comp)[mask]
+            wt = comp.dual_lengths()[mask]
+            H = geo.mean_curvature(comp)[mask]
+            ez_perp = (ez - (t @ ez)[:, None] * t)[mask]
+        wsum = wt.sum()
+        th_mean = (wt * th).sum() / wsum
+        w_mean = (wt * w).sum() / wsum
+        th_var = (wt * (th - th_mean) ** 2).sum() / wsum
+        w_var = (wt * (w - w_mean) ** 2).sum() / wsum
+        rms_w = float(np.sqrt((wt * w ** 2).sum() / wsum))
+        if np.sqrt(th_var) < 1e-9 * (1.0 + abs(th_mean)):
+            degenerate = np.sqrt(w_var) > 1e-9 * (1.0 + abs(w_mean))
+            fits.append(dg.TranslatorFit(
+                getattr(comp, "component_id", 0), float(w_mean),
+                float("nan") if degenerate else 0.0, float(np.sqrt(w_var)),
+                rms_w, None, None, degenerate=degenerate))
+            continue
+        b = float((wt * (th - th_mean) * (w - w_mean)).sum()
+                  / (wt * (th - th_mean) ** 2).sum())
+        a = float(w_mean - b * th_mean)
+        resid = float(np.sqrt((wt * (w - a - b * th) ** 2).sum() / wsum))
+        kappa = vel_res = None
+        if abs(b) > 1e-12:
+            kappa = -1.0 / b
+            dev = H - kappa * ez_perp
+            num = (wt * np.einsum("ij,ij->i", dev, dev)).sum()
+            den = (wt * np.einsum("ij,ij->i", H, H)).sum() + 1e-300
+            vel_res = float(np.sqrt(num / den))
+        fits.append(dg.TranslatorFit(getattr(comp, "component_id", 0), a, b,
+                                     resid, rms_w, kappa, vel_res))
+    return fits
+
+
+def _translator_cases():
+    """The grim-reaper-translator scenario's six products, the plane that
+    contains e_z and a bare reaper curve."""
+    for n in (128, 256, 512):
+        prod, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=3.0, n=n)
+        yield f"reaper-{n}", prod, frame
+    for n in (64, 128, 256):
+        prod, frame = fx.make_circle_product(1.0, n)
+        yield f"circle-{n}", prod, frame
+    line1 = fx.make_line(angle=0.0, extent=5.0, n=41)
+    yield ("plane", geo.ProductLagrangian(line1, geo.AffineLine((0, 0), (1.0, 0.0))),
+           frame)
+    prod, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=3.0, n=200)
+    yield "bare-curve", prod.factor1, frame
+
+
+@pytest.mark.parametrize("rows", [1, 7, "default", "N1"])
+def test_translator_fit_equals_the_grid_formula(monkeypatch, rows):
+    for name, state, frame in _translator_cases():
+        n1 = getattr(state, "factor1", state).n_vertices
+        if rows != "default":
+            monkeypatch.setattr(dg, "FIT_ROWS", n1 if rows == "N1" else rows)
+        got = [repr(dataclasses.astuple(f)) for f in dg.translator_fit(state, frame)]
+        want = [repr(dataclasses.astuple(f)) for f in grid_translator_fit(state, frame)]
+        assert got == want, name
+
+
+def test_translator_fit_holds_no_grid_of_four_vectors():
+    prod, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=3.0, n=512)
+    tracemalloc.start()
+    try:
+        dg.translator_fit(prod, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole (512, 97, 4) grids took 13.1 MiB; the per-point scalars are
+    # about 0.4 MiB an array
+    assert peak < 4 * 2**20
 
 
 def test_growth_certificate_guard():

@@ -377,7 +377,8 @@ def test_pair_norm_matches_ambient_surface_quadrature():
     total_ambient = 0.0
     for plane in pair.planes:
         mesh = plane.as_product(extent=14.0, samples=561)
-        X = mesh.position_grid().reshape(-1, 4)
+        X = geo._factor_grid(mesh.factor1.vertices,
+                             mesh.factor2.vertices).reshape(-1, 4)
         wts = mesh.weight_grid().ravel()
         f = X @ pair.frame.e_z
         total_ambient += float(np.sum(wts * f * f * np.exp(-np.sum(X * X, axis=1) / 4.0)))

@@ -73,7 +73,8 @@ def test_smoothed_pair_components_near_planes():
     prods, frame, pair = fx.make_smoothed_pair(sigma=0.05, n=101)
     assert len(prods) == 2
     for prod, plane in zip(prods, pair.planes):
-        verts = geo.grid_quad_mesh(prod.position_grid())[0]
+        verts = geo.grid_quad_mesh(
+            geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))[0]
         d = plane.distance(verts)
         assert np.max(d) < 0.06  # within sigma of its plane
 
@@ -136,7 +137,8 @@ def test_hopf_fibers_on_sphere():
 def test_neck_pair_connected():
     prod, pair = fx.make_neck_pair(sigma=0.05, n=101)
     # single connected product mesh close to the pair only away from origin
-    verts = geo.grid_quad_mesh(prod.position_grid())[0]
+    verts = geo.grid_quad_mesh(
+        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))[0]
     assert verts.shape[0] == 101 * prod.factor2.n_vertices
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from lmcflab import fanout
 from lmcflab import fixtures as fx
@@ -52,6 +53,11 @@ def crossing_count_oracle(loop_a, loop_b, seed=5):
     return total / 2.0
 
 
+def all_triangles(quads):
+    """Two triangles per quad: (0, 1, 2) of every quad, then (0, 2, 3)."""
+    return np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+
+
 def geodesic_length(sl):
     """Geodesic length of a sphere slice: great-circle arcs between
     consecutive points of each loop."""
@@ -91,8 +97,9 @@ def test_hopf_crossing_count_oracle_agrees():
 
 def test_plane_slice_great_circle():
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
+    prod = pair.planes[0].as_product(extent=2.0, samples=300)
     mesh = geo.grid_quad_mesh(
-        pair.planes[0].as_product(extent=2.0, samples=300).position_grid())
+        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))
     sl = lk.sphere_slice(mesh, 1.0)
     assert sl.radius == 1.0
     assert len(sl.loops) == 1
@@ -150,6 +157,19 @@ def test_curves_too_close_guard():
         lk.linking_number(s1, s2)
 
 
+def test_bounded_min_distance_agrees_with_the_unbounded_query():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, b = rng.normal(size=(60, 4)), rng.normal(size=(70, 4)) + rng.normal(size=4)
+        d = float(cKDTree(b).query(a)[0].min())
+        for bound in (d, np.nextafter(d, np.inf), 2.0 * d):
+            assert lk._min_distance(a, b, bound) == d
+        # just above the bound: inf, or d itself when the tree's squared bound
+        # rounds to admit it; linking_number's decision is the same either way
+        assert lk._min_distance(a, b, np.nextafter(d, 0.0)) in (d, np.inf)
+        assert lk._min_distance(a, b, 0.5 * d) == np.inf
+
+
 def test_halfspace_separation_tilted_pair():
     lam = 0.2
     meshes, frame, pair = fx.make_tilted_pair(lam=lam, b=(1.0, -1.0),
@@ -184,8 +204,9 @@ def test_halfspace_separation_equal_b_fails():
 def test_tangency_retries_nudge_radius():
     # grids hitting the sphere exactly get the +0.003 radius nudge
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
+    prod = pair.planes[0].as_product(extent=2.0, samples=301)
     mesh = geo.grid_quad_mesh(
-        pair.planes[0].as_product(extent=2.0, samples=301).position_grid())
+        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))
     sl = lk.sphere_slice(mesh, 1.0)  # 301 grid hits (0.6, 0.8) points
     assert sl.radius > 1.0
     assert abs(geodesic_length(sl) - 2.0 * np.pi * sl.radius) < 1e-6
@@ -260,8 +281,8 @@ def loop_march_oracle(verts, tris, f):
 def first_hit_oracle(mesh_a, mesh_b, tol=1e-9):
     """Brute force over all triangle pairs in index order."""
     (va, qa), (vb, qb) = mesh_a, mesh_b
-    for ta in lk._triangles(qa):
-        for tb in lk._triangles(qb):
+    for ta in all_triangles(qa):
+        for tb in all_triangles(qb):
             pa, pb = va[ta], vb[tb]
             A = np.stack([pa[1] - pa[0], pa[2] - pa[0],
                           -(pb[1] - pb[0]), -(pb[2] - pb[0])], axis=1)
@@ -370,7 +391,7 @@ def test_vectorized_march_equals_loop():
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=120)
     verts, quads = meshes[0]
-    tris = lk._triangles(quads)
+    tris = all_triangles(quads)
     f = np.linalg.norm(verts, axis=1) - 1.0
     starts, ends, start_edges, end_edges = lk._march_triangles(
         verts, lk._crossing_triangles(quads, f > 0), f)
@@ -394,7 +415,7 @@ def test_crossing_triangles_equal_the_full_gather():
     rng = np.random.default_rng(7)
     verts, quads = geo.grid_quad_mesh(rng.normal(size=(9, 11, 4)))
     quads = rng.permutation(quads)   # any quad order, not only a grid's
-    tris = lk._triangles(quads)
+    tris = all_triangles(quads)
     patterns = [rng.random(len(verts)) < p for p in rng.random(20)]
     patterns += [np.ones(len(verts), bool), np.zeros(len(verts), bool)]
     for above in patterns:
@@ -417,6 +438,44 @@ def test_sphere_slice_gathers_no_array_of_all_triangles():
     # the (2Q, 3) triangle indices and their corner values took 17.9 MiB;
     # the radii's (N, 4) norm temporary alone is 4.9 MiB
     assert peak < 10 * 2**20
+
+
+def test_sphere_slice_radii_take_no_vertex_sized_temporary():
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=400)[0]
+    tracemalloc.start()   # the held meshes are not counted
+    try:
+        lk.sphere_slice(meshes[0], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a one-shot np.linalg.norm(verts, axis=1) adds an (N, 4) temporary of
+    # 4.9 MiB; the radii and f are 1.2 MiB each
+    assert peak < 4 * 2**20
+
+
+def test_sphere_slice_does_not_depend_on_mesh_block(monkeypatch):
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=120)[0]
+    want = lk.sphere_slice(meshes[0], 1.0)
+    monkeypatch.setattr(lk, "MESH_BLOCK", len(meshes[0][0]))   # one block
+    got = lk.sphere_slice(meshes[0], 1.0)
+    assert [lp.tobytes() for lp in got.loops] == [lp.tobytes() for lp in want.loops]
+
+
+def test_slice_csv_cells_read_back_as_the_loop_floats(tmp_path):
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=120)[0]
+    sl = lk.sphere_slice(meshes[0], 1.0)
+    path = tmp_path / "slice.csv"
+    sl.write_csv(path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "loop,x1,y1,x2,y2"
+    cells = [row.split(",") for row in rows]
+    assert [int(c[0]) for c in cells] == [li for li, lp in enumerate(sl.loops)
+                                          for _ in lp]
+    values = np.array([[float(x) for x in c[1:]] for c in cells])
+    assert np.array_equal(values, np.concatenate(sl.loops))
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +688,31 @@ def test_bounding_balls_equal_gathered_formula():
         want_centre, want_radius = gathered_bounding_balls_oracle(verts[quads])
         assert centre.tobytes() == want_centre.tobytes()
         assert radius.tobytes() == want_radius.tobytes()
+
+
+def test_triangles_gather_rows_of_the_full_formula():
+    rng = np.random.default_rng(3)
+    quads = rng.permutation(geo.grid_quad_mesh(rng.normal(size=(7, 9, 4)))[1])
+    tris = all_triangles(quads)
+    for idx in (np.arange(len(tris)), rng.integers(0, len(tris), 200),
+                np.array([len(quads) - 1, len(quads), 0], dtype=np.int64)):
+        got = lk._triangles(quads, idx)
+        assert got.dtype == tris.dtype
+        assert np.array_equal(got, tris[idx])
+
+
+def test_surfaces_intersect_holds_no_mesh_sized_temporaries():
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=400)[0]
+    tracemalloc.start()   # the held meshes are not counted
+    try:
+        assert lk.surfaces_intersect(*meshes) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two (2Q, 3) triangle arrays and the whole-mesh corner gathers of
+    # the bounding balls took 43.7 MiB
+    assert peak < 20 * 2**20
 
 
 def test_surfaces_intersect_returns_first_hit_in_index_order():
