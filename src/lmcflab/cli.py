@@ -1,8 +1,8 @@
 """Command-line interface: thin dispatch over fixtures, diagnostics and the
 scenario runner. Subcommands mirror the lab operations; each lab command
-reads its keys from its DEFAULTS table, over which a JSON --config merges,
-writes CSV/JSON bundles under --out, and is deterministic (given --seed
-where a command is seeded)."""
+takes its keys as keyword arguments, whose defaults a JSON --config
+overrides, writes CSV/JSON bundles under --out, and is deterministic (given
+--seed where a command is seeded)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -18,52 +19,24 @@ from . import drift
 from . import fixtures as fx
 from . import flow
 from . import flowheat as fh
-from . import linking as lk
 from . import scenarios as sc
 from .errors import ConfigInvalid
 from .geometry import make_plane_pair
 
 
-# Every key each lab command reads, with its default. A --config file's
-# keys are merged over these; each must be known and of its default's JSON
-# type (a float default also takes an int; a None default takes anything).
-DEFAULTS = {
-    "simulate": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 128},
-                 "dt": 5e-4, "steps": 200, "scheme": "semi_implicit",
-                 "t0": 0.0, "redistribute_every": 0, "record_every": 10},
-    "density": {"fixture": "line", "fixture_params": {"extent": 30.0, "n": 601},
-                "x0": [0.0, 0.0], "t0": 1.0, "t": 0.0},
-    "entropy": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 256}},
-    "monotonicity": {"fixture": "circle", "fixture_params": {"radius": 1.0, "n": 256},
-                     "dt": 5e-4, "steps": 400, "record_every": 10,
-                     "x0": [0.3, 0.0], "t0": 0.8},
-    "spectrum": {"n": 2, "max_degree": 4, "angles": [np.pi / 4, -np.pi / 4]},
-    "three-annulus": {"degree": 1, "s": 0.5, "taus": list(range(-10, 1)),
-                      "log_norms": None},
-    "heat": {"radius": 1.0, "n": 256, "dt": 1e-3, "t1": 0.2, "field": "x"},
-    "translator-check": {"fixture": "grim-reaper-product", "speed": 1.0,
-                         "extent": 3.0, "radius": 1.0, "n": 512},
-    "linking": {"lam": 0.1, "b": [1.0, -1.0], "extent": 2.0, "samples": 400,
-                "radius": 1.0, "n_poles": 5},
-}
-
-# the values a key admits where the command branches on it
-CHOICES = {("heat", "field"): ("x", "y"),
-           ("translator-check", "fixture"): ("grim-reaper-product", "circle-product")}
-
-
-def _fits(value, default):
-    """Whether a JSON value has the JSON type of the default."""
-    if default is None:
-        return True
-    kind = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kind) and not isinstance(value, bool)
+# the values a key admits where the command branches on it; the curve
+# commands take the curve fixtures only
+CHOICES = {**dict.fromkeys(["simulate", "density", "entropy", "monotonicity"],
+                           {"fixture": ("circle", "line", "line-pair", "grim-reaper")}),
+           "heat": {"field": ("x", "y")},
+           "translator-check": {"fixture": ("grim-reaper-product", "circle-product")}}
 
 
 def _load_config(args):
-    """The command's config, refused with ConfigInvalid before anything is
-    written: the --config file's keys over the command's DEFAULTS, or, for
-    ``run``, the scenario config that ``scenarios.validate_config`` checks."""
+    """The command's keyword arguments, refused with ConfigInvalid before
+    anything is written: the --config file's keys, which ``scenarios.check_keys``
+    checks against the command's keyword defaults, or, for ``run``, the
+    scenario config that ``scenarios.validate_config`` checks."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fhd:
@@ -76,24 +49,14 @@ def _load_config(args):
         if "scenario" not in cfg:
             raise SystemExit("run needs --scenario NAME or a config with 'scenario'")
         cfg.setdefault("seed", args.seed)
-        cfg = sc.validate_config(cfg)  # refuses non-object params before refine is set
-        if args.refine is not None:
+        # params that are not an object keep no refine; validate_config refuses them
+        if args.refine is not None and isinstance(cfg.setdefault("params", {}), dict):
             cfg["params"]["refine"] = args.refine
-        return cfg
-    defaults = DEFAULTS.get(args.command, {})
-    for key, value in cfg.items():
-        if key not in defaults:
-            raise ConfigInvalid(f"unknown key {key!r} for {args.command}; "
-                                f"known: {sorted(defaults)}")
-        if not _fits(value, defaults[key]):
-            raise ConfigInvalid(f"{key!r} must be of the type of its default "
-                                f"{defaults[key]!r}, not {value!r}")
-        allowed = CHOICES.get((args.command, key))
-        if allowed and value not in allowed:
-            raise ConfigInvalid(f"{key!r} must be one of {list(allowed)}, not {value!r}")
-    if "fixture_params" in defaults and "fixture" in cfg:
+        return {"config": sc.validate_config(cfg)}
+    declared = sc.check_keys(args.command, cfg, args.fn, CHOICES.get(args.command))
+    if "fixture_params" in declared and "fixture" in cfg:
         cfg.setdefault("fixture_params", {})   # the generator's own defaults
-    return {**defaults, **cfg}
+    return cfg
 
 
 def _write_json(out, name, payload):
@@ -103,23 +66,20 @@ def _write_json(out, name, payload):
     print(path)
 
 
-def _make_fixture_state(cfg):
-    name = cfg["fixture"]
-    if name not in ("circle", "line", "line-pair", "grim-reaper"):
-        raise SystemExit(f"unsupported curve fixture {name!r} for this command")
-    state = fx.generate_fixture(name, **cfg["fixture_params"])
+def _make_fixture_state(name, params):
+    state = fx.generate_fixture(name, **params)
     return state[0] if name == "grim-reaper" else state   # (curve, theta_ref)
 
 
-def cmd_simulate(args):
-    cfg, out = args.cfg, args.out
-    state = _make_fixture_state(cfg)
-    traj = flow.evolve(state, cfg["dt"], cfg["steps"], scheme=cfg["scheme"],
-                       t0=cfg["t0"], redistribute_every=cfg["redistribute_every"],
-                       record_every=cfg["record_every"])
-    traj_path = os.path.join(out, "trajectory.txt")
+def cmd_simulate(args, *, fixture="circle", fixture_params={"radius": 1.0, "n": 128},
+                 dt=5e-4, steps=200, scheme="semi_implicit", t0=0.0,
+                 redistribute_every=0, record_every=10):
+    traj = flow.evolve(_make_fixture_state(fixture, fixture_params), dt, steps,
+                       scheme=scheme, t0=t0, redistribute_every=redistribute_every,
+                       record_every=record_every)
+    traj_path = os.path.join(args.out, "trajectory.txt")
     flow.save_trajectory(traj_path, traj)
-    with open(os.path.join(out, "diagnostics.csv"), "w") as fhd:
+    with open(os.path.join(args.out, "diagnostics.csv"), "w") as fhd:
         fhd.write("t,quantity,value\n")
         for t, s in zip(traj.times, traj.states):
             total = sum(c.length() for c in flow.as_components(s))
@@ -127,89 +87,80 @@ def cmd_simulate(args):
     print(traj_path)
 
 
-def cmd_density(args):
-    cfg = args.cfg
-    state = _make_fixture_state(cfg)
-    w = dg.GaussianWindow(np.asarray(cfg["x0"]), cfg["t0"])
-    val = dg.gaussian_density_ratio(state, w, t=cfg["t"])
-    _write_json(args.out, "density.json", {"value": val, "x0": cfg["x0"],
-                                           "t0": cfg["t0"], "t": cfg["t"]})
+def cmd_density(args, *, fixture="line", fixture_params={"extent": 30.0, "n": 601},
+                x0=(0.0, 0.0), t0=1.0, t=0.0):
+    state = _make_fixture_state(fixture, fixture_params)
+    val = dg.gaussian_density_ratio(state, dg.GaussianWindow(np.asarray(x0), t0), t=t)
+    _write_json(args.out, "density.json", {"value": val, "x0": x0, "t0": t0, "t": t})
 
 
-def cmd_entropy(args):
-    rep = dg.entropy(_make_fixture_state(args.cfg), seed=args.seed)
+def cmd_entropy(args, *, fixture="circle", fixture_params={"radius": 1.0, "n": 256}):
+    rep = dg.entropy(_make_fixture_state(fixture, fixture_params), seed=args.seed)
     _write_json(args.out, "entropy.json",
                 {"value": rep.value, "x0": [float(x) for x in rep.x0],
                  "r": rep.r, "seed": args.seed})
 
 
-def cmd_monotonicity(args):
-    cfg, out = args.cfg, args.out
-    state = _make_fixture_state(cfg)
-    traj = flow.evolve(state, cfg["dt"], cfg["steps"], record_every=cfg["record_every"])
-    w = dg.GaussianWindow(np.asarray(cfg["x0"]), cfg["t0"])
-    rep = dg.monotonicity_audit(traj, w)
-    rep.write_csv(os.path.join(out, "monotonicity.csv"))
-    _write_json(out, "monotonicity.json",
+def cmd_monotonicity(args, *, fixture="circle", fixture_params={"radius": 1.0, "n": 256},
+                     dt=5e-4, steps=400, record_every=10, x0=(0.3, 0.0), t0=0.8):
+    traj = flow.evolve(_make_fixture_state(fixture, fixture_params), dt, steps,
+                       record_every=record_every)
+    rep = dg.monotonicity_audit(traj, dg.GaussianWindow(np.asarray(x0), t0))
+    rep.write_csv(os.path.join(args.out, "monotonicity.csv"))
+    _write_json(args.out, "monotonicity.json",
                 {"verdict": rep.verdict, "nonincreasing": rep.nonincreasing,
                  "max_violation": rep.max_violation,
                  "values": [float(v) for v in rep.values]})
 
 
-def cmd_spectrum(args):
-    cfg, out = args.cfg, args.out
+def cmd_spectrum(args, *, n=2, max_degree=4, angles=(np.pi / 4, -np.pi / 4)):
     rows = [{"multi_index": list(e.multi_index), "degree": e.degree,
              "eigenvalue": e.eigenvalue}
-            for e in drift.hermite_basis(cfg["n"], cfg["max_degree"])]
-    with open(os.path.join(out, "spectrum.csv"), "w") as fhd:
+            for e in drift.hermite_basis(n, max_degree)]
+    with open(os.path.join(args.out, "spectrum.csv"), "w") as fhd:
         fhd.write("multi_index,degree,eigenvalue\n")
         for r in rows:
             fhd.write(f"{'x'.join(map(str, r['multi_index']))},"
                       f"{r['degree']},{r['eigenvalue']}\n")
-    pair = make_plane_pair(tuple(cfg["angles"]), 1)
-    basis, gram = drift.homogeneous_basis(pair, max_degree=1)
-    np.savetxt(os.path.join(out, "pair_gram.csv"), gram, delimiter=",")
-    _write_json(out, "spectrum.json",
-                {"n": cfg["n"], "elements": rows,
-                 "pair_basis": [b.label for b in basis]})
+    basis, gram = drift.homogeneous_basis(make_plane_pair(tuple(angles), 1),
+                                          max_degree=1)
+    np.savetxt(os.path.join(args.out, "pair_gram.csv"), gram, delimiter=",")
+    _write_json(args.out, "spectrum.json",
+                {"n": n, "elements": rows, "pair_basis": [b.label for b in basis]})
 
 
-def cmd_three_annulus(args):
-    cfg, out = args.cfg, args.out
-    taus = np.asarray(cfg["taus"], dtype=float)
-    log_norms = (-0.5 * cfg["degree"] * taus if cfg["log_norms"] is None
-                 else np.asarray(cfg["log_norms"], dtype=float))
+def cmd_three_annulus(args, *, degree=1, s=0.5, taus=list(range(-10, 1)),
+                      log_norms=None):
+    taus = np.asarray(taus, dtype=float)
+    log_norms = (-0.5 * degree * taus if log_norms is None
+                 else np.asarray(log_norms, dtype=float))
     seq = drift.NormSequence(taus, log_norms)
-    seq.write_csv(os.path.join(out, "norm_sequence.csv"))
-    rep = drift.three_annulus_classify(seq, cfg["s"])
+    seq.write_csv(os.path.join(args.out, "norm_sequence.csv"))
+    rep = drift.three_annulus_classify(seq, s)
     freq = drift.frequency_audit(seq)
-    _write_json(out, "three_annulus.json",
+    _write_json(args.out, "three_annulus.json",
                 {"classification": rep.classification, "s": rep.s,
                  "earliest_consistent_T": rep.earliest_consistent_T,
                  "homogeneous": freq.homogeneous,
                  "degree_estimate": freq.degree_estimate})
 
 
-def cmd_heat(args):
-    cfg, out = args.cfg, args.out
-    traj = fx.shrinking_circle_trajectory(cfg["radius"], cfg["n"], t1=cfg["t1"],
-                                          dt=cfg["dt"])
+def cmd_heat(args, *, radius=1.0, n=256, dt=1e-3, t1=0.2, field="x"):
+    traj = fx.shrinking_circle_trajectory(radius, n, t1=t1, dt=dt)
     comp0 = flow.as_components(traj.states[0])[0]
-    f0 = [comp0.vertices[:, "xy".index(cfg["field"])]]
-    sol = fh.solve_heat_on_flow(traj, f0)
-    sol.write_csv(os.path.join(out, "heat_residuals.csv"))
-    _write_json(out, "heat.json",
+    sol = fh.solve_heat_on_flow(traj, [comp0.vertices[:, "xy".index(field)]])
+    sol.write_csv(os.path.join(args.out, "heat_residuals.csv"))
+    _write_json(args.out, "heat.json",
                 {"max_sup_residual": float(np.max(sol.residual_sup)),
                  "growth_constant": sol.growth_constant})
 
 
-def cmd_translator_check(args):
-    cfg = args.cfg
-    if cfg["fixture"] == "circle-product":
-        prod, frame = fx.make_circle_product(cfg["radius"], cfg["n"])
+def cmd_translator_check(args, *, fixture="grim-reaper-product", speed=1.0,
+                         extent=3.0, radius=1.0, n=512):
+    if fixture == "circle-product":
+        prod, frame = fx.make_circle_product(radius, n)
     else:
-        prod, frame, _ = fx.make_grim_reaper_product(cfg["speed"], cfg["extent"],
-                                                     cfg["n"])
+        prod, frame, _ = fx.make_grim_reaper_product(speed, extent, n)
     fits = dg.translator_fit(prod, frame)
     _write_json(args.out, "translator.json",
                 [{"component": f.component_id, "a": f.a, "b": f.b,
@@ -218,21 +169,18 @@ def cmd_translator_check(args):
                   "degenerate": f.degenerate} for f in fits])
 
 
-def cmd_linking(args):
-    cfg, out = args.cfg, args.out
-    meshes, frame, pair = fx.make_tilted_pair(lam=cfg["lam"], b=tuple(cfg["b"]),
-                                              extent=cfg["extent"],
-                                              samples=cfg["samples"])
-    s1 = lk.sphere_slice(meshes[0], cfg["radius"])
-    s2 = lk.sphere_slice(meshes[1], cfg["radius"])
-    s1.write_csv(os.path.join(out, "slice1.csv"))
-    s2.write_csv(os.path.join(out, "slice2.csv"))
-    rep = lk.linking_number(s1, s2, seed=args.seed, n_poles=cfg["n_poles"])
-    _write_json(out, "linking.json", rep.to_dict())
+def cmd_linking(args, *, lam=0.1, b=(1.0, -1.0), extent=2.0, samples=400,
+                radius=1.0, n_poles=5):
+    tilted = partial(fx.make_tilted_pair, lam=lam, b=tuple(b), extent=extent,
+                     samples=samples)
+    s1, s2, rep = sc.transverse_link(tilted, args.seed, radius, n_poles)
+    s1.write_csv(os.path.join(args.out, "slice1.csv"))
+    s2.write_csv(os.path.join(args.out, "slice2.csv"))
+    _write_json(args.out, "linking.json", rep.to_dict())
 
 
-def cmd_run(args):
-    summary = sc.run_scenario(args.cfg, out_dir=args.out)
+def cmd_run(args, *, config):
+    summary = sc.run_scenario(config, out_dir=args.out)
     print(os.path.join(args.out, "summary.json"))
     print(f"scenario={summary['scenario']} pass={summary['pass']}")
     return 0 if summary["pass"] else 1
@@ -281,10 +229,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.cfg = _load_config(args)
+    cfg = _load_config(args)
     args.out = args.out or "."
     os.makedirs(args.out, exist_ok=True)
-    code = args.fn(args)
+    code = args.fn(args, **cfg)
     return 0 if code is None else code
 
 

@@ -9,6 +9,7 @@ order) plus CSV streams, and reports a pass verdict per check.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from fractions import Fraction
@@ -55,7 +56,42 @@ def validate_config(config: dict) -> dict:
     config["seed"] = int(seed)
     if not isinstance(config.setdefault("params", {}), dict):
         raise ConfigInvalid(f"'params' must be an object, not {config['params']!r}")
+    check_keys(config["scenario"], config["params"], SCENARIOS[config["scenario"]])
     return config
+
+
+def check_keys(where, given, fn, choices=None) -> dict:
+    """Refuse with ConfigInvalid, naming the key, any key of ``given`` that
+    is not a keyword-only parameter of ``fn``, that is not of its default's
+    JSON type, or that lies outside ``choices[key]``. A float default also
+    takes an int, a None default takes anything, a tuple default takes a list
+    of as many numbers, and a bool is never a number. Returns the declared
+    keys with their defaults."""
+    declared = {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+    for key, value in given.items():
+        if key not in declared:
+            raise ConfigInvalid(f"unknown key {key!r} for {where}; "
+                                f"known: {sorted(declared)}")
+        if not _fits(value, declared[key]):
+            raise ConfigInvalid(f"{key!r} must be of the JSON type and shape of "
+                                f"its default {json.dumps(declared[key])}, not {value!r}")
+        allowed = (choices or {}).get(key)
+        if allowed and value not in allowed:
+            raise ConfigInvalid(f"{key!r} must be one of {list(allowed)}, not {value!r}")
+    return declared
+
+
+def _fits(value, default):
+    """Whether a JSON value has the JSON type (and a tuple's length) of the
+    default."""
+    if default is None:
+        return True
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(v, d) for v, d in zip(value, default)))
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def hausdorff_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
@@ -70,9 +106,7 @@ def hausdorff_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
 # scenarios (one per acceptance criterion)
 
 
-def scenario_plane_pair_density(params, seed, outputs):
-    extent = params.get("extent", 30.0)
-    samples = params.get("samples", 601)
+def scenario_plane_pair_density(seed, outputs, *, extent=30.0, samples=601):
     w2 = dg.GaussianWindow(np.zeros(2), t0=1.0)
     w4 = dg.GaussianWindow(np.zeros(4), t0=1.0)
     line = fx.make_line(angle=0.4, extent=extent, n=samples)
@@ -95,9 +129,7 @@ def scenario_plane_pair_density(params, seed, outputs):
     return metrics, checks, tolerances
 
 
-def scenario_huisken_monotonicity(params, seed, outputs):
-    rtol = params.get("rtol", 1e-8)
-    dt = params.get("dt", 5e-4)
+def scenario_huisken_monotonicity(seed, outputs, *, rtol=1e-8, dt=5e-4):
     metrics, checks = {}, {}
     # static plane
     line = fx.make_line(angle=0.3, extent=25.0, n=501)
@@ -139,8 +171,7 @@ def scenario_huisken_monotonicity(params, seed, outputs):
     return metrics, checks, tolerances
 
 
-def scenario_hermite_spectrum(params, seed, outputs):
-    max_deg = params.get("max_degree", 4)
+def scenario_hermite_spectrum(seed, outputs, *, max_degree=4):
     metrics, checks = {}, {}
     worst_sym = 0
     worst_grid = 0.0
@@ -153,7 +184,7 @@ def scenario_hermite_spectrum(params, seed, outputs):
 
     for n in (1, 2):
         axes = [np.linspace(-3.0, 3.0, 41) for _ in range(n)]
-        for elem in drift.hermite_basis(n, max_deg):
+        for elem in drift.hermite_basis(n, max_degree):
             resid = drift.drift_apply(elem.poly) + elem.poly.scale(
                 Fraction(elem.degree, 2))
             worst_sym = max(worst_sym, len(resid.coeffs))
@@ -188,8 +219,7 @@ def scenario_hermite_spectrum(params, seed, outputs):
     return metrics, checks, tolerances
 
 
-def scenario_three_annulus(params, seed, outputs):
-    n_mixtures = params.get("n_mixtures", 100)
+def scenario_three_annulus(seed, outputs, *, n_mixtures=100):
     taus = np.arange(-10.0, 1.0)
     checks = {}
     ok = True
@@ -220,12 +250,10 @@ def scenario_three_annulus(params, seed, outputs):
     return metrics, checks, {}
 
 
-def scenario_grim_reaper_translator(params, seed, outputs):
-    refine = params.get("refine", 3)
+def scenario_grim_reaper_translator(seed, outputs, *, refine=3):
     # two sizes at least: the Richardson slopes compare neighbouring sizes
-    if type(refine) is not int or refine < 2:
-        raise ConfigInvalid(f"grim-reaper-translator needs an integer refine >= 2, "
-                            f"got {refine!r}")
+    if refine < 2:
+        raise ConfigInvalid(f"grim-reaper-translator needs refine >= 2, got {refine!r}")
     sizes = [128 * 2 ** k for k in range(refine)]
     resids = []
     fits = []
@@ -256,7 +284,7 @@ def scenario_grim_reaper_translator(params, seed, outputs):
     return metrics, checks, tolerances
 
 
-def scenario_caloric_identities(params, seed, outputs):
+def scenario_caloric_identities(seed, outputs):
     metrics, checks = {}, {}
     # constants are caloric with zero residual on every fixture
     traj0 = fx.shrinking_circle_trajectory(1.0, 128, t1=0.05, dt=1e-3)
@@ -326,14 +354,14 @@ def scenario_caloric_identities(params, seed, outputs):
     return metrics, checks, {"dt_halving_ratio": 0.2}
 
 
-def scenario_linking_suite(params, seed, outputs):
+def scenario_linking_suite(seed, outputs, *, samples=400):
     tilted = partial(fx.make_tilted_pair, lam=0.1, b=(1.0, -1.0), extent=2.0,
-                     samples=params.get("samples", 400))
+                     samples=samples)
     # the controls run in a forked child beside the transverse link; each
     # process builds its own meshes, so the caller holds none while it forks
     (metrics, checks), (s1, s2, rep) = fan_out(
         _call, [partial(_linking_controls, tilted, seed),
-                partial(_transverse_link, tilted, seed)])
+                partial(transverse_link, tilted, seed)])
     metrics = {"transverse_raw": rep.raw, "transverse_value": rep.value,
                "transverse_per_pole": rep.per_pole, **metrics}
     checks = {"transverse_link_one": rep.value == 1,
@@ -351,13 +379,14 @@ def _call(task):
     return task()
 
 
-def _transverse_link(tilted, seed):
-    """The linked sphere slices of the transverse pair tilted() and their
-    link. The meshes go before the Gauss sum's (N, M) array is made."""
+def transverse_link(tilted, seed, radius=1.0, n_poles=5):
+    """The linked slices by the sphere of the given radius of the transverse
+    pair tilted() and their link over n_poles poles. The meshes go before the
+    Gauss sum's (N, M) array is made."""
     meshes = tilted()[0]
-    s1, s2 = (lk.sphere_slice(mesh, 1.0) for mesh in meshes)
+    s1, s2 = (lk.sphere_slice(mesh, radius) for mesh in meshes)
     del meshes
-    return s1, s2, lk.linking_number(s1, s2, seed=seed, n_poles=5)
+    return s1, s2, lk.linking_number(s1, s2, seed=seed, n_poles=n_poles)
 
 
 def _linking_controls(tilted, seed):
@@ -447,15 +476,12 @@ def _hausdorff_rung(lam, base_speed):
     return hausdorff_distance(pts4, np.column_stack([zero, Y[inside], Q[inside], zero]))
 
 
-def scenario_blow_down_ladder(params, seed, outputs):
-    lams = params.get("lambdas", (0.2, 0.1, 0.05))
-    if not lams:
+def scenario_blow_down_ladder(seed, outputs, *, lambdas=[0.2, 0.1, 0.05],
+                              base_speed=4.0, s1=-0.4, dt=5e-4):
+    if not lambdas:
         raise ConfigInvalid("blow-down-ladder needs at least one lambda")
-    base_speed = params.get("base_speed", 4.0)
-    s1 = params.get("s1", -0.4)
-    dt = params.get("dt", 5e-4)
     metrics, checks = {}, {}
-    rungs = [(lam, base_speed, s1, dt) for lam in lams]
+    rungs = [(lam, base_speed, s1, dt) for lam in lambdas]
     # a forked child marches the heaviest rung (vertices x times), where its
     # temporaries page-fault far less than in a long-running caller; the
     # caller computes the Hausdorff ladder and the light rungs meanwhile
@@ -464,7 +490,7 @@ def scenario_blow_down_ladder(params, seed, outputs):
     light = [r for i, r in enumerate(rungs) if i != heaviest]
 
     def mine():
-        return ([_hausdorff_rung(lam, base_speed) for lam in lams],
+        return ([_hausdorff_rung(lam, base_speed) for lam in lambdas],
                 [_rung_height(*r) for r in light])
 
     top, (haus, sups) = fan_out(_call, [partial(_rung_height, *rungs[heaviest]),
@@ -476,7 +502,7 @@ def scenario_blow_down_ladder(params, seed, outputs):
     checks["height_sup_decreasing"] = all(a > b for a, b in zip(sups, sups[1:]))
     if outputs:
         with open(os.path.join(outputs, "ladders.json"), "w") as fhd:
-            json.dump({"lambdas": list(lams), "hausdorff": haus,
+            json.dump({"lambdas": lambdas, "hausdorff": haus,
                        "height_sup": sups}, fhd, sort_keys=True, indent=1)
     return metrics, checks, {}
 
@@ -531,7 +557,7 @@ def run_scenario(config: dict, out_dir=None) -> dict:
     params = dict(config["params"])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    metrics, checks, tolerances = SCENARIOS[name](params, seed, out_dir)
+    metrics, checks, tolerances = SCENARIOS[name](seed, out_dir, **params)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "scenario": name,

@@ -1,7 +1,8 @@
 """CLI surface: every documented subcommand runs and writes its outputs."""
 
+import argparse
+import inspect
 import json
-import os
 import subprocess
 import sys
 
@@ -11,11 +12,24 @@ import pytest
 from lmcflab import cli
 from lmcflab import fixtures as fx
 from lmcflab import flow
+from lmcflab import scenarios as sc
 from lmcflab.errors import ConfigInvalid
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def _lab_commands():
+    """The parser's subcommands that take their keys as keyword arguments,
+    with the function each runs: all but run and compare."""
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: q.get_default("fn") for name, q in sub.choices.items()
+            if name not in ("run", "compare")}
+
+
+LAB_COMMANDS = _lab_commands()
 
 
 def test_density_command(tmp_path):
@@ -133,8 +147,7 @@ def test_console_entry_point():
     ("grim-reaper", {"n": 64}, lambda: fx.make_grim_reaper(n=64)[0]),
 ])
 def test_curve_fixtures_come_from_the_registry(name, params, want):
-    got = flow.as_components(cli._make_fixture_state(
-        {"fixture": name, "fixture_params": params}))
+    got = flow.as_components(cli._make_fixture_state(name, params))
     ref = flow.as_components(want())
     assert [(c.closed, c.component_id) for c in got] == \
         [(c.closed, c.component_id) for c in ref]
@@ -173,7 +186,7 @@ def test_a_named_fixture_gets_its_generators_defaults(tmp_path, monkeypatch):
     assert built.value.args == ("circle", {})
 
 
-@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
+@pytest.mark.parametrize("command", sorted(LAB_COMMANDS))
 def test_an_empty_config_writes_the_same_files_as_none(command, tmp_path):
     empty = tmp_path / "cfg.json"
     empty.write_text("{}")
@@ -206,6 +219,11 @@ def test_density_records_the_window_it_used(config, tmp_path):
     ("heat", {"dt": "x"}, "dt"),
     ("heat", {"field": "z"}, "field"),
     ("translator-check", {"fixture": "circle"}, "fixture"),
+    ("density", {"x0": [1, 2, 3]}, "x0"),
+    ("density", {"x0": ["a", "b"]}, "x0"),
+    ("monotonicity", {"x0": [0.3]}, "x0"),
+    ("spectrum", {"angles": [0.5]}, "angles"),
+    ("linking", {"b": [1.0, "x"]}, "b"),
 ])
 def test_a_mistyped_or_unknown_key_is_refused(command, config, key, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -219,8 +237,28 @@ def test_a_mistyped_or_unknown_key_is_refused(command, config, key, tmp_path):
 def test_non_curve_fixtures_are_refused(name, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fixture": name}))
-    with pytest.raises(SystemExit, match="unsupported curve fixture"):
-        run_cli(["density", "--config", str(cfg), "--out", str(tmp_path)])
+    for command in ("simulate", "density", "entropy", "monotonicity"):
+        with pytest.raises(ConfigInvalid, match="'fixture'"):
+            run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config, want", [
+    ("three-annulus", {"taus": [-2.0, -1, 0], "degree": 2},
+     {"classification": "growing"}),
+    ("translator-check", {"fixture": "circle-product", "n": 64},
+     {"component": 0, "degenerate": False}),
+])
+def test_a_list_of_any_length_and_a_fixture_without_params_are_taken(
+        command, config, want, tmp_path):
+    # taus has a list default; translator-check declares no fixture_params
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload, = (json.loads(p.read_text()) for p in tmp_path.glob("*.json")
+                if p.name != "cfg.json")
+    payload = payload[0] if isinstance(payload, list) else payload
+    assert {k: payload[k] for k in want} == want
 
 
 def test_density_of_the_line_pair(tmp_path):
@@ -248,10 +286,17 @@ def test_options_exist_only_where_they_are_read(argv, capsys):
 
 def test_seed_and_refine_reach_the_scenario(tmp_path):
     out = tmp_path / "run"
-    assert run_cli(["run", "--scenario", "three-annulus", "--seed", "3",
+    assert run_cli(["run", "--scenario", "grim-reaper-translator", "--seed", "3",
                     "--refine", "2", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["seed"], summary["params"]) == (3, {"refine": 2})
+
+
+def test_refine_is_refused_by_a_scenario_that_does_not_read_it(tmp_path):
+    with pytest.raises(ConfigInvalid, match="'refine'"):
+        run_cli(["run", "--scenario", "three-annulus", "--refine", "2",
+                 "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_refine_zero_reaches_the_scenario_and_is_refused(tmp_path):
@@ -286,3 +331,16 @@ def test_run_without_refine_writes_empty_params(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["run", "--scenario", "three-annulus", "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["params"] == {}
+
+
+@pytest.mark.parametrize("fn", [*LAB_COMMANDS.values(), *sc.SCENARIOS.values()],
+                         ids=[*LAB_COMMANDS, *sc.SCENARIOS])
+def test_every_declared_key_has_a_default_the_checker_knows(fn):
+    # check_keys knows these JSON types; a key of any other default, or of
+    # none, could never be given a value that it takes
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is p.KEYWORD_ONLY:
+            assert type(p.default) in (float, int, str, tuple, list, dict,
+                                       type(None)), p.name
+            if isinstance(p.default, tuple):
+                assert all(type(x) is float for x in p.default), p.name

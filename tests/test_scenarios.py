@@ -37,6 +37,48 @@ def test_config_validation_refuses_bad_seed_and_params(bad):
         sc.validate_config({"scenario": "three-annulus", **bad})
 
 
+@pytest.mark.parametrize("name", sorted(sc.SCENARIOS))
+def test_every_scenario_refuses_an_unknown_param_before_any_fixture(name, monkeypatch,
+                                                                   tmp_path):
+    monkeypatch.setattr(sc, "fx", None)
+    with pytest.raises(ConfigInvalid, match="'bogus'"):
+        sc.run_scenario({"scenario": name, "params": {"bogus": 1}},
+                        out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, params, key", [
+    ("plane-pair-density", {"samples": "abc"}, "samples"),
+    ("plane-pair-density", {"extent": [30.0]}, "extent"),
+    ("huisken-monotonicity", {"dt": True}, "dt"),
+    ("blow-down-ladder", {"lambdas": 0.1}, "lambdas"),
+    ("linking-suite", {"samples": 400.0}, "samples"),
+])
+def test_a_mistyped_param_is_refused_by_name(name, params, key):
+    with pytest.raises(ConfigInvalid, match=repr(key)):
+        sc.validate_config({"scenario": name, "params": params})
+
+
+@pytest.mark.parametrize("params", [{"lambdas": [0.1]},
+                                    {"lambdas": [0.4, 0.2, 0.1, 0.05]},
+                                    {"base_speed": 4, "s1": -1}])
+def test_a_list_param_takes_any_length_and_a_float_param_an_int(params):
+    assert sc.validate_config({"scenario": "blow-down-ladder",
+                               "params": params})["params"] == params
+
+
+# the short scenarios that declare keys (caloric-identities declares none)
+@pytest.mark.parametrize("name", ["plane-pair-density", "huisken-monotonicity",
+                                  "hermite-spectrum", "three-annulus",
+                                  "grim-reaper-translator"])
+def test_declared_defaults_given_explicitly_change_no_metric(name):
+    # every default, as JSON would give it, is taken and is the value used
+    declared = sc.check_keys(name, {}, sc.SCENARIOS[name])
+    params = json.loads(json.dumps(declared))
+    assert sc.run_scenario({"scenario": name, "params": params})["metrics"] == \
+        sc.run_scenario({"scenario": name})["metrics"]
+
+
 def test_numpy_integer_seed_runs_as_the_same_config():
     cfg = sc.validate_config({"scenario": "three-annulus", "seed": np.int64(1)})
     assert type(cfg["seed"]) is int and cfg["seed"] == 1
