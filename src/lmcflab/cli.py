@@ -24,10 +24,15 @@ from .errors import ConfigInvalid
 from .geometry import make_plane_pair
 
 
-# the values a key admits where the command branches on it; the curve
-# commands take the curve fixtures only
-CHOICES = {**dict.fromkeys(["simulate", "density", "entropy", "monotonicity"],
-                           {"fixture": ("circle", "line", "line-pair", "grim-reaper")}),
+# the curve commands' fixtures: name -> generator, whose keyword defaults
+# declare the keys its fixture_params take
+CURVE_FIXTURES = {"circle": fx.make_circle, "line": fx.make_line,
+                  "line-pair": fx.make_line_pair, "grim-reaper": fx.make_grim_reaper}
+
+# the values a key admits where the command branches on it
+CHOICES = {"simulate": {"fixture": tuple(CURVE_FIXTURES), "scheme": tuple(flow.SCHEMES)},
+           **dict.fromkeys(["density", "entropy", "monotonicity"],
+                           {"fixture": tuple(CURVE_FIXTURES)}),
            "heat": {"field": ("x", "y")},
            "translator-check": {"fixture": ("grim-reaper-product", "circle-product")}}
 
@@ -54,8 +59,12 @@ def _load_config(args):
             cfg["params"]["refine"] = args.refine
         return {"config": sc.validate_config(cfg)}
     declared = sc.check_keys(args.command, cfg, args.fn, CHOICES.get(args.command))
-    if "fixture_params" in declared and "fixture" in cfg:
-        cfg.setdefault("fixture_params", {})   # the generator's own defaults
+    if "fixture_params" in declared:
+        fixture = cfg.get("fixture", declared["fixture"])
+        if "fixture" in cfg:
+            cfg.setdefault("fixture_params", {})   # the generator's own defaults
+        sc.check_keys(f"fixture {fixture!r}", cfg.get("fixture_params", {}),
+                      CURVE_FIXTURES[fixture])
     return cfg
 
 
@@ -67,7 +76,7 @@ def _write_json(out, name, payload):
 
 
 def _make_fixture_state(name, params):
-    state = fx.generate_fixture(name, **params)
+    state = CURVE_FIXTURES[name](**params)
     return state[0] if name == "grim-reaper" else state   # (curve, theta_ref)
 
 

@@ -96,10 +96,6 @@ class SchemaMismatch(LabError):
     """Two run bundles cannot be compared (different scenario/schema)."""
 
 
-class UnknownFixture(LabError):
-    """Requested fixture name is not registered."""
-
-
 class SolverFailure(LabError):
     """Linear solve in a flow/heat step failed."""
 

@@ -3,8 +3,9 @@
 Every generator is deterministic in its parameters. Reference fields
 (tangent angle, height, curvature) come from the closed forms of the
 underlying solutions, not from the discrete operators they are used to
-test. ``FIXTURES`` maps each fixture name to its generator and the object
-it realizes.
+test. The lab's model solutions are lines, line and plane pairs, the grim
+reaper translator, the shrinking circle and their products with a static
+line; the CLI builds its curve fixtures by name from ``cli.CURVE_FIXTURES``.
 Each trajectory fixture is one block formula: it evaluates its closed form
 for any b times in one broadcast (:class:`~lmcflab.flow.AnalyticTrajectory`).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnknownFixture
+from .flow import AnalyticTrajectory
 from .geometry import (AffineLine, DiscreteCurve, ProductLagrangian,
                        grid_quad_mesh, make_plane_pair, standard_frame)
 
@@ -141,26 +142,6 @@ def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0),
     return meshes, frame, pair
 
 
-def make_neck_pair(angle=np.pi / 4, sigma=0.05, extent=6.0, n=301,
-                   line_extent=6.0, line_samples=61):
-    """Connected surface asymptotic to both m=1 pair planes (neck regime).
-
-    Factor one is the single hyperbola branch y = sqrt(m^2 x^2 + sigma^2)
-    smoothing the crossing of the lines y = +-m x; its product with R_z is
-    one connected component, so extraction must report ambiguity.
-    """
-    m = np.tan(angle)
-    x = np.linspace(-extent, extent, n)
-    y = np.sqrt(m * m * x * x + sigma * sigma)
-    curve = DiscreteCurve(np.stack([x, y], axis=1))
-    line = AffineLine((0.0, 0.0), (1.0, 0.0))
-    prod = ProductLagrangian(curve, line,
-                             line_sample=line.sample(line_extent, line_samples))
-    pair = make_plane_pair((angle, -angle), intersection_dim=1,
-                           frame=standard_frame(4, z_axis=2))
-    return prod, pair
-
-
 def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,
                                     t0=0.0, t1=0.2, dt=1e-3):
     """Analytic grim reaper flow with true material vertex motion.
@@ -169,8 +150,6 @@ def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,
     a material point obeys tan(a(t)) = tan(a(t0)) e^{-c^2 (t - t0)} and the
     point rides the translated profile.
     """
-    from .flow import AnalyticTrajectory
-
     c = float(speed)
     s0 = np.linspace(-extent, extent, n)
     x0 = np.arcsin(np.tanh(c * s0)) / c
@@ -193,8 +172,6 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
     Vertex velocity is speed * e_y = H + tangential part; heat solves
     account for the tangential part through the measured advection term.
     """
-    from .flow import AnalyticTrajectory
-
     base = grim_reaper_point(np.asarray(s_grid, dtype=float), speed)
 
     def block(t):
@@ -209,8 +186,6 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
 def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
                                 center=(0.0, 0.0)):
     """Exact shrinking circle r(t) = sqrt(r0^2 - 2(t - t0)), material vertices."""
-    from .flow import AnalyticTrajectory
-
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     center = np.asarray(center, dtype=float)
@@ -237,53 +212,3 @@ def make_hopf_fibers(q1=(1.0, 0.0, 0.0, 0.0), q2=(0.0, 0.0, 1.0, 0.0), n=256):
         return np.concatenate([z1, z2], axis=1)
 
     return fiber(q1), fiber(q2)
-
-
-def make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0), n=12):
-    """Small round 2-sphere mesh in the (x1,y1,x2) subspace of R^4."""
-    th = np.linspace(0.05, np.pi - 0.05, n)
-    ph = np.linspace(0.0, 2 * np.pi, 2 * n)
-    T, P = np.meshgrid(th, ph, indexing="ij")
-    pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
-                    np.cos(T), np.zeros_like(T)], axis=-1)
-    return grid_quad_mesh(radius * pts + np.asarray(center))
-
-
-# name -> (generator, the object the fixture realizes)
-FIXTURES = {
-    "line": (make_line,
-             "static line, the trivial translator / unit-density plane (n=1)"),
-    "line-pair": (make_line_pair,
-                  "two lines through the origin, the n=1 cone with density two"),
-    "circle": (make_circle,
-               "round circle, the compact self-shrinker (entropy sqrt(2*pi/e))"),
-    "grim-reaper": (make_grim_reaper,
-                    "translating curve y = -log(cos(c x))/c, tangent angle c*x"),
-    "grim-reaper-product": (make_grim_reaper_product,
-                            "grim reaper x static line: translator in C^2"),
-    "circle-product": (make_circle_product,
-                       "shrinking circle x static line: shrinking cylinder"),
-    "plane-pair-m1": (lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 1),
-                      "two Lagrangian planes meeting along the z-line"),
-    "plane-pair-m0": (lambda angle=np.pi / 4: make_plane_pair((angle, -angle), 0),
-                      "transverse Lagrangian plane pair meeting at 0"),
-    "tilted-pair": (make_tilted_pair,
-                    "graphs w = lam*b_j*z over the m=1 pair"),
-    "smoothed-pair": (make_smoothed_pair,
-                      "two slightly bent lines x static line (near-pair flow)"),
-    "neck-pair": (make_neck_pair,
-                  "single connected surface asymptotic to both planes"),
-    "hopf-fibers": (make_hopf_fibers,
-                    "two fibers of the Hopf fibration of the unit 3-sphere"),
-    "sphere-speck": (make_sphere_speck,
-                     "tiny round 2-sphere mesh, a discardable leftover"),
-}
-
-
-def generate_fixture(name, **params):
-    """Deterministic fixture generation by name; raises UnknownFixture."""
-    try:
-        gen, _ = FIXTURES[name]
-    except KeyError:
-        raise UnknownFixture(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
-    return gen(**params)

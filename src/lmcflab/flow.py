@@ -255,11 +255,16 @@ def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> D
     return out
 
 
+# scheme name -> the step it takes
+SCHEMES = {"semi_implicit": step_flow_semi_implicit, "explicit": step_flow_explicit}
+
+
 def step_flow(state, dt, scheme="semi_implicit", min_edge=None):
     """One flow step of a state (curve or list of curves)."""
-    if scheme not in ("semi_implicit", "explicit"):
-        raise ValueError(f"unknown scheme {scheme!r}; known: 'semi_implicit', 'explicit'")
-    stepper = step_flow_semi_implicit if scheme == "semi_implicit" else step_flow_explicit
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; "
+                         f"known: {', '.join(map(repr, SCHEMES))}")
+    stepper = SCHEMES[scheme]
     comps = as_components(state)
     out = [stepper(c, dt, min_edge=min_edge) for c in comps]
     return out if isinstance(state, (list, tuple)) else out[0]
@@ -326,15 +331,15 @@ def parabolic_rescale(traj: FlowTrajectory, lam: float) -> FlowTrajectory:
     """Parabolic rescaling (x, t) -> (lam*x, lam^2*t) of a trajectory."""
     if lam <= 0:
         raise ValueError("lam must be positive")
+    meta = dict(traj.metadata, rescaled_by=lam)
     if isinstance(traj, AnalyticTrajectory):
         block = traj.block
         return AnalyticTrajectory(lam * lam * traj.times,
                                   lambda t: [(c.with_vertices(lam * c.vertices), lam * p)
                                              for c, p in block(t / (lam * lam))],
-                                  mode=traj.mode, metadata=traj.metadata)
+                                  mode=traj.mode, metadata=meta)
     states = [scale_state(s, lam) for s in traj.states]
-    return FlowTrajectory(lam * lam * traj.times, states, mode=traj.mode,
-                          metadata=dict(traj.metadata, rescaled_by=lam))
+    return FlowTrajectory(lam * lam * traj.times, states, mode=traj.mode, metadata=meta)
 
 
 def to_rescaled(traj: FlowTrajectory, tau_min=None, tau_max=None, dtau=0.01) -> FlowTrajectory:

@@ -62,13 +62,13 @@ def validate_config(config: dict) -> dict:
 
 def check_keys(where, given, fn, choices=None) -> dict:
     """Refuse with ConfigInvalid, naming the key, any key of ``given`` that
-    is not a keyword-only parameter of ``fn``, that is not of its default's
+    is not a parameter of ``fn`` with a default, that is not of its default's
     JSON type, or that lies outside ``choices[key]``. A float default also
     takes an int, a None default takes anything, a tuple default takes a list
     of as many numbers, and a bool is never a number. Returns the declared
     keys with their defaults."""
     declared = {p.name: p.default for p in inspect.signature(fn).parameters.values()
-                if p.kind is p.KEYWORD_ONLY}
+                if p.default is not p.empty}
     for key, value in given.items():
         if key not in declared:
             raise ConfigInvalid(f"unknown key {key!r} for {where}; "
@@ -91,7 +91,7 @@ def _fits(value, default):
         return (isinstance(value, list) and len(value) == len(default)
                 and all(_fits(v, d) for v, d in zip(value, default)))
     kind = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
 
 
 def hausdorff_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """CLI surface: every documented subcommand runs and writes its outputs."""
 
 import argparse
+import functools
 import inspect
 import json
 import subprocess
@@ -158,13 +159,22 @@ class _Built(Exception):
     pass
 
 
-def _stop_at_the_fixture(name, **params):
-    raise _Built(name, params)
+def _stop_at_the_fixtures(monkeypatch):
+    """Make each curve fixture of the CLI table raise _Built(name, params)
+    in place of building; each stub keeps its generator's signature, which
+    the checker reads."""
+    def stub(name, gen):
+        @functools.wraps(gen)
+        def stop(**params):
+            raise _Built(name, params)
+        return stop
+    for name, gen in cli.CURVE_FIXTURES.items():
+        monkeypatch.setitem(cli.CURVE_FIXTURES, name, stub(name, gen))
 
 
 def test_each_command_reads_its_own_default_fixture(tmp_path, monkeypatch):
     # the same fixture with no --config and with an empty one
-    monkeypatch.setattr(cli.fx, "generate_fixture", _stop_at_the_fixture)
+    _stop_at_the_fixtures(monkeypatch)
     empty = tmp_path / "cfg.json"
     empty.write_text("{}")
     for command, want in [("simulate", ("circle", {"radius": 1.0, "n": 128})),
@@ -178,7 +188,7 @@ def test_each_command_reads_its_own_default_fixture(tmp_path, monkeypatch):
 
 
 def test_a_named_fixture_gets_its_generators_defaults(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.fx, "generate_fixture", _stop_at_the_fixture)
+    _stop_at_the_fixtures(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fixture": "circle"}))
     with pytest.raises(_Built) as built:
@@ -224,6 +234,11 @@ def test_density_records_the_window_it_used(config, tmp_path):
     ("monotonicity", {"x0": [0.3]}, "x0"),
     ("spectrum", {"angles": [0.5]}, "angles"),
     ("linking", {"b": [1.0, "x"]}, "b"),
+    ("simulate", {"scheme": "bogus"}, "scheme"),
+    ("density", {"fixture_params": {"bogus": 1}}, "bogus"),
+    ("density", {"fixture": "circle", "fixture_params": {"extent": 1.0}}, "extent"),
+    ("simulate", {"fixture": "grim-reaper", "fixture_params": {"n": 1.5}}, "n"),
+    ("entropy", {"fixture": "grim-reaper", "fixture_params": {"graded": 1}}, "graded"),
 ])
 def test_a_mistyped_or_unknown_key_is_refused(command, config, key, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -333,14 +348,75 @@ def test_run_without_refine_writes_empty_params(tmp_path):
     assert json.loads((out / "summary.json").read_text())["params"] == {}
 
 
-@pytest.mark.parametrize("fn", [*LAB_COMMANDS.values(), *sc.SCENARIOS.values()],
-                         ids=[*LAB_COMMANDS, *sc.SCENARIOS])
+@pytest.mark.parametrize("fn", [*LAB_COMMANDS.values(), *sc.SCENARIOS.values(),
+                                *cli.CURVE_FIXTURES.values()],
+                         ids=[*LAB_COMMANDS, *sc.SCENARIOS, *cli.CURVE_FIXTURES])
 def test_every_declared_key_has_a_default_the_checker_knows(fn):
-    # check_keys knows these JSON types; a key of any other default, or of
-    # none, could never be given a value that it takes
+    # check_keys knows these JSON types; a key of any other default could
+    # never be given a value that it takes
     for p in inspect.signature(fn).parameters.values():
-        if p.kind is p.KEYWORD_ONLY:
-            assert type(p.default) in (float, int, str, tuple, list, dict,
+        if p.default is not p.empty:
+            assert type(p.default) in (float, int, bool, str, tuple, list, dict,
                                        type(None)), p.name
             if isinstance(p.default, tuple):
                 assert all(type(x) is float for x in p.default), p.name
+
+
+# the keys each lab command and scenario declares; a change here changes
+# what every --config and scenario config may hold
+DECLARED = {
+    "simulate": {"dt", "fixture", "fixture_params", "record_every",
+                 "redistribute_every", "scheme", "steps", "t0"},
+    "density": {"fixture", "fixture_params", "t", "t0", "x0"},
+    "entropy": {"fixture", "fixture_params"},
+    "monotonicity": {"dt", "fixture", "fixture_params", "record_every", "steps",
+                     "t0", "x0"},
+    "spectrum": {"angles", "max_degree", "n"},
+    "three-annulus": {"degree", "log_norms", "s", "taus"},
+    "heat": {"dt", "field", "n", "radius", "t1"},
+    "translator-check": {"extent", "fixture", "n", "radius", "speed"},
+    "linking": {"b", "extent", "lam", "n_poles", "radius", "samples"},
+}
+SCENARIO_KEYS = {
+    "plane-pair-density": {"extent", "samples"},
+    "huisken-monotonicity": {"dt", "rtol"},
+    "hermite-spectrum": {"max_degree"},
+    "three-annulus": {"n_mixtures"},
+    "grim-reaper-translator": {"refine"},
+    "caloric-identities": set(),
+    "linking-suite": {"samples"},
+    "blow-down-ladder": {"base_speed", "dt", "lambdas", "s1"},
+}
+
+
+def test_every_command_and_scenario_declares_the_keys_it_did():
+    assert {name: set(sc.check_keys(name, {}, fn))
+            for name, fn in LAB_COMMANDS.items()} == DECLARED
+    assert {name: set(sc.check_keys(name, {}, fn))
+            for name, fn in sc.SCENARIOS.items()} == SCENARIO_KEYS
+
+
+def test_every_choice_is_of_a_key_its_command_declares():
+    # check_keys never looks up a choice whose key is not declared
+    for command, choices in cli.CHOICES.items():
+        assert set(choices) <= set(sc.check_keys(command, {}, LAB_COMMANDS[command])), \
+            command
+
+
+def test_the_curve_commands_take_the_fixtures_and_schemes_of_their_tables():
+    for command in ("simulate", "density", "entropy", "monotonicity"):
+        assert cli.CHOICES[command]["fixture"] == ("circle", "line", "line-pair",
+                                                   "grim-reaper")
+    assert cli.CHOICES["simulate"]["scheme"] == tuple(flow.SCHEMES) == \
+        ("semi_implicit", "explicit")
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_a_bool_default_takes_a_bool(graded, tmp_path, monkeypatch):
+    _stop_at_the_fixtures(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "grim-reaper",
+                               "fixture_params": {"graded": graded}}))
+    with pytest.raises(_Built) as built:
+        run_cli(["density", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert built.value.args == ("grim-reaper", {"graded": graded})

@@ -32,6 +32,9 @@ ALLOWED = {
     "flowheat.select_s1": "the choice of s1 by the separation margin, checked "
                           "by tests",
     "flow.load_trajectory": "reads the file that `lmcflab simulate` writes",
+    "fixtures.make_smoothed_pair": "the near-plane-pair product flow, on which "
+                                   "tests check the caloric fields and the "
+                                   "block-streamed planes",
     "geometry.exactness_primitive": "the single-curve primitive; perfbench "
                                     "times it as a stage, and tests take it as "
                                     "the per-state reference",

@@ -1,33 +1,46 @@
-"""Fixture generators: reference fields, determinism, the registry."""
+"""Fixture generators: reference fields, determinism, default builds."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
-from lmcflab.errors import UnknownFixture
+
+# every fixture generator, and the two plane pairs that geometry builds
+GENERATORS = {
+    "line": fx.make_line, "line-pair": fx.make_line_pair,
+    "circle": fx.make_circle, "grim-reaper": fx.make_grim_reaper,
+    "grim-reaper-product": fx.make_grim_reaper_product,
+    "circle-product": fx.make_circle_product,
+    "plane-pair-m1": partial(geo.make_plane_pair, (np.pi / 4, -np.pi / 4), 1),
+    "plane-pair-m0": partial(geo.make_plane_pair, (np.pi / 4, -np.pi / 4), 0),
+    "tilted-pair": fx.make_tilted_pair, "smoothed-pair": fx.make_smoothed_pair,
+    "hopf-fibers": fx.make_hopf_fibers,
+}
 
 
-def test_unknown_fixture():
-    with pytest.raises(UnknownFixture):
-        fx.generate_fixture("nonesuch")
-
-
-@pytest.mark.parametrize("name", sorted(fx.FIXTURES))
+@pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_every_fixture_generates_from_its_defaults(name):
-    assert fx.generate_fixture(name) is not None
+    assert GENERATORS[name]() is not None
+
+
+def test_every_make_function_of_the_fixtures_is_generated():
+    made = {f for name, f in vars(fx).items()
+            if name.startswith("make_") and f.__module__ == fx.__name__}
+    assert made <= set(GENERATORS.values())
 
 
 def test_generate_fixture_deterministic():
-    a = fx.generate_fixture("circle", radius=1.0, n=64)
-    b = fx.generate_fixture("circle", radius=1.0, n=64)
+    a = fx.make_circle(radius=1.0, n=64)
+    b = fx.make_circle(radius=1.0, n=64)
     assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_circle_reference_angle():
-    curve = fx.generate_fixture("circle", radius=1.0, n=256)
+    curve = fx.make_circle(radius=1.0, n=256)
     phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
     theta = geo.lagrangian_angle(curve)
     assert np.max(np.abs(theta - (phi + np.pi / 2))) < 1e-10
@@ -132,14 +145,6 @@ def test_hopf_fibers_on_sphere():
     f1, f2 = fx.make_hopf_fibers(n=64)
     assert np.max(np.abs(np.linalg.norm(f1, axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(f2, axis=1) - 1.0)) < 1e-12
-
-
-def test_neck_pair_connected():
-    prod, pair = fx.make_neck_pair(sigma=0.05, n=101)
-    # single connected product mesh close to the pair only away from origin
-    verts = geo.grid_quad_mesh(
-        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))[0]
-    assert verts.shape[0] == 101 * prod.factor2.n_vertices
 
 
 def test_shrinking_circle_trajectory_law():

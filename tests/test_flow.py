@@ -105,6 +105,16 @@ def test_parabolic_rescale_scales_curvature():
     assert np.allclose(np.linalg.norm(H, axis=1), 1.0 / lam, atol=1e-12)
 
 
+def test_parabolic_rescale_records_its_factor_on_both_kinds(tmp_path):
+    stored = flow.evolve(fx.make_circle(1.0, 16), 1e-3, 2)
+    analytic = fx.shrinking_circle_trajectory(1.0, 16, t1=2e-3, dt=1e-3)
+    for traj in (stored, analytic):
+        out = flow.parabolic_rescale(traj, 2.0)
+        assert out.metadata == dict(traj.metadata, rescaled_by=2.0)
+        flow.save_trajectory(tmp_path / "t.txt", out)
+        assert flow.load_trajectory(tmp_path / "t.txt").metadata["rescaled_by"] == 2.0
+
+
 def self_shrinking_circle(times, n=64):
     """The circle r^2 = -2t with n material vertices, as a block form."""
     unit = fx.make_circle(1.0, n).vertices.T

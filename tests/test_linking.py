@@ -212,10 +212,20 @@ def test_tangency_retries_nudge_radius():
     assert abs(geodesic_length(sl) - 2.0 * np.pi * sl.radius) < 1e-6
 
 
+def make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0), n=12):
+    """Small round 2-sphere mesh in the (x1,y1,x2) subspace of R^4."""
+    th = np.linspace(0.05, np.pi - 0.05, n)
+    ph = np.linspace(0.0, 2 * np.pi, 2 * n)
+    T, P = np.meshgrid(th, ph, indexing="ij")
+    pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
+                    np.cos(T), np.zeros_like(T)], axis=-1)
+    return geo.grid_quad_mesh(radius * pts + np.asarray(center))
+
+
 def test_no_transverse_radius():
     # concentric shells at every retry radius defeat the nudging
-    parts = [fx.make_sphere_speck(radius=1.0 + 0.003 * k, center=(0, 0, 0, 0),
-                                  n=16) for k in range(12)]
+    parts = [make_sphere_speck(radius=1.0 + 0.003 * k, center=(0, 0, 0, 0),
+                               n=16) for k in range(12)]
     verts = np.concatenate([p[0] for p in parts])
     quads = np.concatenate([p[1] + sum(q[0].shape[0] for q in parts[:k])
                             for k, p in enumerate(parts)])
