@@ -39,13 +39,21 @@ CHOICES = {"simulate": {"fixture": tuple(CURVE_FIXTURES), "scheme": tuple(flow.S
 
 def _load_config(args):
     """The command's keyword arguments, refused with ConfigInvalid before
-    anything is written: the --config file's keys, which ``scenarios.check_keys``
+    anything is written: a --config file that cannot be read or is not
+    JSON, or the file's keys, which ``scenarios.check_keys``
     checks against the command's keyword defaults, or, for ``run``, the
     scenario config that ``scenarios.validate_config`` checks."""
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fhd:
-            cfg = json.load(fhd)
+        try:
+            with open(args.config) as fhd:
+                cfg = json.load(fhd)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot read config {args.config!r}: "
+                                f"{exc.strerror or exc}") from exc
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigInvalid(f"config {args.config!r} is not valid JSON: "
+                                f"{exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigInvalid(f"config must be a JSON object, not {cfg!r}")
     if args.command == "run":
@@ -180,9 +188,9 @@ def cmd_translator_check(args, *, fixture="grim-reaper-product", speed=1.0,
 
 def cmd_linking(args, *, lam=0.1, b=(1.0, -1.0), extent=2.0, samples=400,
                 radius=1.0, n_poles=5):
-    tilted = partial(fx.make_tilted_pair, lam=lam, b=tuple(b), extent=extent,
-                     samples=samples)
-    s1, s2, rep = sc.transverse_link(tilted, args.seed, radius, n_poles)
+    graph = partial(fx.tilted_graph, lam=lam, b=tuple(b), extent=extent,
+                    samples=samples)
+    s1, s2, rep = sc.transverse_link(graph, args.seed, radius, n_poles)
     s1.write_csv(os.path.join(args.out, "slice1.csv"))
     s2.write_csv(os.path.join(args.out, "slice2.csv"))
     _write_json(args.out, "linking.json", rep.to_dict())

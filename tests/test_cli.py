@@ -14,7 +14,7 @@ from lmcflab import cli
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import scenarios as sc
-from lmcflab.errors import ConfigInvalid
+from lmcflab.errors import ConfigInvalid, EmptySlice
 
 
 def run_cli(args):
@@ -239,6 +239,10 @@ def test_density_records_the_window_it_used(config, tmp_path):
     ("density", {"fixture": "circle", "fixture_params": {"extent": 1.0}}, "extent"),
     ("simulate", {"fixture": "grim-reaper", "fixture_params": {"n": 1.5}}, "n"),
     ("entropy", {"fixture": "grim-reaper", "fixture_params": {"graded": 1}}, "graded"),
+    ("density", {"fixture": "grim-reaper",
+                 "fixture_params": {"graded": True, "h_fine": "x"}}, "h_fine"),
+    ("simulate", {"fixture": "grim-reaper", "fixture_params": {"h_coarse": [0.5]}},
+     "h_coarse"),
 ])
 def test_a_mistyped_or_unknown_key_is_refused(command, config, key, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -331,6 +335,43 @@ def test_a_config_that_is_not_an_object_is_refused(command, tmp_path):
     with pytest.raises(ConfigInvalid, match="JSON object"):
         run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def test_a_misplaced_scenario_key_is_refused_before_out_is_made(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 1}))
+    with pytest.raises(ConfigInvalid, match="top-level key 'samples'"):
+        run_cli(["run", "--scenario", "linking-suite", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["density", "linking", "run"])
+@pytest.mark.parametrize("text, problem", [
+    (None, "cannot read config"), ("{", "is not valid JSON"),
+    ('{"samples": 400,}', "is not valid JSON"), (b"\xff\xfe", "is not valid JSON")])
+def test_a_config_that_cannot_be_read_is_refused_before_out_is_made(
+        command, text, problem, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
+        cfg.write_text(text)
+    scenario = ["--scenario", "three-annulus"] if command == "run" else []
+    with pytest.raises(ConfigInvalid, match=problem) as refused:
+        run_cli([command, *scenario, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert str(cfg) in str(refused.value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+def test_linking_graphs_that_miss_the_sphere_are_refused_typed(samples, tmp_path):
+    # one point, or the four corners of [-2, 2]^2, all outside the unit sphere
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": samples}))
+    with pytest.raises(EmptySlice, match="crosses the sphere of radius 1.0"):
+        run_cli(["linking", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 def test_refine_is_refused_with_params_that_are_not_an_object(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
+from lmcflab.errors import ConfigInvalid
 
 # every fixture generator, and the two plane pairs that geometry builds
 GENERATORS = {
@@ -55,6 +56,20 @@ def test_grim_reaper_reference_angle():
     assert np.max(np.abs(theta - theta_ref)[mask]) < 5.0 * h * h
 
 
+def test_graded_grim_reaper_defaults_are_the_spacings_it_used():
+    # h_fine, h_coarse and fine_radius once defaulted to None, read as these
+    curve, _ = fx.make_grim_reaper(graded=True)
+    want = fx.graded_arclength_grid(6.0, 0.02, 0.5, 4.0)
+    assert np.array_equal(curve.vertices, fx.grim_reaper_point(want))
+
+
+@pytest.mark.parametrize("spacings", [{"h_fine": 0.0}, {"h_coarse": -0.5},
+                                      {"h_fine": float("nan")}])
+def test_graded_grid_refuses_spacings_that_never_reach_the_extent(spacings):
+    with pytest.raises(ConfigInvalid, match="spacings must be positive"):
+        fx.make_grim_reaper(graded=True, **spacings)
+
+
 def test_grim_reaper_speed_scaling():
     c = 2.0
     curve, theta_ref = fx.make_grim_reaper(speed=c, extent=2.0, n=512)
@@ -86,8 +101,8 @@ def test_smoothed_pair_components_near_planes():
     prods, frame, pair = fx.make_smoothed_pair(sigma=0.05, n=101)
     assert len(prods) == 2
     for prod, plane in zip(prods, pair.planes):
-        verts = geo.grid_quad_mesh(
-            geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))[0]
+        verts = geo._factor_grid(prod.factor1.vertices,
+                                 prod.factor2.vertices).reshape(-1, 4)
         d = plane.distance(verts)
         assert np.max(d) < 0.06  # within sigma of its plane
 
@@ -96,7 +111,8 @@ def test_tilted_pair_graphs():
     lam = 0.1
     meshes, frame, pair = fx.make_tilted_pair(lam=lam, b=(1.0, -1.0),
                                               extent=2.0, samples=41)
-    for (verts, quads), plane, b in zip(meshes, pair.planes, (1.0, -1.0)):
+    for grid, plane, b in zip(meshes, pair.planes, (1.0, -1.0)):
+        verts = np.asarray(grid).reshape(-1, 4)
         z = verts @ frame.e_z
         w = verts @ frame.e_w
         assert np.max(np.abs(w - lam * b * z)) < 1e-12
@@ -121,12 +137,20 @@ def tilted_pair_oracle(lam, b, extent, samples, angle=np.pi / 4):
     (0.1, (1.0, -1.0), 2.0, 400), (0.05, (1.0, 1.0), 2.0, 240),
     (0.2, (1.0, -1.0), 3.4, 120), (0.37, (-2.5, 0.3), 1.3, 7)])
 def test_tilted_pair_vertices_and_shared_quads(lam, b, extent, samples):
-    (va, qa), (vb, qb) = fx.make_tilted_pair(lam=lam, b=b, extent=extent,
-                                             samples=samples)[0]
-    assert qb is qa
-    assert np.array_equal(qa, geo.grid_quad_mesh(np.zeros((samples, samples, 4)))[1])
-    for got, want in zip((va, vb), tilted_pair_oracle(lam, b, extent, samples)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # each graph is a point grid; as a (vertices, quads) mesh its vertices
+    # are a view of the points and its quads the numbers of the same
+    # (samples - 1)**2 grid quads
+    graphs = fx.make_tilted_pair(lam=lam, b=b, extent=extent, samples=samples)[0]
+    (va, qa), (vb, qb) = graphs
+    assert qa == qb == range((samples - 1) ** 2)
+    for j, (graph, verts, want) in enumerate(zip(
+            graphs, (va, vb), tilted_pair_oracle(lam, b, extent, samples))):
+        points = np.asarray(graph)
+        assert points.shape == (samples, samples, 4)
+        assert np.shares_memory(points, verts)
+        assert verts.shape == want.shape and verts.tobytes() == want.tobytes()
+        alone = fx.tilted_graph(j, lam=lam, b=b, extent=extent, samples=samples)
+        assert np.asarray(alone).tobytes() == points.tobytes()
 
 
 def test_tilted_pair_builds_without_grid_sized_temporaries():
@@ -136,9 +160,9 @@ def test_tilted_pair_builds_without_grid_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two meshes with their shared quads hold 14.6 MiB; the full
-    # meshgrids and point temporaries took the build to 35.3 MiB
-    assert peak < 22 * 2**20
+    # the two grids hold 9.8 MiB; with the quads they shared the build took
+    # 17.0 MiB, and the full meshgrids and point temporaries 35.3 MiB
+    assert peak < 12 * 2**20
 
 
 def test_hopf_fibers_on_sphere():

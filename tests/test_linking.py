@@ -1,11 +1,13 @@
 """Sphere slices, Gauss linking, half-space audit."""
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from lmcflab import fanout
 from lmcflab import fixtures as fx
 from lmcflab import geometry as geo
 from lmcflab import linking as lk
-from lmcflab.errors import (ConfigInvalid, CurvesTooClose, GaussSumTooLarge,
-                            NoTransverseRadius, OpenSliceLoop)
+from lmcflab import scenarios as sc
+from lmcflab.errors import (ConfigInvalid, CurvesTooClose, EmptySlice,
+                            GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop)
 
 
 def crossing_count_oracle(loop_a, loop_b, seed=5):
@@ -56,6 +59,39 @@ def crossing_count_oracle(loop_a, loop_b, seed=5):
 def all_triangles(quads):
     """Two triangles per quad: (0, 1, 2) of every quad, then (0, 2, 3)."""
     return np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+
+
+def grid_quad_mesh(X):
+    """Vertices (n1*n2, 4) and the (i, j) -> (i+1, j) -> (i+1, j+1) ->
+    (i, j+1) quads of a point grid X of shape (n1, n2, 4): the quad mesh
+    that the slicing and the intersection scan took before they read grids."""
+    X = np.asarray(X, dtype=float)
+    n1, n2 = X.shape[0], X.shape[1]
+    ii, jj = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    quads = np.stack([ii * n2 + jj, (ii + 1) * n2 + jj,
+                      (ii + 1) * n2 + jj + 1, ii * n2 + jj + 1], axis=1)
+    return X.reshape(-1, 4), quads
+
+
+def quad_mesh_sphere_slice(verts, quads, R, tangency_tol=1e-9):
+    """sphere_slice as it ran on quad meshes: the per-vertex sides gathered
+    per quad and the crossing triangles picked from the gather."""
+    f = np.linalg.norm(verts, axis=1) - R
+    R_try = float(R)
+    while np.min(np.abs(f)) <= tangency_tol * max(R_try, 1.0):
+        R_try += 0.003
+        f = np.linalg.norm(verts, axis=1) - R_try
+    side = (f > 0)[quads]
+    parts = []
+    for corners in ([0, 1, 2], [0, 2, 3]):
+        t = side[:, corners]
+        parts.append(quads[t.any(axis=1) & ~t.all(axis=1)][:, corners])
+    starts, _, start_edges, end_edges = lk._march_triangles(
+        verts, np.concatenate(parts), f)
+    loops = lk._chain_segments(starts, start_edges, end_edges)
+    loops = [R_try * (lp / np.linalg.norm(lp, axis=1)[:, None]) for lp in loops]
+    return lk.SphereSliceCurve(loops, R_try)
 
 
 def geodesic_length(sl):
@@ -98,9 +134,8 @@ def test_hopf_crossing_count_oracle_agrees():
 def test_plane_slice_great_circle():
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
     prod = pair.planes[0].as_product(extent=2.0, samples=300)
-    mesh = geo.grid_quad_mesh(
-        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))
-    sl = lk.sphere_slice(mesh, 1.0)
+    grid = geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices)
+    sl = lk.sphere_slice(grid, 1.0)
     assert sl.radius == 1.0
     assert len(sl.loops) == 1
     assert abs(geodesic_length(sl) - 2.0 * np.pi) < 1e-6
@@ -110,9 +145,8 @@ def test_slice_respects_halfspace():
     # component inside {w > 0.2} slices to a curve inside {w > 0.2}
     meshes, frame, pair = fx.make_tilted_pair(lam=0.05, b=(1.0, 1.0),
                                               extent=2.0, samples=240)
-    verts, quads = meshes[0]
-    verts = verts + 0.5 * frame.e_w  # lift into w > 0.2
-    sl = lk.sphere_slice((verts, quads), 1.0)
+    grid = np.asarray(meshes[0]) + 0.5 * frame.e_w  # lift into w > 0.2
+    sl = lk.sphere_slice(grid, 1.0)
     w = np.concatenate(sl.loops) @ frame.e_w
     assert np.min(w) > 0.2
 
@@ -135,13 +169,13 @@ def test_transverse_pair_slices_link_once():
 def test_parallel_pair_unlinked_and_disjoint():
     meshes, frame, pair = fx.make_tilted_pair(lam=0.05, b=(1.0, 1.0),
                                               extent=2.0, samples=240)
-    va, qa = meshes[0]
-    vb = va + 0.4 * frame.e_w
-    sa = lk.sphere_slice((va, qa), 1.0)
-    sb = lk.sphere_slice((vb, qa), 1.0)
+    ga = np.asarray(meshes[0])
+    gb = ga + 0.4 * frame.e_w
+    sa = lk.sphere_slice(ga, 1.0)
+    sb = lk.sphere_slice(gb, 1.0)
     rep = lk.linking_number(sa, sb)
     assert rep.value == 0
-    assert lk.surfaces_intersect((va, qa), (vb, qa)) is None
+    assert lk.surfaces_intersect(ga, gb) is None
     # separation on the whole sphere implies unlinked
     w_all = np.concatenate([np.concatenate(sa.loops) @ frame.e_w,
                             -(np.concatenate(sb.loops) @ frame.e_w - 0.4)])
@@ -205,32 +239,45 @@ def test_tangency_retries_nudge_radius():
     # grids hitting the sphere exactly get the +0.003 radius nudge
     pair = geo.make_plane_pair((np.pi / 4, -np.pi / 4), 1)
     prod = pair.planes[0].as_product(extent=2.0, samples=301)
-    mesh = geo.grid_quad_mesh(
-        geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices))
-    sl = lk.sphere_slice(mesh, 1.0)  # 301 grid hits (0.6, 0.8) points
+    grid = geo._factor_grid(prod.factor1.vertices, prod.factor2.vertices)
+    sl = lk.sphere_slice(grid, 1.0)  # 301 grid hits (0.6, 0.8) points
     assert sl.radius > 1.0
     assert abs(geodesic_length(sl) - 2.0 * np.pi * sl.radius) < 1e-6
 
 
 def make_sphere_speck(radius=0.01, center=(0.5, 0.5, 0.5, 0.0), n=12):
-    """Small round 2-sphere mesh in the (x1,y1,x2) subspace of R^4."""
+    """Small round 2-sphere, an (n, 2n, 4) point grid in the (x1,y1,x2)
+    subspace of R^4."""
     th = np.linspace(0.05, np.pi - 0.05, n)
     ph = np.linspace(0.0, 2 * np.pi, 2 * n)
     T, P = np.meshgrid(th, ph, indexing="ij")
     pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
                     np.cos(T), np.zeros_like(T)], axis=-1)
-    return geo.grid_quad_mesh(radius * pts + np.asarray(center))
+    return radius * pts + np.asarray(center)
 
 
 def test_no_transverse_radius():
-    # concentric shells at every retry radius defeat the nudging
-    parts = [make_sphere_speck(radius=1.0 + 0.003 * k, center=(0, 0, 0, 0),
-                               n=16) for k in range(12)]
-    verts = np.concatenate([p[0] for p in parts])
-    quads = np.concatenate([p[1] + sum(q[0].shape[0] for q in parts[:k])
-                            for k, p in enumerate(parts)])
+    # concentric shells at every retry radius, stacked as the rows of one
+    # grid, defeat the nudging
+    shells = np.concatenate([make_sphere_speck(radius=1.0 + 0.003 * k,
+                                               center=(0, 0, 0, 0), n=16)
+                             for k in range(12)])
     with pytest.raises(NoTransverseRadius):
-        lk.sphere_slice((verts, quads), 1.0, tangency_tol=1e-3)
+        lk.sphere_slice(shells, 1.0, tangency_tol=1e-3)
+
+
+@pytest.mark.parametrize("shape, R", [((1, 1), 1.0), ((2, 2), 1.0),
+                                      ((5, 7), 10.0), ((5, 7), 0.01),
+                                      ((1, 30), 1.0), ((0, 0), 1.0)])
+def test_a_surface_that_misses_the_sphere_raises(shape, R):
+    # a point grid with no quad, or whose quads all lie on one side
+    s = np.linspace(-2.0, 2.0, max(shape))
+    grid = np.zeros(shape + (4,))
+    grid[..., 0] = s[:shape[0], None] if shape[0] > 1 else 2.0
+    grid[..., 1] = s[None, :shape[1]] if shape[1] > 1 else 2.0
+    grid[..., 2] = 1.5   # off the origin: no radius near 0
+    with pytest.raises(EmptySlice, match="crosses the sphere"):
+        lk.sphere_slice(grid, R)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +335,9 @@ def loop_march_oracle(verts, tris, f):
     return segs
 
 
-def first_hit_oracle(mesh_a, mesh_b, tol=1e-9):
-    """Brute force over all triangle pairs in index order."""
-    (va, qa), (vb, qb) = mesh_a, mesh_b
+def first_hit_oracle(grid_a, grid_b, tol=1e-9):
+    """Brute force over all triangle pairs of two grids in index order."""
+    (va, qa), (vb, qb) = grid_quad_mesh(grid_a), grid_quad_mesh(grid_b)
     for ta in all_triangles(qa):
         for tb in all_triangles(qb):
             pa, pb = va[ta], vb[tb]
@@ -307,14 +354,10 @@ def first_hit_oracle(mesh_a, mesh_b, tol=1e-9):
 
 
 def grid_mesh(origin, e1, e2, extent, n):
-    """n x n grid quad mesh of origin + [-extent, extent]^2 in span(e1, e2)."""
+    """n x n point grid of origin + [-extent, extent]^2 in span(e1, e2)."""
     s = np.linspace(-extent, extent, n)
-    u, v = (w.reshape(-1, 1) for w in np.meshgrid(s, s, indexing="ij"))
-    verts = np.asarray(origin, float) + u * e1 + v * e2
-    idx = np.arange(n * n).reshape(n, n)
-    quads = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]],
-                     axis=-1).reshape(-1, 4)
-    return verts, quads
+    u, v = (w[..., None] for w in np.meshgrid(s, s, indexing="ij"))
+    return np.asarray(origin, float) + u * e1 + v * e2
 
 
 E = np.eye(4)
@@ -377,9 +420,59 @@ def test_gauss_sum_holds_no_dense_vector_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (N, M) summands plus the block workspace (about 2.5 MiB); a dense
-    # (N, M, 3) temporary would add 44 MiB
-    assert peak < 8 * n * n + 6 * 2**20
+    # the block workspace (about 2.5 MiB) and the summand buffer (0.4 MiB);
+    # the (N, M) summands would add 14.1 MiB and a dense (N, M, 3)
+    # temporary 44 MiB
+    assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, lk.SUM_LEAF - 1,
+                               lk.SUM_LEAF, lk.SUM_LEAF + 1, 3 * lk.SUM_LEAF + 5])
+def test_streamed_sum_equals_np_sum(n):
+    rng = np.random.default_rng(n)
+    # magnitudes over many decades, so that a change of order shows
+    x = rng.normal(size=n) * np.exp(8.0 * rng.normal(size=n))
+    leaves = []
+
+    def leaf(lo, hi):
+        leaves.append((lo, hi))
+        return np.add.reduce(x[lo:hi])
+
+    got = lk._pairwise_sum(0, n, leaf)
+    assert got == np.sum(x) and np.sum(x) == np.sum(x.reshape(1, n))
+    # the leaves cover 0 .. n - 1 in order, each of at most SUM_LEAF entries
+    assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+    assert leaves[-1][1] == n
+    assert max(hi - lo for lo, hi in leaves) <= lk.SUM_LEAF
+
+
+@pytest.mark.parametrize("rows, cols", [(37, 1211), (300, 251), (21, 3001),
+                                        (lk.GAUSS_BLOCK + 3, 2 * lk.SUM_LEAF)])
+def test_blocked_gauss_equals_dense_over_several_sum_leaves(rows, cols):
+    # row counts that are not multiples of GAUSS_BLOCK; row blocks that end
+    # inside a leaf and leaves that end inside a row block
+    rng = np.random.default_rng(rows + cols)
+    a = rng.normal(size=(rows, 3))
+    b = rng.normal(size=(cols, 3)) + [0.5, 0.0, 0.0]
+    assert rows * cols > lk.SUM_LEAF and rows % lk.GAUSS_BLOCK
+    assert lk._gauss_linking_r3(a, b) == dense_gauss_linking_oracle(a, b)
+
+
+def test_transverse_link_holds_one_grid_and_no_summand_array(cpus):
+    cpus(1)   # every pole summed in this process
+    graph = partial(fx.tilted_graph, lam=0.1, b=(1.0, -1.0), extent=2.0,
+                    samples=400)
+    tracemalloc.start()
+    try:
+        s1, s2, rep = sc.transverse_link(graph, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.value == 1
+    # one 400 x 400 grid is 4.9 MiB; both graphs with their quads took the
+    # caller to 15.3 MiB and the (N, M) Gauss summands to 14.1 MiB, for a
+    # peak of 18.3 MiB
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (17, 37), (64, 129)])
@@ -400,11 +493,11 @@ def test_dot_adds_in_einsums_order(shape):
 def test_vectorized_march_equals_loop():
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=120)
-    verts, quads = meshes[0]
+    verts, quads = grid_quad_mesh(meshes[0])
     tris = all_triangles(quads)
     f = np.linalg.norm(verts, axis=1) - 1.0
     starts, ends, start_edges, end_edges = lk._march_triangles(
-        verts, lk._crossing_triangles(quads, f > 0), f)
+        verts, lk._crossing_triangles((f > 0).reshape(120, 120)), f)
     segs = loop_march_oracle(verts, tris, f)   # over every triangle
     assert len(segs) > 100
     assert starts.tobytes() == np.array([s[0] for s in segs]).tobytes()
@@ -423,17 +516,41 @@ def test_vectorized_march_equals_loop():
 
 def test_crossing_triangles_equal_the_full_gather():
     rng = np.random.default_rng(7)
-    verts, quads = geo.grid_quad_mesh(rng.normal(size=(9, 11, 4)))
-    quads = rng.permutation(quads)   # any quad order, not only a grid's
-    tris = all_triangles(quads)
-    patterns = [rng.random(len(verts)) < p for p in rng.random(20)]
-    patterns += [np.ones(len(verts), bool), np.zeros(len(verts), bool)]
-    for above in patterns:
-        sign = above[tris]
-        crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
-        got = lk._crossing_triangles(quads, above)
-        assert got.dtype == tris.dtype
-        assert np.array_equal(got, tris[crossing])   # same triangles, same order
+    for shape in ((9, 11), (11, 9), (2, 2), (2, 7), (7, 2)):
+        tris = all_triangles(grid_quad_mesh(np.zeros(shape + (4,)))[1])
+        patterns = [rng.random(shape) < p for p in rng.random(20)]
+        for above in patterns + [np.ones(shape, bool), np.zeros(shape, bool)]:
+            sign = above.ravel()[tris]
+            crossing = ~(sign.all(axis=1) | (~sign).all(axis=1))
+            got = lk._crossing_triangles(above)
+            assert got.dtype == tris.dtype
+            assert np.array_equal(got, tris[crossing])   # same triangles, same order
+
+
+@pytest.mark.parametrize("samples", [120, 400])
+def test_grid_slices_equal_the_quad_mesh_path_on_the_tilted_pair(samples):
+    meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                 samples=samples)[0]
+    for grid in meshes:
+        got = lk.sphere_slice(grid, 1.0)
+        want = quad_mesh_sphere_slice(*grid_quad_mesh(grid), 1.0)
+        assert got.radius == want.radius
+        assert [lp.tobytes() for lp in got.loops] == [lp.tobytes() for lp in want.loops]
+
+
+def test_grid_slices_equal_the_quad_mesh_path_on_random_grids():
+    # random bumps on a plane through the origin: the unit sphere cuts one
+    # closed loop from every 9 x 11 grid, whose triangles are far from flat
+    rng = np.random.default_rng(13)
+    u, v = np.meshgrid(np.linspace(-2.4, 2.4, 9), np.linspace(-2.4, 2.4, 11),
+                       indexing="ij")
+    plane = u[..., None] * E[0] + v[..., None] * (E[2] + 0.5 * E[3])
+    for _ in range(20):
+        grid = plane + 0.1 * rng.normal(size=plane.shape)
+        got = lk.sphere_slice(grid, 1.0)
+        want = quad_mesh_sphere_slice(*grid_quad_mesh(grid), 1.0)
+        assert got.radius == want.radius
+        assert [lp.tobytes() for lp in got.loops] == [lp.tobytes() for lp in want.loops]
 
 
 def test_sphere_slice_gathers_no_array_of_all_triangles():
@@ -468,7 +585,7 @@ def test_sphere_slice_does_not_depend_on_mesh_block(monkeypatch):
     meshes = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0), extent=2.0,
                                  samples=120)[0]
     want = lk.sphere_slice(meshes[0], 1.0)
-    monkeypatch.setattr(lk, "MESH_BLOCK", len(meshes[0][0]))   # one block
+    monkeypatch.setattr(lk, "MESH_BLOCK", 120 * 120)   # one block
     got = lk.sphere_slice(meshes[0], 1.0)
     assert [lp.tobytes() for lp in got.loops] == [lp.tobytes() for lp in want.loops]
 
@@ -690,11 +807,14 @@ def gathered_bounding_balls_oracle(pts):
     return centre, np.sqrt(np.max(r2, axis=1))
 
 
-def test_bounding_balls_equal_gathered_formula():
+def test_bounding_balls_equal_gathered_formula(monkeypatch):
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=200)
-    for verts, quads in meshes:
-        centre, radius = lk._bounding_balls(verts, quads)
+    # one quad row per block, several, and the whole grid in one block
+    for block, grid in itertools.product([1, 250, lk.MESH_BLOCK, 200 * 200], meshes):
+        monkeypatch.setattr(lk, "MESH_BLOCK", block)
+        centre, radius = lk._bounding_balls(np.asarray(grid))
+        verts, quads = grid_quad_mesh(grid)
         want_centre, want_radius = gathered_bounding_balls_oracle(verts[quads])
         assert centre.tobytes() == want_centre.tobytes()
         assert radius.tobytes() == want_radius.tobytes()
@@ -702,13 +822,14 @@ def test_bounding_balls_equal_gathered_formula():
 
 def test_triangles_gather_rows_of_the_full_formula():
     rng = np.random.default_rng(3)
-    quads = rng.permutation(geo.grid_quad_mesh(rng.normal(size=(7, 9, 4)))[1])
-    tris = all_triangles(quads)
-    for idx in (np.arange(len(tris)), rng.integers(0, len(tris), 200),
-                np.array([len(quads) - 1, len(quads), 0], dtype=np.int64)):
-        got = lk._triangles(quads, idx)
-        assert got.dtype == tris.dtype
-        assert np.array_equal(got, tris[idx])
+    for shape in ((7, 9), (9, 7), (2, 2), (2, 5), (5, 2)):
+        quads = grid_quad_mesh(np.zeros(shape + (4,)))[1]
+        tris = all_triangles(quads)
+        for idx in (np.arange(len(tris)), rng.integers(0, len(tris), 200),
+                    np.array([len(quads) - 1, len(quads), 0], dtype=np.int64)):
+            got = lk._triangles(shape + (4,), idx)
+            assert got.dtype == tris.dtype
+            assert np.array_equal(got, tris[idx])
 
 
 def test_surfaces_intersect_holds_no_mesh_sized_temporaries():
@@ -727,14 +848,21 @@ def test_surfaces_intersect_holds_no_mesh_sized_temporaries():
 
 def test_surfaces_intersect_returns_first_hit_in_index_order():
     mesh_a = grid_mesh(np.zeros(4), E[0], E[1], 2.0, 9)
-    late = grid_mesh([0.37, 0.52, 0, 0], E[2], E[3], 0.3, 3)
-    early = grid_mesh([-0.61, -1.23, 0, 0], E[2], E[3], 0.3, 3)
-    coplanar = grid_mesh(np.zeros(4), E[0], E[1], 2.0, 4)
-    verts = np.concatenate([late[0], early[0], coplanar[0]])
-    quads = np.concatenate([late[1], early[1] + 9, coplanar[1] + 18])
-    hit = lk.surfaces_intersect(mesh_a, (verts, quads))
+    # a ribbon: a polyline in (x1, y1, x2) times [-0.3, 0.3] in y2. It meets
+    # mesh_a where it crosses x2 = 0: first (in its own order) at the late
+    # point, then, after a detour through x2 = 5, at the early point, which
+    # lies in an earlier triangle of mesh_a
+    late, early = [0.37, 0.52], [-0.61, -1.23]
+    path = np.array([late + [-0.3], late + [0.0], late + [0.3], late + [5.0],
+                     early + [5.0], early + [0.3], early + [0.0], early + [-0.3]])
+    y2 = np.linspace(-0.3, 0.3, 3)
+    ribbon = np.concatenate([np.repeat(path[:, None], 3, axis=1),
+                             np.broadcast_to(y2[None, :, None], (8, 3, 1))], axis=2)
+    hit = lk.surfaces_intersect(mesh_a, ribbon)
     assert np.allclose(hit, [-0.61, -1.23, 0, 0], atol=1e-12)
-    assert np.array_equal(hit, first_hit_oracle(mesh_a, (verts, quads)))
+    assert np.array_equal(hit, first_hit_oracle(mesh_a, ribbon))
+    assert np.allclose(lk.surfaces_intersect(mesh_a, ribbon[:4]),
+                       [0.37, 0.52, 0, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

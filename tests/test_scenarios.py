@@ -86,6 +86,21 @@ def test_numpy_integer_seed_runs_as_the_same_config():
         sc.config_hash(sc.validate_config({"scenario": "three-annulus", "seed": 1}))
 
 
+@pytest.mark.parametrize("key", ["samples", "refine", "seeds", "Params", "out"])
+def test_an_unknown_top_level_key_is_refused_by_name(key):
+    # a scenario key given beside "params" instead of inside it
+    with pytest.raises(ConfigInvalid, match=f"top-level key {key!r}"):
+        sc.validate_config({"scenario": "linking-suite", key: 1})
+
+
+def test_a_config_of_the_four_top_level_keys_keeps_its_hash():
+    cfg = sc.validate_config({"scenario": "linking-suite", "seed": 3,
+                              "params": {"samples": 200}, "schema_version": 1})
+    assert sc.config_hash(cfg) == "1e2fb83e416f659c"
+    assert sc.config_hash(sc.validate_config({"scenario": "three-annulus"})) == \
+        "5ea6e80c2ad7d018"
+
+
 def test_config_hash_stable():
     a = sc.config_hash({"scenario": "x", "params": {"b": 1, "a": 2}})
     b = sc.config_hash({"params": {"a": 2, "b": 1}, "scenario": "x"})
