@@ -400,7 +400,9 @@ def project_out(u, V: list, tau: float):
 
 @dataclass
 class NormSequence:
-    """log ||u||_tau on a consecutive integer tau grid."""
+    """log ||u||_tau on a consecutive integer tau grid. Raises ConfigInvalid
+    unless there is one log norm per tau and the taus are two or more
+    consecutive integers."""
 
     taus: np.ndarray
     log_norms: np.ndarray
@@ -408,8 +410,13 @@ class NormSequence:
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
         self.log_norms = np.asarray(self.log_norms, dtype=float)
+        if self.log_norms.shape != self.taus.shape:
+            raise ConfigInvalid(f"log_norms has {self.log_norms.size} entries "
+                                f"but taus has {self.taus.size}; they must match")
+        if self.taus.size < 2:
+            raise ConfigInvalid(f"need at least two taus, not {self.taus.size}")
         if np.max(np.abs(np.diff(self.taus) - 1.0)) > 1e-12:
-            raise ValueError("taus must be consecutive integers")
+            raise ConfigInvalid("taus must be consecutive integers")
 
     def write_csv(self, path):
         with open(path, "w") as fh:

@@ -7,7 +7,9 @@ test. The lab's model solutions are lines, line and plane pairs, the grim
 reaper translator, the shrinking circle and their products with a static
 line; the CLI builds its curve fixtures by name from ``cli.CURVE_FIXTURES``.
 Each trajectory fixture is one block formula: it evaluates its closed form
-for any b times in one broadcast (:class:`~lmcflab.flow.AnalyticTrajectory`).
+for any b times in one broadcast (:class:`~lmcflab.flow.AnalyticTrajectory`,
+which the trajectory fixtures import when they run, so that the linking
+graphs load no flow code and no scipy).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigInvalid
-from .flow import AnalyticTrajectory
 from .geometry import (AffineLine, DiscreteCurve, PointGrid, ProductLagrangian,
                        make_plane_pair, standard_frame)
 
@@ -161,6 +162,8 @@ def grim_reaper_material_trajectory(speed=1.0, extent=4.0, n=401,
     a material point obeys tan(a(t)) = tan(a(t0)) e^{-c^2 (t - t0)} and the
     point rides the translated profile.
     """
+    from .flow import AnalyticTrajectory
+
     c = float(speed)
     s0 = np.linspace(-extent, extent, n)
     x0 = np.arcsin(np.tanh(c * s0)) / c
@@ -183,6 +186,8 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
     Vertex velocity is speed * e_y = H + tangential part; heat solves
     account for the tangential part through the measured advection term.
     """
+    from .flow import AnalyticTrajectory
+
     base = grim_reaper_point(np.asarray(s_grid, dtype=float), speed)
 
     def block(t):
@@ -197,6 +202,8 @@ def grim_reaper_sliding_trajectory(speed, s_grid, t0, t1, dt):
 def shrinking_circle_trajectory(r0=1.0, n=256, t0=0.0, t1=0.2, dt=1e-3,
                                 center=(0.0, 0.0)):
     """Exact shrinking circle r(t) = sqrt(r0^2 - 2(t - t0)), material vertices."""
+    from .flow import AnalyticTrajectory
+
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     center = np.asarray(center, dtype=float)

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -32,9 +34,9 @@ from .errors import (ComponentCountChanged, FieldShapeMismatch, RangeError,
                      VertexCountChanged)
 from .geometry import (LINE_EXTENT, LINE_SAMPLES, AffineLine, DiscreteCurve,
                        ProductLagrangian, as_components, check_vertices,
-                       cyclic_tridiagonal, edge_increments, edge_lengths,
-                       mean_curvature, require_finite, second_difference,
-                       stencil_weights, unit_tangents)
+                       edge_increments, edge_lengths, mean_curvature,
+                       require_finite, second_difference, stencil_weights,
+                       unit_tangents)
 
 EXPLICIT_CFL = 0.4
 COLLAPSE_FRACTION = 1e-3
@@ -219,6 +221,37 @@ def step_flow_explicit(curve: DiscreteCurve, dt: float, min_edge=None) -> Discre
     out = curve.with_vertices(v)
     _check_collapse(out, min_edge)
     return out
+
+
+@lru_cache(maxsize=16)
+def _cyclic_csc_pattern(n: int):
+    """(indices, indptr, order) of the CSC form of the n x n cyclic
+    tridiagonal matrix with COO entries concatenate([diag, sub, super]) at
+    rows (i, i, i) and columns (i, i - 1, i + 1) mod n: ``order`` takes those
+    entries to the CSC data, as scipy's COO-to-CSC conversion places them."""
+    idx = np.arange(n)
+    coo = sp.csc_matrix((np.arange(3.0 * n), (np.concatenate([idx, idx, idx]),
+                                               np.concatenate([idx, (idx - 1) % n,
+                                                               (idx + 1) % n]))),
+                        shape=(n, n))
+    order = coo.data.astype(np.intp)
+    for a in (coo.indices, coo.indptr, order):
+        a.setflags(write=False)
+    return coo.indices, coo.indptr, order
+
+
+def cyclic_tridiagonal(diag, left, right):
+    """Sparse (CSC) matrix of the closed-curve implicit step, row i reading
+    diag_i u_i - left_i u_{i-1} - right_i u_{i+1} (indices mod n).
+
+    Its index arrays come from a pattern cached per n, and its data is
+    ordered as scipy's COO-to-CSC conversion would order it, so sparse LU
+    receives the arrays that conversion produces.
+    """
+    n = len(diag)
+    indices, indptr, order = _cyclic_csc_pattern(n)
+    return sp.csc_matrix((np.concatenate([diag, -left, -right])[order], indices,
+                          indptr), shape=(n, n))
 
 
 def step_flow_semi_implicit(curve: DiscreteCurve, dt: float, min_edge=None) -> DiscreteCurve:

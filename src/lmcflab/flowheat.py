@@ -20,7 +20,7 @@ its states. One array pass gives the post-step edge lengths, tangents,
 measured tangential velocities and step coefficients of all b states, and
 the field is marched through them, one linear solve per step (LAPACK gtsv
 on the three diagonals for open curves, sparse LU on
-:func:`~lmcflab.geometry.cyclic_tridiagonal` for closed ones). The march
+:func:`~lmcflab.flow.cyclic_tridiagonal` for closed ones). The march
 yields planes and fields and audits nothing. Of its two consumers,
 :func:`solve_heat_on_flow` keeps every field and measures the growth, then
 audits the fields with :func:`heat_residual`; :func:`heat_field_at` marches
@@ -76,12 +76,13 @@ from scipy.linalg.lapack import dgtsv
 from .diagnostics import check_polynomial_growth
 from .errors import ComponentAmbiguity, SolverFailure
 from .flow import (AUDIT_BLOCK, CentredGeometry, FlowTrajectory,
-                   centred_blocks, check_field_shapes, normal_fields)
+                   centred_blocks, check_field_shapes, cyclic_tridiagonal,
+                   normal_fields)
 from .geometry import (CoordinateFrame, ProductLagrangian, as_components,
-                       cyclic_tridiagonal, edge_increments, edge_lengths,
-                       liouville_primitive, require_finite, second_difference,
-                       stencil_weights, tangent_angles, turning_increments,
-                       unit_tangents, vertex_differences, vertex_sums)
+                       edge_increments, edge_lengths, liouville_primitive,
+                       require_finite, second_difference, stencil_weights,
+                       tangent_angles, turning_increments, unit_tangents,
+                       vertex_differences, vertex_sums)
 # unused here; perfbench/test_perfbench.py::test_tracer_rebinds_every_
 # namespace_and_restores_it checks that the tracer rebinds this binding
 from .geometry import laplacian  # noqa: F401

@@ -16,11 +16,9 @@ All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (BadFrame, DegenerateEdge, NonFiniteVertex, NotExact,
                      SolverFailure)
@@ -183,44 +181,13 @@ def stencil_weights(h: np.ndarray, closed: bool):
     i-1 and i+1: 2 / ((h_{i-1} + h_i) h_{i-1}) and 2 / ((h_{i-1} + h_i) h_i),
     at every vertex of a closed curve and the interior ones of an open one.
     The implicit flow and heat steps assemble their matrices from these;
-    closed curves build theirs with :func:`cyclic_tridiagonal`."""
+    closed curves build theirs with :func:`~lmcflab.flow.cyclic_tridiagonal`."""
     if closed:
         h_prev, h_next = np.roll(h, 1, axis=-1), h
     else:
         h_prev, h_next = h[..., :-1], h[..., 1:]
     span = h_next + h_prev
     return 2.0 / (span * h_prev), 2.0 / (span * h_next)
-
-
-@lru_cache(maxsize=16)
-def _cyclic_csc_pattern(n: int):
-    """(indices, indptr, order) of the CSC form of the n x n cyclic
-    tridiagonal matrix with COO entries concatenate([diag, sub, super]) at
-    rows (i, i, i) and columns (i, i - 1, i + 1) mod n: ``order`` takes those
-    entries to the CSC data, as scipy's COO-to-CSC conversion places them."""
-    idx = np.arange(n)
-    coo = sp.csc_matrix((np.arange(3.0 * n), (np.concatenate([idx, idx, idx]),
-                                               np.concatenate([idx, (idx - 1) % n,
-                                                               (idx + 1) % n]))),
-                        shape=(n, n))
-    order = coo.data.astype(np.intp)
-    for a in (coo.indices, coo.indptr, order):
-        a.setflags(write=False)
-    return coo.indices, coo.indptr, order
-
-
-def cyclic_tridiagonal(diag, left, right):
-    """Sparse (CSC) matrix of the closed-curve implicit step, row i reading
-    diag_i u_i - left_i u_{i-1} - right_i u_{i+1} (indices mod n).
-
-    Its index arrays come from a pattern cached per n, and its data is
-    ordered as scipy's COO-to-CSC conversion would order it, so sparse LU
-    receives the arrays that conversion produces.
-    """
-    n = len(diag)
-    indices, indptr, order = _cyclic_csc_pattern(n)
-    return sp.csc_matrix((np.concatenate([diag, -left, -right])[order], indices,
-                          indptr), shape=(n, n))
 
 
 def require_finite(*arrays):

@@ -36,9 +36,19 @@ The hot kernels are vectorized without changing a bit of their output:
   by grid slices and gathers corners only for them; one stacked 2x2 solve
   orients the segments, emitted in triangle order, so chaining builds the
   same loops;
-- the surface intersection scan takes its candidate triangle pairs from one
-  k-d tree query over quad bounding balls, built from grid slices in blocks
-  of whole grid rows, and gathers and solves those triangles as one stack.
+- the surface intersection scan walks two pyramids of balls, one per
+  grid, level by level from the top, keeping the node pairs whose balls
+  meet (a dual-tree traversal; Gray & Moore, NIPS 2000). Level 1 holds
+  2 x 2 quads and is built from grid slices in blocks of whole grid rows;
+  quad balls are computed again only under the kept level-1 pairs, so no
+  per-quad array is held. The candidate quad pairs are exactly those a
+  k-d tree query over all quad balls would give, and their triangles are
+  gathered and solved as one stack;
+- the distance guard of linking_number is a blocked sort-and-sweep on the
+  first coordinate.
+
+This module, like every module the linking suite imports, needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (ConfigInvalid, CurvesTooClose, EmptySlice,
                      GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
@@ -60,9 +69,16 @@ from .fanout import fan_out
 GAUSS_BLOCK = 16
 # Gauss-sum summands per leaf of the pairwise tree, which np.add.reduce adds
 SUM_LEAF = 2 ** 15
-# vertices per block of the slice radii; quads per block (whole grid rows,
-# at least one) of the quad bounding balls
+# vertices per block of the slice radii; quads per block (whole rows of
+# level-1 nodes, at least one) of the surface scan's finest ball level
 MESH_BLOCK = 4096
+# a merged ball's radius is enlarged by this fraction of itself, far above
+# its rounding errors (about 2**-50), so that it holds its balls as computed
+BALL_SLACK = 2.0 ** -40
+# points of the first set per block of the distance sweep (64 was fastest on
+# the scenario slices, 4x faster than 256), and distances computed at a time
+SWEEP_BLOCK = 64
+SWEEP_PAIRS = 2 ** 16
 # Largest Gauss sum accepted: 2**26 edge pairs, 37 times the 1358**2 (about
 # 1.8M) pairs of the scenario slices; the time of a sum grows with its pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
@@ -479,11 +495,38 @@ def _pole_sum(loops1, loops2, R, pole):
 
 
 def _min_distance(pts1, pts2, bound):
-    """The least distance of the point sets if it is at most bound, else a
-    value above bound (inf, or the distance when within rounding of bound).
-    The tree keeps neighbours strictly nearer than its bound: next float."""
-    ub = np.nextafter(bound, np.inf)
-    return float(cKDTree(pts2).query(pts1, distance_upper_bound=ub)[0].min())
+    """The least distance between the point sets if it is at most bound,
+    else inf.
+
+    A sort-and-sweep on the first coordinate: pts1, sorted by it, goes in
+    blocks of SWEEP_BLOCK points, each measured only against the points of
+    pts2 whose first coordinate lies within bound of the block's (widened
+    by more than the rounding of the differences, so no pair within bound
+    is missed), at most SWEEP_PAIRS distances at a time. The squares add in
+    coordinate order, as in a k-d tree's distances, whose bits the least
+    distance keeps.
+    """
+    if len(pts1) == 0 or len(pts2) == 0:
+        return np.inf
+    a = pts1[np.argsort(pts1[:, 0], kind="stable")]
+    b = pts2[np.argsort(pts2[:, 0], kind="stable")]
+    xa, xb = a[:, 0], b[:, 0]
+    scale = max(abs(xa[0]), abs(xa[-1]), abs(xb[0]), abs(xb[-1]))
+    reach = bound * (1.0 + 2.0 ** -40) + 4.0 * np.spacing(scale)
+    starts = np.arange(0, len(a), SWEEP_BLOCK)
+    ends = np.minimum(starts + SWEEP_BLOCK, len(a))
+    los = np.searchsorted(xb, xa[starts] - reach, side="left")
+    his = np.searchsorted(xb, xa[ends - 1] + reach, side="right")
+    best = np.inf   # least squared distance so far
+    for k0, k1, lo, hi in zip(starts.tolist(), ends.tolist(), los.tolist(), his.tolist()):
+        step = max(SWEEP_PAIRS // (k1 - k0), 1)
+        for j in range(lo, hi, step):
+            cols = b[j:min(j + step, hi)]
+            d2 = _sum_of_squares(a[k0:k1, q, None] - cols[:, q]
+                                 for q in range(a.shape[1]))
+            best = min(best, float(d2.min()))
+    dmin = float(np.sqrt(best))
+    return dmin if dmin <= bound else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +577,7 @@ def surfaces_intersect(mesh_a, mesh_b):
 
     Two 2-surfaces in R^4 meet generically in points: each triangle pair
     yields a 4x4 linear system for the barycentric parameters. Candidate
-    pairs come from one broad-phase query over the quads' bounding balls;
+    pairs are the quad pairs whose bounding balls meet (_candidate_quads);
     singular systems (parallel or coplanar triangles) are skipped. The hit
     returned is the first in (triangle of a, triangle of b) index order,
     where triangle k of a grid with Q quads is corners (0, 1, 2) of quad k
@@ -542,17 +585,11 @@ def surfaces_intersect(mesh_a, mesh_b):
     """
     Xa = np.asarray(mesh_a, dtype=float)
     Xb = np.asarray(mesh_b, dtype=float)
-    ca, ra = _bounding_balls(Xa)
-    cb, rb = _bounding_balls(Xb)
-    # sliding-midpoint trees: several times faster to build and to query on
-    # grids than the default median-split, data-shrunk nodes
-    tree_a, tree_b = (cKDTree(c, balanced_tree=False, compact_nodes=False)
-                      for c in (ca, cb))
-    near = tree_a.sparse_distance_matrix(tree_b, float(ra.max() + rb.max()),
-                                         output_type="ndarray")
-    near = near[near["v"] <= ra[near["i"]] + rb[near["j"]]]
-    ia = (near["i"][:, None] + np.array([0, 0, 1, 1]) * len(ra)).ravel()
-    ib = (near["j"][:, None] + np.array([0, 1, 0, 1]) * len(rb)).ravel()
+    qa, qb = _candidate_quads(Xa, Xb)
+    if qa.size == 0:
+        return None
+    ia = (qa[:, None] + np.array([0, 0, 1, 1]) * _n_quads(Xa)).ravel()
+    ib = (qb[:, None] + np.array([0, 1, 0, 1]) * _n_quads(Xb)).ravel()
     order = np.lexsort((ib, ia))
     pa = Xa.reshape(-1, 4)[_triangles(Xa.shape, ia[order])]
     pb = Xb.reshape(-1, 4)[_triangles(Xb.shape, ib[order])]
@@ -572,6 +609,10 @@ def surfaces_intersect(mesh_a, mesh_b):
     return pa[k, 0] + u[k] * (pa[k, 1] - pa[k, 0]) + v[k] * (pa[k, 2] - pa[k, 0])
 
 
+def _n_quads(X):
+    return (X.shape[0] - 1) * (X.shape[1] - 1)
+
+
 def _triangles(shape, idx):
     """Vertex indices of the triangles idx of a grid of the given shape
     (n1, n2, ...) with Q quads, where triangle k < Q is corners (0, 1, 2) of
@@ -583,30 +624,139 @@ def _triangles(shape, idx):
     return (k + k // (n2 - 1))[:, None] + corners
 
 
-def _bounding_balls(X):
-    """Centroids and radii of the corner sets of the grid X's quads, in
-    row-major quad order.
+def _candidate_quads(Xa, Xb):
+    """The quad pairs (qa, qb) of the grids Xa and Xb whose bounding balls
+    (_bounding_balls) meet, as a k-d tree query would give them: the centre
+    distance, its squares added in coordinate order, is at most ra + rb and
+    its square at most (max ra + max rb)**2.
 
-    Runs over blocks of whole grid rows, about MESH_BLOCK quads each, takes
-    each corner as a grid slice instead of a (Q, 4, d) gather, and adds in
-    the order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a
-    gathered (Q, 4, 4) array, so both outputs are bit-identical to theirs.
-    """
+    Two pyramids of balls (_ball_pyramid) are walked from their tops down,
+    the deeper side first, keeping a node pair while its balls meet; each
+    node's ball holds its quads' balls, so no meeting quad pair is lost
+    (Gray & Moore 2000). The quad balls of the pairs under the kept level-1
+    pairs are then computed with _bounding_balls' arithmetic and tested."""
+    if min(Xa.shape[:2] + Xb.shape[:2]) < 2:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    (levels_a, rmax_a), (levels_b, rmax_b) = _ball_pyramid(Xa), _ball_pyramid(Xb)
+    ka, kb = len(levels_a) - 1, len(levels_b) - 1
+    na = nb = np.zeros(1, dtype=np.intp)   # the two tops
+    while ka or kb:
+        if ka >= kb:
+            ka -= 1
+            na, owner = _children(na, levels_a[ka + 1][0], levels_a[ka][0])
+            nb = nb[owner]
+        if kb > ka:
+            kb -= 1
+            nb, owner = _children(nb, levels_b[kb + 1][0], levels_b[kb][0])
+            na = na[owner]
+        (_, ca, ra), (_, cb, rb) = levels_a[ka], levels_b[kb]
+        meet = (np.sqrt(_sum_of_squares((ca[na] - cb[nb]).T))
+                <= (ra[na] + rb[nb]) * (1.0 + BALL_SLACK))
+        na, nb = na[meet], nb[meet]
+    qa, owner = _children(na, levels_a[0][0], np.subtract(Xa.shape[:2], 1))
+    nb = nb[owner]
+    qb, owner = _children(nb, levels_b[0][0], np.subtract(Xb.shape[:2], 1))
+    qa = qa[owner]
+    (ca, ra), (cb, rb) = _quad_balls(Xa, qa), _quad_balls(Xb, qb)
+    d2 = _sum_of_squares((ca - cb).T)
+    cap = rmax_a + rmax_b
+    near = (d2 <= cap * cap) & (np.sqrt(d2) <= ra + rb)
+    return qa[near], qb[near]
+
+
+def _children(nodes, shape, child_shape):
+    """The nodes of the level of shape child_shape under the flat nodes of
+    a level of shape shape, each node (i, j) over the nodes (2i + a, 2j + b)
+    with a and b in {0, 1} that exist, and for each child the position of
+    its parent in nodes."""
+    i, j = np.divmod(nodes, shape[1])
+    rows = 2 * i[:, None] + np.array([0, 0, 1, 1])
+    cols = 2 * j[:, None] + np.array([0, 1, 0, 1])
+    owner, kid = np.nonzero((rows < child_shape[0]) & (cols < child_shape[1]))
+    return rows[owner, kid] * child_shape[1] + cols[owner, kid], owner
+
+
+def _sum_of_squares(diffs):
+    """The squares of the arrays diffs, the coordinate differences in
+    coordinate order, added in that order, as a k-d tree adds its squared
+    distances in up to 7 dimensions."""
+    diffs = iter(diffs)
+    first = next(diffs)
+    out = first * first
+    for diff in diffs:
+        out += diff * diff
+    return out
+
+
+def _ball_pyramid(X):
+    """Levels of balls over the quads of the grid X, finest first, and the
+    largest quad ball radius. Each level is (shape, centres, radii), flat
+    in row-major order; node (i, j) of level 1 holds the bounding balls of
+    the quads (2i + a, 2j + b), a, b in {0, 1}, and each level above holds
+    2 x 2 nodes of the level below (_merge_balls), up to one node.
+
+    Level 1 is built from the quad balls of blocks of whole quad rows,
+    about MESH_BLOCK quads each, so no per-quad array is held."""
     n1, n2, d = X.shape
-    width = n2 - 1
-    centre, radius = np.empty(((n1 - 1) * width, d)), np.empty((n1 - 1) * width)
-    step = max(MESH_BLOCK // max(width, 1), 1)   # quad rows per block
-    for i0 in range(0, n1 - 1, step):
-        rows = X[i0:i0 + step + 1]
-        corners = [rows[:-1, :-1], rows[1:, :-1], rows[1:, 1:], rows[:-1, 1:]]
-        c = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
-        r2 = []
-        for p in corners:
-            diff = p - c
-            diff *= diff
-            r2.append(((diff[..., 0] + diff[..., 1]) + diff[..., 2]) + diff[..., 3])
-        out = slice(i0 * width, (i0 + len(rows) - 1) * width)
-        centre[out] = c.reshape(-1, d)
-        radius[out] = np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
-                                          np.maximum(r2[2], r2[3]))).ravel()
-    return centre, radius
+    shape = np.array([n1 // 2, n2 // 2])   # half the quad rows and columns, rounded up
+    centre, radius = np.empty((shape[0], shape[1], d)), np.empty(shape)
+    rmax = 0.0
+    step = max(MESH_BLOCK // (2 * (n2 - 1)), 1)   # level-1 rows per block
+    for i0 in range(0, shape[0], step):
+        c, r = _bounding_balls(X[2 * i0:2 * (i0 + step) + 1])
+        rmax = max(rmax, r.max())
+        centre[i0:i0 + step], radius[i0:i0 + step] = _merge_balls(c, r)
+    levels = [(shape, centre.reshape(-1, d), radius.ravel())]
+    while max(shape) > 1:
+        centre, radius = _merge_balls(centre, radius)
+        shape = np.array(radius.shape)
+        levels.append((shape, centre.reshape(-1, d), radius.ravel()))
+    return levels, float(rmax)
+
+
+def _merge_balls(centre, radius):
+    """Balls over the 2 x 2 blocks of the (h, w) grid of balls centre,
+    radius (a last odd row or column alone): centred at the mean of their
+    balls' centres, each holding its balls. The radius is enlarged by
+    BALL_SLACK of itself, more than its rounding errors, so the ball holds
+    them as computed."""
+    h, w = radius.shape
+    if h % 2 or w % 2:   # repeat the last row or column: the same balls
+        pad = ((0, h % 2), (0, w % 2))
+        centre = np.pad(centre, pad + ((0, 0),), mode="edge")
+        radius = np.pad(radius, pad, mode="edge")
+    kids = [(centre[a::2, b::2], radius[a::2, b::2]) for a in (0, 1) for b in (0, 1)]
+    mid = (kids[0][0] + kids[1][0] + kids[2][0] + kids[3][0]) / 4.0
+    reach = [np.sqrt(_sum_of_squares(np.moveaxis(c - mid, -1, 0))) + r for c, r in kids]
+    out = np.maximum(np.maximum(reach[0], reach[1]), np.maximum(reach[2], reach[3]))
+    out *= 1.0 + BALL_SLACK
+    return mid, out
+
+
+def _quad_balls(X, quads):
+    """Centroids and radii of the quads numbered quads of the grid X, with
+    the arithmetic of _bounding_balls, which gives them the same bits."""
+    i, j = np.divmod(quads, X.shape[1] - 1)
+    return _corner_balls([X[i, j], X[i + 1, j], X[i + 1, j + 1], X[i, j + 1]])
+
+
+def _bounding_balls(X):
+    """Centroids (n1 - 1, n2 - 1, d) and radii (n1 - 1, n2 - 1) of the
+    corner sets of the grid X's quads, each corner taken as a grid slice
+    instead of a (Q, 4, d) gather (_corner_balls)."""
+    return _corner_balls([X[:-1, :-1], X[1:, :-1], X[1:, 1:], X[:-1, 1:]])
+
+
+def _corner_balls(corners):
+    """Centroids and radii of the balls about the quads whose corners 0 to
+    3 are the four arrays corners, of one shape (..., d). The sums add in
+    the order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a
+    gathered (Q, 4, 4) array, so both outputs are bit-identical to theirs."""
+    c = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
+    r2 = []
+    for p in corners:
+        diff = p - c
+        diff *= diff
+        r2.append(((diff[..., 0] + diff[..., 1]) + diff[..., 2]) + diff[..., 3])
+    return c, np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
+                                 np.maximum(r2[2], r2[3])))

@@ -4,6 +4,11 @@ flows, diagnostics and thresholds; deterministic CSV/JSON bundles.
 Every acceptance check maps to exactly one named scenario; a scenario run
 writes ``summary.json`` (config hash embedded, no timestamps, stable key
 order) plus CSV streams, and reports a pass verdict per check.
+
+Importing this module loads numpy and the numpy-only modules (fixtures,
+geometry, linking, fanout, errors). A scenario imports the flow, heat,
+diagnostics and drift modules it uses when it runs, and with them scipy,
+so a linking run loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,13 +21,8 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from . import diagnostics as dg
-from . import drift
 from . import fixtures as fx
-from . import flow
-from . import flowheat as fh
 from . import linking as lk
 from .errors import ConfigInvalid, SchemaMismatch
 from .fanout import fan_out
@@ -103,6 +103,8 @@ def _fits(value, default):
 
 def hausdorff_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point samples."""
+    from scipy.spatial import cKDTree
+
     ta, tb = cKDTree(pts_a), cKDTree(pts_b)
     d_ab = tb.query(pts_a)[0].max()
     d_ba = ta.query(pts_b)[0].max()
@@ -114,6 +116,8 @@ def hausdorff_distance(pts_a: np.ndarray, pts_b: np.ndarray) -> float:
 
 
 def scenario_plane_pair_density(seed, outputs, *, extent=30.0, samples=601):
+    from . import diagnostics as dg
+
     w2 = dg.GaussianWindow(np.zeros(2), t0=1.0)
     w4 = dg.GaussianWindow(np.zeros(4), t0=1.0)
     line = fx.make_line(angle=0.4, extent=extent, n=samples)
@@ -137,6 +141,9 @@ def scenario_plane_pair_density(seed, outputs, *, extent=30.0, samples=601):
 
 
 def scenario_huisken_monotonicity(seed, outputs, *, rtol=1e-8, dt=5e-4):
+    from . import diagnostics as dg
+    from . import flow
+
     metrics, checks = {}, {}
     # static plane
     line = fx.make_line(angle=0.3, extent=25.0, n=501)
@@ -179,6 +186,8 @@ def scenario_huisken_monotonicity(seed, outputs, *, rtol=1e-8, dt=5e-4):
 
 
 def scenario_hermite_spectrum(seed, outputs, *, max_degree=4):
+    from . import drift
+
     metrics, checks = {}, {}
     worst_sym = 0
     worst_grid = 0.0
@@ -227,6 +236,8 @@ def scenario_hermite_spectrum(seed, outputs, *, max_degree=4):
 
 
 def scenario_three_annulus(seed, outputs, *, n_mixtures=100):
+    from . import drift
+
     taus = np.arange(-10.0, 1.0)
     checks = {}
     ok = True
@@ -258,6 +269,8 @@ def scenario_three_annulus(seed, outputs, *, n_mixtures=100):
 
 
 def scenario_grim_reaper_translator(seed, outputs, *, refine=3):
+    from . import diagnostics as dg
+
     # two sizes at least: the Richardson slopes compare neighbouring sizes
     if refine < 2:
         raise ConfigInvalid(f"grim-reaper-translator needs refine >= 2, got {refine!r}")
@@ -292,6 +305,9 @@ def scenario_grim_reaper_translator(seed, outputs, *, refine=3):
 
 
 def scenario_caloric_identities(seed, outputs):
+    from . import flow
+    from . import flowheat as fh
+
     metrics, checks = {}, {}
     # constants are caloric with zero residual on every fixture
     traj0 = fx.shrinking_circle_trajectory(1.0, 128, t1=0.05, dt=1e-3)
@@ -455,6 +471,9 @@ def ladder_rung(lam, base_speed, s1, dt):
 def _rung_height(lam, base_speed, s1, dt) -> float:
     """The largest sup |b_bar z - h| of the approximate caloric height on the
     product of one blow-down-ladder rung with a static line."""
+    from . import flow
+    from . import flowheat as fh
+
     traj = ladder_rung(lam, base_speed, s1, dt)
     prod_traj = flow.product_evolve(traj, AffineLine((0.0, 0.0), (1.0, 0.0)))
     _, frame, _ = fx.make_grim_reaper_product(speed=1.0, extent=1.0, n=8)

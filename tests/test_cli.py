@@ -95,6 +95,14 @@ def test_three_annulus_command(tmp_path):
     assert abs(payload["degree_estimate"] - 2.0) < 1e-8
 
 
+def test_three_annulus_refuses_log_norms_of_another_length(tmp_path):
+    # 2 log norms against the 11 default taus; --out may still be made first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"log_norms": [1, 2]}))
+    with pytest.raises(ConfigInvalid, match="log_norms has 2 entries but taus has 11"):
+        run_cli(["three-annulus", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def test_heat_command(tmp_path):
     out = str(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -1,13 +1,15 @@
 """No definition in src/lmcflab that nothing in src/lmcflab refers to, and
-no module-level import that its module never reads.
+no import that its module, or its function, never reads.
 
 An AST scan collects every top-level function, class and constant and every
 method (dunder methods aside: Python calls them itself) of the package. A
 definition counts as referred to when a load-context name, an attribute or
 a ``from`` import anywhere in the package carries its name. The unreferenced
 ones must be exactly the allowlist below, each kept for the reason given.
-An import counts as read when a load-context name in its own module carries
-the name it binds; the unread ones must be exactly their own allowlist.
+A module-level import counts as read when a load-context name in its own
+module carries the name it binds, and an import in a function body when one
+in that function (nested functions included) does; the unread ones must be
+exactly their own allowlist.
 """
 
 import ast
@@ -82,22 +84,55 @@ def test_every_unreferenced_definition_is_allowlisted():
                        f"drop them from ALLOWED")
 
 
+def imported_names(body):
+    """The names that the imports among the statements body bind, in nested
+    blocks too but not in nested functions or classes."""
+    bound = set()
+    for node in body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                bound |= imported_names(getattr(node, block, []))
+    return bound
+
+
+def loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_imports(src=SRC):
-    """module.name of every module-level import binding its module never reads."""
+    """module.name of every module-level import binding its module never
+    reads, and module.function.name of every import in a function body
+    binding that function never reads."""
     unread = set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        bound = set()
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                bound.update((alias.asname or alias.name).split(".")[0]
-                             for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                bound.update(alias.asname or alias.name for alias in node.names)
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        unread.update(f"{path.stem}.{name}" for name in bound - read)
+        unread.update(f"{path.stem}.{name}"
+                      for name in imported_names(tree.body) - loaded_names(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread.update(f"{path.stem}.{fn.name}.{name}"
+                              for name in imported_names(fn.body) - loaded_names(fn))
     return unread
+
+
+def test_function_body_imports_are_scanned(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\n"
+        "def f():\n"
+        "    from json import dumps, loads\n"
+        "    if os:\n"
+        "        import re\n"
+        "    def g():\n"
+        "        import sys\n"
+        "        return loads\n"
+        "    return g\n")
+    assert unread_imports(tmp_path) == {"mod.f.dumps", "mod.f.re", "mod.g.sys"}
 
 
 def test_every_unread_import_is_allowlisted():

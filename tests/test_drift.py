@@ -293,6 +293,15 @@ def homogeneous_seq(d, taus):
     return drift.NormSequence(taus, -0.5 * d * np.asarray(taus, float) + 0.7)
 
 
+@pytest.mark.parametrize("taus, log_norms, match", [
+    ([-2.0, -1.0, 0.0], [1.0, 2.0], "log_norms has 2 entries but taus has 3"),
+    ([-3.0, -1.0, 0.0], [1.0, 2.0, 3.0], "consecutive integers"),
+    ([0.0], [1.0], "at least two taus")])
+def test_norm_sequence_refuses_mismatched_data(taus, log_norms, match):
+    with pytest.raises(ConfigInvalid, match=match):
+        drift.NormSequence(taus, log_norms)
+
+
 def test_three_annulus_homogeneous():
     taus = np.arange(-10.0, 1.0)
     seq = homogeneous_seq(1, taus)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lmcflab import flow
 from lmcflab import geometry as geo
 from lmcflab.errors import BadFrame, DegenerateEdge, NonFiniteVertex, NotExact
 from lmcflab import fixtures as fx
@@ -332,7 +333,8 @@ def test_vertex_kernels_equal_per_curve_formulas(closed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-curve implicit-step matrix
+# the closed-curve implicit-step matrix, which flow.cyclic_tridiagonal builds
+# from geometry.stencil_weights' couplings
 
 
 @pytest.mark.parametrize("n", [8, 9, 64])
@@ -344,11 +346,11 @@ def test_cyclic_csc_pattern_equals_coo_conversion(n):
     A = sp.csc_matrix((coo_data, (np.concatenate([idx, idx, idx]),
                                   np.concatenate([idx, (idx - 1) % n, (idx + 1) % n]))),
                       shape=(n, n))
-    indices, indptr, order = geo._cyclic_csc_pattern(n)
+    indices, indptr, order = flow._cyclic_csc_pattern(n)
     assert indices.dtype == A.indices.dtype and indptr.dtype == A.indptr.dtype
     assert np.array_equal(indices, A.indices)
     assert np.array_equal(indptr, A.indptr)
     assert np.array_equal(coo_data[order], A.data)
-    B = geo.cyclic_tridiagonal(coo_data[:n], -coo_data[n:2 * n], -coo_data[2 * n:])
+    B = flow.cyclic_tridiagonal(coo_data[:n], -coo_data[n:2 * n], -coo_data[2 * n:])
     assert np.shares_memory(B.indices, indices) and np.shares_memory(B.indptr, indptr)
     assert np.array_equal(B.data, A.data)

@@ -198,10 +198,25 @@ def test_bounded_min_distance_agrees_with_the_unbounded_query():
         d = float(cKDTree(b).query(a)[0].min())
         for bound in (d, np.nextafter(d, np.inf), 2.0 * d):
             assert lk._min_distance(a, b, bound) == d
-        # just above the bound: inf, or d itself when the tree's squared bound
-        # rounds to admit it; linking_number's decision is the same either way
-        assert lk._min_distance(a, b, np.nextafter(d, 0.0)) in (d, np.inf)
+        # a least distance just above the bound gives inf
+        assert lk._min_distance(a, b, np.nextafter(d, 0.0)) == np.inf
         assert lk._min_distance(a, b, 0.5 * d) == np.inf
+
+
+@pytest.mark.parametrize("block, pairs", [(256, 2 ** 14), (7, 5)])
+def test_min_distance_sweeps_a_single_slab(monkeypatch, block, pairs):
+    # every point has the same first coordinate, so every block's window is
+    # all of the second set; it is still measured a few columns at a time
+    monkeypatch.setattr(lk, "SWEEP_BLOCK", block)
+    monkeypatch.setattr(lk, "SWEEP_PAIRS", pairs)
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(300, 4)), rng.normal(size=(280, 4)) + 0.5
+    a[:, 0] = b[:, 0] = 0.25
+    d = float(cKDTree(b).query(a)[0].min())
+    assert lk._min_distance(a, b, d) == d
+    assert lk._min_distance(b, a, 3.0 * d) == d
+    assert lk._min_distance(a, b, np.nextafter(d, 0.0)) == np.inf
+    assert lk._min_distance(a[:0], b, 1.0) == np.inf
 
 
 def test_halfspace_separation_tilted_pair():
@@ -681,15 +696,24 @@ def test_import_starts_no_thread():
 
 def test_imports_leave_unused_scipy_modules_out():
     # scipy.optimize serves only diagnostics.entropy, which no scenario
-    # calls, and drift needs nothing of geometry's scipy.sparse
+    # calls; drift, scenarios and the linking suite's modules import no scipy
+    # module, and a scenario imports its flow and diagnostics modules when it
+    # runs. plane-pair-density's density needs scipy.special: the scan below
+    # does see what a scenario loads
     out = run_python("""
         import sys
         import lmcflab.drift
         sparse = "scipy.sparse" in sys.modules
-        import lmcflab.scenarios
+        import lmcflab.scenarios as sc
         print(sparse, "scipy.optimize" in sys.modules)
-        """, timeout=60).split()
-    assert out == ["False", "False"]
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        for name in ("linking-suite", "three-annulus", "hermite-spectrum"):
+            assert sc.run_scenario({"scenario": name})["pass"], name
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        sc.run_scenario({"scenario": "plane-pair-density"})
+        print("scipy.special" in sys.modules)
+        """, timeout=120).splitlines()
+    assert out == ["False False", "[]", "[]", "True"]
 
 
 def test_nested_fan_out_gives_serial_values(cpus, forks, no_child_left):
@@ -810,14 +834,21 @@ def gathered_bounding_balls_oracle(pts):
 def test_bounding_balls_equal_gathered_formula(monkeypatch):
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=200)
-    # one quad row per block, several, and the whole grid in one block
-    for block, grid in itertools.product([1, 250, lk.MESH_BLOCK, 200 * 200], meshes):
-        monkeypatch.setattr(lk, "MESH_BLOCK", block)
+    for grid in meshes:
         centre, radius = lk._bounding_balls(np.asarray(grid))
         verts, quads = grid_quad_mesh(grid)
         want_centre, want_radius = gathered_bounding_balls_oracle(verts[quads])
         assert centre.tobytes() == want_centre.tobytes()
         assert radius.tobytes() == want_radius.tobytes()
+        # the ball pyramid takes them in blocks of quad rows: one level-1 row
+        # per block, several, and the whole grid in one block
+        want = lk._ball_pyramid(np.asarray(grid))
+        for block in [1, 250, 200 * 200]:
+            monkeypatch.setattr(lk, "MESH_BLOCK", block)
+            got = lk._ball_pyramid(np.asarray(grid))
+            assert got[1] == want[1]
+            assert [(s.tolist(), c.tobytes(), r.tobytes()) for s, c, r in got[0]] == \
+                [(s.tolist(), c.tobytes(), r.tobytes()) for s, c, r in want[0]]
 
 
 def test_triangles_gather_rows_of_the_full_formula():
@@ -842,8 +873,87 @@ def test_surfaces_intersect_holds_no_mesh_sized_temporaries():
     finally:
         tracemalloc.stop()
     # the two (2Q, 3) triangle arrays and the whole-mesh corner gathers of
-    # the bounding balls took 43.7 MiB
-    assert peak < 20 * 2**20
+    # the bounding balls took 43.7 MiB; every quad's ball and two k-d trees
+    # 14.8 MiB. The ball pyramids hold 4.7 MiB
+    assert peak < 8 * 2**20
+
+
+def flat_balls(grid):
+    """Every quad ball of the grid, in row-major quad order."""
+    centre, radius = lk._bounding_balls(grid)
+    return centre.reshape(-1, 4), radius.ravel()
+
+
+def k_d_tree_pairs(grid_a, grid_b):
+    """The broad phase as one k-d tree query over every quad ball: the
+    quad pairs whose centre distance is at most the sum of their radii."""
+    (ca, ra), (cb, rb) = flat_balls(grid_a), flat_balls(grid_b)
+    tree_a, tree_b = (cKDTree(c, balanced_tree=False, compact_nodes=False)
+                      for c in (ca, cb))
+    near = tree_a.sparse_distance_matrix(tree_b, float(ra.max() + rb.max()),
+                                         output_type="ndarray")
+    near = near[near["v"] <= ra[near["i"]] + rb[near["j"]]]
+    return sorted(zip(near["i"].tolist(), near["j"].tolist()))
+
+
+def pyramid_pairs(grid_a, grid_b):
+    qa, qb = lk._candidate_quads(np.asarray(grid_a), np.asarray(grid_b))
+    return sorted(zip(qa.tolist(), qb.tolist()))
+
+
+def test_broad_phase_equals_the_k_d_tree_on_the_scenario_pair():
+    graphs = [np.asarray(fx.tilted_graph(j, lam=0.1, b=(1.0, -1.0), extent=2.0,
+                                         samples=400)) for j in (0, 1)]
+    want = k_d_tree_pairs(*graphs)
+    assert len(want) == 91
+    assert pyramid_pairs(*graphs) == want
+
+
+def test_broad_phase_equals_the_k_d_tree_on_random_grids():
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        shapes = rng.integers(2, 40, size=(2, 2))
+        # random walks along both grid axes: surfaces that fold and cross
+        grids = [np.cumsum(np.cumsum(rng.normal(scale=0.1, size=(n1, n2, 4)),
+                                     axis=0), axis=1) for n1, n2 in shapes]
+        want = k_d_tree_pairs(*grids)
+        assert pyramid_pairs(*grids) == want
+        assert pyramid_pairs(grids[1], grids[0]) == sorted((j, i) for i, j in want)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 2), (2, 2)), ((2, 7), (7, 2)), ((7, 2), (2, 7)), ((2, 7), (2, 7)),
+    ((2, 2), (61, 45)), ((33, 2), (5, 90)), ((130, 3), (9, 9))])
+def test_broad_phase_equals_the_k_d_tree_on_thin_and_unequal_grids(shape_a, shape_b):
+    # pyramids of one level against several, and grids one quad wide
+    rng = np.random.default_rng(sum(shape_a + shape_b))
+    grid_a = rng.normal(size=shape_a + (4,))
+    grid_b = 0.5 * rng.normal(size=shape_b + (4,))
+    want = k_d_tree_pairs(grid_a, grid_b)
+    assert want
+    assert pyramid_pairs(grid_a, grid_b) == want
+
+
+def test_quad_balls_of_chosen_quads_equal_the_blocked_balls():
+    grid = np.asarray(fx.tilted_graph(1, samples=50))
+    centre, radius = flat_balls(grid)
+    quads = np.random.default_rng(4).integers(0, len(radius), 300)
+    got_centre, got_radius = lk._quad_balls(grid, quads)
+    assert got_centre.tobytes() == centre[quads].tobytes()
+    assert got_radius.tobytes() == radius[quads].tobytes()
+
+
+def test_ball_pyramid_levels_hold_every_quad_ball():
+    grid = np.cumsum(np.random.default_rng(8).normal(size=(23, 18, 4)), axis=0)
+    levels, rmax = lk._ball_pyramid(grid)
+    centre, radius = flat_balls(grid)
+    assert rmax == radius.max()
+    assert [tuple(shape) for shape, _, _ in levels] == [
+        (11, 9), (6, 5), (3, 3), (2, 2), (1, 1)]
+    i, j = np.divmod(np.arange(len(radius)), 17)
+    for k, (shape, c, r) in enumerate(levels, start=1):
+        node = (i >> k) * shape[1] + (j >> k)
+        assert np.all(np.linalg.norm(centre - c[node], axis=1) + radius <= r[node])
 
 
 def test_surfaces_intersect_returns_first_hit_in_index_order():

@@ -274,10 +274,11 @@ def test_reaper_refuses_a_bad_refine_before_any_fixture(refine, monkeypatch):
 
 
 def test_worker_rung_error_reaches_the_caller_typed(monkeypatch, cpus, no_child_left):
+    from lmcflab import flowheat
     from lmcflab.errors import NotExact
 
     caller = os.getpid()
-    height = sc.fh.approx_height_solution
+    height = flowheat.approx_height_solution
 
     def in_workers_not_exact(*args, **kwargs):
         if os.getpid() != caller:
@@ -285,7 +286,8 @@ def test_worker_rung_error_reaches_the_caller_typed(monkeypatch, cpus, no_child_
         return height(*args, **kwargs)
 
     cpus(2)
-    monkeypatch.setattr(sc.fh, "approx_height_solution", in_workers_not_exact)
+    # the rungs import flowheat when they run and call it through the module
+    monkeypatch.setattr(flowheat, "approx_height_solution", in_workers_not_exact)
     with pytest.raises(NotExact) as info:
         sc.run_scenario(COARSE_LADDER)
     assert (info.value.holonomy, info.value.component_id) == (0.5, 1)
