@@ -16,20 +16,17 @@ from typing import Optional
 import numpy as np
 from scipy.special import erf
 
-from .errors import GrowthUnbounded, ScanTooLarge, WindowInPast
+from .errors import GrowthUnbounded, WindowInPast
 from .flow import FlowTrajectory, check_field_shapes, segments_intersect
 from .geometry import (CoordinateFrame, DiscreteCurve, PlanePairConfig,
                        ProductLagrangian, _factor_grid, as_components,
                        edge_ends, lagrangian_angle, mean_curvature)
+from .linking import SEGMENT, BallPyramid, near_pairs
 
 # rho < 1e-16 * peak outside this many sqrt(t0-t): integrate only inside
 TRUNCATION_SIGMAS = 2.0 * np.sqrt(-np.log(1e-16))  # ~ 12.14
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-# Largest crossing scan between two curves accepted: 2**21 segment pairs,
-# about 170 MB of pair temporaries (some 80 bytes a pair).
-CROSSING_MAX_PAIRS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -130,25 +127,26 @@ def gaussian_density_ratio(state, window: GaussianWindow, t: float) -> float:
 
 def _crossing_points(curves):
     """Up to 8 segment crossings per pair of curves (a curve with itself
-    included), the entropy search's extra centre seeds. Raises ScanTooLarge,
-    before allocating, when a curve pair has more than CROSSING_MAX_PAIRS
-    segment pairs."""
+    included), the entropy search's extra centre seeds: the first 8 in
+    (segment of a, segment of b) order. A proper crossing lies in both
+    segments' bounding balls, so the candidate pairs are the segment pairs
+    whose balls meet (linking.near_pairs), and the points are an all-pairs
+    scan's. Raises ScanTooLarge as near_pairs does, before it builds the
+    step it refuses."""
+    paths = [np.concatenate([c.vertices, c.vertices[:1]]) if c.closed else c.vertices
+             for c in curves]
+    pyramids = [BallPyramid(p[:, None], SEGMENT) for p in paths]
     pts = []
     for i, a in enumerate(curves):
-        for b in curves[i:]:
-            na = a.n_vertices - (not a.closed)
-            nb = b.n_vertices - (not b.closed)
-            if na * nb > CROSSING_MAX_PAIRS:
-                raise ScanTooLarge(
-                    f"{na} x {nb} segment pairs exceed the crossing-scan limit "
-                    f"of {CROSSING_MAX_PAIRS}")
-            pa, qa = edge_ends(a.vertices, a.closed)
-            pb, qb = edge_ends(b.vertices, b.closed)
-            ii, jj = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
-            ii, jj = ii.ravel(), jj.ravel()
-            if a is b:
+        pa, qa = paths[i][:-1], paths[i][1:]
+        for j in range(i, len(curves)):
+            pb, qb = paths[j][:-1], paths[j][1:]
+            ii, jj = near_pairs(pyramids[i], pyramids[j])
+            if curves[j] is a:
                 keep = jj > ii + 1
                 ii, jj = ii[keep], jj[keep]
+            order = np.lexsort((jj, ii))
+            ii, jj = ii[order], jj[order]
             hit, t, _ = segments_intersect(pa[ii], qa[ii], pb[jj], qb[jj])
             i0 = ii[hit][:8]
             pts.extend(pa[i0] + t[hit][:8, None] * (qa[i0] - pa[i0]))

@@ -121,7 +121,7 @@ class GaussSumTooLarge(LabError):
 
 
 class ScanTooLarge(LabError):
-    """A quadratic segment-pair scan has more pairs than its memory bound allows."""
+    """A near-pair scan would test more node pairs in one step than its bound allows."""
 
 
 class WorkerDied(LabError):

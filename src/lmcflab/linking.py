@@ -36,16 +36,15 @@ The hot kernels are vectorized without changing a bit of their output:
   by grid slices and gathers corners only for them; one stacked 2x2 solve
   orients the segments, emitted in triangle order, so chaining builds the
   same loops;
-- the surface intersection scan walks two pyramids of balls, one per
-  grid, level by level from the top, keeping the node pairs whose balls
-  meet (a dual-tree traversal; Gray & Moore, NIPS 2000). Level 1 holds
-  2 x 2 quads and is built from grid slices in blocks of whole grid rows;
-  quad balls are computed again only under the kept level-1 pairs, so no
-  per-quad array is held. The candidate quad pairs are exactly those a
-  k-d tree query over all quad balls would give, and their triangles are
-  gathered and solved as one stack;
-- the distance guard of linking_number is a blocked sort-and-sweep on the
-  first coordinate.
+- one broad phase finds near pairs: near_pairs walks two pyramids of
+  bounding balls (BallPyramid) level by level from the top, keeping the
+  node pairs whose balls meet (a dual-tree traversal; Gray & Moore, NIPS
+  2000), and gives exactly the leaf pairs a k-d tree query would. A step
+  that would test more than NEAR_MAX_PAIRS node pairs raises ScanTooLarge
+  before it builds them. Its leaves are the quads of the surface
+  intersection scan, whose triangle pairs are then solved MESH_BLOCK at a
+  time; the slice points, within a reach, of linking_number's distance
+  guard; and curve segments in diagnostics' crossing scan.
 
 This module, like every module the linking suite imports, needs numpy
 only.
@@ -54,14 +53,14 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Optional
 
 import numpy as np
 
 from .errors import (ConfigInvalid, CurvesTooClose, EmptySlice,
                      GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
-                     RoundingAmbiguity)
+                     RoundingAmbiguity, ScanTooLarge)
 from .fanout import fan_out
 
 # Gauss-sum rows per block: its flat rows of (GAUSS_BLOCK + 1)(M + 1) entries
@@ -69,16 +68,21 @@ from .fanout import fan_out
 GAUSS_BLOCK = 16
 # Gauss-sum summands per leaf of the pairwise tree, which np.add.reduce adds
 SUM_LEAF = 2 ** 15
-# vertices per block of the slice radii; quads per block (whole rows of
-# level-1 nodes, at least one) of the surface scan's finest ball level
+# vertices per block of the slice radii; leaves per block (whole rows of
+# level-1 nodes, at least one) of a ball pyramid's level 1; triangle pairs
+# per block of the surface scan's narrow phase
 MESH_BLOCK = 4096
 # a merged ball's radius is enlarged by this fraction of itself, far above
 # its rounding errors (about 2**-50), so that it holds its balls as computed
 BALL_SLACK = 2.0 ** -40
-# points of the first set per block of the distance sweep (64 was fastest on
-# the scenario slices, 4x faster than 256), and distances computed at a time
-SWEEP_BLOCK = 64
-SWEEP_PAIRS = 2 ** 16
+# the corners, as grid offsets, of the leaves of a ball pyramid (BallPyramid)
+QUAD = ((0, 0), (1, 0), (1, 1), (0, 1))
+SEGMENT = ((0, 0), (1, 0))
+POINT = ((0, 0),)
+# Most node pairs one step of the broad phase may test. The scenario pair
+# tests at most 1696; the 400 x 400 graph against itself is refused at a
+# 58 MiB peak (tracemalloc), and a curve wound 50 times at 29 MiB.
+NEAR_MAX_PAIRS = 2 ** 19
 # Largest Gauss sum accepted: 2**26 edge pairs, 37 times the 1358**2 (about
 # 1.8M) pairs of the scenario slices; the time of a sum grows with its pairs.
 GAUSS_MAX_PAIRS = 2 ** 26
@@ -439,9 +443,10 @@ def linking_number(c1, c2, R: Optional[float] = None, seed: int = 0,
     whose sums fanout.fan_out spreads over forked processes.
     Raises ConfigInvalid unless n_poles is a positive integer,
     CurvesTooClose when the curves approach within 10 edge lengths,
-    GaussSumTooLarge, before any sum starts, when a loop pair has more than
-    GAUSS_MAX_PAIRS edge pairs, and RoundingAmbiguity when the raw value
-    strays from an integer.
+    ScanTooLarge when the distance guard's broad phase would test more
+    than NEAR_MAX_PAIRS point pairs in one step, GaussSumTooLarge, before
+    any sum starts, when a loop pair has more than GAUSS_MAX_PAIRS edge
+    pairs, and RoundingAmbiguity when the raw value strays from an integer.
     """
     if (isinstance(n_poles, bool) or not isinstance(n_poles, (int, np.integer))
             or n_poles < 1):
@@ -496,36 +501,15 @@ def _pole_sum(loops1, loops2, R, pole):
 
 def _min_distance(pts1, pts2, bound):
     """The least distance between the point sets if it is at most bound,
-    else inf.
-
-    A sort-and-sweep on the first coordinate: pts1, sorted by it, goes in
-    blocks of SWEEP_BLOCK points, each measured only against the points of
-    pts2 whose first coordinate lies within bound of the block's (widened
-    by more than the rounding of the differences, so no pair within bound
-    is missed), at most SWEEP_PAIRS distances at a time. The squares add in
-    coordinate order, as in a k-d tree's distances, whose bits the least
-    distance keeps.
-    """
-    if len(pts1) == 0 or len(pts2) == 0:
+    else inf: the least over the point pairs near_pairs gives within a
+    reach just above bound, its squares added in coordinate order, as in a
+    k-d tree's distances, whose bits the least distance keeps. Raises
+    ScanTooLarge as near_pairs does."""
+    ia, ib = near_pairs(BallPyramid(pts1[:, None], POINT),
+                        BallPyramid(pts2[:, None], POINT), bound * (1.0 + BALL_SLACK))
+    if ia.size == 0:
         return np.inf
-    a = pts1[np.argsort(pts1[:, 0], kind="stable")]
-    b = pts2[np.argsort(pts2[:, 0], kind="stable")]
-    xa, xb = a[:, 0], b[:, 0]
-    scale = max(abs(xa[0]), abs(xa[-1]), abs(xb[0]), abs(xb[-1]))
-    reach = bound * (1.0 + 2.0 ** -40) + 4.0 * np.spacing(scale)
-    starts = np.arange(0, len(a), SWEEP_BLOCK)
-    ends = np.minimum(starts + SWEEP_BLOCK, len(a))
-    los = np.searchsorted(xb, xa[starts] - reach, side="left")
-    his = np.searchsorted(xb, xa[ends - 1] + reach, side="right")
-    best = np.inf   # least squared distance so far
-    for k0, k1, lo, hi in zip(starts.tolist(), ends.tolist(), los.tolist(), his.tolist()):
-        step = max(SWEEP_PAIRS // (k1 - k0), 1)
-        for j in range(lo, hi, step):
-            cols = b[j:min(j + step, hi)]
-            d2 = _sum_of_squares(a[k0:k1, q, None] - cols[:, q]
-                                 for q in range(a.shape[1]))
-            best = min(best, float(d2.min()))
-    dmin = float(np.sqrt(best))
+    dmin = float(np.sqrt(_sum_of_squares(pts1[ia] - pts2[ib]).min()))
     return dmin if dmin <= bound else np.inf
 
 
@@ -577,36 +561,38 @@ def surfaces_intersect(mesh_a, mesh_b):
 
     Two 2-surfaces in R^4 meet generically in points: each triangle pair
     yields a 4x4 linear system for the barycentric parameters. Candidate
-    pairs are the quad pairs whose bounding balls meet (_candidate_quads);
+    pairs are the quad pairs whose bounding balls meet (near_pairs);
     singular systems (parallel or coplanar triangles) are skipped. The hit
     returned is the first in (triangle of a, triangle of b) index order,
     where triangle k of a grid with Q quads is corners (0, 1, 2) of quad k
-    and triangle Q + k is corners (0, 2, 3) of quad k.
+    and triangle Q + k is corners (0, 2, 3) of quad k. The sorted triangle
+    pairs are solved MESH_BLOCK at a time, up to the first block with a
+    hit. Raises ScanTooLarge as near_pairs does.
     """
     Xa = np.asarray(mesh_a, dtype=float)
     Xb = np.asarray(mesh_b, dtype=float)
-    qa, qb = _candidate_quads(Xa, Xb)
-    if qa.size == 0:
-        return None
+    qa, qb = near_pairs(BallPyramid(Xa, QUAD), BallPyramid(Xb, QUAD))
     ia = (qa[:, None] + np.array([0, 0, 1, 1]) * _n_quads(Xa)).ravel()
     ib = (qb[:, None] + np.array([0, 1, 0, 1]) * _n_quads(Xb)).ravel()
     order = np.lexsort((ib, ia))
-    pa = Xa.reshape(-1, 4)[_triangles(Xa.shape, ia[order])]
-    pb = Xb.reshape(-1, 4)[_triangles(Xb.shape, ib[order])]
-    A = np.stack([pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0],
-                  -(pb[:, 1] - pb[:, 0]), -(pb[:, 2] - pb[:, 0])], axis=2)
-    rhs = pb[:, 0] - pa[:, 0]
-    regular = np.linalg.slogdet(A)[0] != 0
-    sol = np.full(rhs.shape, np.nan)
-    sol[regular] = np.linalg.solve(A[regular], rhs[regular, :, None])[:, :, 0]
-    u, v, s, t = sol.T
     tol = 1e-9   # barycentric slack
-    hits = np.flatnonzero((u >= -tol) & (v >= -tol) & (u + v <= 1 + tol)
-                          & (s >= -tol) & (t >= -tol) & (s + t <= 1 + tol))
-    if hits.size == 0:
-        return None
-    k = hits[0]
-    return pa[k, 0] + u[k] * (pa[k, 1] - pa[k, 0]) + v[k] * (pa[k, 2] - pa[k, 0])
+    for k in range(0, len(order), MESH_BLOCK):
+        block = order[k:k + MESH_BLOCK]
+        pa = Xa.reshape(-1, 4)[_triangles(Xa.shape, ia[block])]
+        pb = Xb.reshape(-1, 4)[_triangles(Xb.shape, ib[block])]
+        A = np.stack([pa[:, 1] - pa[:, 0], pa[:, 2] - pa[:, 0],
+                      -(pb[:, 1] - pb[:, 0]), -(pb[:, 2] - pb[:, 0])], axis=2)
+        rhs = pb[:, 0] - pa[:, 0]
+        regular = np.linalg.slogdet(A)[0] != 0
+        sol = np.full(rhs.shape, np.nan)
+        sol[regular] = np.linalg.solve(A[regular], rhs[regular, :, None])[:, :, 0]
+        u, v, s, t = sol.T
+        hits = np.flatnonzero((u >= -tol) & (v >= -tol) & (u + v <= 1 + tol)
+                              & (s >= -tol) & (t >= -tol) & (s + t <= 1 + tol))
+        if hits.size:
+            h = hits[0]
+            return pa[h, 0] + u[h] * (pa[h, 1] - pa[h, 0]) + v[h] * (pa[h, 2] - pa[h, 0])
+    return None
 
 
 def _n_quads(X):
@@ -624,51 +610,104 @@ def _triangles(shape, idx):
     return (k + k // (n2 - 1))[:, None] + corners
 
 
-def _candidate_quads(Xa, Xb):
-    """The quad pairs (qa, qb) of the grids Xa and Xb whose bounding balls
-    (_bounding_balls) meet, as a k-d tree query would give them: the centre
-    distance, its squares added in coordinate order, is at most ra + rb and
-    its square at most (max ra + max rb)**2.
+# ---------------------------------------------------------------------------
+# broad phase: pyramids of bounding balls
 
-    Two pyramids of balls (_ball_pyramid) are walked from their tops down,
-    the deeper side first, keeping a node pair while its balls meet; each
-    node's ball holds its quads' balls, so no meeting quad pair is lost
-    (Gray & Moore 2000). The quad balls of the pairs under the kept level-1
-    pairs are then computed with _bounding_balls' arithmetic and tested."""
-    if min(Xa.shape[:2] + Xb.shape[:2]) < 2:
+
+class BallPyramid:
+    """Bounding balls over the leaves of a point grid X of shape (n1, n2, d).
+
+    Leaf (i, j) is the set of the points X[i + a, j + b], (a, b) in corners:
+    the grid's quads (QUAD), the segments of a curve's (n, 1, d) vertex grid
+    (SEGMENT; a closed curve repeats its first vertex at the end) or points
+    (POINT). Its ball is centred at their mean (_corner_balls).
+
+    levels[k] is (shape, centres, radii), flat in row-major order: level 0
+    the leaves, whose balls are computed when asked, and each level above
+    the balls over 2 x 2 nodes of the level below (_merge_balls), up to one
+    node; no levels without a leaf. Level 1 is built from the leaf balls of
+    blocks of whole leaf rows, about MESH_BLOCK leaves each, so no per-leaf
+    array is held. rmax is the largest leaf radius.
+    """
+
+    def __init__(self, X, corners):
+        self.X, self.corners = X, corners
+        n1 = X.shape[0] - max(a for a, _ in corners)
+        n2 = X.shape[1] - max(b for _, b in corners)
+        self.levels, self.rmax = [], 0.0
+        if min(n1, n2) < 1:
+            return
+        shape, d = ((n1 + 1) // 2, (n2 + 1) // 2), X.shape[2]
+        centre, radius = np.empty(shape + (d,)), np.empty(shape)
+        step = max(MESH_BLOCK // (2 * n2), 1)   # level-1 rows per block
+        for i0 in range(0, shape[0], step):
+            r0, r1 = 2 * i0, min(2 * (i0 + step), n1)
+            c, r = _corner_balls([X[r0 + a:r1 + a, b:b + n2] for a, b in corners])
+            self.rmax = max(self.rmax, float(r.max()))
+            centre[i0:i0 + step], radius[i0:i0 + step] = _merge_balls(c, r)
+        self.levels = [((n1, n2), None, None), (shape, centre.reshape(-1, d), radius.ravel())]
+        while max(shape) > 1:
+            centre, radius = _merge_balls(centre, radius)
+            shape = radius.shape
+            self.levels.append((shape, centre.reshape(-1, d), radius.ravel()))
+
+    def balls(self, k, nodes):
+        """Centres and radii of the flat nodes of level k. Leaf balls are
+        computed with the arithmetic of level 1's blocks: the same bits."""
+        if k:
+            return self.levels[k][1][nodes], self.levels[k][2][nodes]
+        i, j = np.divmod(nodes, self.levels[0][0][1])
+        return _corner_balls([self.X[i + a, j + b] for a, b in self.corners])
+
+
+def near_pairs(pyr_a, pyr_b, reach=0.0):
+    """The leaf pairs (la, lb) of the ball pyramids pyr_a and pyr_b, flat
+    leaf numbers, whose balls come within reach (0: meet), as a k-d tree
+    query would give them: the centre distance, its squares added in
+    coordinate order, is at most ra + rb + reach and its square at most
+    (max ra + max rb + reach)**2.
+
+    The pyramids are walked from their tops down to their leaves, the deeper
+    side first, keeping a node pair while its balls come within reach
+    (enlarged by BALL_SLACK); a node's ball holds its leaves' balls, so no
+    such leaf pair is lost (a dual-tree traversal; Gray & Moore, NIPS 2000).
+    Each step splits one side's nodes (_split, which bounds the step).
+    """
+    if not (pyr_a.levels and pyr_b.levels):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    (levels_a, rmax_a), (levels_b, rmax_b) = _ball_pyramid(Xa), _ball_pyramid(Xb)
-    ka, kb = len(levels_a) - 1, len(levels_b) - 1
+    ka, kb = len(pyr_a.levels) - 1, len(pyr_b.levels) - 1
     na = nb = np.zeros(1, dtype=np.intp)   # the two tops
     while ka or kb:
         if ka >= kb:
             ka -= 1
-            na, owner = _children(na, levels_a[ka + 1][0], levels_a[ka][0])
+            na, owner = _split(na, pyr_a, ka)
             nb = nb[owner]
         if kb > ka:
             kb -= 1
-            nb, owner = _children(nb, levels_b[kb + 1][0], levels_b[kb][0])
+            nb, owner = _split(nb, pyr_b, kb)
             na = na[owner]
-        (_, ca, ra), (_, cb, rb) = levels_a[ka], levels_b[kb]
-        meet = (np.sqrt(_sum_of_squares((ca[na] - cb[nb]).T))
-                <= (ra[na] + rb[nb]) * (1.0 + BALL_SLACK))
+        (ca, ra), (cb, rb) = pyr_a.balls(ka, na), pyr_b.balls(kb, nb)
+        d2 = _sum_of_squares(ca - cb)
+        if ka or kb:
+            meet = np.sqrt(d2) <= (ra + rb + reach) * (1.0 + BALL_SLACK)
+        else:
+            cap = pyr_a.rmax + pyr_b.rmax + reach
+            meet = (d2 <= cap * cap) & (np.sqrt(d2) <= ra + rb + reach)
         na, nb = na[meet], nb[meet]
-    qa, owner = _children(na, levels_a[0][0], np.subtract(Xa.shape[:2], 1))
-    nb = nb[owner]
-    qb, owner = _children(nb, levels_b[0][0], np.subtract(Xb.shape[:2], 1))
-    qa = qa[owner]
-    (ca, ra), (cb, rb) = _quad_balls(Xa, qa), _quad_balls(Xb, qb)
-    d2 = _sum_of_squares((ca - cb).T)
-    cap = rmax_a + rmax_b
-    near = (d2 <= cap * cap) & (np.sqrt(d2) <= ra + rb)
-    return qa[near], qb[near]
+    return na, nb
 
 
-def _children(nodes, shape, child_shape):
-    """The nodes of the level of shape child_shape under the flat nodes of
-    a level of shape shape, each node (i, j) over the nodes (2i + a, 2j + b)
-    with a and b in {0, 1} that exist, and for each child the position of
-    its parent in nodes."""
+def _split(nodes, pyramid, k):
+    """The nodes of level k of the pyramid under the flat nodes of its
+    level k + 1, each node (i, j) over the nodes (2i + a, 2j + b) with a and
+    b in {0, 1} that exist, and for each child the position of its parent
+    in nodes. Raises ScanTooLarge, before building them, when the up to
+    4 len(nodes) children exceed NEAR_MAX_PAIRS."""
+    if 4 * len(nodes) > NEAR_MAX_PAIRS:
+        raise ScanTooLarge(
+            f"{len(nodes)} near node pairs split into up to {4 * len(nodes)}, "
+            f"above the limit of {NEAR_MAX_PAIRS} node pairs per step")
+    (shape, _, _), (child_shape, _, _) = pyramid.levels[k + 1], pyramid.levels[k]
     i, j = np.divmod(nodes, shape[1])
     rows = 2 * i[:, None] + np.array([0, 0, 1, 1])
     cols = 2 * j[:, None] + np.array([0, 1, 0, 1])
@@ -676,42 +715,14 @@ def _children(nodes, shape, child_shape):
     return rows[owner, kid] * child_shape[1] + cols[owner, kid], owner
 
 
-def _sum_of_squares(diffs):
-    """The squares of the arrays diffs, the coordinate differences in
-    coordinate order, added in that order, as a k-d tree adds its squared
-    distances in up to 7 dimensions."""
-    diffs = iter(diffs)
-    first = next(diffs)
-    out = first * first
-    for diff in diffs:
-        out += diff * diff
+def _sum_of_squares(diff):
+    """The squares of the coordinate differences diff (last axis) added in
+    coordinate order, as a k-d tree adds its squared distances in up to 7
+    dimensions."""
+    out = diff[..., 0] * diff[..., 0]
+    for k in range(1, diff.shape[-1]):
+        out += diff[..., k] * diff[..., k]
     return out
-
-
-def _ball_pyramid(X):
-    """Levels of balls over the quads of the grid X, finest first, and the
-    largest quad ball radius. Each level is (shape, centres, radii), flat
-    in row-major order; node (i, j) of level 1 holds the bounding balls of
-    the quads (2i + a, 2j + b), a, b in {0, 1}, and each level above holds
-    2 x 2 nodes of the level below (_merge_balls), up to one node.
-
-    Level 1 is built from the quad balls of blocks of whole quad rows,
-    about MESH_BLOCK quads each, so no per-quad array is held."""
-    n1, n2, d = X.shape
-    shape = np.array([n1 // 2, n2 // 2])   # half the quad rows and columns, rounded up
-    centre, radius = np.empty((shape[0], shape[1], d)), np.empty(shape)
-    rmax = 0.0
-    step = max(MESH_BLOCK // (2 * (n2 - 1)), 1)   # level-1 rows per block
-    for i0 in range(0, shape[0], step):
-        c, r = _bounding_balls(X[2 * i0:2 * (i0 + step) + 1])
-        rmax = max(rmax, r.max())
-        centre[i0:i0 + step], radius[i0:i0 + step] = _merge_balls(c, r)
-    levels = [(shape, centre.reshape(-1, d), radius.ravel())]
-    while max(shape) > 1:
-        centre, radius = _merge_balls(centre, radius)
-        shape = np.array(radius.shape)
-        levels.append((shape, centre.reshape(-1, d), radius.ravel()))
-    return levels, float(rmax)
 
 
 def _merge_balls(centre, radius):
@@ -727,36 +738,17 @@ def _merge_balls(centre, radius):
         radius = np.pad(radius, pad, mode="edge")
     kids = [(centre[a::2, b::2], radius[a::2, b::2]) for a in (0, 1) for b in (0, 1)]
     mid = (kids[0][0] + kids[1][0] + kids[2][0] + kids[3][0]) / 4.0
-    reach = [np.sqrt(_sum_of_squares(np.moveaxis(c - mid, -1, 0))) + r for c, r in kids]
+    reach = [np.sqrt(_sum_of_squares(c - mid)) + r for c, r in kids]
     out = np.maximum(np.maximum(reach[0], reach[1]), np.maximum(reach[2], reach[3]))
     out *= 1.0 + BALL_SLACK
     return mid, out
 
 
-def _quad_balls(X, quads):
-    """Centroids and radii of the quads numbered quads of the grid X, with
-    the arithmetic of _bounding_balls, which gives them the same bits."""
-    i, j = np.divmod(quads, X.shape[1] - 1)
-    return _corner_balls([X[i, j], X[i + 1, j], X[i + 1, j + 1], X[i, j + 1]])
-
-
-def _bounding_balls(X):
-    """Centroids (n1 - 1, n2 - 1, d) and radii (n1 - 1, n2 - 1) of the
-    corner sets of the grid X's quads, each corner taken as a grid slice
-    instead of a (Q, 4, d) gather (_corner_balls)."""
-    return _corner_balls([X[:-1, :-1], X[1:, :-1], X[1:, 1:], X[:-1, 1:]])
-
-
 def _corner_balls(corners):
-    """Centroids and radii of the balls about the quads whose corners 0 to
-    3 are the four arrays corners, of one shape (..., d). The sums add in
-    the order pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a
-    gathered (Q, 4, 4) array, so both outputs are bit-identical to theirs."""
-    c = (((corners[0] + corners[1]) + corners[2]) + corners[3]) / 4.0
-    r2 = []
-    for p in corners:
-        diff = p - c
-        diff *= diff
-        r2.append(((diff[..., 0] + diff[..., 1]) + diff[..., 2]) + diff[..., 3])
-    return c, np.sqrt(np.maximum(np.maximum(r2[0], r2[1]),
-                                 np.maximum(r2[2], r2[3])))
+    """Centroids and radii of the balls about the leaves whose corners are
+    the arrays corners, of one shape (..., d). The sums add in the order
+    pts.mean(axis=1) and np.sum(d ** 2, axis=2) add over a gathered
+    (K, len(corners), d) array, so both outputs are bit-identical to theirs."""
+    c = reduce(np.add, corners) / len(corners)
+    r2 = [_sum_of_squares(p - c) for p in corners]
+    return c, np.sqrt(reduce(np.maximum, r2))

@@ -11,6 +11,7 @@ from lmcflab import diagnostics as dg
 from lmcflab import fixtures as fx
 from lmcflab import flow
 from lmcflab import geometry as geo
+from lmcflab import linking as lk
 from lmcflab.errors import (FieldShapeMismatch, NonFiniteVertex, ScanTooLarge,
                             WindowInPast)
 
@@ -126,12 +127,14 @@ def test_entropy_scale_equivariance():
 
 
 def test_entropy_refuses_large_crossing_scan():
-    # 10k segments with themselves are 1e8 pairs: refused before allocating
-    circ = fx.make_circle(1.0, 10_000)
+    # a circle wound 50 times: every arc lies on 49 others, so the crossing
+    # scan's broad phase would test more node pairs than NEAR_MAX_PAIRS
+    phi = np.linspace(0.0, 100.0 * np.pi, 20_000, endpoint=False)
+    wound = geo.DiscreteCurve(np.stack([np.cos(phi), np.sin(phi)], axis=1), closed=True)
     tracemalloc.start()
     try:
         with pytest.raises(ScanTooLarge):
-            dg.entropy(circ)
+            dg.entropy(wound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,22 +142,33 @@ def test_entropy_refuses_large_crossing_scan():
 
 
 def test_crossing_limit_counts_segment_pairs(monkeypatch):
+    # the limit holds at exactly the most node pairs a step of the scan
+    # tests, and refuses one below it
     closed, line = fx.make_circle(1.0, 64), fx.make_line(angle=0.3, extent=2.0, n=33)
-    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 64 * 64)
-    dg._crossing_points([closed, line])
-    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 64 * 64 - 1)
-    with pytest.raises(ScanTooLarge):
-        dg._crossing_points([closed, line])
-    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 32 * 32)
-    dg._crossing_points([line])
-    monkeypatch.setattr(dg, "CROSSING_MAX_PAIRS", 32 * 32 - 1)
-    with pytest.raises(ScanTooLarge):
-        dg._crossing_points([line])
+    split, steps = lk._split, []
+
+    def counted(nodes, *args):
+        steps.append(4 * len(nodes))
+        return split(nodes, *args)
+
+    for curves in ([closed, line], [line]):
+        steps.clear()
+        monkeypatch.setattr(lk, "_split", counted)
+        want = dg._crossing_points(curves)
+        monkeypatch.setattr(lk, "_split", split)
+        monkeypatch.setattr(lk, "NEAR_MAX_PAIRS", max(steps))
+        got = dg._crossing_points(curves)
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+        monkeypatch.setattr(lk, "NEAR_MAX_PAIRS", max(steps) - 1)
+        with pytest.raises(ScanTooLarge):
+            dg._crossing_points(curves)
+        monkeypatch.undo()
 
 
 def per_hit_crossings(curves):
-    """The crossing points of _crossing_points, each from its own segment
-    pair's parameter t, scanned one pair at a time."""
+    """The crossing points of _crossing_points from an all-pairs scan: each
+    segment of a against every segment of b at once (every later one but
+    its neighbour if b is a), each hit from its own pair's parameter t."""
     pts = []
     for i, a in enumerate(curves):
         for b in curves[i:]:
@@ -162,14 +176,17 @@ def per_hit_crossings(curves):
             pb, qb = geo.edge_ends(b.vertices, b.closed)
             hits = []
             for i0 in range(len(pa)):
-                for j0 in range(i0 + 2 if a is b else 0, len(pb)):
-                    d1, d2, dp = qa[i0] - pa[i0], qb[j0] - pb[j0], pb[j0] - pa[i0]
-                    denom = d1[0] * d2[1] - d1[1] * d2[0]
-                    if abs(denom) > 1e-15:
-                        t = (dp[0] * d2[1] - dp[1] * d2[0]) / denom
-                        u = (dp[0] * d1[1] - dp[1] * d1[0]) / denom
-                        if 1e-12 < t < 1 - 1e-12 and 1e-12 < u < 1 - 1e-12:
-                            hits.append(pa[i0] + t * d1)
+                j0 = i0 + 2 if a is b else 0
+                d1, d2, dp = qa[i0] - pa[i0], qb[j0:] - pb[j0:], pb[j0:] - pa[i0]
+                denom = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = (dp[:, 0] * d2[:, 1] - dp[:, 1] * d2[:, 0]) / denom
+                    u = (dp[:, 0] * d1[1] - dp[:, 1] * d1[0]) / denom
+                hit = ((np.abs(denom) > 1e-15) & (1e-12 < t) & (t < 1 - 1e-12)
+                       & (1e-12 < u) & (u < 1 - 1e-12))
+                hits.extend(pa[i0] + t[hit, None] * d1)
+                if len(hits) >= 8:
+                    break
             pts += hits[:8]
     return pts
 
@@ -188,6 +205,34 @@ def test_crossing_points_equal_the_per_hit_formula():
     hit, t, u = flow.segments_intersect(np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]),
                                         np.array([[1.0, -1.0]]), np.array([[1.0, 3.0]]))
     assert (hit.tolist(), t.tolist(), u.tolist()) == ([True], [0.5], [0.25])
+
+
+def crossing_curves(n):
+    """A self-crossing Lissajous curve, a wave crossing it, a circle and a
+    grim reaper, n vertices each."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    lissajous = geo.DiscreteCurve(np.stack([np.sin(3 * phi), np.sin(2 * phi)], axis=1),
+                                  closed=True)
+    x = np.linspace(-1.2, 1.2, n)
+    wave = geo.DiscreteCurve(np.stack([x, 0.1 + 0.5 * np.sin(15.0 * x)], axis=1))
+    return [lissajous, wave, fx.make_circle(0.7, n), fx.make_grim_reaper(extent=3.0, n=n)[0]]
+
+
+@pytest.mark.parametrize("n", [512, 1400])
+def test_crossing_points_equal_the_all_pairs_scan_on_long_curves(n):
+    curves = crossing_curves(n)
+    got, want = dg._crossing_points(curves), per_hit_crossings(curves)
+    assert len(got) == len(want) == 36
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_entropy_of_a_long_grim_reaper():
+    # 2047 segments against themselves: above the 2**21 segment pairs that
+    # an all-pairs scan was once limited to
+    values = [dg.entropy(fx.make_grim_reaper(extent=80.0, n=n)[0]).value
+              for n in (1400, 2048)]
+    assert abs(values[1] - values[0]) < 1e-6
+    assert max(values) < 2.0
 
 
 def test_density_between_one_and_entropy():

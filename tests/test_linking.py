@@ -21,7 +21,8 @@ from lmcflab import geometry as geo
 from lmcflab import linking as lk
 from lmcflab import scenarios as sc
 from lmcflab.errors import (ConfigInvalid, CurvesTooClose, EmptySlice,
-                            GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop)
+                            GaussSumTooLarge, NoTransverseRadius, OpenSliceLoop,
+                            ScanTooLarge)
 
 
 def crossing_count_oracle(loop_a, loop_b, seed=5):
@@ -203,13 +204,13 @@ def test_bounded_min_distance_agrees_with_the_unbounded_query():
         assert lk._min_distance(a, b, 0.5 * d) == np.inf
 
 
-@pytest.mark.parametrize("block, pairs", [(256, 2 ** 14), (7, 5)])
-def test_min_distance_sweeps_a_single_slab(monkeypatch, block, pairs):
-    # every point has the same first coordinate, so every block's window is
-    # all of the second set; it is still measured a few columns at a time
-    monkeypatch.setattr(lk, "SWEEP_BLOCK", block)
-    monkeypatch.setattr(lk, "SWEEP_PAIRS", pairs)
-    rng = np.random.default_rng(12)
+@pytest.mark.parametrize("block, seed", [(256, 2 ** 14), (7, 5)])
+def test_min_distance_sweeps_a_single_slab(monkeypatch, block, seed):
+    # every point has the same first coordinate: a slab that no sort on it
+    # splits. The ball pyramids take the points in blocks of block, one and
+    # many blocks
+    monkeypatch.setattr(lk, "MESH_BLOCK", block)
+    rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(300, 4)), rng.normal(size=(280, 4)) + 0.5
     a[:, 0] = b[:, 0] = 0.25
     d = float(cKDTree(b).query(a)[0].min())
@@ -835,20 +836,20 @@ def test_bounding_balls_equal_gathered_formula(monkeypatch):
     meshes, frame, pair = fx.make_tilted_pair(lam=0.1, b=(1.0, -1.0),
                                               extent=2.0, samples=200)
     for grid in meshes:
-        centre, radius = lk._bounding_balls(np.asarray(grid))
+        centre, radius = flat_balls(np.asarray(grid))
         verts, quads = grid_quad_mesh(grid)
         want_centre, want_radius = gathered_bounding_balls_oracle(verts[quads])
         assert centre.tobytes() == want_centre.tobytes()
         assert radius.tobytes() == want_radius.tobytes()
         # the ball pyramid takes them in blocks of quad rows: one level-1 row
         # per block, several, and the whole grid in one block
-        want = lk._ball_pyramid(np.asarray(grid))
+        want = lk.BallPyramid(np.asarray(grid), lk.QUAD)
         for block in [1, 250, 200 * 200]:
             monkeypatch.setattr(lk, "MESH_BLOCK", block)
-            got = lk._ball_pyramid(np.asarray(grid))
-            assert got[1] == want[1]
-            assert [(s.tolist(), c.tobytes(), r.tobytes()) for s, c, r in got[0]] == \
-                [(s.tolist(), c.tobytes(), r.tobytes()) for s, c, r in want[0]]
+            got = lk.BallPyramid(np.asarray(grid), lk.QUAD)
+            assert got.rmax == want.rmax
+            assert [(s, c.tobytes(), r.tobytes()) for s, c, r in got.levels[1:]] == \
+                [(s, c.tobytes(), r.tobytes()) for s, c, r in want.levels[1:]]
 
 
 def test_triangles_gather_rows_of_the_full_formula():
@@ -878,9 +879,26 @@ def test_surfaces_intersect_holds_no_mesh_sized_temporaries():
     assert peak < 8 * 2**20
 
 
+def test_surfaces_intersect_refuses_a_graph_against_itself():
+    # every quad meets its 8 neighbours and itself: some 1.35M candidate quad
+    # pairs, which the narrow phase would take at about 1.8 KiB each. The
+    # broad phase refuses them before it computes a leaf ball
+    graph = fx.tilted_graph(0, lam=0.1, b=(1.0, -1.0), extent=2.0, samples=400)
+    tracemalloc.start()   # the held mesh is not counted
+    try:
+        with pytest.raises(ScanTooLarge):
+            lk.surfaces_intersect(graph, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def flat_balls(grid):
-    """Every quad ball of the grid, in row-major quad order."""
-    centre, radius = lk._bounding_balls(grid)
+    """Every quad ball of the grid, in row-major quad order, each corner
+    taken as a grid slice, as the ball pyramid takes its blocks."""
+    n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
+    centre, radius = lk._corner_balls([grid[a:a + n1, b:b + n2] for a, b in lk.QUAD])
     return centre.reshape(-1, 4), radius.ravel()
 
 
@@ -897,7 +915,8 @@ def k_d_tree_pairs(grid_a, grid_b):
 
 
 def pyramid_pairs(grid_a, grid_b):
-    qa, qb = lk._candidate_quads(np.asarray(grid_a), np.asarray(grid_b))
+    qa, qb = lk.near_pairs(lk.BallPyramid(np.asarray(grid_a), lk.QUAD),
+                           lk.BallPyramid(np.asarray(grid_b), lk.QUAD))
     return sorted(zip(qa.tolist(), qb.tolist()))
 
 
@@ -934,18 +953,71 @@ def test_broad_phase_equals_the_k_d_tree_on_thin_and_unequal_grids(shape_a, shap
     assert pyramid_pairs(grid_a, grid_b) == want
 
 
+def brute_force_pairs(pyr_a, pyr_b, reach):
+    """near_pairs' final test on every leaf pair, sorted."""
+    (ca, ra), (cb, rb) = (p.balls(0, np.arange(np.prod(p.levels[0][0])))
+                          for p in (pyr_a, pyr_b))
+    d2 = np.sum(((ca[:, None] - cb[None]) ** 2), axis=2)
+    cap = ra.max() + rb.max() + reach
+    near = (d2 <= cap * cap) & (np.sqrt(d2) <= ra[:, None] + rb[None] + reach)
+    return sorted(zip(*(k.tolist() for k in np.nonzero(near))))
+
+
+@st.composite
+def broad_phase_cases(draw):
+    """Two pyramids of one leaf kind and a reach: point sets in R^4 with a
+    reach, curve segments in R^2, or grids in R^4 of odd or one-quad-wide
+    shape. Coordinates are random walks, some snapped to a coarse lattice so
+    that points coincide and distances equal the reach exactly."""
+    kind = draw(st.sampled_from(["point", "segment", "quad"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    snap = draw(st.booleans())
+
+    def cloud(shape, d):
+        x = np.cumsum(rng.normal(size=shape + (d,)), axis=0)
+        if kind == "quad":
+            x = np.cumsum(x, axis=1)
+        return scale * (np.round(4 * x) / 4 if snap else x)
+
+    pyramids = []
+    for _ in range(2):
+        if kind == "quad":
+            shape = tuple(draw(st.sampled_from([2, 3, 5, 8, 13])) for _ in range(2))
+            pyramids.append(lk.BallPyramid(cloud(shape, 4), lk.QUAD))
+        else:
+            n = draw(st.integers(1 if kind == "point" else 2, 70))
+            corners = lk.POINT if kind == "point" else lk.SEGMENT
+            d = 4 if kind == "point" else 2
+            pyramids.append(lk.BallPyramid(cloud((n, 1), d), corners))
+    reach = scale * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]))
+    return pyramids, reach
+
+
+@settings(max_examples=80, deadline=None)
+@given(broad_phase_cases())
+def test_near_pairs_equal_brute_force(case):
+    (pyr_a, pyr_b), reach = case
+    want = brute_force_pairs(pyr_a, pyr_b, reach)
+    got = lk.near_pairs(pyr_a, pyr_b, reach)
+    assert sorted(zip(*(k.tolist() for k in got))) == want
+    swapped = lk.near_pairs(pyr_b, pyr_a, reach)
+    assert sorted(zip(*(k.tolist() for k in swapped[::-1]))) == want
+
+
 def test_quad_balls_of_chosen_quads_equal_the_blocked_balls():
     grid = np.asarray(fx.tilted_graph(1, samples=50))
     centre, radius = flat_balls(grid)
     quads = np.random.default_rng(4).integers(0, len(radius), 300)
-    got_centre, got_radius = lk._quad_balls(grid, quads)
+    got_centre, got_radius = lk.BallPyramid(grid, lk.QUAD).balls(0, quads)
     assert got_centre.tobytes() == centre[quads].tobytes()
     assert got_radius.tobytes() == radius[quads].tobytes()
 
 
 def test_ball_pyramid_levels_hold_every_quad_ball():
     grid = np.cumsum(np.random.default_rng(8).normal(size=(23, 18, 4)), axis=0)
-    levels, rmax = lk._ball_pyramid(grid)
+    pyramid = lk.BallPyramid(grid, lk.QUAD)
+    levels, rmax = pyramid.levels[1:], pyramid.rmax
     centre, radius = flat_balls(grid)
     assert rmax == radius.max()
     assert [tuple(shape) for shape, _, _ in levels] == [
@@ -973,6 +1045,14 @@ def test_surfaces_intersect_returns_first_hit_in_index_order():
     assert np.array_equal(hit, first_hit_oracle(mesh_a, ribbon))
     assert np.allclose(lk.surfaces_intersect(mesh_a, ribbon[:4]),
                        [0.37, 0.52, 0, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_surfaces_intersect_returns_first_hit_across_blocks(monkeypatch, block):
+    # the sorted triangle pairs are solved a block at a time: the first hit
+    # is the same whichever block it falls in
+    monkeypatch.setattr(lk, "MESH_BLOCK", block)
+    test_surfaces_intersect_returns_first_hit_in_index_order()
 
 
 # ---------------------------------------------------------------------------
